@@ -26,6 +26,8 @@ from walkangles.samplers import (coordinate_product, constant, log_tail,
 from walkangles.sphere import interpolate, s_hull
 from walkangles.walk import BoundCheckObserver, run_walk
 
+from test_golden import assert_pinned, report_digest
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 E1 = np.array([1.0, 0.0])
 
@@ -35,9 +37,10 @@ def _criterion(num: int, label: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {label} -- {detail}"
 
 
-def _report_example(num: int, label: str, report) -> None:
+def _report_example(num: int, label: str, report, pin: str) -> None:
     detail = "; ".join(f"{c.label}: {c.detail}" for c in report.checks)
     _criterion(num, label, report.passed, detail)
+    assert_pinned("reports", pin, report_digest(report))
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +131,17 @@ def test_criterion_03_dominance_bound():
 
 def test_criterion_04_two_pole_directions():
     _report_example(4, "heavy vertical coordinate concentrates on the poles",
-                    reproduce_example("ex-10.1"))
+                    reproduce_example("ex-10.1"), "ex-10.1")
 
 
 def test_criterion_05_drift_regime():
     _report_example(5, "drift regime locks onto e1",
-                    reproduce_example("ex-10.1", alpha=2.0))
+                    reproduce_example("ex-10.1", alpha=2.0), "ex-10.1-alpha2")
 
 
 def test_criterion_06_full_circle():
     _report_example(6, "symmetric moderate tails cover the circle",
-                    reproduce_example("ex-10.2"))
+                    reproduce_example("ex-10.2"), "ex-10.2")
 
 
 def test_criterion_07_atom_direction_set():
@@ -148,11 +151,12 @@ def test_criterion_07_atom_direction_set():
     ok = all(c.passed for c in picked)
     _criterion(7, "log-tail radial walk explores exactly its atoms", ok,
                "; ".join(f"{c.label}: {c.detail}" for c in picked))
+    assert_pinned("reports", "heavytails-demo", report_digest(report))
 
 
 def test_criterion_08_band_concentration():
     _report_example(8, "four-dimensional equatorial band",
-                    reproduce_example("ex-10.3"))
+                    reproduce_example("ex-10.3"), "ex-10.3")
 
 
 def test_criterion_09_projection_trichotomy():

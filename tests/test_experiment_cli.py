@@ -187,18 +187,6 @@ def test_plot_empty_data_raises():
         trajectory_svg(np.empty((0, 2)))
 
 
-def test_committed_configs_byte_identical(tmp_path):
-    # the configs committed in the repo replay to identical artifacts
-    for name in ("determinism-drift.json", "determinism-heavy.json"):
-        path = os.path.join(REPO, "configs", name)
-        with open(path) as fh:
-            text = fh.read()
-        a = run_experiment(load_config(text, out_dir=str(tmp_path / name / "a")))
-        b = run_experiment(load_config(text, out_dir=str(tmp_path / name / "b")))
-        for f in a.files:
-            assert read(tmp_path / name / "a" / f) == read(tmp_path / name / "b" / f)
-
-
 def test_entry_point_subprocess():
     proc = subprocess.run([sys.executable, "-m", "walkangles", "pruitt", "poly:0.5"],
                           capture_output=True, text=True,

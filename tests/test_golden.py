@@ -1,0 +1,88 @@
+"""Golden SHA-256 pins for the artifacts the engine, samplers and observers produce.
+
+``golden.json`` holds the ``manifest.json`` digest of each committed config and
+of four small configs that reach the float and heavy-tail paths, and the digest
+of each worked-example report at its committed scale.  A manifest digest covers
+the config, the spawned seeds and the SHA-256 of every artifact file, so any
+change to an artifact byte shows here.  Such a change needs a deliberate pin
+update, never a regeneration switch: a mismatch prints the actual digest.
+"""
+import glob
+import hashlib
+import json
+import os
+
+import pytest
+
+from walkangles.examples import reproduce_example
+from walkangles.experiment import load_config, run_experiment
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.path.join(REPO, "tests", "golden.json")) as _fh:
+    GOLDEN = json.load(_fh)
+
+COMMITTED_CONFIGS = sorted(glob.glob(os.path.join(REPO, "configs", "*.json")))
+
+
+def _law(name, **param):
+    return {"name": name, **param}
+
+
+def _small(spec: dict) -> dict:
+    return {"spec": spec, "n_steps": 5000, "n_runs": 2, "base_seed": 1}
+
+
+# paths that neither configs/ nor the benchmark pins reach
+EXTRA_CONFIGS = {
+    "float-coordinate-product": _small({
+        "dimension": 2, "form": "coordinate_product",
+        "laws": [_law("constant", value=0.5), _law("s_two_sided", alpha=0.8)]}),
+    # the only route into the saturating heavy-tail linear sampler
+    "heavy-coordinate-product": _small({
+        "dimension": 2, "form": "coordinate_product",
+        "laws": [_law("log_tail"), _law("stretched_exp", beta=0.3)]}),
+    "float-linear-combination": _small({
+        "dimension": 2, "form": "linear_combination",
+        "laws": [_law("s_one_sided", alpha=0.7), _law("s_one_sided", alpha=0.7)],
+        "atoms": [{"vector": [1.0, 0.0]}, {"vector": [0.6, 0.8]}]}),
+    "float-radial-product": _small({
+        "dimension": 2, "form": "radial_product",
+        "laws": [_law("s_one_sided", alpha=1.0)],
+        "atoms": [{"vector": [1.0, 0.0], "p": 0.5}, {"vector": [0.0, 1.0], "p": 0.5}]}),
+}
+
+
+def assert_pinned(section: str, key: str, actual: str) -> None:
+    expected = GOLDEN[section][key]
+    assert actual == expected, (f"golden {section}[{key!r}] changed: "
+                                f"expected {expected}, actual {actual}")
+
+
+def manifest_digest(config, out_dir) -> str:
+    run_experiment(load_config(config, out_dir=str(out_dir)))
+    with open(os.path.join(out_dir, "manifest.json"), "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def report_digest(report) -> str:
+    return hashlib.sha256(
+        json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+def test_committed_configs_match_golden(tmp_path):
+    assert COMMITTED_CONFIGS
+    for path in COMMITTED_CONFIGS:
+        name = os.path.basename(path)
+        with open(path) as fh:
+            text = fh.read()
+        assert_pinned("configs", name, manifest_digest(text, tmp_path / name))
+
+
+@pytest.mark.parametrize("name", sorted(EXTRA_CONFIGS))
+def test_extra_config_matches_golden(name, tmp_path):
+    assert_pinned("extra_configs", name, manifest_digest(EXTRA_CONFIGS[name], tmp_path))
+
+
+def test_ex_10_4_report_matches_golden():
+    # criteria 4-8 pin the other example reports they already build
+    assert_pinned("reports", "ex-10.4", report_digest(reproduce_example("ex-10.4")))
