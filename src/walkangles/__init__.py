@@ -5,24 +5,22 @@ projection trend classification, trajectory-hull tracking, and a
 reproducible experiment runner.
 """
 
-from .samplers import (IncrementSpec, ScalarLaw, coordinate_product, constant,
-                       linear_combination, log_tail, make_increment_sampler,
-                       radial_product, rademacher, s_one_sided, s_two_sided,
-                       sample_heavy_tail, sample_rademacher, sample_s_one_sided,
+from .samplers import (IncrementSampler, IncrementSpec, ScalarLaw,
+                       coordinate_product, constant, linear_combination,
+                       log_tail, radial_product, rademacher, s_one_sided,
+                       s_two_sided, sample_rademacher, sample_s_one_sided,
                        sample_s_two_sided, spec_from_json, spec_to_json,
                        stretched_exp)
 from .sphere import (Cap, SHull, cap_contains, direction_grid, hat, interpolate,
-                     s_boundary, s_hull, s_hull_contains)
-from .walk import (BoundCheckObserver, IncrementDraw, TrajectoryRecord,
-                   WalkState, biggest_jump_bound_check, dyadic_checkpoints,
-                   run_walk, step)
+                     s_hull)
+from .walk import (BoundCheckObserver, TrajectoryRecord, WalkState,
+                   biggest_jump_bound_check, dyadic_checkpoints, run_walk)
 from .directions import (CapVisitAccumulator, DirectionSetEstimate,
-                         EstimatorConfig, combine_runs, finalize, record_visit)
+                         EstimatorConfig, combine_runs)
 from .projections import (ClassifierThresholds, ProjectionStats,
                           ProjectionTracker, classify, project_series,
                           scan_exceptional)
-from .hull import (HullState, HullTracker, confinement, hull_growth_report,
-                   inscribed_radius, update_hull)
+from .hull import HullState, HullTracker, hull_growth_report
 from .pruitt import TailFunction, pruitt_diagnostic, u_sequence
 from .experiment import ExperimentConfig, load_config, run_experiment
 from .examples import reproduce_example

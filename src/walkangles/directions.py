@@ -29,8 +29,6 @@ __all__ = [
     "CapVisitAccumulator",
     "DirectionSetEstimate",
     "ConsensusEstimate",
-    "record_visit",
-    "finalize",
     "combine_runs",
     "IN", "OUT", "UNDECIDED",
 ]
@@ -204,14 +202,6 @@ class CapVisitAccumulator(ObserverBase):
         nonzero = np.flatnonzero(self.visits.sum(axis=0) > 0)
         return int(nonzero[-1]) if len(nonzero) else -1
 
-    def visited_beyond(self, grid_index: int, radius_floor: float) -> bool:
-        """Any visit at a level whose floor is >= radius_floor."""
-        lv = self.config.levels()
-        ok = np.flatnonzero(lv >= radius_floor)
-        if len(ok) == 0:
-            return False
-        return bool(self.visits[grid_index, ok[0]:].sum() > 0)
-
     def band_fraction_at_top(self) -> float:
         top = self.top_reached_level()
         if top < 0 or self.level_totals[top] == 0:
@@ -301,14 +291,6 @@ class DirectionSetEstimate:
         if own:
             return out.getvalue()
         return None
-
-
-def record_visit(acc: CapVisitAccumulator, position, n: int) -> CapVisitAccumulator:
-    return acc.record_visit(position, n)
-
-
-def finalize(acc: CapVisitAccumulator) -> DirectionSetEstimate:
-    return acc.finalize()
 
 
 @dataclass

@@ -22,6 +22,7 @@ from .directions import (CapVisitAccumulator, EstimatorConfig, combine_runs,
                          IN, OUT)
 from .hull import HullTracker, hull_growth_report
 from .projections import ClassifierThresholds, ProjectionTracker, classify, scan_exceptional
+from .rng import run_seed
 from .samplers import IncrementSpec, spec_from_json, spec_to_json
 from .walk import run_walk
 
@@ -66,9 +67,7 @@ class ExperimentConfig:
     def seed_for(self, run_index: int) -> int:
         if self.run_seeds is not None:
             return int(self.run_seeds[run_index])
-        # fold the run index into the base seed through SeedSequence hashing
-        ss = np.random.SeedSequence(entropy=self.base_seed, spawn_key=(run_index,))
-        return int(ss.generate_state(1, np.uint64)[0])
+        return run_seed(self.base_seed, run_index)
 
     def to_json(self) -> str:
         # workers and out_dir are execution knobs, not experiment identity;

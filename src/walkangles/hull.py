@@ -26,9 +26,6 @@ __all__ = [
     "FULL_SPACE_TREND", "CONFINED", "NO_TREND",
     "HullState",
     "HullTracker",
-    "update_hull",
-    "inscribed_radius",
-    "confinement",
     "hull_growth_report",
     "convex_hull_2d",
     "point_in_convex_polygon",
@@ -136,7 +133,7 @@ class HullState:
     def update(self, batch) -> "HullState":
         """Absorb a batch of points; hull(hull(A) | B) = hull(A | B)."""
         if len(batch) == 0:
-            raise ValueError("update_hull needs a nonempty batch")
+            raise ValueError("a hull update needs a nonempty batch")
         arr = np.atleast_2d(np.asarray(batch))
         if self.dimension == 2:
             self._update_planar(arr)
@@ -211,18 +208,6 @@ class HullState:
         if self.dimension != 2:
             raise UnsupportedSpecError("exact membership is planar-only")
         return point_in_convex_polygon(self.vertices, tuple(p))
-
-
-def update_hull(state: HullState, batch) -> HullState:
-    return state.update(batch)
-
-
-def inscribed_radius(state: HullState) -> float:
-    return state.inscribed_radius()
-
-
-def confinement(state: HullState, u) -> float:
-    return state.confinement(u)
 
 
 # ---------------------------------------------------------------------------

@@ -52,16 +52,6 @@ class ClassifierThresholds:
             raise ValueError("classifier scales must be positive")
 
 
-def _to_psi(values: np.ndarray) -> np.ndarray:
-    """Order-preserving signed-log encoding of linear values."""
-    v = np.asarray(values, dtype=float)
-    out = np.zeros_like(v)
-    nz = v != 0.0
-    logs = np.maximum(np.log(np.abs(v[nz])), -PSI_OFFSET)
-    out[nz] = np.sign(v[nz]) * (logs + PSI_OFFSET)
-    return out
-
-
 def _psi_from_signed_log(sign: np.ndarray, log_abs: np.ndarray) -> np.ndarray:
     out = np.sign(sign) * (np.maximum(log_abs, -PSI_OFFSET) + PSI_OFFSET)
     return np.where((sign == 0) | (log_abs == NEG_INF), 0.0, out)
@@ -87,15 +77,6 @@ class ProjectionStats:
     final: float
     n_steps: int
     log_scale: bool = False
-
-    def min_log_abs(self, j: int = -1) -> float:
-        return _psi_log_abs(self.mins[j]) if self.log_scale else (
-            NEG_INF if self.mins[j] == 0 else math.log(abs(self.mins[j])))
-
-    def max_log_abs(self, j: int = -1) -> float:
-        return _psi_log_abs(self.maxes[j]) if self.log_scale else (
-            NEG_INF if self.maxes[j] == 0 else math.log(abs(self.maxes[j])))
-
 
 class ProjectionTracker(ObserverBase):
     """Per-step running min/max of the projections onto a direction grid."""

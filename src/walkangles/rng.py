@@ -1,14 +1,14 @@
 """Splittable counter-based random streams.
 
 Every simulation draws from a Philox counter-based generator.  Run ``i`` of a
-batch gets its own stream derived from ``(base_seed, i)`` through numpy's
+batch gets its own seed derived from ``(base_seed, i)`` through numpy's
 SeedSequence spawning, so runs are independent and individually reproducible.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream", "run_stream", "uniform_open"]
+__all__ = ["stream", "run_seed", "uniform_open"]
 
 
 def stream(seed: int) -> np.random.Generator:
@@ -16,10 +16,14 @@ def stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def run_stream(base_seed: int, run_index: int) -> np.random.Generator:
-    """Independent stream for run ``run_index`` of a batch keyed by ``base_seed``."""
+def run_seed(base_seed: int, run_index: int) -> int:
+    """Seed of run ``run_index`` in a batch keyed by ``base_seed``.
+
+    The run index is folded into the base seed through SeedSequence hashing.
+    Manifests record these seeds, so the derivation must never change.
+    """
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(run_index,))
-    return np.random.Generator(np.random.Philox(ss))
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def uniform_open(rng: np.random.Generator, size=None):

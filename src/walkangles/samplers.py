@@ -43,16 +43,16 @@ __all__ = [
     "coordinate_product",
     "radial_product",
     "linear_combination",
+    "IncrementSampler",
     "sample_rademacher",
     "sample_s_two_sided",
     "sample_s_one_sided",
-    "sample_heavy_tail",
-    "make_increment_sampler",
     "spec_to_json",
     "spec_from_json",
 ]
 
 SATURATION_CAP = 2**62
+_LOG_SATURATION_CAP = math.log(SATURATION_CAP)
 
 
 class InvalidParameterError(ValueError):
@@ -68,6 +68,11 @@ class Saturations:
     """Mutable counter for magnitude draws clipped at SATURATION_CAP."""
 
     count: int = 0
+
+
+def _is_int64(x: float) -> bool:
+    """True when ``x`` is an integer that an int64 holds exactly."""
+    return abs(x) < 2.0**63 and x == int(x)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +109,7 @@ class ScalarLaw:
     @property
     def is_integer_valued(self) -> bool:
         if self.kind == "constant":
-            return float(self.param) == int(self.param)
+            return _is_int64(self.param)
         return self.kind in self._INTEGER_KINDS
 
     @property
@@ -138,10 +143,17 @@ class ScalarLaw:
             return sample_s_two_sided(rng, self.param, size, counter)
         if self.kind == "s_one_sided":
             return sample_s_one_sided(rng, self.param, size, counter)
-        if self.kind == "log_tail":
-            return sample_heavy_tail(rng, "log_tail", size=size, counter=counter)
-        if self.kind == "stretched_exp":
-            return sample_heavy_tail(rng, "stretched_exp", self.param, size, counter)
+        if self.is_heavy_real:
+            # exp(log magnitude), clipped at SATURATION_CAP with the counter
+            # incremented; sample_log gives the unclipped log magnitude
+            log_mag = self.sample_log(rng, size)
+            over = np.asarray(log_mag) > _LOG_SATURATION_CAP
+            if np.any(over):
+                if counter is not None:
+                    counter.count += int(np.count_nonzero(over))
+                log_mag = np.where(over, _LOG_SATURATION_CAP, log_mag)
+            out = np.exp(log_mag)
+            return float(out) if size is None else out
         value = self.param
         if size is None:
             return value
@@ -216,32 +228,6 @@ def sample_s_one_sided(rng, alpha: float, size=None, counter: Saturations | None
         raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
     out = _magnitude_from_uniform(uniform_open(rng, size), alpha, counter)
     return int(out) if size is None else out
-
-
-def sample_heavy_tail(rng, family: str, beta: float | None = None, size=None,
-                      counter: Saturations | None = None):
-    """Real magnitude from one of the two very heavy tails.
-
-    ``log_tail`` returns exp(1/U); ``stretched_exp`` returns exp(E**(1/beta)).
-    Values beyond SATURATION_CAP are clipped with the counter incremented; the
-    exact log magnitude is available through ScalarLaw.sample_log.
-    """
-    if family == "log_tail":
-        log_mag = 1.0 / uniform_open(rng, size)
-    elif family == "stretched_exp":
-        if beta is None or not (0 < beta < 0.5):
-            raise InvalidParameterError(f"stretched_exp requires beta in (0, 1/2), got {beta}")
-        log_mag = (-np.log(uniform_open(rng, size))) ** (1.0 / beta)
-    else:
-        raise InvalidParameterError(f"unknown heavy-tail family {family!r}")
-    log_cap = 62 * math.log(2.0)
-    over = np.asarray(log_mag) > log_cap
-    if np.any(over):
-        if counter is not None:
-            counter.count += int(np.count_nonzero(over))
-        log_mag = np.where(over, log_cap, log_mag)
-    out = np.exp(log_mag)
-    return float(out) if size is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +359,8 @@ class IncrementSpec:
         if not all(law.is_integer_valued for law in self.laws):
             return False
         if self.form == COORDINATE_PRODUCT:
-            drift_ok = self.drift is None or all(x == int(x) for x in self.drift)
-            return drift_ok
-        return all(x == int(x) for v in self.atoms for x in v)
+            return self.drift is None or all(_is_int64(x) for x in self.drift)
+        return all(_is_int64(x) for v in self.atoms for x in v)
 
     @property
     def scale_mode(self) -> str:
@@ -424,7 +409,7 @@ class SampleBlock:
 
 
 class IncrementSampler:
-    """Callable block source for one increment spec.
+    """Block source for one increment spec.
 
     Immutable after construction; all randomness comes from the generator
     passed to :meth:`sample_block`, so one sampler can serve many runs.
@@ -437,9 +422,6 @@ class IncrementSampler:
         self._atoms = np.asarray(spec.atoms, dtype=float) if spec.atoms else None
         if spec.form == RADIAL_PRODUCT:
             self._cum_probs = np.cumsum(spec.probs)
-
-    def __call__(self, rng, size: int) -> SampleBlock:
-        return self.sample_block(rng, size)
 
     def sample_block(self, rng, size: int) -> SampleBlock:
         spec = self.spec
@@ -479,11 +461,6 @@ class IncrementSampler:
     @property
     def atoms(self) -> np.ndarray | None:
         return self._atoms
-
-
-def make_increment_sampler(spec: IncrementSpec) -> IncrementSampler:
-    """Build the block sampler for ``spec``, re-checking its invariants."""
-    return IncrementSampler(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,6 @@ __all__ = [
     "cap_contains",
     "SHull",
     "s_hull",
-    "s_hull_contains",
-    "s_boundary",
     "direction_grid",
 ]
 
@@ -309,14 +307,6 @@ class SHull:
 def s_hull(generators) -> SHull:
     """Spherical hull of a nonempty set of unit vectors."""
     return SHull(generators)
-
-
-def s_hull_contains(h: SHull, w, tol: float = MEMBERSHIP_TOL) -> bool:
-    return h.contains(w, tol)
-
-
-def s_boundary(h: SHull):
-    return h.boundary()
 
 
 # ---------------------------------------------------------------------------

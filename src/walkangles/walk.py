@@ -24,27 +24,24 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .rng import stream
-from .samplers import (RADIAL_PRODUCT, IncrementSpec, make_increment_sampler,
-                       spec_to_json)
+from .samplers import RADIAL_PRODUCT, IncrementSampler, IncrementSpec, spec_to_json
 
 __all__ = [
     "BLOCK",
     "INT_SAT_LIMIT",
     "UnsupportedSpecError",
-    "IncrementDraw",
     "WalkState",
     "WalkBlock",
     "ObserverBase",
     "BoundCheck",
     "BoundCheckObserver",
     "TrajectoryRecord",
-    "step",
     "run_walk",
     "dyadic_checkpoints",
     "biggest_jump_bound_check",
@@ -62,16 +59,6 @@ _FLOAT_SAFE_LOG = math.log(1e300)
 
 class UnsupportedSpecError(TypeError):
     """Operation requires a different increment-spec form."""
-
-
-@dataclass(frozen=True)
-class IncrementDraw:
-    """A single increment: the vector, plus radial detail when applicable."""
-
-    vector: np.ndarray | None
-    xi: float | None = None
-    xi_log: float | None = None
-    atom_index: int | None = None
 
 
 @dataclass
@@ -149,64 +136,6 @@ class WalkState:
         if self.xi_max <= 0:
             return math.nan
         return self.xi_rest / self.xi_max
-
-
-def step(state: WalkState, draw: IncrementDraw) -> WalkState:
-    """Advance one step.  Returns a new state; the input is not mutated."""
-    if state.overflowed:
-        return state
-    new = replace(state)
-    new.n = state.n + 1
-    vector = draw.vector
-    if vector is None and state.mode != "log":
-        if not state.is_radial or draw.xi is None or draw.atom_index is None:
-            raise ValueError("draw must carry a vector, or xi and atom_index "
-                             "for a radial spec")
-        vector = draw.xi * np.asarray(state.spec.atoms[draw.atom_index], dtype=float)
-    if state.mode == "lattice":
-        vec = [int(x) for x in vector]
-        pos = [int(p) + v for p, v in zip(state.position, vec)]
-        if any(abs(p) > INT_SAT_LIMIT for p in pos):
-            new.overflowed = True
-            return new
-        new.position = np.array(pos, dtype=np.int64)
-    elif state.mode == "float":
-        new.position = state.position + np.asarray(vector, dtype=float)
-        if not np.all(np.isfinite(new.position)):
-            new.overflowed = True
-            return new
-    else:
-        lx = float(draw.xi_log)
-        atom = np.asarray(state.spec.atoms[draw.atom_index], dtype=float)
-        c = max(state.scale, lx)
-        mant = state.mantissa * math.exp(state.scale - c) + math.exp(lx - c) * atom
-        nm = float(np.linalg.norm(mant))
-        if nm > 0.0:
-            new.mantissa = mant / nm
-            new.scale = c + math.log(nm)
-        else:
-            new.mantissa = mant
-            new.scale = c
-    if state.is_radial:
-        if state.mode == "log":
-            lx = float(draw.xi_log)
-            new.xi_total = np.logaddexp(state.xi_total, lx)
-            if lx > state.xi_max:
-                new.xi_rest = np.logaddexp(state.xi_rest, state.xi_max)
-                new.xi_max = lx
-                new.max_index = new.n
-                new.atom_at_max = int(draw.atom_index)
-            else:
-                new.xi_rest = np.logaddexp(state.xi_rest, lx)
-        else:
-            xi = float(draw.xi)
-            new.xi_total = state.xi_total + xi
-            if xi > state.xi_max:
-                new.xi_max = xi
-                new.max_index = new.n
-                new.atom_at_max = int(draw.atom_index)
-            new.xi_rest = new.xi_total - new.xi_max
-    return new
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +450,7 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    sampler = make_increment_sampler(spec)
+    sampler = IncrementSampler(spec)
     rng = stream(seed)
     mode = spec.scale_mode
     cps = sorted(set(checkpoints)) if checkpoints is not None else dyadic_checkpoints(n_steps)
@@ -546,8 +475,13 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
         if mode == "log":
             dirs, log_norms = _scaled_accumulate(state, sb.xi_log, atoms[sb.atom_idx])
             positions = None
-        elif mode == "lattice":
-            positions, ok = _lattice_cumsum(state.position, sb.vectors)
+        else:
+            if mode == "lattice":
+                positions, ok = _lattice_cumsum(state.position, sb.vectors)
+            else:
+                positions = state.position + np.cumsum(sb.vectors, axis=0)
+                finite = np.all(np.isfinite(positions), axis=1)
+                ok = b if finite.all() else int(np.argmin(finite))
             if ok < b:
                 positions = positions[:ok]
                 b = ok
@@ -555,35 +489,15 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
                 record.overflowed = True
                 if b == 0:
                     break
-                for name in ("xi", "xi_log", "atom_idx"):
+                for name in ("xi", "atom_idx"):
                     arr = getattr(sb, name)
                     if arr is not None:
                         setattr(sb, name, arr[:b])
-            fpos = positions.astype(float)
+            fpos = positions.astype(float, copy=False)
             norms = np.linalg.norm(fpos, axis=1)
             with np.errstate(divide="ignore"):
                 log_norms = np.where(norms > 0.0, np.log(np.where(norms > 0, norms, 1.0)), NEG_INF)
             dirs = np.where(norms[:, None] > 0.0, fpos / np.where(norms[:, None] > 0, norms[:, None], 1.0), 0.0)
-            state.position = positions[-1].copy()
-        else:
-            positions = state.position + np.cumsum(sb.vectors, axis=0)
-            finite = np.all(np.isfinite(positions), axis=1)
-            if not np.all(finite):
-                bad = int(np.argmin(finite))
-                positions = positions[:bad]
-                b = bad
-                halted = True
-                record.overflowed = True
-                if b == 0:
-                    break
-                for name in ("xi", "xi_log", "atom_idx"):
-                    arr = getattr(sb, name)
-                    if arr is not None:
-                        setattr(sb, name, arr[:b])
-            norms = np.linalg.norm(positions, axis=1)
-            with np.errstate(divide="ignore"):
-                log_norms = np.where(norms > 0.0, np.log(np.where(norms > 0, norms, 1.0)), NEG_INF)
-            dirs = np.where(norms[:, None] > 0.0, positions / np.where(norms[:, None] > 0, norms[:, None], 1.0), 0.0)
             state.position = positions[-1].copy()
 
         if tracker is not None:

@@ -14,7 +14,7 @@ from walkangles.directions import (IN, CapVisitAccumulator, EstimatorConfig,
 from walkangles.examples import (TRIANGLE_ATOMS, reproduce_example,
                                  symmetric_axis_spec)
 from walkangles.hull import (CONFINED, FULL_SPACE_TREND, HullState,
-                             HullTracker, hull_growth_report, update_hull)
+                             HullTracker, hull_growth_report)
 from walkangles.projections import (MINUS, OSC, PLUS, ProjectionTracker,
                                     classify, scan_exceptional)
 from walkangles.pruitt import (CONVERGENT_TREND, DIVERGENT_TREND, TailFunction,
@@ -47,7 +47,7 @@ def _report_example(num: int, label: str, report, pin: str) -> None:
 
 def test_criterion_01_exact_geometry():
     hull = HullState.empty(2)
-    update_hull(hull, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    hull.update([(1, 0), (-1, 0), (0, 1), (0, -1)])
     r = hull.inscribed_radius()
     ok_r = abs(r - 1.0 / math.sqrt(2.0)) <= 1e-12
     ok_mid = np.array_equal(interpolate(E1, -E1, 0.5), np.zeros(2))

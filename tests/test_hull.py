@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from walkangles.hull import (CONFINED, FULL_SPACE_TREND, HullState,
-                             HullTracker, confinement, convex_hull_2d,
-                             hull_growth_report, inscribed_radius,
-                             point_in_convex_polygon, update_hull)
+                             HullTracker, convex_hull_2d, hull_growth_report,
+                             point_in_convex_polygon)
 from walkangles.samplers import (coordinate_product, constant, rademacher,
                                  s_two_sided)
 from walkangles.walk import UnsupportedSpecError, run_walk
@@ -18,7 +17,7 @@ E1 = np.array([1.0, 0.0])
 def planar(points=None, tracked=((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))):
     st = HullState.empty(2, tracked_dirs=tracked)
     if points is not None:
-        update_hull(st, points)
+        st.update(points)
     return st
 
 
@@ -30,7 +29,7 @@ def test_triangle_from_origin():
 def test_interior_point_changes_nothing():
     st = planar([(0, 0), (4, 0), (0, 4), (4, 4)])
     before = list(st.vertices)
-    update_hull(st, [(2, 2), (1, 3)])
+    st.update([(2, 2), (1, 3)])
     assert st.vertices == before
 
 
@@ -52,19 +51,19 @@ def test_all_points_inside_hull():
 
 def test_inscribed_radius_diamond():
     st = planar([(1, 0), (-1, 0), (0, 1), (0, -1)])
-    assert abs(inscribed_radius(st) - 1 / math.sqrt(2)) < 1e-12
+    assert abs(st.inscribed_radius() - 1 / math.sqrt(2)) < 1e-12
 
 
 def test_inscribed_radius_boundary_and_outside():
-    assert inscribed_radius(planar([(0, 0), (1, 0), (0, 1)])) == 0.0
-    assert inscribed_radius(planar([(1, 0), (2, 0)])) == 0.0
+    assert planar([(0, 0), (1, 0), (0, 1)]).inscribed_radius() == 0.0
+    assert planar([(1, 0), (2, 0)]).inscribed_radius() == 0.0
 
 
 def test_inscribed_ball_really_inside():
     rng = np.random.default_rng(2)
     pts = rng.standard_normal((300, 2)) * 40
     st = planar(pts)
-    r = inscribed_radius(st)
+    r = st.inscribed_radius()
     assert r > 0
     for _ in range(1000):
         theta = rng.random() * 2 * math.pi
@@ -75,21 +74,21 @@ def test_inscribed_ball_really_inside():
 
 def test_confinement_ledger():
     st = planar()
-    update_hull(st, np.zeros((1, 2)))              # S_0
-    update_hull(st, np.arange(1, 11)[:, None] * E1)
-    assert confinement(st, (1.0, 0.0)) == 0.0
-    assert confinement(st, (-1.0, 0.0)) == -10.0
-    assert confinement(st, (0.0, 1.0)) <= 0.0      # S_0 pins every direction
+    st.update(np.zeros((1, 2)))              # S_0
+    st.update(np.arange(1, 11)[:, None] * E1)
+    assert st.confinement((1.0, 0.0)) == 0.0
+    assert st.confinement((-1.0, 0.0)) == -10.0
+    assert st.confinement((0.0, 1.0)) <= 0.0      # S_0 pins every direction
     with pytest.raises(ValueError):
-        confinement(st, (0.6, 0.8))
+        st.confinement((0.6, 0.8))
 
 
 def test_support_sketch_d3():
     st = HullState.empty(3, support_m=32)
     rng = np.random.default_rng(3)
-    update_hull(st, np.zeros((1, 3)))
-    update_hull(st, rng.standard_normal((500, 3)) * 10)
-    r = inscribed_radius(st)
+    st.update(np.zeros((1, 3)))
+    st.update(rng.standard_normal((500, 3)) * 10)
+    r = st.inscribed_radius()
     assert r > 0
     # the sketch radius upper-bounds nothing smaller than any support value
     assert r <= st.supports.max()

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from walkangles.rng import run_stream, stream
-from walkangles.samplers import (InvalidParameterError, InvalidSpecError,
-                                 Saturations, coordinate_product, constant,
-                                 linear_combination, log_tail,
-                                 make_increment_sampler, radial_product,
+from walkangles.rng import run_seed, stream
+from walkangles.samplers import (IncrementSampler, InvalidParameterError,
+                                 InvalidSpecError, Saturations,
+                                 coordinate_product, constant,
+                                 linear_combination, log_tail, radial_product,
                                  rademacher, s_one_sided, s_two_sided,
-                                 sample_heavy_tail, sample_rademacher,
-                                 sample_s_one_sided, sample_s_two_sided,
+                                 sample_rademacher, sample_s_one_sided,
+                                 sample_s_two_sided,
                                  spec_from_json, spec_to_json, stretched_exp,
                                  SATURATION_CAP, _magnitude_from_uniform)
 
@@ -80,23 +80,23 @@ def test_invalid_alpha_rejected():
 def test_log_tail_inverse_identity():
     # U = 0.5 -> xi = e**2, and P(xi > e**2) = 1/log(e**2) = 1/2
     rng = FixedUniform(0.5)  # uniform_open gives 1 - 0.5 = 0.5
-    assert sample_heavy_tail(rng, "log_tail") == pytest.approx(math.e**2, rel=1e-12)
+    assert log_tail().sample(rng) == pytest.approx(math.e**2, rel=1e-12)
 
 
 def test_log_tail_support_floor():
-    draws = sample_heavy_tail(stream(19), "log_tail", size=10000)
+    draws = log_tail().sample(stream(19), 10000)
     assert np.all(draws >= math.e)
 
 
 def test_stretched_exp_tail():
-    draws = sample_heavy_tail(stream(23), "stretched_exp", 0.4, N_BIG)
+    draws = stretched_exp(0.4).sample(stream(23), N_BIG)
     # (log e)**0.4 = 1, so P(xi > e) = exp(-1)
     assert abs(np.mean(draws > math.e) - math.exp(-1)) <= 0.002
 
 
 def test_stretched_exp_beta_range():
     with pytest.raises(InvalidParameterError):
-        sample_heavy_tail(stream(1), "stretched_exp", 0.5)
+        stretched_exp(0.5)
     with pytest.raises(InvalidParameterError):
         stretched_exp(0.7)
 
@@ -114,7 +114,7 @@ def test_saturation_counted_not_clipped_silently():
 
 def test_coordinate_product_structure():
     spec = coordinate_product([constant(1), rademacher()])
-    sampler = make_increment_sampler(spec)
+    sampler = IncrementSampler(spec)
     block = sampler.sample_block(stream(3), 256)
     assert np.all(block.vectors[:, 0] == 1)
     assert set(np.unique(block.vectors[:, 1])) == {-1, 1}
@@ -122,7 +122,7 @@ def test_coordinate_product_structure():
 
 def test_radial_degenerate_single_atom():
     spec = radial_product([[1.0]], [1.0], constant(1))
-    sampler = make_increment_sampler(spec)
+    sampler = IncrementSampler(spec)
     block = sampler.sample_block(stream(3), 64)
     assert np.all(block.vectors == 1.0)
     assert np.all(block.atom_idx == 0)
@@ -131,7 +131,7 @@ def test_radial_degenerate_single_atom():
 def test_linear_combination_positive_quadrant():
     spec = linear_combination([[1.0, 0.0], [0.0, 1.0]],
                               [s_one_sided(0.5), s_one_sided(0.5)])
-    block = make_increment_sampler(spec).sample_block(stream(31), 4096)
+    block = IncrementSampler(spec).sample_block(stream(31), 4096)
     assert np.all(block.vectors >= 1)      # both coordinates at least 1
 
 
@@ -185,9 +185,9 @@ def test_json_error_names_field():
 
 def test_block_sampling_deterministic_bytes():
     spec = radial_product([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], log_tail())
-    a = make_increment_sampler(spec).sample_block(run_stream(42, 3), 512)
-    b = make_increment_sampler(spec).sample_block(run_stream(42, 3), 512)
+    a = IncrementSampler(spec).sample_block(stream(run_seed(42, 3)), 512)
+    b = IncrementSampler(spec).sample_block(stream(run_seed(42, 3)), 512)
     assert a.xi_log.tobytes() == b.xi_log.tobytes()
     assert a.atom_idx.tobytes() == b.atom_idx.tobytes()
-    c = make_increment_sampler(spec).sample_block(run_stream(42, 4), 512)
+    c = IncrementSampler(spec).sample_block(stream(run_seed(42, 4)), 512)
     assert a.xi_log.tobytes() != c.xi_log.tobytes()

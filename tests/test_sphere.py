@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walkangles.sphere import (Cap, cap_contains, chord, direction_grid, hat,
-                               interpolate, s_boundary, s_hull,
-                               s_hull_contains)
+                               interpolate, s_hull)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -133,19 +132,19 @@ def test_empty_input_rejected():
 
 
 def test_boundary_descriptions():
-    b = s_boundary(s_hull([E1, E2]))
+    b = s_hull([E1, E2]).boundary()
     ends = sorted(tuple(np.round(p, 9)) for p in b)
     assert len(ends) == 2
     assert np.allclose(ends[0], [0.0, 1.0], atol=1e-9)
     assert np.allclose(ends[1], [1.0, 0.0], atol=1e-9)
-    assert s_boundary(s_hull([E1, -E1, E2, -E2])) == []
-    pair = s_boundary(s_hull([E1, -E1]))
+    assert s_hull([E1, -E1, E2, -E2]).boundary() == []
+    pair = s_hull([E1, -E1]).boundary()
     assert len(pair) == 2     # two isolated points are their own boundary
 
 
 def test_boundary_3d_facet_arcs():
     h = s_hull(np.eye(3))
-    edges = s_boundary(h)
+    edges = h.boundary()
     assert len(edges) == 3
     for e in edges:
         assert abs(np.linalg.norm(e["start"]) - 1) < 1e-9
@@ -287,6 +286,6 @@ def test_grid_deterministic():
 
 def test_functional_op_surface():
     h = s_hull([E1, E2])
-    assert s_hull_contains(h, unit([1, 1]))
-    assert not s_hull_contains(h, -E1)
+    assert h.contains(unit([1, 1]))
+    assert not h.contains(-E1)
     assert chord(E1, E2) == pytest.approx(math.sqrt(2.0))

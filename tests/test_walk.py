@@ -1,19 +1,96 @@
 """Walk engine: stepping, biggest-jump recursion, bound checks, records."""
 import json
 import math
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from walkangles.rng import stream
-from walkangles.samplers import (coordinate_product, constant, log_tail,
-                                 make_increment_sampler, radial_product,
-                                 rademacher, s_one_sided, s_two_sided)
-from walkangles.walk import (BoundCheckObserver, IncrementDraw,
+from walkangles.samplers import (IncrementSampler, coordinate_product,
+                                 constant, linear_combination, log_tail,
+                                 radial_product, rademacher, s_one_sided,
+                                 s_two_sided)
+from walkangles.walk import (INT_SAT_LIMIT, BoundCheckObserver,
                              TrajectoryRecord, UnsupportedSpecError, WalkState,
                              biggest_jump_bound_check, dyadic_checkpoints,
-                             run_walk, step)
+                             run_walk)
+
+# ---------------------------------------------------------------------------
+# scalar reference oracle: one step at a time, the differential tests below
+# check the vectorized engine against it
+
+@dataclass(frozen=True)
+class IncrementDraw:
+    """A single increment: the vector, plus radial detail when applicable."""
+
+    vector: np.ndarray | None
+    xi: float | None = None
+    xi_log: float | None = None
+    atom_index: int | None = None
+
+
+def step(state: WalkState, draw: IncrementDraw) -> WalkState:
+    """Advance one step.  Returns a new state; the input is not mutated."""
+    if state.overflowed:
+        return state
+    new = replace(state)
+    new.n = state.n + 1
+    vector = draw.vector
+    if vector is None and state.mode != "log":
+        if not state.is_radial or draw.xi is None or draw.atom_index is None:
+            raise ValueError("draw must carry a vector, or xi and atom_index "
+                             "for a radial spec")
+        vector = draw.xi * np.asarray(state.spec.atoms[draw.atom_index], dtype=float)
+    if state.mode == "lattice":
+        vec = [int(x) for x in vector]
+        pos = [int(p) + v for p, v in zip(state.position, vec)]
+        if any(abs(p) > INT_SAT_LIMIT for p in pos):
+            new.overflowed = True
+            return new
+        new.position = np.array(pos, dtype=np.int64)
+    elif state.mode == "float":
+        new.position = state.position + np.asarray(vector, dtype=float)
+        if not np.all(np.isfinite(new.position)):
+            new.overflowed = True
+            return new
+    else:
+        lx = float(draw.xi_log)
+        atom = np.asarray(state.spec.atoms[draw.atom_index], dtype=float)
+        c = max(state.scale, lx)
+        mant = state.mantissa * math.exp(state.scale - c) + math.exp(lx - c) * atom
+        nm = float(np.linalg.norm(mant))
+        if nm > 0.0:
+            new.mantissa = mant / nm
+            new.scale = c + math.log(nm)
+        else:
+            new.mantissa = mant
+            new.scale = c
+    if state.is_radial:
+        if state.mode == "log":
+            lx = float(draw.xi_log)
+            new.xi_total = np.logaddexp(state.xi_total, lx)
+            if lx > state.xi_max:
+                new.xi_rest = np.logaddexp(state.xi_rest, state.xi_max)
+                new.xi_max = lx
+                new.max_index = new.n
+                new.atom_at_max = int(draw.atom_index)
+            else:
+                new.xi_rest = np.logaddexp(state.xi_rest, lx)
+        else:
+            xi = float(draw.xi)
+            new.xi_total = state.xi_total + xi
+            if xi > state.xi_max:
+                new.xi_max = xi
+                new.max_index = new.n
+                new.atom_at_max = int(draw.atom_index)
+            new.xi_rest = new.xi_total - new.xi_max
+    return new
+
+
+# ---------------------------------------------------------------------------
 
 TWO_ATOMS = radial_product([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], s_one_sided(1.0))
 TRIANGLE = radial_product([[1.0, 0.0],
@@ -127,32 +204,47 @@ def test_bound_holds_along_log_tail_run():
     assert obs.applicable > 0
 
 
-def test_log_mode_matches_scalar_steps():
-    sampler = make_increment_sampler(TRIANGLE)
-    blk = sampler.sample_block(stream(3), 200)
-    st_ = WalkState.initial(TRIANGLE)
-    for i in range(200):
-        st_ = step(st_, IncrementDraw(vector=None, xi_log=float(blk.xi_log[i]),
-                                      atom_index=int(blk.atom_idx[i])))
-    rec = run_walk(TRIANGLE, 200, seed=3)
-    fin = rec.final_state
-    assert fin.n == st_.n
-    assert abs(fin.scale - st_.scale) < 1e-9
-    assert np.allclose(fin.direction(), st_.direction(), atol=1e-12)
-    assert fin.max_index == st_.max_index
-    assert abs(fin.xi_total - st_.xi_total) < 1e-9
-    assert abs(fin.xi_rest - st_.xi_rest) < 1e-9
+def _oracle_draws(spec, block):
+    if spec.scale_mode == "log":
+        return [IncrementDraw(vector=None, xi_log=float(lx), atom_index=int(i))
+                for lx, i in zip(block.xi_log, block.atom_idx)]
+    if block.xi is not None:
+        return [IncrementDraw(vector=None, xi=float(x), atom_index=int(i))
+                for x, i in zip(block.xi, block.atom_idx)]
+    return [IncrementDraw(vector=row) for row in block.vectors]
 
 
-def test_lattice_mode_matches_scalar_steps():
-    spec = coordinate_product([rademacher(), s_two_sided(0.7)])
-    sampler = make_increment_sampler(spec)
-    blk = sampler.sample_block(stream(8), 300)
-    st_ = WalkState.initial(spec)
-    for row in blk.vectors:
-        st_ = step(st_, IncrementDraw(vector=row))
-    rec = run_walk(spec, 300, seed=8)
-    assert np.array_equal(rec.final_state.position, st_.position)
+@pytest.mark.parametrize("spec, seed", [
+    (coordinate_product([rademacher(), s_two_sided(0.7)]), 8),
+    (coordinate_product([constant(0.5), s_two_sided(0.8)]), 4),
+    (linear_combination([[1.0, 0.0], [0.6, 0.8]],
+                        [s_one_sided(0.7), s_one_sided(0.7)]), 5),
+    (TWO_ATOMS, 6),
+    (TRIANGLE, 3),
+], ids=["lattice", "float-coordinate", "float-linear", "float-radial", "log-radial"])
+def test_engine_matches_scalar_oracle(spec, seed):
+    n = 300
+    block = IncrementSampler(spec).sample_block(stream(seed), n)
+    ref = WalkState.initial(spec)
+    for draw in _oracle_draws(spec, block):
+        ref = step(ref, draw)
+    fin = run_walk(spec, n, seed=seed).final_state
+    assert fin.mode == ref.mode == spec.scale_mode
+    assert fin.n == ref.n == n
+    if spec.scale_mode == "log":
+        assert abs(fin.scale - ref.scale) < 1e-9
+        assert np.allclose(fin.direction(), ref.direction(), atol=1e-12)
+        assert abs(fin.xi_total - ref.xi_total) < 1e-9
+        assert abs(fin.xi_rest - ref.xi_rest) < 1e-9
+        assert fin.xi_max == ref.xi_max
+    else:
+        # the engine's running sums add in the oracle's order: exact equality
+        assert np.array_equal(fin.position, ref.position)
+        assert fin.xi_total == ref.xi_total
+        assert fin.xi_rest == ref.xi_rest
+        assert fin.xi_max == ref.xi_max
+    assert fin.max_index == ref.max_index
+    assert fin.atom_at_max == ref.atom_at_max
 
 
 def test_radial_invariants_along_run():
@@ -181,6 +273,30 @@ def test_overflow_halts_with_partial_record():
     rec = run_walk(spec, 100, seed=1)
     assert rec.overflowed
     assert rec.checkpoints[-1].n < 100
+
+
+def test_float_overflow_halts_with_partial_record():
+    spec = linear_combination([[0.5, 0.0], [0.0, 0.5]], [constant(1e308), rademacher()])
+    assert spec.scale_mode == "float"
+    with np.errstate(over="ignore"):
+        rec = run_walk(spec, 10, seed=1)
+    assert rec.overflowed
+    assert rec.final_state.n == 3          # 1.5e308 is finite, 2e308 is not
+    assert np.all(np.isfinite(rec.final_state.position))
+
+
+@pytest.mark.parametrize("spec", [
+    coordinate_product([constant(1e19), rademacher()]),
+    coordinate_product([rademacher(), rademacher()], drift=[1e19, 0]),
+], ids=["constant", "drift"])
+def test_integers_beyond_int64_run_in_float_mode(spec):
+    assert spec.scale_mode == "float"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = run_walk(spec, 10, seed=0)
+    assert not rec.overflowed
+    assert rec.final_state.n == 10
+    assert rec.final_state.position[0] == 1e20
 
 
 def test_direction_norm_reconstruction():
