@@ -32,8 +32,6 @@ def _cmd_simulate(args) -> int:
         return 2
     try:
         config = load_config(text, out_dir=args.out)
-        if args.workers:
-            config.workers = args.workers
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -93,7 +91,7 @@ def _cmd_pruitt(args) -> int:
     diag = pruitt_diagnostic(u, min_terms=min(16, args.K + 1))
     if args.csv:
         with open(args.csv, "w", newline="\n") as fh:
-            diag.to_csv(tail, fh)
+            fh.write(diag.to_csv(tail))
         print(f"wrote {args.csv}")
     print(f"verdict: {diag.verdict} (fitted slope {diag.fitted_slope:.3f}, "
           f"partial sum {diag.partial_sums[-1]:.6g})")
@@ -183,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run an experiment config")
     p.add_argument("config", help="experiment JSON file")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("reproduce", help="rerun a worked example")

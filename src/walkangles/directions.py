@@ -15,7 +15,6 @@ distinct dyadic time windows.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -67,15 +66,11 @@ class EstimatorConfig:
             raise ValueError("estimator.v_min must be >= 1")
 
     @classmethod
-    def defaults_for(cls, spec, dimension: int | None = None) -> "EstimatorConfig":
+    def defaults_for(cls, spec) -> "EstimatorConfig":
         """Default knobs: larger grids for d >= 3, higher escape floor for
         log-tailed radial specs whose norms explode."""
-        d = dimension if dimension is not None else spec.dimension
-        grid_m = 64 if d == 2 else 256
-        r0 = 10.0
-        if spec is not None and spec.scale_mode == "log":
-            r0 = 1e3
-        return cls(grid_m=grid_m, escape_r0=r0)
+        return cls(grid_m=64 if spec.dimension == 2 else 256,
+                   escape_r0=1e3 if spec.scale_mode == "log" else 10.0)
 
     def levels(self) -> np.ndarray:
         return self.escape_r0 * 2.0 ** np.arange(self.escape_levels + 1)
@@ -98,7 +93,6 @@ class CapVisitAccumulator(ObserverBase):
         self.level_totals = np.zeros(n_lv, dtype=np.int64)
         self.level_band_hits = np.zeros(n_lv, dtype=np.int64)
         self.n_steps_seen = 0
-        self.seed: int | None = None
         self._dot_min = 1.0 - config.cap_radius ** 2 / 2.0  # chord < r as a dot bound
         self._log_r0 = math.log(config.escape_r0)
         self._band_axis = None if config.band_axis is None \
@@ -186,11 +180,10 @@ class CapVisitAccumulator(ObserverBase):
         pos = np.asarray(position, dtype=float)
         norm = float(np.linalg.norm(pos))
         if norm == 0.0:
-            block = WalkBlock(first_n=n, mode="float",
-                              dirs=np.zeros((1, len(pos))),
+            block = WalkBlock(first_n=n, dirs=np.zeros((1, len(pos))),
                               log_norms=np.array([NEG_INF]), positions=pos[None, :])
         else:
-            block = WalkBlock(first_n=n, mode="float", dirs=pos[None, :] / norm,
+            block = WalkBlock(first_n=n, dirs=pos[None, :] / norm,
                               log_norms=np.array([math.log(norm)]),
                               positions=pos[None, :])
         self.observe(block)
@@ -231,9 +224,7 @@ class CapVisitAccumulator(ObserverBase):
         return DirectionSetEstimate(
             grid=self.grid, config=cfg, verdicts=verdicts, top_level=top,
             top_level_per_point=tops, visits=self.visits.copy(),
-            graded_in=graded, graded_max=self.graded_max.copy(),
-            first_visit=self.first_visit.copy(), n_steps=self.n_steps_seen,
-            seed=self.seed, notes=notes,
+            graded_in=graded, graded_max=self.graded_max.copy(), notes=notes,
             band_fraction_top=self.band_fraction_at_top()
             if self._band_axis is not None else math.nan)
 
@@ -259,9 +250,6 @@ class DirectionSetEstimate:
     visits: np.ndarray
     graded_in: np.ndarray           # (M, n_alphas) bool
     graded_max: np.ndarray          # (M, n_alphas) log values
-    first_visit: np.ndarray
-    n_steps: int
-    seed: int | None = None
     notes: dict = field(default_factory=dict)
     band_fraction_top: float = math.nan
 
@@ -271,26 +259,22 @@ class DirectionSetEstimate:
     def coverage_fraction(self) -> float:
         return float(np.mean(self.verdicts == IN))
 
-    def to_csv(self, fh=None) -> str | None:
-        own = fh is None
-        out = io.StringIO() if own else fh
+    def to_csv(self) -> str:
         d = self.grid.shape[1]
         n_lv = self.visits.shape[1]
         cols = (["index"] + [f"u_{i+1}" for i in range(d)] + ["verdict", "top_level"]
                 + [f"visits_l{l}" for l in range(n_lv)]
                 + [f"graded_max_a{a}" for a in self.config.alphas]
                 + [f"graded_in_a{a}" for a in self.config.alphas])
-        out.write(",".join(cols) + "\n")
+        lines = [",".join(cols)]
         for i in range(len(self.grid)):
             cells = [str(i)] + [format_number(x) for x in self.grid[i]]
             cells += [_VERDICT_NAMES[int(self.verdicts[i])], str(int(self.top_level_per_point[i]))]
             cells += [str(int(v)) for v in self.visits[i]]
             cells += [format_number(x) for x in self.graded_max[i]]
             cells += [str(bool(b)) for b in self.graded_in[i]]
-            out.write(",".join(cells) + "\n")
-        if own:
-            return out.getvalue()
-        return None
+            lines.append(",".join(cells))
+        return "\n".join(lines) + "\n"
 
 
 @dataclass

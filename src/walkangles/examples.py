@@ -28,8 +28,6 @@ from .walk import BoundCheckObserver, run_walk
 __all__ = ["ExampleReport", "EXAMPLE_NAMES", "reproduce_example",
            "TRIANGLE_ATOMS"]
 
-EXAMPLE_NAMES = ("ex-10.1", "ex-10.2", "ex-10.3", "ex-10.4", "heavytails-demo")
-
 TRIANGLE_ATOMS = np.array([[1.0, 0.0],
                            [-0.5, math.sqrt(3.0) / 2.0],
                            [-0.5, -math.sqrt(3.0) / 2.0]])
@@ -73,6 +71,11 @@ class ExampleReport:
 
 def _pole_indices(grid: np.ndarray, target: np.ndarray) -> int:
     return int(np.argmin(np.linalg.norm(grid - target, axis=1)))
+
+
+def _consensus_in_points(ests) -> np.ndarray:
+    """IN grid points of the multi-run consensus, or of the only run."""
+    return (combine_runs(ests) if len(ests) >= 2 else ests[0]).in_points()
 
 
 def drift_axis_spec(alpha: float) -> IncrementSpec:
@@ -119,8 +122,7 @@ def _run_ex_10_1(steps, runs, seed, alpha):
             up = _pole_indices(pole.grid, E2)
             dn = _pole_indices(pole.grid, -E2)
             pole_ok += int(pole.visits[up, 0] > 0 and pole.visits[dn, 0] > 0)
-        cons = combine_runs(ests) if runs >= 2 else None
-        pts = cons.in_points() if cons is not None else ests[0].in_points()
+        pts = _consensus_in_points(ests)
         worst = max((min(np.linalg.norm(p - E2), np.linalg.norm(p + E2))
                      for p in pts), default=math.inf if len(pts) == 0 else 0.0)
         report.add("direction set is the two vertical poles",
@@ -138,8 +140,7 @@ def _run_ex_10_1(steps, runs, seed, alpha):
             rec = run_walk(spec, steps, seed + i, observers=[acc])
             ests.append(acc.finalize())
             final_ok += int(np.linalg.norm(rec.final_state.direction() - E1) < 0.05)
-        cons = combine_runs(ests) if runs >= 2 else None
-        pts = cons.in_points() if cons is not None else ests[0].in_points()
+        pts = _consensus_in_points(ests)
         in_e1_cap = len(pts) > 0 and all(np.linalg.norm(p - E1) < 0.3 for p in pts) \
             and any(np.linalg.norm(p - E1) < 1e-9 for p in pts)
         report.add("final direction locks onto the drift axis",
@@ -182,8 +183,7 @@ def _run_ex_10_2(steps, runs, seed, alpha, run_seeds=None):
             run_walk(spec, steps, s, observers=[acc, hull])
             ests.append(acc.finalize())
             full += int(hull_growth_report(hull).flag == FULL_SPACE_TREND)
-        cons = combine_runs(ests) if len(ests) >= 2 else None
-        pts = cons.in_points() if cons is not None else ests[0].in_points()
+        pts = _consensus_in_points(ests)
         worst = max((min(np.linalg.norm(p - E2), np.linalg.norm(p + E2))
                      for p in pts), default=math.inf)
         report.add("direction set is the two vertical poles",
@@ -229,9 +229,7 @@ def _run_ex_10_4(steps, runs, seed, alpha, vectors):
         acc = CapVisitAccumulator(cfg, spec.dimension)
         run_walk(spec, steps, seed + i, observers=[acc])
         ests.append(acc.finalize())
-    cons = combine_runs(ests) if runs >= 2 else None
-    est = cons if cons is not None else ests[0]
-    pts = est.in_points()
+    pts = _consensus_in_points(ests)
     # every IN point must sit within a cap radius of the expected cone
     ok_inside = all(_chord_to_hull(cone, p) <= cfg.cap_radius + 0.05 for p in pts)
     report.add("direction estimate stays inside the cone",
@@ -245,19 +243,18 @@ def _run_ex_10_4(steps, runs, seed, alpha, vectors):
     return report
 
 
-def _chord_to_hull(h, p, samples: int = 2048) -> float:
+def _chord_to_hull(h, p) -> float:
     if h.contains(p):
         return 0.0
     if h.arcs is not None:
-        import math as _m
         best = math.inf
         for s, e in h.arcs:
             for ang in np.linspace(s, e, 64):
                 best = min(best, float(np.linalg.norm(
-                    p - np.array([_m.cos(ang), _m.sin(ang)]))))
+                    p - np.array([math.cos(ang), math.sin(ang)]))))
         return best
     rng = np.random.default_rng(0)
-    w = rng.dirichlet(np.ones(len(h.generators)), size=samples) @ h.generators
+    w = rng.dirichlet(np.ones(len(h.generators)), size=2048) @ h.generators
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     return float(np.linalg.norm(w - p, axis=1).min())
 
@@ -294,7 +291,16 @@ def _run_heavytails_demo(steps, runs, seed):
     return report
 
 
-# committed defaults: (steps, runs, base_seed, extra)
+_RUNNERS = {
+    "ex-10.1": _run_ex_10_1,
+    "ex-10.2": _run_ex_10_2,
+    "ex-10.3": _run_ex_10_3,
+    "ex-10.4": _run_ex_10_4,
+    "heavytails-demo": _run_heavytails_demo,
+}
+EXAMPLE_NAMES = tuple(_RUNNERS)
+
+# committed defaults: each runner's keyword arguments
 _DEFAULTS = {
     "ex-10.1": dict(steps=10**6, runs=20, seed=300, alpha=0.5),
     "ex-10.2": dict(steps=10**6, runs=10, seed=500, alpha=1.5,
@@ -328,16 +334,4 @@ def reproduce_example(name: str, steps: int | None = None, runs: int | None = No
     if seed is not None:
         params["seed"] = seed
         params.pop("run_seeds", None)
-    if name == "ex-10.1":
-        return _run_ex_10_1(params["steps"], params["runs"], params["seed"],
-                            params["alpha"])
-    if name == "ex-10.2":
-        return _run_ex_10_2(params["steps"], params["runs"], params["seed"],
-                            params["alpha"], params.get("run_seeds"))
-    if name == "ex-10.3":
-        return _run_ex_10_3(params["steps"], params["runs"], params["seed"],
-                            params["alpha"], params["dimension"])
-    if name == "ex-10.4":
-        return _run_ex_10_4(params["steps"], params["runs"], params["seed"],
-                            params["alpha"], params["vectors"])
-    return _run_heavytails_demo(params["steps"], params["runs"], params["seed"])
+    return _RUNNERS[name](**params)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -46,7 +45,6 @@ class ExperimentConfig:
     projection_grid_m: int = 64
     track_hull: bool = True
     hull_tracked_m: int = 16
-    workers: int = 1
     out_dir: str = "."
 
     def __post_init__(self):
@@ -54,10 +52,10 @@ class ExperimentConfig:
             raise ConfigError("n_steps must be >= 1")
         if self.n_runs < 1:
             raise ConfigError("n_runs must be >= 1")
+        if self.projection_grid_m < 1:
+            raise ConfigError("projection_grid_m must be >= 1")
         if self.run_seeds is not None and len(self.run_seeds) != self.n_runs:
             raise ConfigError("run_seeds must list exactly n_runs seeds")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.estimator is None:
             self.estimator = EstimatorConfig.defaults_for(self.spec)
         if self.spec.scale_mode == "log" and self.track_hull:
@@ -70,8 +68,8 @@ class ExperimentConfig:
         return run_seed(self.base_seed, run_index)
 
     def to_json(self) -> str:
-        # workers and out_dir are execution knobs, not experiment identity;
-        # they stay out of the canonical form and so out of the config hash
+        # out_dir is where artifacts go, not experiment identity; it stays
+        # out of the canonical form and so out of the config hash
         obj = {
             "spec": json.loads(spec_to_json(self.spec)),
             "n_steps": self.n_steps,
@@ -96,12 +94,22 @@ def _estimator_obj(est: EstimatorConfig) -> dict:
     return obj
 
 
-def _require(obj: dict, key: str, kinds, where: str):
+_CONFIG_KEYS = frozenset({"spec", "n_steps", "n_runs", "base_seed", "run_seeds",
+                          "estimator", "classifier", "projection_grid_m",
+                          "track_hull", "hull_tracked_m", "out_dir"})
+
+
+def _field(obj: dict, key: str, kind: type, default=None):
+    """``obj[key]``, or ``default`` when absent (None: required), checked to
+    be a ``kind``; a bool never passes as an int."""
     if key not in obj:
-        raise ConfigError(f"{where}.{key} is required")
-    if not isinstance(obj[key], kinds):
-        raise ConfigError(f"{where}.{key} has the wrong type")
-    return obj[key]
+        if default is None:
+            raise ConfigError(f"config.{key} is required")
+        return default
+    value = obj[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"config.{key} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 def load_config(source: str | dict, out_dir: str | None = None) -> ExperimentConfig:
@@ -112,47 +120,49 @@ def load_config(source: str | dict, out_dir: str | None = None) -> ExperimentCon
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     else:
-        obj = dict(source)
-    if "spec" not in obj:
-        raise ConfigError("config.spec is required")
+        obj = source
+    if not isinstance(obj, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = set(obj) - _CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"config has unexpected fields {sorted(unknown)}")
+    spec_obj = _field(obj, "spec", dict)
     try:
-        spec = spec_from_json(obj["spec"])
-    except ValueError as exc:
+        spec = spec_from_json(spec_obj)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config.spec: {exc}") from exc
-    n_steps = _require(obj, "n_steps", int, "config")
-    n_runs = int(obj.get("n_runs", 1))
-    base_seed = int(obj.get("base_seed", 0))
+    run_seeds = None
+    if "run_seeds" in obj:
+        run_seeds = tuple(_field(obj, "run_seeds", list))
+        if any(isinstance(s, bool) or not isinstance(s, int) for s in run_seeds):
+            raise ConfigError("config.run_seeds must be a list of integers")
     est = None
     if "estimator" in obj:
-        eo = dict(obj["estimator"])
-        if "alphas" in eo:
-            eo["alphas"] = tuple(eo["alphas"])
-        if eo.get("band_axis") is not None:
-            eo["band_axis"] = tuple(eo["band_axis"])
+        eo = dict(_field(obj, "estimator", dict))
         try:
+            if "alphas" in eo:
+                eo["alphas"] = tuple(eo["alphas"])
+            if eo.get("band_axis") is not None:
+                eo["band_axis"] = tuple(eo["band_axis"])
             est = EstimatorConfig(**eo)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config.estimator: {exc}") from exc
     cls = ClassifierThresholds()
     if "classifier" in obj:
+        co = _field(obj, "classifier", dict)
         try:
-            cls = ClassifierThresholds(**obj["classifier"])
+            cls = ClassifierThresholds(**co)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config.classifier: {exc}") from exc
-    try:
-        return ExperimentConfig(
-            spec=spec, n_steps=n_steps, n_runs=n_runs, base_seed=base_seed,
-            run_seeds=tuple(obj["run_seeds"]) if "run_seeds" in obj else None,
-            estimator=est, classifier=cls,
-            projection_grid_m=int(obj.get("projection_grid_m", 64)),
-            track_hull=bool(obj.get("track_hull", True)),
-            hull_tracked_m=int(obj.get("hull_tracked_m", 16)),
-            workers=int(obj.get("workers", 1)),
-            out_dir=out_dir if out_dir is not None else obj.get("out_dir", "."))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(
+        spec=spec, n_steps=_field(obj, "n_steps", int),
+        n_runs=_field(obj, "n_runs", int, 1),
+        base_seed=_field(obj, "base_seed", int, 0),
+        run_seeds=run_seeds, estimator=est, classifier=cls,
+        projection_grid_m=_field(obj, "projection_grid_m", int, 64),
+        track_hull=_field(obj, "track_hull", bool, True),
+        hull_tracked_m=_field(obj, "hull_tracked_m", int, 16),
+        out_dir=out_dir if out_dir is not None else _field(obj, "out_dir", str, "."))
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -184,7 +194,6 @@ def _one_run(config: ExperimentConfig, index: int) -> RunResult:
     spec = config.spec
     seed = config.seed_for(index)
     acc = CapVisitAccumulator(config.estimator, spec.dimension)
-    acc.seed = seed
     proj = ProjectionTracker(grid_m=config.projection_grid_m)
     observers = [acc, proj]
     hull = None
@@ -199,21 +208,14 @@ def _one_run(config: ExperimentConfig, index: int) -> RunResult:
                      verdicts=verdicts)
 
 
-def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentResult:
-    """Execute all runs (optionally in worker threads) and write artifacts."""
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            runs = list(pool.map(lambda i: _one_run(config, i), range(config.n_runs)))
-    else:
-        runs = [_one_run(config, i) for i in range(config.n_runs)]
-    runs.sort(key=lambda r: r.index)
-
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Execute all runs in order and write the artifacts."""
+    runs = [_one_run(config, i) for i in range(config.n_runs)]
     consensus = combine_runs([r.estimate for r in runs]) if len(runs) >= 2 else None
     summary = _summarize(config, runs, consensus)
     result = ExperimentResult(config=config, runs=runs, consensus=consensus,
                               summary=summary)
-    if write:
-        _write_artifacts(result)
+    _write_artifacts(result)
     return result
 
 

@@ -13,7 +13,6 @@ witnesses confinement to a half-space.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -34,6 +33,8 @@ __all__ = [
 FULL_SPACE_TREND = "FULL_SPACE_TREND"
 CONFINED = "CONFINED"
 NO_TREND = "NO_TREND"
+# radius growth events over the checkpoint ladder that flag FULL_SPACE_TREND
+GROWTH_EVENTS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +88,10 @@ def point_in_convex_polygon(vertices, p, strict: bool = False) -> bool:
     return True
 
 
-def _segment_distance(a, b, p=(0.0, 0.0)) -> float:
-    ax, ay = float(a[0]) - p[0], float(a[1]) - p[1]
-    bx, by = float(b[0]) - p[0], float(b[1]) - p[1]
+def _segment_distance(a, b) -> float:
+    """Euclidean distance from the origin to the segment [a, b]."""
+    ax, ay = float(a[0]), float(a[1])
+    bx, by = float(b[0]), float(b[1])
     dx, dy = bx - ax, by - ay
     seg2 = dx * dx + dy * dy
     if seg2 == 0.0:
@@ -117,15 +119,14 @@ class HullState:
     _r_floor: float = 0.0
 
     @classmethod
-    def empty(cls, dimension: int, tracked_dirs=None, support_m: int = 64,
-              grid_seed: int = 0) -> "HullState":
+    def empty(cls, dimension: int, tracked_dirs=None, support_m: int = 64) -> "HullState":
         st = cls(dimension=dimension)
         if dimension >= 3:
-            st.support_dirs = direction_grid(dimension, support_m, grid_seed)
+            st.support_dirs = direction_grid(dimension, support_m)
             st.supports = np.full(len(st.support_dirs), -np.inf)
             st.support_points = np.zeros((len(st.support_dirs), dimension))
         if tracked_dirs is None:
-            tracked_dirs = direction_grid(dimension, 16, grid_seed)
+            tracked_dirs = direction_grid(dimension, 16)
         st.tracked_dirs = np.atleast_2d(np.asarray(tracked_dirs, dtype=float))
         st.confinements = np.full(len(st.tracked_dirs), np.inf)
         return st
@@ -224,10 +225,8 @@ class HullCheckpoint:
 class HullTracker(ObserverBase):
     """Maintains the trajectory hull and snapshots r_n at checkpoints."""
 
-    def __init__(self, tracked_dirs=None, support_m: int = 64, grid_seed: int = 0):
-        self._tracked = tracked_dirs
+    def __init__(self, support_m: int = 64):
         self._support_m = support_m
-        self._grid_seed = grid_seed
         self.state: HullState | None = None
         self.series: list[HullCheckpoint] = []
 
@@ -235,9 +234,7 @@ class HullTracker(ObserverBase):
         if spec.scale_mode == "log":
             raise UnsupportedSpecError(
                 "hull tracking is not supported for log-scale walks")
-        self.state = HullState.empty(spec.dimension, tracked_dirs=self._tracked,
-                                     support_m=self._support_m,
-                                     grid_seed=self._grid_seed)
+        self.state = HullState.empty(spec.dimension, support_m=self._support_m)
         self.state.update(np.zeros((1, spec.dimension)))   # S_0 = 0
         self.state.n = 0
         self._cps = set(checkpoints)
@@ -256,22 +253,15 @@ class HullTracker(ObserverBase):
                 n=block.last_n, r=r, vertex_count=self.state.vertex_count(),
                 confinements=self.state.confinements.copy()))
 
-    def tracked_dirs(self) -> np.ndarray:
-        return self.state.tracked_dirs
-
-    def to_csv(self, fh=None) -> str | None:
-        own = fh is None
-        out = io.StringIO() if own else fh
+    def to_csv(self) -> str:
         m = len(self.state.tracked_dirs)
         cols = ["n", "r", "vertex_count"] + [f"confinement_{i}" for i in range(m)]
-        out.write(",".join(cols) + "\n")
+        lines = [",".join(cols)]
         for cp in self.series:
             cells = [str(cp.n), format_number(cp.r), str(cp.vertex_count)]
             cells += [format_number(x) for x in cp.confinements]
-            out.write(",".join(cells) + "\n")
-        if own:
-            return out.getvalue()
-        return None
+            lines.append(",".join(cells))
+        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -282,10 +272,10 @@ class HullGrowthReport:
     tracked_dirs: np.ndarray
 
 
-def hull_growth_report(tracker: HullTracker, window: int = 3) -> HullGrowthReport:
+def hull_growth_report(tracker: HullTracker) -> HullGrowthReport:
     """Trend flags from the checkpoint series.
 
-    FULL_SPACE_TREND: the inscribed radius grew at ``window`` or more of the
+    FULL_SPACE_TREND: the inscribed radius grew at GROWTH_EVENTS or more of the
     dyadic checkpoints (growth arrives in bursts separated by plateaus, so a
     count of growth events, not a streak, is the robust signature).
     CONFINED: the radius and at least one tracked direction's confinement
@@ -296,7 +286,7 @@ def hull_growth_report(tracker: HullTracker, window: int = 3) -> HullGrowthRepor
     series = tracker.series
     flag = NO_TREND
     stabilized: list[int] = []
-    if len(series) >= window + 1:
+    if len(series) >= GROWTH_EVENTS + 1:
         rs = [cp.r for cp in series]
         growth_events = sum(b > a for a, b in zip(rs, rs[1:]))
         half = (len(series) + 1) // 2
@@ -307,7 +297,7 @@ def hull_growth_report(tracker: HullTracker, window: int = 3) -> HullGrowthRepor
             stabilized = list(np.flatnonzero(unchanged))
         if froze and stabilized:
             flag = CONFINED
-        elif growth_events >= window:
+        elif growth_events >= GROWTH_EVENTS:
             flag = FULL_SPACE_TREND
     return HullGrowthReport(series=series, flag=flag, stabilized_dirs=stabilized,
                             tracked_dirs=tracker.state.tracked_dirs)

@@ -14,9 +14,8 @@ ratios all work unchanged in that encoding.
 """
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,12 +80,10 @@ class ProjectionStats:
 class ProjectionTracker(ObserverBase):
     """Per-step running min/max of the projections onto a direction grid."""
 
-    def __init__(self, directions: np.ndarray | None = None, grid_m: int = 64,
-                 grid_seed: int = 0):
+    def __init__(self, directions: np.ndarray | None = None, grid_m: int = 64):
         self._dirs = None if directions is None else np.atleast_2d(
             np.asarray(directions, dtype=float))
         self._grid_m = grid_m
-        self._grid_seed = grid_seed
         self.log_scale = False
         self.checkpoint_ns: list[int] = []
         self.min_rows: list[np.ndarray] = []
@@ -96,7 +93,7 @@ class ProjectionTracker(ObserverBase):
 
     def begin(self, spec, n_steps, checkpoints):
         if self._dirs is None:
-            self._dirs = direction_grid(spec.dimension, self._grid_m, self._grid_seed)
+            self._dirs = direction_grid(spec.dimension, self._grid_m)
         self.log_scale = spec.scale_mode == "log"
         self._cps = set(checkpoints)
         self.n_steps = n_steps
@@ -144,15 +141,13 @@ class ProjectionTracker(ObserverBase):
     def all_stats(self) -> list[ProjectionStats]:
         return [self.stats_for(i) for i in range(len(self._dirs))]
 
-    def to_csv(self, fh=None) -> str | None:
-        own = fh is None
-        out = io.StringIO() if own else fh
+    def to_csv(self) -> str:
         d = self._dirs.shape[1]
         cols = ([f"u_{i+1}" for i in range(d)]
                 + [f"min_n{n}" for n in self.checkpoint_ns]
                 + [f"max_n{n}" for n in self.checkpoint_ns]
                 + ["final", "verdict"])
-        out.write(",".join(cols) + "\n")
+        lines = [",".join(cols)]
         for i in range(len(self._dirs)):
             st = self.stats_for(i)
             cells = [format_number(x) for x in self._dirs[i]]
@@ -160,14 +155,11 @@ class ProjectionTracker(ObserverBase):
             cells += [format_number(x) for x in st.maxes]
             cells.append(format_number(st.final))
             cells.append(classify(st))
-            out.write(",".join(cells) + "\n")
-        if own:
-            return out.getvalue()
-        return None
+            lines.append(",".join(cells))
+        return "\n".join(lines) + "\n"
 
 
-def project_series(positions, u, checkpoints=None, n_steps: int | None = None
-                   ) -> ProjectionStats:
+def project_series(positions, u, checkpoints=None) -> ProjectionStats:
     """Stats for one direction from a dense position array (S_1, S_2, ...).
 
     S_0 = 0 is prepended automatically.  For checkpoint-only traces the
@@ -187,7 +179,7 @@ def project_series(positions, u, checkpoints=None, n_steps: int | None = None
     return ProjectionStats(
         direction=u, checkpoints=list(checkpoints),
         mins=run_min[list(checkpoints)], maxes=run_max[list(checkpoints)],
-        final=float(proj[-1]), n_steps=n_steps or n, log_scale=False)
+        final=float(proj[-1]), n_steps=n, log_scale=False)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +261,8 @@ def _side_dominates(big: float, small: float, ratio: float, log_scale: bool) -> 
     return -small <= ratio * big
 
 
-def scan_exceptional(trackers_or_stats, thresholds: ClassifierThresholds = ClassifierThresholds()):
+def scan_exceptional(tracker: ProjectionTracker,
+                     thresholds: ClassifierThresholds = ClassifierThresholds()):
     """Directions whose projections look boundedly exceptional.
 
     Returns the grid directions classified UNDECIDED whose running max (or
@@ -278,12 +271,8 @@ def scan_exceptional(trackers_or_stats, thresholds: ClassifierThresholds = Class
     is an empty list; nonempty output is a finite-N artifact worth a look,
     not a discovery.
     """
-    if isinstance(trackers_or_stats, ProjectionTracker):
-        stats = trackers_or_stats.all_stats()
-    else:
-        stats = list(trackers_or_stats)
     out = []
-    for st in stats:
+    for st in tracker.all_stats():
         if classify(st, thresholds) != UNDECIDED:
             continue
         osc_floor = thresholds.osc_scale * math.sqrt(st.n_steps)

@@ -10,7 +10,6 @@ from finitely many terms.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -108,18 +107,12 @@ class PruittDiagnostic:
     verdict: str
     fitted_slope: float
 
-    def to_csv(self, tail: TailFunction | None = None, fh=None) -> str | None:
-        own = fh is None
-        out = io.StringIO() if own else fh
-        cols = ["k", "tail_at_2k", "u_k", "partial_sum_sq"]
-        out.write(",".join(cols) + "\n")
+    def to_csv(self, tail: TailFunction) -> str:
+        lines = ["k,tail_at_2k,u_k,partial_sum_sq"]
         for k, (uk, ps) in enumerate(zip(self.u, self.partial_sums)):
-            t = tail(2.0 ** k) if tail is not None else math.nan
-            out.write(",".join([str(k), format_number(t), format_number(uk),
-                                format_number(ps)]) + "\n")
-        if own:
-            return out.getvalue()
-        return None
+            lines.append(",".join([str(k), format_number(tail(2.0 ** k)),
+                                   format_number(uk), format_number(ps)]))
+        return "\n".join(lines) + "\n"
 
 
 def pruitt_diagnostic(u, min_terms: int = 16) -> PruittDiagnostic:

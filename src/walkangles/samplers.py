@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +53,7 @@ __all__ = [
 
 SATURATION_CAP = 2**62
 _LOG_SATURATION_CAP = math.log(SATURATION_CAP)
+_INT64_MAX = 2**63 - 1
 
 
 class InvalidParameterError(ValueError):
@@ -111,6 +112,15 @@ class ScalarLaw:
         if self.kind == "constant":
             return _is_int64(self.param)
         return self.kind in self._INTEGER_KINDS
+
+    @property
+    def max_abs(self) -> int:
+        """Largest |sample| of an integer-valued law, as an exact int."""
+        if self.kind == "rademacher":
+            return 1
+        if self.kind == "constant":
+            return abs(int(self.param))
+        return SATURATION_CAP
 
     @property
     def is_heavy_real(self) -> bool:
@@ -353,14 +363,26 @@ class IncrementSpec:
 
     @property
     def is_lattice(self) -> bool:
-        """True when every position coordinate stays an exact integer."""
+        """True when every increment coordinate is an integer that int64 holds.
+
+        Each coordinate's largest magnitude is bounded in exact Python ints,
+        so forming an increment in int64 can never wrap.
+        """
         if self.form == RADIAL_PRODUCT:
             return False
         if not all(law.is_integer_valued for law in self.laws):
             return False
         if self.form == COORDINATE_PRODUCT:
-            return self.drift is None or all(_is_int64(x) for x in self.drift)
-        return all(_is_int64(x) for v in self.atoms for x in v)
+            drift = self.drift or (0.0,) * self.dimension
+            if not all(_is_int64(x) for x in drift):
+                return False
+            bounds = [law.max_abs + abs(int(x)) for law, x in zip(self.laws, drift)]
+        else:
+            if not all(_is_int64(x) for v in self.atoms for x in v):
+                return False
+            bounds = [sum(law.max_abs * abs(int(v[i])) for law, v in zip(self.laws, self.atoms))
+                      for i in range(self.dimension)]
+        return max(bounds) <= _INT64_MAX
 
     @property
     def scale_mode(self) -> str:

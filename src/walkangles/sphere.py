@@ -1,9 +1,8 @@
 """Spherical convexity primitives.
 
 All sphere metrics here are chordal: the distance between unit vectors u, v
-is the Euclidean norm ||u - v|| (range [0, 2]).  ``chord_to_angle`` and
-``angle_to_chord`` convert where angles are more convenient, but every public
-contract is stated in chords.
+is the Euclidean norm ||u - v|| (range [0, 2]), and every public contract is
+stated in chords.
 
 The spherical hull of a finite set of unit vectors is the radial projection
 of their Euclidean convex hull with the origin removed.  Equivalently it is
@@ -26,8 +25,6 @@ __all__ = [
     "UnsupportedDimensionError",
     "hat",
     "chord",
-    "chord_to_angle",
-    "angle_to_chord",
     "interpolate",
     "Cap",
     "cap_contains",
@@ -56,14 +53,6 @@ def hat(x) -> np.ndarray:
 
 def chord(u, v) -> float:
     return float(np.linalg.norm(np.asarray(u, dtype=float) - np.asarray(v, dtype=float)))
-
-
-def chord_to_angle(c: float) -> float:
-    return 2.0 * math.asin(min(1.0, max(0.0, c / 2.0)))
-
-
-def angle_to_chord(theta: float) -> float:
-    return 2.0 * math.sin(theta / 2.0)
 
 
 def interpolate(u, v, alpha: float) -> np.ndarray:
@@ -138,7 +127,6 @@ class SHull:
             self.arcs = self._build_arcs(gens)
         else:
             self._build_cone(gens)
-        self.origin_in_hull = self.is_full_sphere()
 
     # -- d = 2: arcs ---------------------------------------------------------
 

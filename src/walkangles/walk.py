@@ -21,7 +21,6 @@ controls how far the walk's direction can sit from the biggest jump's atom:
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -55,6 +54,8 @@ NEG_INF = float("-inf")
 _LOG10_E = math.log10(math.e)
 # beyond this magnitude a float64 cannot hold the value; serialize from logs
 _FLOAT_SAFE_LOG = math.log(1e300)
+# slack on the dominance bound for float rounding in hat(S) and rho
+BOUND_TOL = 1e-9
 
 
 class UnsupportedSpecError(TypeError):
@@ -146,7 +147,6 @@ class WalkBlock:
     """Per-step arrays for steps first_n .. first_n + len - 1 (inclusive)."""
 
     first_n: int
-    mode: str
     dirs: np.ndarray                 # (B, d) unit directions, zero rows where S=0
     log_norms: np.ndarray            # (B,) natural logs, -inf where S=0
     positions: np.ndarray | None     # (B, d) in linear modes, else None
@@ -211,13 +211,13 @@ def format_signed_log10(sign: int, log10_value: float) -> str:
     return f"{'-' if sign < 0 else ''}{mant:.12g}e{expo:+d}"
 
 
-def _format_log_component(dir_component: float, log_norm: float) -> str:
-    if dir_component == 0.0 or log_norm == NEG_INF:
+def _format_log_value(log_abs: float, sign: float = 1.0) -> str:
+    """Cell text for ``sign * e**log_abs``; extended notation beyond float range."""
+    if log_abs == NEG_INF:
         return "0"
-    val_log = log_norm + math.log(abs(dir_component))
-    if val_log < _FLOAT_SAFE_LOG:
-        return repr(math.copysign(math.exp(val_log), dir_component))
-    return format_signed_log10(1 if dir_component > 0 else -1, val_log * _LOG10_E)
+    if log_abs < _FLOAT_SAFE_LOG:
+        return repr(math.copysign(math.exp(log_abs), sign))
+    return format_signed_log10(1 if sign > 0 else -1, log_abs * _LOG10_E)
 
 
 @dataclass
@@ -230,9 +230,6 @@ class CheckpointRow:
     xi_rest: float | None = None
     max_index: int | None = None
 
-    def norm(self) -> float:
-        return math.exp(self.log_norm) if self.log_norm < _FLOAT_SAFE_LOG else math.inf
-
 
 @dataclass
 class TrajectoryRecord:
@@ -243,36 +240,24 @@ class TrajectoryRecord:
     n_steps: int
     mode: str
     checkpoints: list[CheckpointRow] = field(default_factory=list)
-    dense_positions: np.ndarray | None = None
     overflowed: bool = False
     saturations: int = 0
     final_state: WalkState | None = None
 
     def _row_cells(self, row: CheckpointRow) -> list[str]:
-        d = self.spec.dimension
         cells = [str(row.n)]
         if row.position is not None:
             cells += [format_number(x) for x in row.position]
             cells.append(format_number(float(np.linalg.norm(row.position))))
         else:
-            cells += [_format_log_component(row.direction[i], row.log_norm)
-                      for i in range(d)]
-            if row.log_norm == NEG_INF:
-                cells.append("0")
-            elif row.log_norm < _FLOAT_SAFE_LOG:
-                cells.append(repr(math.exp(row.log_norm)))
-            else:
-                cells.append(format_signed_log10(1, row.log_norm * _LOG10_E))
+            cells += ["0" if c == 0.0 else
+                      _format_log_value(row.log_norm + math.log(abs(c)), c)
+                      for c in row.direction]
+            cells.append(_format_log_value(row.log_norm))
         cells += [format_number(x) for x in row.direction]
         if self.spec.form == RADIAL_PRODUCT:
             if self.mode == "log":
-                for v in (row.xi_max, row.xi_rest):
-                    if v == NEG_INF:
-                        cells.append("0")
-                    elif v < _FLOAT_SAFE_LOG:
-                        cells.append(repr(math.exp(v)))
-                    else:
-                        cells.append(format_signed_log10(1, v * _LOG10_E))
+                cells += [_format_log_value(row.xi_max), _format_log_value(row.xi_rest)]
             else:
                 cells += [format_number(row.xi_max), format_number(row.xi_rest)]
             cells.append(str(row.max_index))
@@ -286,15 +271,10 @@ class TrajectoryRecord:
             cols += ["xi_max", "xi_rest", "max_index"]
         return cols
 
-    def to_csv(self, fh=None) -> str | None:
-        own = fh is None
-        out = io.StringIO() if own else fh
-        out.write(",".join(self.csv_header()) + "\n")
-        for row in self.checkpoints:
-            out.write(",".join(self._row_cells(row)) + "\n")
-        if own:
-            return out.getvalue()
-        return None
+    def to_csv(self) -> str:
+        lines = [",".join(self.csv_header())]
+        lines += [",".join(self._row_cells(row)) for row in self.checkpoints]
+        return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         rows = []
@@ -440,13 +420,11 @@ def _lattice_cumsum(prev: np.ndarray, vectors: np.ndarray):
 
 def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
              observers: Sequence[ObserverBase] = (), *,
-             dense: bool = False,
              checkpoints: Sequence[int] | None = None) -> TrajectoryRecord:
     """Drive a walk for ``n_steps``; deterministic given (spec, n_steps, seed).
 
     Every observer sees every step (in vectorized blocks, split so that each
-    checkpoint ends a block).  ``dense=True`` additionally stores the full
-    position array on the record (linear modes only).
+    checkpoint ends a block).
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -456,9 +434,6 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
     cps = sorted(set(checkpoints)) if checkpoints is not None else dyadic_checkpoints(n_steps)
     cp_set = set(cps)
     record = TrajectoryRecord(spec=spec, seed=seed, n_steps=n_steps, mode=mode)
-    if dense and mode != "log":
-        record.dense_positions = np.zeros(
-            (n_steps, spec.dimension), dtype=np.int64 if mode == "lattice" else float)
     for obs in observers:
         obs.begin(spec, n_steps, cps)
 
@@ -509,10 +484,7 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
             xi_arr = mx = rest = kseq = atomseq = None
         state.n = n_done + b
 
-        if record.dense_positions is not None:
-            record.dense_positions[first_n - 1:first_n - 1 + b] = positions
-
-        block = WalkBlock(first_n=first_n, mode=mode, dirs=dirs, log_norms=log_norms,
+        block = WalkBlock(first_n=first_n, dirs=dirs, log_norms=log_norms,
                           positions=positions, xi=xi_arr, atom_idx=sb.atom_idx,
                           xi_max=mx, xi_rest=rest, max_index=kseq, atom_at_max=atomseq)
         # split so each checkpoint ends a sub-block
@@ -525,7 +497,7 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
                 obs.observe(sub)
             end_n = first_n + cut - 1
             if end_n in cp_set:
-                record.checkpoints.append(_checkpoint_from_block(sub, -1, spec, mode))
+                record.checkpoints.append(_checkpoint_from_block(sub, spec))
             start = cut
         n_done += b
 
@@ -538,26 +510,26 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
 
 def _slice_block(block: WalkBlock, a: int, b: int) -> WalkBlock:
     pick = lambda arr: None if arr is None else arr[a:b]
-    return WalkBlock(first_n=block.first_n + a, mode=block.mode,
-                     dirs=block.dirs[a:b], log_norms=block.log_norms[a:b],
+    return WalkBlock(first_n=block.first_n + a, dirs=block.dirs[a:b],
+                     log_norms=block.log_norms[a:b],
                      positions=pick(block.positions), xi=pick(block.xi),
                      atom_idx=pick(block.atom_idx), xi_max=pick(block.xi_max),
                      xi_rest=pick(block.xi_rest), max_index=pick(block.max_index),
                      atom_at_max=pick(block.atom_at_max))
 
 
-def _checkpoint_from_block(block: WalkBlock, i: int, spec: IncrementSpec,
-                           mode: str) -> CheckpointRow:
+def _checkpoint_from_block(block: WalkBlock, spec: IncrementSpec) -> CheckpointRow:
+    """The row for the block's last step."""
     row = CheckpointRow(
-        n=block.first_n + (len(block) + i if i < 0 else i),
-        position=None if block.positions is None else block.positions[i].copy(),
-        direction=block.dirs[i].copy(),
-        log_norm=float(block.log_norms[i]),
+        n=block.last_n,
+        position=None if block.positions is None else block.positions[-1].copy(),
+        direction=block.dirs[-1].copy(),
+        log_norm=float(block.log_norms[-1]),
     )
     if spec.form == RADIAL_PRODUCT:
-        row.xi_max = float(block.xi_max[i])
-        row.xi_rest = float(block.xi_rest[i])
-        row.max_index = int(block.max_index[i])
+        row.xi_max = float(block.xi_max[-1])
+        row.xi_rest = float(block.xi_rest[-1])
+        row.max_index = int(block.max_index[-1])
     return row
 
 
@@ -573,7 +545,7 @@ class BoundCheck:
     applicable: bool
 
 
-def biggest_jump_bound_check(state: WalkState, tol: float = 1e-9) -> BoundCheck:
+def biggest_jump_bound_check(state: WalkState) -> BoundCheck:
     """Evaluate ||hat(S) - Q_at_max|| against 2*rho/(1-rho) for one state."""
     if state.spec.form != RADIAL_PRODUCT:
         raise UnsupportedSpecError("the biggest-jump bound applies to radial products")
@@ -589,7 +561,7 @@ def biggest_jump_bound_check(state: WalkState, tol: float = 1e-9) -> BoundCheck:
                           applicable=False)
     bound = 2.0 * rho / (1.0 - rho)
     return BoundCheck(rho=rho, bound=bound, actual=actual,
-                      ok=actual <= bound + tol, applicable=True)
+                      ok=actual <= bound + BOUND_TOL, applicable=True)
 
 
 class BoundCheckObserver(ObserverBase):
@@ -600,8 +572,7 @@ class BoundCheckObserver(ObserverBase):
     decomposition, so any violation indicates a bug.
     """
 
-    def __init__(self, tol: float = 1e-9):
-        self.tol = tol
+    def __init__(self):
         self.checked = 0
         self.applicable = 0
         self.violations = 0
@@ -633,4 +604,4 @@ class BoundCheckObserver(ObserverBase):
         bound = 2.0 * rho[ok] / (1.0 - rho[ok])
         margin = actual - bound
         self.worst_margin = max(self.worst_margin, float(np.max(margin)))
-        self.violations += int(np.count_nonzero(margin > self.tol))
+        self.violations += int(np.count_nonzero(margin > BOUND_TOL))

@@ -1,0 +1,43 @@
+"""The benchmark's tracer still finds every name it wraps.
+
+``perfbench/spans.py`` patches walkangles functions and observer methods by
+name.  Renaming or removing one of them breaks the benchmark; this test shows
+it in a second instead of in a full benchmark run.
+"""
+import json
+import os
+import subprocess
+import sys
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SCRIPT = """
+import json, sys, tempfile
+from spans import Tracer
+from walkangles.experiment import load_config, run_experiment
+
+tracer = Tracer()
+tracer.install()
+config = {"spec": {"dimension": 2, "form": "coordinate_product",
+                   "laws": [{"name": "rademacher"}, {"name": "s_two_sided", "alpha": 0.5}]},
+          "n_steps": 64, "n_runs": 2, "base_seed": 0}
+with tempfile.TemporaryDirectory() as out:
+    run_experiment(load_config(config, out_dir=out))
+json.dump({"layers": tracer.layer_metrics(), "work": tracer.work_counts()}, sys.stdout)
+"""
+
+
+def test_tracer_installs_and_counts():
+    paths = [os.path.join(REPO, "perfbench"), os.path.join(REPO, "src")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
+                          text=True, cwd=REPO, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    layers, work = out["layers"], out["work"]
+    assert layers["samplers.sample_block_calls"] == 2       # one block per run
+    assert layers["walk.observe_calls"] > 0
+    assert layers["sphere.direction_grid_calls"] > 0
+    assert layers["experiment.to_csv_s"] > 0
+    assert work["directions.cap_tests"] > 0
+    assert work["hull.points_in"] == 2 * 64

@@ -61,16 +61,6 @@ def test_multi_run_aggregation(tmp_path):
     assert "estimator" in summary["thresholds"]
 
 
-def test_workers_do_not_change_output(tmp_path):
-    seq = run_experiment(load_config(dict(MINIMAL, n_runs=4),
-                                     out_dir=str(tmp_path / "s")))
-    par_cfg = load_config(dict(MINIMAL, n_runs=4, workers=4),
-                          out_dir=str(tmp_path / "p"))
-    par = run_experiment(par_cfg)
-    for name in seq.files:
-        assert read(tmp_path / "s" / name) == read(tmp_path / "p" / name)
-
-
 def test_config_errors_name_fields():
     with pytest.raises(ConfigError, match="n_steps"):
         load_config({"spec": MINIMAL["spec"]})
@@ -84,6 +74,22 @@ def test_config_errors_name_fields():
         load_config(dict(MINIMAL, estimator={"cap_radius": 3.0}))
     with pytest.raises(ConfigError, match="n_runs"):
         load_config(dict(MINIMAL, n_runs=0))
+
+
+BAD_FIELDS = [
+    ("n_runs", "x"), ("n_runs", None), ("n_runs", 2.7), ("n_runs", True),
+    ("n_steps", 1000.0), ("base_seed", "7"), ("track_hull", "no"),
+    ("run_seeds", 3), ("run_seeds", [1.5]), ("projection_grid_m", 0),
+    ("hull_tracked_m", "16"), ("estimator", [1]), ("classifier", "x"),
+    ("spec", "x"), ("out_dir", 3), ("workers", 1), ("no_such_key", 1),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_FIELDS,
+                         ids=[f"{k}={v!r}" for k, v in BAD_FIELDS])
+def test_config_rejects_bad_field(key, value):
+    with pytest.raises(ConfigError, match=key):
+        load_config(dict(MINIMAL, **{key: value}))
 
 
 def test_log_mode_spec_disables_hull(tmp_path):
@@ -114,6 +120,18 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(json.dumps(bad))
     assert main(["simulate", str(bad_path), "--out", str(tmp_path / "o2")]) == 2
+
+
+def test_cli_simulate_bad_field_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(MINIMAL, n_runs="x")))
+    assert main(["simulate", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "n_runs" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps(MINIMAL))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(cfg_path), "--workers", "2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_usage_error_exit_2():

@@ -14,7 +14,7 @@ from walkangles.samplers import (IncrementSampler, coordinate_product,
                                  radial_product, rademacher, s_one_sided,
                                  s_two_sided)
 from walkangles.walk import (INT_SAT_LIMIT, BoundCheckObserver,
-                             TrajectoryRecord, UnsupportedSpecError, WalkState,
+                             ObserverBase, TrajectoryRecord, UnsupportedSpecError, WalkState,
                              biggest_jump_bound_check, dyadic_checkpoints,
                              run_walk)
 
@@ -162,9 +162,17 @@ def test_run_walk_replay_identical():
 
 
 def test_first_coordinate_counts_steps():
+    class Positions(ObserverBase):
+        def __init__(self):
+            self.blocks = []
+
+        def observe(self, block):
+            self.blocks.append(block.positions)
+
     spec = coordinate_product([constant(1), s_two_sided(2.0)])
-    rec = run_walk(spec, 10**4, seed=5, dense=True)
-    assert np.array_equal(rec.dense_positions[:, 0],
+    obs = Positions()
+    rec = run_walk(spec, 10**4, seed=5, observers=[obs])
+    assert np.array_equal(np.concatenate(obs.blocks)[:, 0],
                           np.arange(1, 10**4 + 1))
     for row in rec.checkpoints:
         assert row.position[0] == row.n
@@ -249,14 +257,19 @@ def test_engine_matches_scalar_oracle(spec, seed):
 
 def test_radial_invariants_along_run():
     rec = run_walk(TRIANGLE, 4096, seed=21)
-    prev_k = 0
+    prev_k, prev_t = 0, -math.inf
     for row in rec.checkpoints:
         assert row.max_index >= prev_k          # k(n) non-decreasing
         prev_k = row.max_index
-        # log-domain identity e^T = e^M + e^B up to float precision
+        # log T = log(e^M + e^B) is a running sum of magnitudes: non-decreasing
         t = np.logaddexp(row.xi_max, row.xi_rest)
-        fin = rec.final_state
-    assert rec.final_state.xi_rest <= rec.final_state.xi_total
+        assert t >= prev_t
+        prev_t = t
+    fin = rec.final_state
+    # log-domain identity e^T = e^M + e^B up to float precision
+    t = np.logaddexp(fin.xi_max, fin.xi_rest)
+    assert abs(t - fin.xi_total) <= 1e-12 * abs(fin.xi_total)
+    assert fin.xi_rest <= fin.xi_total
 
 
 def test_linear_radial_total_identity_exact():
@@ -297,6 +310,30 @@ def test_integers_beyond_int64_run_in_float_mode(spec):
     assert not rec.overflowed
     assert rec.final_state.n == 10
     assert rec.final_state.position[0] == 1e20
+
+
+@pytest.mark.parametrize("spec, step", [
+    (linear_combination([[4, 0], [0, 1]], [constant(2**62), rademacher()]), 2**64),
+    (coordinate_product([constant(2**63 - 1024), rademacher()], drift=[2**63 - 1024, 0]),
+     2**64 - 2048),
+], ids=["vector-product", "drift-sum"])
+def test_increments_beyond_int64_run_in_float_mode(spec, step):
+    # every constant, drift and vector entry fits int64, but the increment does not
+    assert spec.scale_mode == "float"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = run_walk(spec, 4, seed=0)
+    assert not rec.overflowed
+    for row in rec.checkpoints:             # n = 1, 2, 4: exact in float64
+        assert int(row.position[0]) == row.n * step
+
+
+def test_lattice_bound_counts_saturated_draws():
+    # an S law reaches SATURATION_CAP = 2**62, so a drift of 2**62 can wrap
+    near = coordinate_product([s_two_sided(1.0), rademacher()], drift=[2**62 - 1024, 0])
+    over = coordinate_product([s_two_sided(1.0), rademacher()], drift=[2**62, 0])
+    assert near.scale_mode == "lattice"
+    assert over.scale_mode == "float"
 
 
 def test_direction_norm_reconstruction():
