@@ -87,7 +87,6 @@ class CapVisitAccumulator(ObserverBase):
         m = len(self.grid)
         n_lv = config.escape_levels + 1
         self.visits = np.zeros((m, n_lv), dtype=np.int64)
-        self.first_visit = np.full((m, n_lv), -1, dtype=np.int64)
         self.graded_max = np.full((m, len(config.alphas)), NEG_INF)
         self.graded_windows = np.zeros((m, len(config.alphas)), dtype=np.int64)
         self.level_totals = np.zeros(n_lv, dtype=np.int64)
@@ -118,8 +117,7 @@ class CapVisitAccumulator(ObserverBase):
         dirs = block.dirs[live]
         log_norms = block.log_norms[live]
         steps = steps[live]
-        lvl = self._levels_of(log_norms)
-        bucket = np.clip(lvl, -1, cfg.escape_levels)
+        bucket = self._levels_of(log_norms)
         above = bucket >= 0
         if np.any(above):
             self.level_totals += np.bincount(bucket[above], minlength=n_lv)
@@ -140,7 +138,6 @@ class CapVisitAccumulator(ObserverBase):
             by_bucket = by_bucket.reshape(len(self.grid), n_lv)
             # visits at level l count every step beyond it: suffix sums
             self.visits += by_bucket[:, ::-1].cumsum(axis=1)[:, ::-1]
-            self._update_first_visits(rows[in_lv], cols[in_lv], hit_bucket[in_lv], steps)
         # graded records: log(||S||/n^a) maxima and qualifying dyadic windows
         order = np.argsort(cols, kind="stable")
         o_rows, o_cols = rows[order], cols[order]
@@ -160,20 +157,6 @@ class CapVisitAccumulator(ObserverBase):
                 present = np.flatnonzero(np.bincount(keys, minlength=len(self.grid) * 64))
                 self.graded_windows[present // 64, j] |= (
                     np.int64(1) << (present % 64).astype(np.int64))
-
-    def _update_first_visits(self, rows, cols, buckets, steps):
-        """Lazy first-visit stamps: (grid point, level) cells still unset get
-        the step of their first qualifying hit in this block."""
-        needy_cols, needy_lvls = np.nonzero(self.first_visit < 0)
-        if len(needy_cols) == 0:
-            return
-        seen_top = np.full(len(self.grid), -1, dtype=np.int64)
-        np.maximum.at(seen_top, cols, buckets)
-        for c, l in zip(needy_cols, needy_lvls):
-            if seen_top[c] < l:
-                continue
-            sel = (cols == c) & (buckets >= l)
-            self.first_visit[c, l] = steps[rows[sel][0]]
 
     def record_visit(self, position, n: int) -> "CapVisitAccumulator":
         """Single-step entry point; the origin is recorded nowhere."""
@@ -207,10 +190,7 @@ class CapVisitAccumulator(ObserverBase):
         cfg = self.config
         top = self.top_reached_level()
         verdicts = np.zeros(len(self.grid), dtype=np.int8)
-        tops = np.full(len(self.grid), -1, dtype=np.int64)
-        for i in range(len(self.grid)):
-            nz = np.flatnonzero(self.visits[i] > 0)
-            tops[i] = nz[-1] if len(nz) else -1
+        tops = np.where(self.visits > 0, np.arange(self.visits.shape[1]), -1).max(axis=1)
         if top >= cfg.min_top_level:
             all_levels = (self.visits[:, :top + 1] > 0).all(axis=1)
             verdicts[all_levels & (self.visits[:, top] >= cfg.v_min)] = IN
@@ -282,7 +262,6 @@ class ConsensusEstimate:
     grid: np.ndarray
     verdicts: np.ndarray
     agreement: np.ndarray           # per grid point
-    n_runs: int
     coverage_fraction: float
     mean_agreement: float
 
@@ -312,7 +291,6 @@ def combine_runs(estimates: list[DirectionSetEstimate]) -> ConsensusEstimate:
     matching = np.where(verdicts == IN, in_count,
                         np.where(verdicts == OUT, out_count, 0))
     agreement = np.where(decided > 0, matching / np.maximum(decided, 1), 1.0)
-    coverage = float(np.mean(verdicts == IN))
     return ConsensusEstimate(grid=grid, verdicts=verdicts, agreement=agreement,
-                             n_runs=len(estimates), coverage_fraction=coverage,
+                             coverage_fraction=float(np.mean(verdicts == IN)),
                              mean_agreement=float(np.mean(agreement)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -54,10 +54,16 @@ class ExperimentConfig:
             raise ConfigError("n_runs must be >= 1")
         if self.projection_grid_m < 1:
             raise ConfigError("projection_grid_m must be >= 1")
+        if self.hull_tracked_m < 16:
+            raise ConfigError("hull_tracked_m must be >= 16")
         if self.run_seeds is not None and len(self.run_seeds) != self.n_runs:
             raise ConfigError("run_seeds must list exactly n_runs seeds")
         if self.estimator is None:
             self.estimator = EstimatorConfig.defaults_for(self.spec)
+        band_axis = self.estimator.band_axis
+        if band_axis is not None and len(band_axis) != self.spec.dimension:
+            raise ConfigError(f"config.estimator.band_axis must have "
+                              f"{self.spec.dimension} entries, got {len(band_axis)}")
         if self.spec.scale_mode == "log" and self.track_hull:
             # astronomically scaled coordinates have no float hull
             self.track_hull = False
@@ -99,6 +105,28 @@ _CONFIG_KEYS = frozenset({"spec", "n_steps", "n_runs", "base_seed", "run_seeds",
                           "track_hull", "hull_tracked_m", "out_dir"})
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(_is_number(x) for x in value)
+
+
+# nested field annotation -> (check, what the message says it must be)
+_NESTED_KINDS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a number"),
+    "tuple[float, ...]": (_is_numbers, "a list of numbers"),
+    "tuple[float, ...] | None": (lambda v: v is None or _is_numbers(v),
+                                 "a list of numbers or null"),
+}
+
+
 def _field(obj: dict, key: str, kind: type, default=None):
     """``obj[key]``, or ``default`` when absent (None: required), checked to
     be a ``kind``; a bool never passes as an int."""
@@ -110,6 +138,26 @@ def _field(obj: dict, key: str, kind: type, default=None):
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"config.{key} must be of type {kind.__name__}, got {value!r}")
     return value
+
+
+def _nested(obj: dict, key: str, cls):
+    """``cls`` built from the object ``obj[key]``, each value checked against
+    the type its dataclass field declares; lists become tuples."""
+    raw = _field(obj, key, dict)
+    declared = {f.name: f.type for f in fields(cls)}
+    unknown = set(raw) - set(declared)
+    if unknown:
+        raise ConfigError(f"config.{key} has unexpected fields {sorted(unknown)}")
+    values = {}
+    for name, value in raw.items():
+        check, what = _NESTED_KINDS[declared[name]]
+        if not check(value):
+            raise ConfigError(f"config.{key}.{name} must be {what}, got {value!r}")
+        values[name] = tuple(value) if isinstance(value, list) else value
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"config.{key}: {exc}") from exc
 
 
 def load_config(source: str | dict, out_dir: str | None = None) -> ExperimentConfig:
@@ -136,24 +184,9 @@ def load_config(source: str | dict, out_dir: str | None = None) -> ExperimentCon
         run_seeds = tuple(_field(obj, "run_seeds", list))
         if any(isinstance(s, bool) or not isinstance(s, int) for s in run_seeds):
             raise ConfigError("config.run_seeds must be a list of integers")
-    est = None
-    if "estimator" in obj:
-        eo = dict(_field(obj, "estimator", dict))
-        try:
-            if "alphas" in eo:
-                eo["alphas"] = tuple(eo["alphas"])
-            if eo.get("band_axis") is not None:
-                eo["band_axis"] = tuple(eo["band_axis"])
-            est = EstimatorConfig(**eo)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config.estimator: {exc}") from exc
-    cls = ClassifierThresholds()
-    if "classifier" in obj:
-        co = _field(obj, "classifier", dict)
-        try:
-            cls = ClassifierThresholds(**co)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config.classifier: {exc}") from exc
+    est = _nested(obj, "estimator", EstimatorConfig) if "estimator" in obj else None
+    cls = _nested(obj, "classifier", ClassifierThresholds) \
+        if "classifier" in obj else ClassifierThresholds()
     return ExperimentConfig(
         spec=spec, n_steps=_field(obj, "n_steps", int),
         n_runs=_field(obj, "n_runs", int, 1),
@@ -198,7 +231,7 @@ def _one_run(config: ExperimentConfig, index: int) -> RunResult:
     observers = [acc, proj]
     hull = None
     if config.track_hull:
-        hull = HullTracker(support_m=max(config.hull_tracked_m, 16))
+        hull = HullTracker(support_m=config.hull_tracked_m)
         observers.append(hull)
     record = run_walk(spec, config.n_steps, seed, observers=observers)
     verdicts = [classify(s, config.classifier) for s in proj.all_stats()]
@@ -242,8 +275,8 @@ def _summarize(config, runs, consensus) -> dict:
             "in_count": int((r.estimate.verdicts == IN).sum()),
             "out_count": int((r.estimate.verdicts == OUT).sum()),
             "classification_counts": dict(Counter(r.verdicts)),
-            "exceptional_candidates": len(scan_exceptional(r.projections,
-                                                           config.classifier)),
+            "exceptional_candidates": len(scan_exceptional(
+                r.projections, r.verdicts, config.classifier)),
             "overflowed": r.record.overflowed,
             "saturations": r.record.saturations,
         }
@@ -267,18 +300,18 @@ def _write_artifacts(result: ExperimentResult) -> None:
     config = result.config
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
-    files = []
+    digests = {}        # file name -> SHA-256, in writing order
 
     def write_text(name: str, text: str):
-        path = os.path.join(out, name)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
-        files.append(name)
+        data = text.encode()
+        with open(os.path.join(out, name), "wb") as fh:
+            fh.write(data)
+        digests[name] = hashlib.sha256(data).hexdigest()
 
     for r in result.runs:
         write_text(f"run{r.index}_trajectory.csv", r.record.to_csv())
         write_text(f"run{r.index}_directions.csv", r.estimate.to_csv())
-        write_text(f"run{r.index}_projections.csv", r.projections.to_csv())
+        write_text(f"run{r.index}_projections.csv", r.projections.to_csv(r.verdicts))
         if r.hull is not None:
             write_text(f"run{r.index}_hull.csv", r.hull.to_csv())
         else:
@@ -300,10 +333,7 @@ def _write_artifacts(result: ExperimentResult) -> None:
         "config_sha256": config_hash(config),
         "config": json.loads(config.to_json()),
         "seeds": [r.seed for r in result.runs],
-        "files": {},
+        "files": dict(digests),
     }
-    for name in files:
-        with open(os.path.join(out, name), "rb") as fh:
-            manifest["files"][name] = hashlib.sha256(fh.read()).hexdigest()
     write_text("manifest.json", json.dumps(manifest, sort_keys=True, indent=2))
-    result.files = files
+    result.files = list(digests)

@@ -115,8 +115,6 @@ class HullState:
     support_points: np.ndarray | None = None
     tracked_dirs: np.ndarray | None = None
     confinements: np.ndarray | None = None
-    n: int = 0
-    _r_floor: float = 0.0
 
     @classmethod
     def empty(cls, dimension: int, tracked_dirs=None, support_m: int = 64) -> "HullState":
@@ -142,7 +140,6 @@ class HullState:
             self._update_support(arr)
         mins = (np.asarray(arr, dtype=float) @ self.tracked_dirs.T).min(axis=0)
         np.minimum(self.confinements, mins, out=self.confinements)
-        self.n += len(arr)
         return self
 
     def _update_planar(self, arr: np.ndarray) -> None:
@@ -236,13 +233,11 @@ class HullTracker(ObserverBase):
                 "hull tracking is not supported for log-scale walks")
         self.state = HullState.empty(spec.dimension, support_m=self._support_m)
         self.state.update(np.zeros((1, spec.dimension)))   # S_0 = 0
-        self.state.n = 0
         self._cps = set(checkpoints)
         self._r_prev = 0.0
 
     def observe(self, block: WalkBlock) -> None:
         self.state.update(block.positions)
-        self.state.n = block.last_n
         if block.last_n in self._cps:
             r = self.state.inscribed_radius()
             # the true radius is monotone; the max() guards against last-ulp

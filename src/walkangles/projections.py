@@ -141,7 +141,8 @@ class ProjectionTracker(ObserverBase):
     def all_stats(self) -> list[ProjectionStats]:
         return [self.stats_for(i) for i in range(len(self._dirs))]
 
-    def to_csv(self) -> str:
+    def to_csv(self, verdicts: list[str]) -> str:
+        """One row per direction; ``verdicts[i]`` is direction i's classification."""
         d = self._dirs.shape[1]
         cols = ([f"u_{i+1}" for i in range(d)]
                 + [f"min_n{n}" for n in self.checkpoint_ns]
@@ -154,7 +155,7 @@ class ProjectionTracker(ObserverBase):
             cells += [format_number(x) for x in st.mins]
             cells += [format_number(x) for x in st.maxes]
             cells.append(format_number(st.final))
-            cells.append(classify(st))
+            cells.append(verdicts[i])
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -261,20 +262,22 @@ def _side_dominates(big: float, small: float, ratio: float, log_scale: bool) -> 
     return -small <= ratio * big
 
 
-def scan_exceptional(tracker: ProjectionTracker,
+def scan_exceptional(tracker: ProjectionTracker, verdicts: list[str],
                      thresholds: ClassifierThresholds = ClassifierThresholds()):
     """Directions whose projections look boundedly exceptional.
 
-    Returns the grid directions classified UNDECIDED whose running max (or
-    min) stayed inside the oscillation floor -- a finite-sample proxy for a
-    finite limsup (or liminf).  For planar walks the expectation at large N
-    is an empty list; nonempty output is a finite-N artifact worth a look,
-    not a discovery.
+    ``verdicts[i]`` is the classification of direction i under
+    ``thresholds``.  Returns the directions classified UNDECIDED whose
+    running max (or min) stayed inside the oscillation floor -- a
+    finite-sample proxy for a finite limsup (or liminf).  For planar walks
+    the expectation at large N is an empty list; nonempty output is a
+    finite-N artifact worth a look, not a discovery.
     """
     out = []
-    for st in tracker.all_stats():
-        if classify(st, thresholds) != UNDECIDED:
+    for i, verdict in enumerate(verdicts):
+        if verdict != UNDECIDED:
             continue
+        st = tracker.stats_for(i)
         osc_floor = thresholds.osc_scale * math.sqrt(st.n_steps)
         bounded_above = not (st.maxes[-1] > 0 and _exceeds_scale(st.maxes[-1], osc_floor, st.log_scale))
         bounded_below = not (st.mins[-1] < 0 and _exceeds_scale(st.mins[-1], osc_floor, st.log_scale))

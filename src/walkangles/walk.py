@@ -150,8 +150,7 @@ class WalkBlock:
     dirs: np.ndarray                 # (B, d) unit directions, zero rows where S=0
     log_norms: np.ndarray            # (B,) natural logs, -inf where S=0
     positions: np.ndarray | None     # (B, d) in linear modes, else None
-    xi: np.ndarray | None = None         # radial magnitude (or its log in log mode)
-    atom_idx: np.ndarray | None = None
+    # radial products only: running statistics after each step (logs in log mode)
     xi_max: np.ndarray | None = None     # running largest (log in log mode)
     xi_rest: np.ndarray | None = None
     max_index: np.ndarray | None = None
@@ -304,60 +303,52 @@ def _forward_fill_indices(flags: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(idx)
 
 
-class _RadialTracker:
-    """Carries (total, max, rest, k, atom) across blocks, vectorized per block."""
-
-    def __init__(self, log_mode: bool):
-        self.log = log_mode
-        self.total = NEG_INF if log_mode else 0.0
-        self.max = NEG_INF if log_mode else 0.0
-        self.rest = NEG_INF if log_mode else 0.0
-        self.k = 0
-        self.atom = -1
-
-    def advance(self, xi: np.ndarray, atom_idx: np.ndarray, first_n: int):
-        b = len(xi)
-        running = np.maximum(np.maximum.accumulate(xi), self.max)
-        prev_max = np.empty(b)
-        prev_max[0] = self.max
-        prev_max[1:] = running[:-1]
-        newmax = xi > prev_max
-        if self.log:
-            total = np.logaddexp.accumulate(np.concatenate(([self.total], xi)))[1:]
-            rest = np.empty(b)
-            cur_rest, cur_max = self.rest, self.max
-            events = np.flatnonzero(newmax)
-            start = 0
-            for e in events:
-                if e > start:
-                    seg = np.logaddexp.accumulate(
-                        np.concatenate(([cur_rest], xi[start:e])))[1:]
-                    rest[start:e] = seg
-                    cur_rest = seg[-1]
-                cur_rest = np.logaddexp(cur_rest, cur_max)
-                rest[e] = cur_rest
-                cur_max = xi[e]
-                start = e + 1
-            if start < b:
+def _advance_radial(state: WalkState, xi: np.ndarray, atom_idx: np.ndarray,
+                    first_n: int) -> dict:
+    """Carry ``state``'s radial statistics (total, max, rest, max index, atom)
+    across one block of magnitudes (logs in log mode).  Returns the per-step
+    running values as ``WalkBlock`` fields."""
+    b = len(xi)
+    running = np.maximum(np.maximum.accumulate(xi), state.xi_max)
+    prev_max = np.empty(b)
+    prev_max[0] = state.xi_max
+    prev_max[1:] = running[:-1]
+    newmax = xi > prev_max
+    if state.mode == "log":
+        state.xi_total = float(np.logaddexp.accumulate(
+            np.concatenate(([state.xi_total], xi)))[-1])
+        rest = np.empty(b)
+        cur_rest, cur_max = state.xi_rest, state.xi_max
+        events = np.flatnonzero(newmax)
+        start = 0
+        for e in events:
+            if e > start:
                 seg = np.logaddexp.accumulate(
-                    np.concatenate(([cur_rest], xi[start:b])))[1:]
-                rest[start:b] = seg
+                    np.concatenate(([cur_rest], xi[start:e])))[1:]
+                rest[start:e] = seg
                 cur_rest = seg[-1]
-            self.rest = float(cur_rest)
-        else:
-            total = self.total + np.cumsum(xi)
-            rest = total - running
-            self.rest = float(rest[-1])
-        steps = np.arange(first_n, first_n + b, dtype=np.int64)
-        k_seq = np.maximum.accumulate(
-            np.concatenate(([np.int64(self.k)], np.where(newmax, steps, 0))))[1:]
-        ff = _forward_fill_indices(newmax)
-        atom_seq = np.where(ff >= 0, atom_idx[np.maximum(ff, 0)], self.atom)
-        self.total = float(total[-1])
-        self.max = float(running[-1])
-        self.k = int(k_seq[-1])
-        self.atom = int(atom_seq[-1])
-        return total, running, rest, k_seq, atom_seq
+            cur_rest = np.logaddexp(cur_rest, cur_max)
+            rest[e] = cur_rest
+            cur_max = xi[e]
+            start = e + 1
+        if start < b:
+            seg = np.logaddexp.accumulate(
+                np.concatenate(([cur_rest], xi[start:b])))[1:]
+            rest[start:b] = seg
+    else:
+        total = state.xi_total + np.cumsum(xi)
+        rest = total - running
+        state.xi_total = float(total[-1])
+    steps = np.arange(first_n, first_n + b, dtype=np.int64)
+    k_seq = np.maximum.accumulate(
+        np.concatenate(([np.int64(state.max_index)], np.where(newmax, steps, 0))))[1:]
+    ff = _forward_fill_indices(newmax)
+    atom_seq = np.where(ff >= 0, atom_idx[np.maximum(ff, 0)], state.atom_at_max)
+    state.xi_max = float(running[-1])
+    state.xi_rest = float(rest[-1])
+    state.max_index = int(k_seq[-1])
+    state.atom_at_max = int(atom_seq[-1])
+    return dict(xi_max=running, xi_rest=rest, max_index=k_seq, atom_at_max=atom_seq)
 
 
 def _scaled_accumulate(state: WalkState, xi_log: np.ndarray, atom_vecs: np.ndarray):
@@ -438,7 +429,6 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
         obs.begin(spec, n_steps, cps)
 
     state = WalkState.initial(spec)
-    tracker = _RadialTracker(mode == "log") if spec.form == RADIAL_PRODUCT else None
     atoms = sampler.atoms
     n_done = 0
     halted = False
@@ -464,10 +454,6 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
                 record.overflowed = True
                 if b == 0:
                     break
-                for name in ("xi", "atom_idx"):
-                    arr = getattr(sb, name)
-                    if arr is not None:
-                        setattr(sb, name, arr[:b])
             fpos = positions.astype(float, copy=False)
             norms = np.linalg.norm(fpos, axis=1)
             with np.errstate(divide="ignore"):
@@ -475,18 +461,14 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
             dirs = np.where(norms[:, None] > 0.0, fpos / np.where(norms[:, None] > 0, norms[:, None], 1.0), 0.0)
             state.position = positions[-1].copy()
 
-        if tracker is not None:
-            xi_arr = sb.xi_log if mode == "log" else sb.xi
-            tot, mx, rest, kseq, atomseq = tracker.advance(xi_arr, sb.atom_idx, first_n)
-            state.xi_total, state.xi_max, state.xi_rest = tracker.total, tracker.max, tracker.rest
-            state.max_index, state.atom_at_max = tracker.k, tracker.atom
-        else:
-            xi_arr = mx = rest = kseq = atomseq = None
+        radial = {}
+        if spec.form == RADIAL_PRODUCT:
+            xi = sb.xi_log if mode == "log" else sb.xi
+            radial = _advance_radial(state, xi[:b], sb.atom_idx[:b], first_n)
         state.n = n_done + b
 
         block = WalkBlock(first_n=first_n, dirs=dirs, log_norms=log_norms,
-                          positions=positions, xi=xi_arr, atom_idx=sb.atom_idx,
-                          xi_max=mx, xi_rest=rest, max_index=kseq, atom_at_max=atomseq)
+                          positions=positions, **radial)
         # split so each checkpoint ends a sub-block
         cuts = sorted({n - first_n + 1 for n in cp_set
                        if first_n <= n < first_n + b} | {b})
@@ -512,8 +494,7 @@ def _slice_block(block: WalkBlock, a: int, b: int) -> WalkBlock:
     pick = lambda arr: None if arr is None else arr[a:b]
     return WalkBlock(first_n=block.first_n + a, dirs=block.dirs[a:b],
                      log_norms=block.log_norms[a:b],
-                     positions=pick(block.positions), xi=pick(block.xi),
-                     atom_idx=pick(block.atom_idx), xi_max=pick(block.xi_max),
+                     positions=pick(block.positions), xi_max=pick(block.xi_max),
                      xi_rest=pick(block.xi_rest), max_index=pick(block.max_index),
                      atom_at_max=pick(block.atom_at_max))
 

@@ -167,7 +167,7 @@ def test_criterion_09_projection_trichotomy():
         run_walk(sym, 10**6, seed=seed, observers=[tr])
         verdicts = [classify(s) for s in tr.all_stats()]
         all_osc += int(all(v == OSC for v in verdicts))
-        scan_empty += int(len(scan_exceptional(tr)) == 0)
+        scan_empty += int(len(scan_exceptional(tr, verdicts)) == 0)
     drift = coordinate_product([constant(1), rademacher()])
     drift_ok = 0
     for seed in range(200, 220):

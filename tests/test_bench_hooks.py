@@ -39,5 +39,7 @@ def test_tracer_installs_and_counts():
     assert layers["walk.observe_calls"] > 0
     assert layers["sphere.direction_grid_calls"] > 0
     assert layers["experiment.to_csv_s"] > 0
+    assert layers["projections.classify_s"] > 0
+    assert layers["directions.finalize_s"] > 0
     assert work["directions.cap_tests"] > 0
     assert work["hull.points_in"] == 2 * 64

@@ -31,7 +31,6 @@ def test_visit_hits_all_levels():
     acc.record_visit(100.0 * E1, 3)
     e1_idx = int(np.argmin(np.linalg.norm(acc.grid - E1, axis=1)))
     assert np.array_equal(acc.visits[e1_idx], [1, 1, 1, 1])
-    assert np.array_equal(acc.first_visit[e1_idx], [3, 3, 3, 3])
     # nothing accrues to the antipode
     anti = int(np.argmin(np.linalg.norm(acc.grid + E1, axis=1)))
     assert acc.visits[anti].sum() == 0

@@ -1,12 +1,17 @@
 """Experiment runner artifacts, config validation, CLI verbs, plots."""
+import csv
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from walkangles import experiment, projections
 from walkangles.cli import main
 from walkangles.experiment import (ConfigError, load_config, run_experiment,
                                    config_hash)
@@ -39,6 +44,34 @@ def test_minimal_experiment_files(tmp_path):
     manifest = json.loads(read(tmp_path / "manifest.json"))
     assert manifest["config_sha256"] == config_hash(config)
     assert set(manifest["files"]) == set(result.files) - {"manifest.json"}
+    for name, digest in manifest["files"].items():
+        assert hashlib.sha256(read(tmp_path / name)).hexdigest() == digest, name
+
+
+def test_projection_csv_uses_configured_classifier(tmp_path):
+    # non-default thresholds move some directions between PLUS/MINUS and OSC
+    cfg = dict(MINIMAL, n_steps=4096, base_seed=3,
+               classifier={"growth": 1.9, "final_scale": 5.0})
+    run_experiment(load_config(cfg, out_dir=str(tmp_path)))
+    summary = json.loads(read(tmp_path / "summary.json"))
+    rows = csv.DictReader(io.StringIO(read(tmp_path / "run0_projections.csv").decode()))
+    column = Counter(row["verdict"] for row in rows)
+    assert column == summary["runs"][0]["classification_counts"]
+
+
+def test_each_direction_classified_once(tmp_path, monkeypatch):
+    calls = []
+    classify = projections.classify
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return classify(*args, **kwargs)
+
+    for module in (experiment, projections):
+        monkeypatch.setattr(module, "classify", counting)
+    cfg = dict(MINIMAL, n_runs=3, projection_grid_m=16)
+    run_experiment(load_config(cfg, out_dir=str(tmp_path)))
+    assert len(calls) == 3 * 16
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -82,13 +115,19 @@ BAD_FIELDS = [
     ("run_seeds", 3), ("run_seeds", [1.5]), ("projection_grid_m", 0),
     ("hull_tracked_m", "16"), ("estimator", [1]), ("classifier", "x"),
     ("spec", "x"), ("out_dir", 3), ("workers", 1), ("no_such_key", 1),
+    ("hull_tracked_m", 8),
+    ("estimator", {"grid_m": 2.5}), ("estimator", {"escape_levels": True}),
+    ("estimator", {"alphas": "ab"}), ("estimator", {"band_axis": [1, 0, 0]}),
+    ("classifier", {"min_checkpoints": 2.5}),
 ]
 
 
 @pytest.mark.parametrize("key, value", BAD_FIELDS,
                          ids=[f"{k}={v!r}" for k, v in BAD_FIELDS])
 def test_config_rejects_bad_field(key, value):
-    with pytest.raises(ConfigError, match=key):
+    # a nested field is named by its full path, e.g. config.estimator.grid_m
+    name = f"config.{key}.{next(iter(value))}" if isinstance(value, dict) else key
+    with pytest.raises(ConfigError, match=name):
         load_config(dict(MINIMAL, **{key: value}))
 
 

@@ -102,7 +102,8 @@ def test_scan_exceptional_drift_boundary():
     spec = coordinate_product([constant(1), rademacher()])
     tr = ProjectionTracker(grid_m=64)
     run_walk(spec, 10**4, seed=11, observers=[tr])
-    for u, st in scan_exceptional(tr):
+    verdicts = [classify(st) for st in tr.all_stats()]
+    for u, st in scan_exceptional(tr, verdicts):
         assert abs(u[0]) < 0.2      # only near-orthogonal directions linger
 
 
@@ -115,7 +116,8 @@ def test_scan_candidates_shrink_with_longer_runs():
         for n in (10**4, 2 * 10**4):
             tr = ProjectionTracker(grid_m=64)
             run_walk(spec, n, seed=seed, observers=[tr])
-            sizes.append(len(scan_exceptional(tr)))
+            verdicts = [classify(st) for st in tr.all_stats()]
+            sizes.append(len(scan_exceptional(tr, verdicts)))
         shrunk += (sizes[1] <= sizes[0])
     assert shrunk >= int(0.8 * trials)
 
@@ -137,7 +139,7 @@ def test_tracker_csv():
     spec = coordinate_product([constant(1), rademacher()])
     tr = ProjectionTracker(grid_m=8)
     run_walk(spec, 2048, seed=1, observers=[tr])
-    text = tr.to_csv()
+    text = tr.to_csv([classify(st) for st in tr.all_stats()])
     lines = text.strip().split("\n")
     assert len(lines) == 9
     assert lines[0].endswith("final,verdict")
