@@ -23,7 +23,7 @@ from .hull import HullTracker, hull_growth_report
 from .projections import ClassifierThresholds, ProjectionTracker, classify, scan_exceptional
 from .rng import run_seed
 from .samplers import IncrementSpec, spec_from_json, spec_to_json
-from .walk import run_walk
+from .walk import dyadic_checkpoints, run_walk
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "RunResult", "run_experiment",
            "load_config", "config_hash"]
@@ -56,6 +56,11 @@ class ExperimentConfig:
             raise ConfigError("projection_grid_m must be >= 1")
         if self.hull_tracked_m < 16:
             raise ConfigError("hull_tracked_m must be >= 16")
+        n_cps = len(dyadic_checkpoints(self.n_steps))
+        if n_cps < self.classifier.min_checkpoints:
+            raise ConfigError(
+                f"n_steps={self.n_steps} gives {n_cps} checkpoints, fewer than "
+                f"classifier.min_checkpoints={self.classifier.min_checkpoints}")
         if self.run_seeds is not None and len(self.run_seeds) != self.n_runs:
             raise ConfigError("run_seeds must list exactly n_runs seeds")
         if self.estimator is None:
@@ -157,7 +162,8 @@ def _nested(obj: dict, key: str, cls):
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"config.{key}: {exc}") from exc
+        # the dataclass messages start with the field path, e.g. "estimator.grid_m"
+        raise ConfigError(f"config.{exc}") from exc
 
 
 def load_config(source: str | dict, out_dir: str | None = None) -> ExperimentConfig:

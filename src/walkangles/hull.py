@@ -2,6 +2,14 @@
 
 Planar walks keep the exact hull polygon (counter-clockwise vertices,
 monotone-chain rebuilds on batches, integer arithmetic for lattice walks).
+Each batch is first filtered against an inner polygon P, the exact hull of
+the current vertices and the batch's extreme points along 16 directions
+(Akl and Toussaint, IPL 7(5), 1978).  A point is dropped only when its float
+cross product with every edge of P exceeds a static error bound (in the
+style of Shewchuk, DCG 1997; stated in ``HullState._update_planar``) that
+also covers the rounding of int64 coordinates above 2**53, so a dropped
+point is certainly strictly inside P and the hull is exactly the one a
+single chain over every point gives.
 Higher dimensions keep a support-function sketch over a fixed direction
 grid: the running maximum of S_k . u per grid direction plus the points that
 achieved it; the inscribed radius derived from the sketch is an upper bound
@@ -35,6 +43,11 @@ CONFINED = "CONFINED"
 NO_TREND = "NO_TREND"
 # radius growth events over the checkpoint ladder that flag FULL_SPACE_TREND
 GROWTH_EVENTS = 3
+# directions whose batch extremes seed the planar inner polygon
+_PROBE_DIRS = direction_grid(2, 16)
+# unit roundoff and smallest normal double of the planar filter's error bound
+_U = 2.0 ** -53
+_TINY = float(np.finfo(float).tiny)
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +55,11 @@ GROWTH_EVENTS = 3
 
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _tuples(arr: np.ndarray) -> list[tuple]:
+    """Rows as tuples of Python numbers (exact ints for integer arrays)."""
+    return list(map(tuple, arr.tolist()))
 
 
 def convex_hull_2d(points) -> list[tuple]:
@@ -134,36 +152,74 @@ class HullState:
         if len(batch) == 0:
             raise ValueError("a hull update needs a nonempty batch")
         arr = np.atleast_2d(np.asarray(batch))
+        f = np.asarray(arr, dtype=float)
         if self.dimension == 2:
-            self._update_planar(arr)
+            self._update_planar(arr, f)
         else:
-            self._update_support(arr)
-        mins = (np.asarray(arr, dtype=float) @ self.tracked_dirs.T).min(axis=0)
-        np.minimum(self.confinements, mins, out=self.confinements)
+            self._update_support(arr, f)
+        np.minimum(self.confinements, (f @ self.tracked_dirs.T).min(axis=0),
+                   out=self.confinements)
         return self
 
-    def _update_planar(self, arr: np.ndarray) -> None:
-        is_int = np.issubdtype(arr.dtype, np.integer)
-        if len(self.vertices) >= 3:
-            # conservative outside filter: drop points surely interior
-            v = np.asarray(self.vertices, dtype=float)
-            e = np.roll(v, -1, axis=0) - v
-            rel = arr[:, None, :].astype(float) - v[None, :, :]
-            cross = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
-            scale = max(1.0, float(np.abs(v).max()) ** 2) * 1e-12
-            candidates = arr[(cross < scale).any(axis=1)]
-        else:
-            candidates = arr
-        if len(candidates) == 0:
-            return
-        if is_int:
-            pts = [tuple(int(x) for x in row) for row in candidates]
-        else:
-            pts = [tuple(float(x) for x in row) for row in candidates]
-        self.vertices = convex_hull_2d(self.vertices + pts)
+    def _update_planar(self, arr: np.ndarray, f: np.ndarray) -> None:
+        """Exact hull of the vertices and ``arr``; ``f`` is ``arr`` as float.
 
-    def _update_support(self, arr: np.ndarray) -> None:
-        proj = np.asarray(arr, dtype=float) @ self.support_dirs.T   # (B, M)
+        The batch's extreme points along ``_PROBE_DIRS`` (taken after scaling
+        the batch to its bounding box, so sliver batches still give points
+        all round) and the current vertices span an inner polygon P, built
+        by the exact chain.  A point is dropped only when it is certainly
+        strictly inside P; every other point goes to the exact chain with
+        P's vertices.  Strictly interior points are never hull vertices, so
+        the result is the hull of the vertices and the whole batch.
+
+        Certainty comes from a static error bound (Shewchuk, DCG 1997, with
+        a term for inexact inputs).  For an edge (a, b) of P the filter
+        computes ``ex*ry - ey*rx`` in float, with ``ex, ey = b - a`` and
+        ``rx, ry = p - a``; ``Rx, Ry`` (``rx_max, ry_max``) bound ``|rx|, |ry|``
+        over the batch's bounding box.  Let u = 2**-53, M the largest coordinate magnitude of
+        P and the batch, and K = u*M when M > 2**53 (int64 coordinates above
+        2**53 round on conversion to float), else 0.  Each subtraction moves
+        a difference by at most u/(1-u) of itself plus 2K, and each product
+        and the final difference round once, so the float cross product is
+        within 4.01u*(|ex|*Ry + |ey|*Rx) + 2.01K*(|ex| + |ey| + Rx + Ry) + 8K**2
+        of the exact one, plus at most 2**-1073 when a product underflows.
+        A point is dropped only when its float cross product exceeds
+        ``8u*(|ex|*Ry + |ey|*Rx) + 4K*(|ex| + |ey| + Rx + Ry) + 16K**2 + tiny``
+        (which stays above that error after its own rounding) on every edge,
+        that is when its exact cross product is positive on every edge.
+        Below M = 2**510 no product overflows; above it nothing is dropped.
+        """
+        lo, hi = f.min(axis=0), f.max(axis=0)
+        span = np.where(hi > lo, hi - lo, 1.0)
+        probes = np.unique((_PROBE_DIRS @ ((f - lo) / span).T).argmax(axis=1))
+        inner = convex_hull_2d(self.vertices + _tuples(arr[probes]))
+        keep = np.ones(len(arr), dtype=bool)
+        v = np.asarray(inner, dtype=float)
+        m = max(float(np.abs(v).max()), float(np.abs(f).max()))
+        if len(inner) >= 3 and m < 2.0 ** 510:
+            k = _U * m if m > 2.0 ** 53 else 0.0
+            (lx, ly), (hx, hy) = lo.tolist(), hi.tolist()
+            # points not yet shown to be outside or near some edge
+            idx, x, y = np.arange(len(arr)), f[:, 0], f[:, 1]
+            for (ax, ay), (bx, by) in zip(v.tolist(), np.roll(v, -1, axis=0).tolist()):
+                ex, ey = abs(bx - ax), abs(by - ay)
+                rx_max = max(abs(hx - ax), abs(lx - ax))
+                ry_max = max(abs(hy - ay), abs(ly - ay))
+                bound = (8 * _U * (ex * ry_max + ey * rx_max)
+                         + 4 * k * (ex + ey + rx_max + ry_max) + 16 * k * k + _TINY)
+                sure = (bx - ax) * (y - ay) - (by - ay) * (x - ax) > bound
+                if not sure.all():
+                    idx, x, y = idx[sure], x[sure], y[sure]
+                    if len(idx) == 0:
+                        break
+            keep[idx] = False
+        if keep.any():
+            self.vertices = convex_hull_2d(inner + _tuples(arr[keep]))
+        else:
+            self.vertices = inner
+
+    def _update_support(self, arr: np.ndarray, f: np.ndarray) -> None:
+        proj = f @ self.support_dirs.T   # (B, M)
         best = proj.argmax(axis=0)
         vals = proj[best, np.arange(proj.shape[1])]
         better = vals > self.supports
@@ -232,7 +288,9 @@ class HullTracker(ObserverBase):
             raise UnsupportedSpecError(
                 "hull tracking is not supported for log-scale walks")
         self.state = HullState.empty(spec.dimension, support_m=self._support_m)
-        self.state.update(np.zeros((1, spec.dimension)))   # S_0 = 0
+        # S_0 = 0, as an int for lattice walks so the planar chain stays exact
+        dtype = np.int64 if spec.scale_mode == "lattice" else float
+        self.state.update(np.zeros((1, spec.dimension), dtype=dtype))
         self._cps = set(checkpoints)
         self._r_prev = 0.0
 

@@ -49,6 +49,9 @@ class ClassifierThresholds:
             raise ValueError("classifier.growth must exceed 1")
         if self.osc_scale <= 0 or self.final_scale <= 0:
             raise ValueError("classifier scales must be positive")
+        if self.min_checkpoints < 3:
+            # the growth test reads the last three checkpoints
+            raise ValueError("classifier.min_checkpoints must be >= 3")
 
 
 def _psi_from_signed_log(sign: np.ndarray, log_abs: np.ndarray) -> np.ndarray:

@@ -118,7 +118,8 @@ BAD_FIELDS = [
     ("hull_tracked_m", 8),
     ("estimator", {"grid_m": 2.5}), ("estimator", {"escape_levels": True}),
     ("estimator", {"alphas": "ab"}), ("estimator", {"band_axis": [1, 0, 0]}),
-    ("classifier", {"min_checkpoints": 2.5}),
+    ("classifier", {"min_checkpoints": 2.5}), ("classifier", {"min_checkpoints": 2}),
+    ("n_steps", 4),
 ]
 
 
@@ -166,6 +167,10 @@ def test_cli_simulate_bad_field_exit_2(tmp_path, capsys):
     cfg_path.write_text(json.dumps(dict(MINIMAL, n_runs="x")))
     assert main(["simulate", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert "n_runs" in capsys.readouterr().err
+    # too few checkpoints to classify: rejected before any walk runs
+    cfg_path.write_text(json.dumps(dict(MINIMAL, n_steps=4)))
+    assert main(["simulate", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "n_steps" in capsys.readouterr().err
     cfg_path.write_text(json.dumps(MINIMAL))
     with pytest.raises(SystemExit) as exc:
         main(["simulate", str(cfg_path), "--workers", "2"])

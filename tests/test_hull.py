@@ -1,15 +1,17 @@
 """Trajectory hull maintenance, inscribed radius, confinement, trend flags."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from walkangles import hull
 from walkangles.hull import (CONFINED, FULL_SPACE_TREND, HullState,
                              HullTracker, convex_hull_2d, hull_growth_report,
                              point_in_convex_polygon)
 from walkangles.samplers import (coordinate_product, constant, rademacher,
                                  s_two_sided)
-from walkangles.walk import UnsupportedSpecError, run_walk
+from walkangles.walk import ObserverBase, UnsupportedSpecError, run_walk
 
 E1 = np.array([1.0, 0.0])
 
@@ -153,3 +155,154 @@ def test_tracker_csv():
     lines = tr.to_csv().strip().split("\n")
     assert lines[0].startswith("n,r,vertex_count,confinement_0")
     assert len(lines) == len(tr.series) + 1
+
+
+# ---------------------------------------------------------------------------
+# batched updates against the one-shot exact chain
+
+def batched_hull(batches):
+    st = HullState.empty(2)
+    for b in batches:
+        st.update(np.asarray(b))
+    return st.vertices
+
+
+def one_shot(batches):
+    return convex_hull_2d([p for b in batches for p in np.asarray(b).tolist()])
+
+
+def two_pole_batches(rng, base):
+    """Slivers around +-base: |x| < 200 and y spread over about 10**8."""
+    batches = []
+    for size in (1, 1, 2, 7, 64, 1000, 5000, 3, 4096):
+        x = rng.integers(-200, 200, size=size)
+        y = base - rng.integers(0, 10**8, size=size)
+        y = np.where(rng.random(size) < 0.5, y, -y)
+        batches.append(np.column_stack([x, y]).astype(np.int64))
+    return batches
+
+
+@pytest.mark.parametrize("base", [2**53 + 1, 2**62 + 2**61])
+def test_batched_equals_one_shot_two_pole_lattice(base):
+    rng = np.random.default_rng(11)
+    batches = two_pole_batches(rng, base)
+    got = batched_hull(batches)
+    assert got == one_shot(batches)
+    assert all(type(c) is int for p in got for c in p)
+
+
+def test_batched_equals_one_shot_degenerate_batches():
+    line = np.column_stack([np.arange(-50, 51), np.zeros(101, dtype=np.int64)])
+    column = np.column_stack([np.full(40, 7), np.arange(40)])
+    batches = [np.array([[0, 0]]), line, line[::3], np.array([[3, 0]]),
+               np.array([[3, 0], [3, 0], [3, 0]]), column, column[5:9],
+               np.array([[7, 39]]), np.array([[-50, 0]]),
+               np.repeat(np.array([[7, -1]]), 5, axis=0)]
+    for k in range(1, len(batches) + 1):
+        assert batched_hull(batches[:k]) == one_shot(batches[:k])
+
+
+def test_near_collinear_points_take_the_exact_branch(monkeypatch):
+    """Points one unit inside an edge at 2**61 round onto it as floats, so
+    the filter cannot certify them; the exact chain must decide."""
+    t = 2**61
+    square = np.array([[-t, -t], [t, -t], [t, t], [-t, t]], dtype=np.int64)
+    ys = np.arange(-1000, 1000, dtype=np.int64) * 2**40
+    inside = np.column_stack([np.full(len(ys), t - 1), ys])
+    outside = np.array([[t + 1, 5], [t + 1, 7]], dtype=np.int64)
+    calls = []
+
+    def recording_chain(points):
+        calls.append(list(points))
+        return convex_hull_2d(points)
+
+    monkeypatch.setattr(hull, "convex_hull_2d", recording_chain)
+    st = HullState.empty(2).update(square)
+    calls.clear()
+    st.update(inside)
+    # the batch's extremes go to the first chain; ambiguous points to the last
+    probed = {p for p in calls[0]} & set(map(tuple, inside.tolist()))
+    chained = {p for p in calls[-1]} & set(map(tuple, inside.tolist()))
+    assert len(calls) == 2 and len(chained - probed) > 0
+    assert st.vertices == one_shot([square])
+    # certainly interior points never reach a second chain
+    calls.clear()
+    st.update(np.array([[0, 0], [1, 1], [-5, 3], [2**60, -2**60]]))
+    assert len(calls) == 1 and st.vertices == one_shot([square])
+    st.update(outside)
+    assert st.vertices == one_shot([square, inside, outside])
+    assert (t + 1, 5) in st.vertices and (t + 1, 7) in st.vertices
+
+
+def test_float_rounding_of_large_ints_is_covered():
+    """An int64 point outside an edge whose float images put it well inside.
+
+    Near 2**61 floats are 256 or 512 apart, so the float edge from
+    (t + 512, -t) to (t - 256, t) passes 191 units right of the exact one at
+    y = 0, and p = (t, 0) lies between them.  The batch's other points tie
+    or beat p in every probe direction, so only the filter decides p.
+    """
+    t = 2**61
+    polygon = np.array([[t + 257, -t], [t - 383, t], [-t, t], [-t, -t]], dtype=np.int64)
+    batch = np.array([[t - 100, 2**50], [t + 90, -2**60], [t - 5000, 0], [t, 0]],
+                     dtype=np.int64)
+    st = HullState.empty(2).update(polygon).update(batch)
+    assert st.vertices == one_shot([polygon, batch])
+    assert (t, 0) in st.vertices
+
+
+def filter_drops(monkeypatch, vertices, batch):
+    """Batch points the float filter dropped, and the inner polygon P."""
+    calls = []
+
+    def recording_chain(points):
+        calls.append((list(points), convex_hull_2d(points)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(hull, "convex_hull_2d", recording_chain)
+    st = HullState.empty(2)
+    st.vertices = list(vertices)
+    st.update(batch)
+    passed = set(calls[-1][0]) if len(calls) == 2 else set()
+    return [p for p in map(tuple, batch.tolist()) if p not in passed], calls[0][1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_float_filter_drops_only_strictly_interior_points(monkeypatch, seed):
+    """Float points within 8 ulps of an edge, on both sides: every point the
+    filter drops is strictly inside P in exact rational arithmetic."""
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        a = 0.5 + rng.random(2) * 0.1
+        b = a + rng.random(2) * 24 + 1
+        c = (a + b) / 2 + np.array([a[1] - b[1], b[0] - a[0]])
+        s = rng.random((300, 1))
+        near = a + s * (b - a)
+        near += rng.integers(-8, 9, size=near.shape) * np.spacing(np.abs(near).max())
+        inside = (a + b + c) / 3 + rng.standard_normal((50, 2)) * 0.01
+        dropped, inner = filter_drops(monkeypatch, convex_hull_2d([a, b, c]),
+                                      np.vstack([inside, near]))
+        poly = [tuple(map(Fraction, v)) for v in inner]
+        for p in dropped:
+            q = tuple(map(Fraction, p))
+            assert all(hull._cross(poly[i - 1], poly[i], q) > 0 for i in range(len(poly)))
+
+
+class _Positions(ObserverBase):
+    def __init__(self):
+        self.points = [(0, 0)]
+
+    def observe(self, block):
+        self.points += block.positions.tolist()
+
+
+@pytest.mark.parametrize("spec, seeds", [
+    (coordinate_product([constant(0.5), s_two_sided(0.8)]), (0, 1, 2)),
+    (coordinate_product([s_two_sided(1.2), s_two_sided(0.7)]), (3, 4)),
+    (coordinate_product([rademacher(), s_two_sided(0.5)]), (5, 6)),
+], ids=["float-drift", "float-heavy", "lattice-two-pole"])
+def test_walk_hull_equals_one_shot(spec, seeds):
+    for seed in seeds:
+        tr, pos = HullTracker(), _Positions()
+        run_walk(spec, 2**13, seed=seed, observers=[tr, pos])
+        assert tr.state.vertices == convex_hull_2d(pos.points)
