@@ -191,7 +191,8 @@ class HullState:
         """
         lo, hi = f.min(axis=0), f.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
-        probes = np.unique((_PROBE_DIRS @ ((f - lo) / span).T).argmax(axis=1))
+        # repeated probes are harmless: the chain drops duplicate points
+        probes = (_PROBE_DIRS @ ((f - lo) / span).T).argmax(axis=1)
         inner = convex_hull_2d(self.vertices + _tuples(arr[probes]))
         keep = np.ones(len(arr), dtype=bool)
         v = np.asarray(inner, dtype=float)
