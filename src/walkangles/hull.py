@@ -175,10 +175,11 @@ class HullState:
         Certainty comes from a static error bound (Shewchuk, DCG 1997, with
         a term for inexact inputs).  For an edge (a, b) of P the filter
         computes ``ex*ry - ey*rx`` in float, with ``ex, ey = b - a`` and
-        ``rx, ry = p - a``; ``Rx, Ry`` (``rx_max, ry_max``) bound ``|rx|, |ry|``
-        over the batch's bounding box.  Let u = 2**-53, M the largest coordinate magnitude of
-        P and the batch, and K = u*M when M > 2**53 (int64 coordinates above
-        2**53 round on conversion to float), else 0.  Each subtraction moves
+        ``rx, ry = p - a``; ``Rx, Ry`` (``rx_max, ry_max``) bound
+        ``|rx|, |ry|`` over the batch's bounding box.  Let u = 2**-53, M the
+        largest coordinate magnitude of P and the batch, and K = u*M when
+        M > 2**53 (int64 coordinates above 2**53 round on conversion to
+        float), else 0.  Each subtraction moves
         a difference by at most u/(1-u) of itself plus 2K, and each product
         and the final difference round once, so the float cross product is
         within 4.01u*(|ex|*Ry + |ey|*Rx) + 2.01K*(|ex| + |ey| + Rx + Ry) + 8K**2

@@ -48,7 +48,7 @@ class ClassifierThresholds:
         if self.growth <= 1:
             raise ValueError("classifier.growth must exceed 1")
         if self.osc_scale <= 0 or self.final_scale <= 0:
-            raise ValueError("classifier scales must be positive")
+            raise ValueError("classifier.osc_scale and classifier.final_scale must be positive")
         if self.min_checkpoints < 3:
             # the growth test reads the last three checkpoints
             raise ValueError("classifier.min_checkpoints must be >= 3")
