@@ -1,27 +1,37 @@
 """Golden SHA-256 pins for the artifacts the engine, samplers and observers produce.
 
 ``golden.json`` holds the ``manifest.json`` digest of each committed config and
-of four small configs that reach the float and heavy-tail paths, and the digest
-of each worked-example report at its committed scale.  A manifest digest covers
-the config, the spawned seeds and the SHA-256 of every artifact file, so any
-change to an artifact byte shows here.  Such a change needs a deliberate pin
-update, never a regeneration switch: a mismatch prints the actual digest.
+of four small configs that reach the float and heavy-tail paths, the digest
+of each worked-example report at its committed scale, and the digest of the
+``pruitt --csv`` table of four tails.  A manifest digest covers the config,
+the spawned seeds and the SHA-256 of every artifact file, so any change to an
+artifact byte shows here.  Such a change needs a deliberate pin update, never
+a regeneration switch: a mismatch prints the actual digest.
+
+The benchmark's workloads are pinned in ``perfbench/pins.json``; they are the
+only pins that reach the d=3 hull, and they are checked here as well.
 """
 import glob
 import hashlib
 import json
 import os
+import runpy
 
 import pytest
 
 from walkangles.examples import reproduce_example
 from walkangles.experiment import load_config, run_experiment
+from walkangles.pruitt import TailFunction, pruitt_diagnostic, u_sequence
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(REPO, "tests", "golden.json")) as _fh:
     GOLDEN = json.load(_fh)
 
 COMMITTED_CONFIGS = sorted(glob.glob(os.path.join(REPO, "configs", "*.json")))
+
+BENCH = runpy.run_path(os.path.join(REPO, "perfbench", "workloads.py"))
+with open(os.path.join(REPO, "perfbench", "pins.json")) as _fh:
+    BENCH_PINS = json.load(_fh)
 
 
 def _law(name, **param):
@@ -86,3 +96,26 @@ def test_extra_config_matches_golden(name, tmp_path):
 def test_ex_10_4_report_matches_golden():
     # criteria 4-8 pin the other example reports they already build
     assert_pinned("reports", "ex-10.4", report_digest(reproduce_example("ex-10.4")))
+
+
+# the tails of ``walkangles pruitt <tail> --csv`` at its default --K 64
+PRUITT_TAILS = {
+    "log_tail": TailFunction("log_tail"),
+    "poly:1.5": TailFunction("poly", 1.5),
+    "stretched:0.3": TailFunction("stretched_exp", 0.3),
+    "custom-3-row": TailFunction("custom", table=((2.0, 0.7), (64.0, 0.3),
+                                                  (4096.0, 0.1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUITT_TAILS))
+def test_pruitt_csv_matches_golden(name):
+    tail = PRUITT_TAILS[name]
+    text = pruitt_diagnostic(u_sequence(tail, 64)).to_csv(tail)
+    assert_pinned("pruitt_csv", name, hashlib.sha256(text.encode()).hexdigest())
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_PINS))
+def test_benchmark_workload_matches_pin(name, tmp_path):
+    config = BENCH["config_for"](name, BENCH["DEFAULT_SEED"])
+    assert manifest_digest(config, tmp_path) == BENCH_PINS[name]
