@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sphere import direction_grid
-from .walk import NEG_INF, ObserverBase, WalkBlock, format_number
+from .walk import NEG_INF, ObserverBase, WalkBlock, csv_text
 
 __all__ = [
     "EstimatorConfig",
@@ -29,11 +29,11 @@ __all__ = [
     "DirectionSetEstimate",
     "ConsensusEstimate",
     "combine_runs",
-    "IN", "OUT", "UNDECIDED",
+    "IN", "OUT", "UNDECIDED", "VERDICT_NAMES",
 ]
 
 IN, UNDECIDED, OUT = 1, 0, -1
-_VERDICT_NAMES = {IN: "IN", OUT: "OUT", UNDECIDED: "UNDECIDED"}
+VERDICT_NAMES = {IN: "IN", OUT: "OUT", UNDECIDED: "UNDECIDED"}
 _LN2 = math.log(2.0)
 
 
@@ -158,20 +158,6 @@ class CapVisitAccumulator(ObserverBase):
                 self.graded_windows[present // 64, j] |= (
                     np.int64(1) << (present % 64).astype(np.int64))
 
-    def record_visit(self, position, n: int) -> "CapVisitAccumulator":
-        """Single-step entry point; the origin is recorded nowhere."""
-        pos = np.asarray(position, dtype=float)
-        norm = float(np.linalg.norm(pos))
-        if norm == 0.0:
-            block = WalkBlock(first_n=n, dirs=np.zeros((1, len(pos))),
-                              log_norms=np.array([NEG_INF]), positions=pos[None, :])
-        else:
-            block = WalkBlock(first_n=n, dirs=pos[None, :] / norm,
-                              log_norms=np.array([math.log(norm)]),
-                              positions=pos[None, :])
-        self.observe(block)
-        return self
-
     # -- summaries ----------------------------------------------------------
 
     def top_reached_level(self) -> int:
@@ -246,15 +232,10 @@ class DirectionSetEstimate:
                 + [f"visits_l{l}" for l in range(n_lv)]
                 + [f"graded_max_a{a}" for a in self.config.alphas]
                 + [f"graded_in_a{a}" for a in self.config.alphas])
-        lines = [",".join(cols)]
-        for i in range(len(self.grid)):
-            cells = [str(i)] + [format_number(x) for x in self.grid[i]]
-            cells += [_VERDICT_NAMES[int(self.verdicts[i])], str(int(self.top_level_per_point[i]))]
-            cells += [str(int(v)) for v in self.visits[i]]
-            cells += [format_number(x) for x in self.graded_max[i]]
-            cells += [str(bool(b)) for b in self.graded_in[i]]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        verdicts = [VERDICT_NAMES[v] for v in self.verdicts.tolist()]
+        return csv_text(cols, [range(len(self.grid)), *self.grid.T, verdicts,
+                               self.top_level_per_point, *self.visits.T,
+                               *self.graded_max.T, *self.graded_in.T])
 
 
 @dataclass

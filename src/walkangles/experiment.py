@@ -18,12 +18,13 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .directions import (CapVisitAccumulator, EstimatorConfig, combine_runs,
-                         IN, OUT)
+                         IN, OUT, VERDICT_NAMES)
 from .hull import HullTracker, hull_growth_report
-from .projections import ClassifierThresholds, ProjectionTracker, classify, scan_exceptional
+from .projections import (UNDECIDED, ClassifierThresholds, ProjectionTracker, classify,
+                          scan_exceptional)
 from .rng import run_seed
 from .samplers import IncrementSpec, spec_from_json, spec_to_json
-from .walk import dyadic_checkpoints, run_walk
+from .walk import csv_text, dyadic_checkpoints, run_walk
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "RunResult", "run_experiment",
            "load_config", "config_hash"]
@@ -240,7 +241,11 @@ def _one_run(config: ExperimentConfig, index: int) -> RunResult:
         hull = HullTracker(support_m=config.hull_tracked_m)
         observers.append(hull)
     record = run_walk(spec, config.n_steps, seed, observers=observers)
-    verdicts = [classify(s, config.classifier) for s in proj.all_stats()]
+    if len(proj.checkpoint_ns) < config.classifier.min_checkpoints:
+        # the walk halted (record.overflowed) before its ladder could classify
+        verdicts = [UNDECIDED] * len(proj.directions)
+    else:
+        verdicts = [classify(s, config.classifier) for s in proj.all_stats()]
     return RunResult(index=index, seed=seed, record=record, estimate=acc.finalize(),
                      projections=proj, hull=hull,
                      hull_report=hull_growth_report(hull) if hull else None,
@@ -326,13 +331,10 @@ def _write_artifacts(result: ExperimentResult) -> None:
                        "log-scale walks\n")
     if result.consensus is not None:
         cons = result.consensus
-        lines = ["index,u_components,verdict,agreement"]
-        names = {IN: "IN", OUT: "OUT", 0: "UNDECIDED"}
-        for i in range(len(cons.grid)):
-            comp = ";".join(repr(float(x)) for x in cons.grid[i])
-            lines.append(f"{i},{comp},{names[int(cons.verdicts[i])]},"
-                         f"{repr(float(cons.agreement[i]))}")
-        write_text("consensus_directions.csv", "\n".join(lines) + "\n")
+        write_text("consensus_directions.csv", csv_text(
+            ["index", "u_components", "verdict", "agreement"],
+            [range(len(cons.grid)), [";".join(map(str, u)) for u in cons.grid.tolist()],
+             [VERDICT_NAMES[v] for v in cons.verdicts.tolist()], cons.agreement]))
     write_text("summary.json", json.dumps(result.summary, sort_keys=True, indent=2))
 
     manifest = {

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sphere import direction_grid
-from .walk import ObserverBase, UnsupportedSpecError, WalkBlock, format_number
+from .walk import ObserverBase, UnsupportedSpecError, WalkBlock, csv_text
 
 __all__ = [
     "FULL_SPACE_TREND", "CONFINED", "NO_TREND",
@@ -231,7 +231,11 @@ class HullState:
     def vertex_count(self) -> int:
         if self.dimension == 2:
             return len(self.vertices)
-        return len(np.unique(np.round(self.support_points, 9), axis=0))
+        # distinct rows, counted as np.unique(..., axis=0) counts them without
+        # its import of numpy.ma: sorted, equal rows are adjacent
+        pts = np.round(self.support_points, 9)
+        pts = pts[np.lexsort(pts.T[::-1])]
+        return 1 + int(np.any(pts[1:] != pts[:-1], axis=1).sum())
 
     def inscribed_radius(self) -> float:
         """Largest r with the origin-centered r-ball inside the hull.
@@ -311,12 +315,10 @@ class HullTracker(ObserverBase):
     def to_csv(self) -> str:
         m = len(self.state.tracked_dirs)
         cols = ["n", "r", "vertex_count"] + [f"confinement_{i}" for i in range(m)]
-        lines = [",".join(cols)]
-        for cp in self.series:
-            cells = [str(cp.n), format_number(cp.r), str(cp.vertex_count)]
-            cells += [format_number(x) for x in cp.confinements]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        series = self.series
+        confinements = np.array([cp.confinements for cp in series]).reshape(len(series), m)
+        return csv_text(cols, [[cp.n for cp in series], [cp.r for cp in series],
+                               [cp.vertex_count for cp in series], *confinements.T])
 
 
 @dataclass

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sphere import direction_grid
-from .walk import NEG_INF, ObserverBase, WalkBlock, format_number
+from .walk import NEG_INF, ObserverBase, WalkBlock, csv_text
 
 __all__ = [
     "PLUS", "MINUS", "OSC", "UNDECIDED",
@@ -81,7 +81,12 @@ class ProjectionStats:
     log_scale: bool = False
 
 class ProjectionTracker(ObserverBase):
-    """Per-step running min/max of the projections onto a direction grid."""
+    """Per-step running min/max of the projections onto a direction grid.
+
+    After ``finish``, ``mins`` and ``maxes`` are (checkpoints reached x M)
+    arrays: row k holds every direction's running extreme at
+    ``checkpoint_ns[k]``.
+    """
 
     def __init__(self, directions: np.ndarray | None = None, grid_m: int = 64):
         self._dirs = None if directions is None else np.atleast_2d(
@@ -89,8 +94,8 @@ class ProjectionTracker(ObserverBase):
         self._grid_m = grid_m
         self.log_scale = False
         self.checkpoint_ns: list[int] = []
-        self.min_rows: list[np.ndarray] = []
-        self.max_rows: list[np.ndarray] = []
+        self.mins: np.ndarray | None = None
+        self.maxes: np.ndarray | None = None
         self.final_values: np.ndarray | None = None
         self.n_steps = 0
 
@@ -105,6 +110,8 @@ class ProjectionTracker(ObserverBase):
         self._cur_min = np.zeros(m)
         self._cur_max = np.zeros(m)
         self._last = np.zeros(m)
+        self.mins = np.empty((len(checkpoints), m))
+        self.maxes = np.empty((len(checkpoints), m))
 
     @property
     def directions(self) -> np.ndarray:
@@ -124,19 +131,23 @@ class ProjectionTracker(ObserverBase):
         np.maximum(self._cur_max, vals.max(axis=0), out=self._cur_max)
         self._last = vals[-1]
         if block.last_n in self._cps:
+            k = len(self.checkpoint_ns)
+            self.mins[k] = self._cur_min
+            self.maxes[k] = self._cur_max
             self.checkpoint_ns.append(block.last_n)
-            self.min_rows.append(self._cur_min.copy())
-            self.max_rows.append(self._cur_max.copy())
 
     def finish(self, state) -> None:
+        # a walk that halts early reaches only the first checkpoints
+        k = len(self.checkpoint_ns)
+        self.mins, self.maxes = self.mins[:k], self.maxes[:k]
         self.final_values = self._last.copy()
 
     def stats_for(self, index: int) -> ProjectionStats:
         return ProjectionStats(
             direction=self._dirs[index],
             checkpoints=list(self.checkpoint_ns),
-            mins=np.array([row[index] for row in self.min_rows]),
-            maxes=np.array([row[index] for row in self.max_rows]),
+            mins=self.mins[:, index],
+            maxes=self.maxes[:, index],
             final=float(self.final_values[index]),
             n_steps=self.n_steps,
             log_scale=self.log_scale)
@@ -151,16 +162,8 @@ class ProjectionTracker(ObserverBase):
                 + [f"min_n{n}" for n in self.checkpoint_ns]
                 + [f"max_n{n}" for n in self.checkpoint_ns]
                 + ["final", "verdict"])
-        lines = [",".join(cols)]
-        for i in range(len(self._dirs)):
-            st = self.stats_for(i)
-            cells = [format_number(x) for x in self._dirs[i]]
-            cells += [format_number(x) for x in st.mins]
-            cells += [format_number(x) for x in st.maxes]
-            cells.append(format_number(st.final))
-            cells.append(verdicts[i])
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return csv_text(cols, [*self._dirs.T, *self.mins, *self.maxes,
+                               self.final_values, verdicts])
 
 
 def project_series(positions, u, checkpoints=None) -> ProjectionStats:

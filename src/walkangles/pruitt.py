@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import format_number
+from .walk import csv_text
 
 __all__ = [
     "CONVERGENT_TREND", "DIVERGENT_TREND", "INCONCLUSIVE",
@@ -108,11 +108,9 @@ class PruittDiagnostic:
     fitted_slope: float
 
     def to_csv(self, tail: TailFunction) -> str:
-        lines = ["k,tail_at_2k,u_k,partial_sum_sq"]
-        for k, (uk, ps) in enumerate(zip(self.u, self.partial_sums)):
-            lines.append(",".join([str(k), format_number(tail(2.0 ** k)),
-                                   format_number(uk), format_number(ps)]))
-        return "\n".join(lines) + "\n"
+        ks = range(len(self.u))
+        return csv_text(["k", "tail_at_2k", "u_k", "partial_sum_sq"],
+                        [ks, [tail(2.0 ** k) for k in ks], self.u, self.partial_sums])
 
 
 def pruitt_diagnostic(u, min_terms: int = 16) -> PruittDiagnostic:

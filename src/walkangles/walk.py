@@ -20,8 +20,6 @@ controls how far the walk's direction can sit from the biggest jump's atom:
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -29,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .rng import stream
-from .samplers import RADIAL_PRODUCT, IncrementSampler, IncrementSpec, spec_to_json
+from .samplers import RADIAL_PRODUCT, IncrementSampler, IncrementSpec
 
 __all__ = [
     "BLOCK",
@@ -44,8 +42,7 @@ __all__ = [
     "run_walk",
     "dyadic_checkpoints",
     "biggest_jump_bound_check",
-    "format_number",
-    "format_signed_log10",
+    "csv_text",
 ]
 
 BLOCK = 1 << 14          # fixed: the engine's draw order is part of determinism
@@ -192,22 +189,18 @@ def dyadic_checkpoints(n_steps: int) -> list[int]:
     return pts
 
 
-def format_number(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+def csv_text(header: Sequence[str], columns: Sequence) -> str:
+    """CSV text: the ``header`` line, then one line per row of ``columns``.
 
-
-def format_signed_log10(sign: int, log10_value: float) -> str:
-    """Extended scientific notation for values far beyond float64 range."""
-    if sign == 0 or log10_value == NEG_INF:
-        return "0"
-    expo = math.floor(log10_value)
-    mant = 10.0 ** (log10_value - expo)
-    if mant >= 10.0:           # rounding pushed the mantissa over
-        mant /= 10.0
-        expo += 1
-    return f"{'-' if sign < 0 else ''}{mant:.12g}e{expo:+d}"
+    Each column is a 1-d array or a list; arrays become Python values with
+    ``tolist()``.  Every cell is ``str()`` of its value, so a float64 is its
+    shortest round-trip ``repr`` and an int64 its decimal digits.  Columns of
+    unequal length raise ``ValueError``.
+    """
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    lines = [",".join(header)]
+    lines += [",".join(map(str, row)) for row in zip(*cols, strict=True)]
+    return "\n".join(lines) + "\n"
 
 
 def _format_log_value(log_abs: float, sign: float = 1.0) -> str:
@@ -216,7 +209,13 @@ def _format_log_value(log_abs: float, sign: float = 1.0) -> str:
         return "0"
     if log_abs < _FLOAT_SAFE_LOG:
         return repr(math.copysign(math.exp(log_abs), sign))
-    return format_signed_log10(1 if sign > 0 else -1, log_abs * _LOG10_E)
+    log10_value = log_abs * _LOG10_E
+    expo = math.floor(log10_value)
+    mant = 10.0 ** (log10_value - expo)
+    if mant >= 10.0:           # rounding pushed the mantissa over
+        mant /= 10.0
+        expo += 1
+    return f"{'' if sign > 0 else '-'}{mant:.12g}e{expo:+d}"
 
 
 @dataclass
@@ -232,7 +231,7 @@ class CheckpointRow:
 
 @dataclass
 class TrajectoryRecord:
-    """Checkpoint trace of one walk, serializable to CSV and JSON."""
+    """Checkpoint trace of one walk, serializable to CSV."""
 
     spec: IncrementSpec
     seed: int
@@ -243,55 +242,28 @@ class TrajectoryRecord:
     saturations: int = 0
     final_state: WalkState | None = None
 
-    def _row_cells(self, row: CheckpointRow) -> list[str]:
-        cells = [str(row.n)]
-        if row.position is not None:
-            cells += [format_number(x) for x in row.position]
-            cells.append(format_number(float(np.linalg.norm(row.position))))
-        else:
-            cells += ["0" if c == 0.0 else
-                      _format_log_value(row.log_norm + math.log(abs(c)), c)
-                      for c in row.direction]
-            cells.append(_format_log_value(row.log_norm))
-        cells += [format_number(x) for x in row.direction]
-        if self.spec.form == RADIAL_PRODUCT:
-            if self.mode == "log":
-                cells += [_format_log_value(row.xi_max), _format_log_value(row.xi_rest)]
-            else:
-                cells += [format_number(row.xi_max), format_number(row.xi_rest)]
-            cells.append(str(row.max_index))
-        return cells
-
-    def csv_header(self) -> list[str]:
-        d = self.spec.dimension
-        cols = ["n"] + [f"s_{i+1}" for i in range(d)] + ["norm"]
-        cols += [f"shat_{i+1}" for i in range(d)]
-        if self.spec.form == RADIAL_PRODUCT:
-            cols += ["xi_max", "xi_rest", "max_index"]
-        return cols
-
     def to_csv(self) -> str:
-        lines = [",".join(self.csv_header())]
-        lines += [",".join(self._row_cells(row)) for row in self.checkpoints]
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        rows = []
-        for row in self.checkpoints:
-            cells = self._row_cells(row)
-            rows.append(dict(zip(self.csv_header(), cells)))
-        return json.dumps({
-            "spec": json.loads(spec_to_json(self.spec)),
-            "seed": self.seed,
-            "n_steps": self.n_steps,
-            "mode": self.mode,
-            "overflowed": self.overflowed,
-            "saturations": self.saturations,
-            "checkpoints": rows,
-        }, sort_keys=True)
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        d = self.spec.dimension
+        rows = self.checkpoints
+        header = (["n"] + [f"s_{i+1}" for i in range(d)] + ["norm"]
+                  + [f"shat_{i+1}" for i in range(d)])
+        dirs = np.array([row.direction for row in rows]).reshape(len(rows), d)
+        if self.mode == "log":
+            log_norms = [row.log_norm for row in rows]
+            positions = [[_format_log_value(ln + math.log(abs(c)), c) if c != 0.0 else "0"
+                          for ln, c in zip(log_norms, col)] for col in dirs.T.tolist()]
+            norms = [_format_log_value(ln) for ln in log_norms]
+        else:
+            positions = np.array([row.position for row in rows]).reshape(len(rows), d).T
+            norms = [float(np.linalg.norm(row.position)) for row in rows]
+        columns = [[row.n for row in rows], *positions, norms, *dirs.T]
+        if self.spec.form == RADIAL_PRODUCT:
+            header += ["xi_max", "xi_rest", "max_index"]
+            xi = [[row.xi_max for row in rows], [row.xi_rest for row in rows]]
+            if self.mode == "log":
+                xi = [[_format_log_value(x) for x in col] for col in xi]
+            columns += xi + [[row.max_index for row in rows]]
+        return csv_text(header, columns)
 
 
 # ---------------------------------------------------------------------------

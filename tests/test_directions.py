@@ -1,4 +1,6 @@
 """Cap-visit accounting, verdicts, and multi-run consensus."""
+import math
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,25 @@ from walkangles.directions import (IN, OUT, UNDECIDED, CapVisitAccumulator,
                                    EstimatorConfig, combine_runs)
 from walkangles.samplers import (coordinate_product, constant, rademacher,
                                  s_two_sided)
-from walkangles.walk import run_walk
+from walkangles.walk import NEG_INF, WalkBlock, run_walk
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
+
+
+def record_visit(acc: CapVisitAccumulator, position, n: int) -> CapVisitAccumulator:
+    """Show ``acc`` the walk at ``position`` as step ``n``, in a one-row block."""
+    pos = np.asarray(position, dtype=float)
+    norm = float(np.linalg.norm(pos))
+    if norm == 0.0:
+        block = WalkBlock(first_n=n, dirs=np.zeros((1, len(pos))),
+                          log_norms=np.array([NEG_INF]), positions=pos[None, :])
+    else:
+        block = WalkBlock(first_n=n, dirs=pos[None, :] / norm,
+                          log_norms=np.array([math.log(norm)]),
+                          positions=pos[None, :])
+    acc.observe(block)
+    return acc
 
 
 def small_config(**kw):
@@ -21,14 +38,14 @@ def small_config(**kw):
 
 def test_origin_recorded_nowhere():
     acc = CapVisitAccumulator(small_config(), 2)
-    acc.record_visit([0.0, 0.0], 5)
+    record_visit(acc, [0.0, 0.0], 5)
     assert acc.visits.sum() == 0
 
 
 def test_visit_hits_all_levels():
     # levels are 10, 20, 40, 80; a visit at norm 100 lands beyond every one
     acc = CapVisitAccumulator(small_config(), 2)
-    acc.record_visit(100.0 * E1, 3)
+    record_visit(acc, 100.0 * E1, 3)
     e1_idx = int(np.argmin(np.linalg.norm(acc.grid - E1, axis=1)))
     assert np.array_equal(acc.visits[e1_idx], [1, 1, 1, 1])
     # nothing accrues to the antipode
@@ -38,15 +55,15 @@ def test_visit_hits_all_levels():
 
 def test_below_lowest_level_ignored():
     acc = CapVisitAccumulator(small_config(), 2)
-    acc.record_visit(5.0 * E1, 2)
+    record_visit(acc, 5.0 * E1, 2)
     assert acc.visits.sum() == 0
 
 
 def test_level_edge_is_strict():
     acc = CapVisitAccumulator(small_config(), 2)
-    acc.record_visit(10.0 * E1, 1)     # norm == R_0 exactly: not beyond it
+    record_visit(acc, 10.0 * E1, 1)     # norm == R_0 exactly: not beyond it
     assert acc.visits.sum() == 0
-    acc.record_visit(10.0000001 * E1, 2)
+    record_visit(acc, 10.0000001 * E1, 2)
     assert acc.visits.sum() > 0
 
 
@@ -54,7 +71,7 @@ def test_cascade_invariant():
     acc = CapVisitAccumulator(small_config(), 2)
     rng = np.random.default_rng(3)
     for n in range(1, 400):
-        acc.record_visit(rng.standard_normal(2) * rng.exponential(40), n)
+        record_visit(acc, rng.standard_normal(2) * rng.exponential(40), n)
     diffs = np.diff(acc.visits, axis=1)
     assert np.all(diffs <= 0)           # visits(u, l+1) <= visits(u, l)
 
@@ -62,7 +79,7 @@ def test_cascade_invariant():
 def test_finalize_axis_walk():
     acc = CapVisitAccumulator(small_config(v_min=3), 2)
     for n in range(1, 200):
-        acc.record_visit(float(n) * E1, n)
+        record_visit(acc, float(n) * E1, n)
     est = acc.finalize()
     e1_idx = int(np.argmin(np.linalg.norm(acc.grid - E1, axis=1)))
     anti = int(np.argmin(np.linalg.norm(acc.grid + E1, axis=1)))
@@ -81,7 +98,7 @@ def test_finalize_requires_data():
 def test_no_in_without_escape():
     acc = CapVisitAccumulator(small_config(min_top_level=2), 2)
     for n in range(1, 50):
-        acc.record_visit(12.0 * E1, n)    # only level 0 ever reached
+        record_visit(acc, 12.0 * E1, n)    # only level 0 ever reached
     est = acc.finalize()
     assert not np.any(est.verdicts == IN)
 
@@ -89,11 +106,11 @@ def test_no_in_without_escape():
 def test_graded_needs_two_windows():
     cfg = small_config(alphas=(0.5,), kappa=0.1)
     acc = CapVisitAccumulator(cfg, 2)
-    acc.record_visit(50.0 * E1, 2)     # window floor(log2 2) = 1
+    record_visit(acc, 50.0 * E1, 2)     # window floor(log2 2) = 1
     est = acc.finalize()
     e1_idx = int(np.argmin(np.linalg.norm(acc.grid - E1, axis=1)))
     assert not est.graded_in[e1_idx, 0]
-    acc.record_visit(80.0 * E1, 5)     # window 2: second distinct window
+    record_visit(acc, 80.0 * E1, 5)     # window 2: second distinct window
     est = acc.finalize()
     assert est.graded_in[e1_idx, 0]
 
@@ -112,7 +129,7 @@ def test_monotone_more_steps_never_flips_in_to_out():
 def test_combine_identical_estimates():
     acc = CapVisitAccumulator(small_config(), 2)
     for n in range(1, 100):
-        acc.record_visit(float(n) * E1, n)
+        record_visit(acc, float(n) * E1, n)
     est = acc.finalize()
     cons = combine_runs([est] * 10)
     assert np.all(cons.agreement == 1.0)
@@ -120,10 +137,8 @@ def test_combine_identical_estimates():
 
 
 def test_combine_rejects_mismatched_grids():
-    a = (CapVisitAccumulator(small_config(), 2)
-         .record_visit(40.0 * E1, 1).finalize())
-    b = (CapVisitAccumulator(small_config(grid_m=32), 2)
-         .record_visit(40.0 * E1, 1).finalize())
+    a = record_visit(CapVisitAccumulator(small_config(), 2), 40.0 * E1, 1).finalize()
+    b = record_visit(CapVisitAccumulator(small_config(grid_m=32), 2), 40.0 * E1, 1).finalize()
     with pytest.raises(ValueError):
         combine_runs([a, b])
 
@@ -177,7 +192,7 @@ def test_determinism_of_direction_set_across_seeds():
 def test_estimate_csv_shape():
     acc = CapVisitAccumulator(small_config(), 2)
     for n in range(1, 50):
-        acc.record_visit(float(n) * E1, n)
+        record_visit(acc, float(n) * E1, n)
     text = acc.finalize().to_csv()
     lines = text.strip().split("\n")
     assert len(lines) == 65
@@ -190,6 +205,6 @@ def test_kesten_annotation_for_d3():
     cfg = EstimatorConfig(grid_m=32, cap_radius=0.4, escape_r0=5.0,
                           escape_levels=2, min_top_level=0)
     acc = CapVisitAccumulator(cfg, 3)
-    acc.record_visit(np.array([30.0, 0.0, 0.0]), 4)
+    record_visit(acc, np.array([30.0, 0.0, 0.0]), 4)
     est = acc.finalize()
     assert est.notes.get("graded_alpha_below_half") == "EXPECTED_FULL"

@@ -162,6 +162,27 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     assert main(["simulate", str(bad_path), "--out", str(tmp_path / "o2")]) == 2
 
 
+def test_cli_simulate_halted_runs_are_undecided(tmp_path):
+    # both float walks leave float range at step 2, so each ladder holds one
+    # checkpoint: too few to classify, yet every artifact is written
+    config = {"spec": {"dimension": 2, "form": "coordinate_product",
+                       "laws": [{"name": "constant", "value": 1e308},
+                                {"name": "rademacher"}]},
+              "n_steps": 64, "n_runs": 2}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0
+    summary = json.loads(read(out / "summary.json"))
+    assert [(r["overflowed"], r["classification_counts"]) for r in summary["runs"]] \
+        == [(True, {"UNDECIDED": 64})] * 2
+    rows = list(csv.reader(io.StringIO(read(out / "run0_projections.csv").decode())))
+    assert rows[0] == ["u_1", "u_2", "min_n1", "max_n1", "final", "verdict"]
+    assert {row[-1] for row in rows[1:]} == {"UNDECIDED"}
+    assert (out / "manifest.json").exists()
+
+
 def test_cli_simulate_bad_field_exit_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(MINIMAL, n_runs="x")))

@@ -1,5 +1,8 @@
 """Trajectory hull maintenance, inscribed radius, confinement, trend flags."""
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +15,8 @@ from walkangles.hull import (CONFINED, FULL_SPACE_TREND, HullState,
 from walkangles.samplers import (coordinate_product, constant, rademacher,
                                  s_two_sided)
 from walkangles.walk import ObserverBase, UnsupportedSpecError, run_walk
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 E1 = np.array([1.0, 0.0])
 
@@ -95,6 +100,43 @@ def test_support_sketch_d3():
     # the sketch radius upper-bounds nothing smaller than any support value
     assert r <= st.supports.max()
     assert st.vertex_count() >= 3
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("rows", [
+    np.random.default_rng(5).integers(-2, 3, (64, 3)),          # many duplicates
+    [[1.0, 2.0, 3.0], [1.0 + 1e-12, 2.0, 3.0], [1.0, 2.0, 3.0 - 1e-12]],
+    [[0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, 1.0], [-0.0, -0.0, -1.0]],
+    [[NAN, 0.0, 0.0], [NAN, 0.0, 0.0], [1.0, NAN, 0.0], [1.0, 2.0, 3.0],
+     [1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [NAN, NAN, NAN]],
+    [[7.0, 7.0, 7.0]],
+], ids=["duplicates", "rounding", "signed-zeros", "nan", "one-row"])
+def test_vertex_count_matches_np_unique(rows):
+    st = HullState.empty(3, support_m=16)
+    st.support_points = np.asarray(rows, dtype=float)
+    assert st.vertex_count() == len(np.unique(np.round(st.support_points, 9), axis=0))
+
+
+def test_d3_hull_run_leaves_numpy_ma_unimported():
+    # np.unique(..., axis=0) imports numpy.ma, about 15 ms per process
+    script = """
+import sys, tempfile
+from walkangles.experiment import load_config, run_experiment
+config = {"spec": {"dimension": 3, "form": "coordinate_product",
+                   "laws": [{"name": "rademacher"}] * 3},
+          "n_steps": 256, "n_runs": 2}
+with tempfile.TemporaryDirectory() as out:
+    result = run_experiment(load_config(config, out_dir=out))
+assert result.runs[0].hull.series[-1].vertex_count > 0
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_radius_monotone_along_run():
