@@ -143,3 +143,17 @@ def test_tracker_csv():
     lines = text.strip().split("\n")
     assert len(lines) == 9
     assert lines[0].endswith("final,verdict")
+
+
+def test_ladder_of_walk_halted_before_first_checkpoint():
+    # the float walk leaves float range at step 2, before checkpoint 4
+    spec = coordinate_product([constant(1e308), rademacher()])
+    tr = ProjectionTracker(grid_m=8)
+    with np.errstate(over="ignore"):
+        rec = run_walk(spec, 64, seed=0, observers=[tr], checkpoints=[4, 64])
+    assert rec.overflowed
+    assert tr.checkpoint_ns == []
+    assert tr.mins.shape == tr.maxes.shape == (0, 8)
+    assert len(tr.stats_for(0).mins) == 0
+    lines = tr.to_csv(["UNDECIDED"] * 8).splitlines()
+    assert lines[0] == "u_1,u_2,final,verdict" and len(lines) == 9

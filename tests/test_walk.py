@@ -390,16 +390,16 @@ def test_csv_header_and_rows():
 def test_csv_text_cells_are_str_of_python_values():
     ints = np.array([INT_SAT_LIMIT, -INT_SAT_LIMIT, 0, -1, 2**53 + 1], dtype=np.int64)
     floats = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324])
-    sums = [0.1 + 0.2, 1e16, 1e-5, 2.0**-1074, 123456789012345678.0]
+    py_floats = [0.1 + 0.2, 1e16, 1e-5, 2.0**-1074, 123456789012345678.0]
     bools = np.array([True, False, True, True, False])
     names = ["IN", "OUT", "UNDECIDED", "PLUS", "a b"]
-    text = csv_text(["i", "f", "s", "b", "name"], [ints, floats, sums, bools, names])
+    text = csv_text(["i", "f", "p", "b", "name"], [ints, floats, py_floats, bools, names])
     lines = text.split("\n")
-    assert lines[0] == "i,f,s,b,name" and lines[-1] == ""
-    # the rule every emitter followed before csv_text: the digits of an
-    # integer, the repr of a float, str of a bool, strings as they are
-    expected = [[str(int(i)), repr(float(f)), repr(float(s)), str(bool(b)), name]
-                for i, f, s, b, name in zip(ints, floats, sums, bools, names)]
+    assert lines[0] == "i,f,p,b,name" and lines[-1] == ""
+    # the cell rule, written out: the digits of an integer, the repr of a
+    # float, str of a bool, strings as they are
+    expected = [[str(int(i)), repr(float(f)), repr(float(p)), str(bool(b)), name]
+                for i, f, p, b, name in zip(ints, floats, py_floats, bools, names)]
     assert [line.split(",") for line in lines[1:-1]] == expected
     assert csv_text(["x"], [np.zeros(0)]) == "x\n"
     with pytest.raises(ValueError):
