@@ -76,6 +76,92 @@ class EstimatorConfig:
         return self.escape_r0 * 2.0 ** np.arange(self.escape_levels + 1)
 
 
+# rows and grid points are unit vectors to within this slack on |x|^2
+_UNIT_SLACK = 2.0 ** -20
+_ROUNDING = 2.0 ** -53              # unit roundoff of float64
+# the cube grid of a cell table has at most this many cells
+_MAX_CELLS = 1 << 16
+# a cell table is used when its mean candidate list holds at most M/16 points
+_PRUNE_FACTOR = 16
+
+
+class _CellTable:
+    """Grid points that can share a cap with a direction, per cube cell.
+
+    A direction u lies in the cube cell with coordinates
+    ``floor((u_i + 1) * C / 2)`` (clipped to 0..C-1).  Only cells that meet
+    the shell ``1 - s <= |x|^2 <= 1 + s`` (s = ``_UNIT_SLACK``) are tabled;
+    each lists every grid point g whose Euclidean distance to the cell's box,
+    widened by s on every side, is below ``sqrt(r^2 + 4s)`` with
+    ``r^2 = 2 - 2 * dot_min``.  C is about ``4 * sqrt(d) / r``, so a cell's
+    diagonal is about r/2, capped so that ``C**d <= _MAX_CELLS``.
+
+    Why a grid point left out of u's list is never a hit: with
+    ``|u|^2, |g|^2 <= 1 + s`` and ``|u - g|^2 >= r^2 + 4s``, the exact dot is
+    ``(|u|^2 + |g|^2 - |u - g|^2) / 2 <= dot_min - s``, and any float
+    evaluation of a d-term dot of such vectors errs by at most
+    ``gamma_d * |u| |g| <= gamma_d (1 + s)`` with ``gamma_d = d u / (1 - d u)``
+    (u = 2^-53), far below s.  The widened box covers the rounding of the
+    cell coordinate and rows up to ``sqrt(1 + s)`` long.
+
+    Lists are padded to the longest with index M, a NaN row of the extended
+    grid: a padded slot's dot is NaN, which is never above ``dot_min`` (even
+    at ``dot_min = -1``) and never within the margin of it.
+    """
+
+    def __init__(self, grid: np.ndarray, dot_min: float):
+        m, d = grid.shape
+        r2 = 2.0 - 2.0 * dot_min
+        per_axis = math.ceil(4.0 * math.sqrt(d / r2)) if r2 > 0 else _MAX_CELLS
+        c = max(2, min(per_axis, int(round(_MAX_CELLS ** (1.0 / d)))))
+        while c ** d > _MAX_CELLS:
+            c -= 1
+        self.cells = c
+        s = _UNIT_SLACK
+        edges = -1.0 + 2.0 * np.arange(c + 1) / c
+        lo, hi = edges[:-1] - s, edges[1:] + s
+        near2 = np.where((lo < 0) & (hi > 0), 0.0, np.minimum(lo * lo, hi * hi))
+        far2 = np.maximum(lo * lo, hi * hi)
+        near_tot, far_tot = near2, far2
+        for _ in range(d - 1):
+            near_tot = near_tot[..., None] + near2
+            far_tot = far_tot[..., None] + far2
+        shell = np.flatnonzero((near_tot.ravel() <= 1.0 + s) & (far_tot.ravel() >= 1.0 - s))
+        self.slot = np.full(c ** d, -1, dtype=np.int64)
+        self.slot[shell] = np.arange(len(shell))
+        # squared gap from each grid coordinate to each cell's interval: (C, M, d)
+        gap = np.maximum(np.maximum(lo[:, None, None] - grid, grid - hi[:, None, None]), 0.0)
+        gap2 = gap * gap
+        coords = np.unravel_index(shell, (c,) * d)
+        cand = np.empty((len(shell), m), dtype=bool)
+        for a in range(0, len(shell), 4096):          # bounded (cells x M) temporaries
+            dist2 = sum(gap2[coords[i][a:a + 4096], :, i] for i in range(d))
+            cand[a:a + 4096] = dist2 < r2 + 4.0 * s
+        counts = cand.sum(axis=1)
+        self.mean_candidates = float(counts.mean()) if len(counts) else 0.0
+        width = int(counts.max()) if len(counts) else 0
+        idx_type = np.int16 if m < np.iinfo(np.int16).max else np.int64
+        self.table = np.full((len(shell), width), m, dtype=idx_type)
+        rows, cols = np.nonzero(cand)
+        first = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        self.table[rows, np.arange(len(rows)) - first[rows]] = cols
+        self.ext = np.vstack([grid, np.full(d, np.nan)]).T.copy()   # (d, M + 1)
+
+    def cell_of(self, dirs: np.ndarray) -> np.ndarray:
+        """Table row of each direction, -1 where a row is not unit to within
+        the slack (so the table does not cover it)."""
+        c = self.cells
+        idx = np.floor((dirs + 1.0) * (c / 2.0))
+        np.clip(idx, 0, c - 1, out=idx)
+        idx = idx.astype(np.int64)
+        flat = idx[:, 0]
+        for i in range(1, dirs.shape[1]):
+            flat = flat * c + idx[:, i]
+        norm2 = np.einsum("ij,ij->i", dirs, dirs)
+        unit = np.abs(norm2 - 1.0) <= _UNIT_SLACK / 2
+        return np.where(unit, self.slot[flat], -1)
+
+
 class CapVisitAccumulator(ObserverBase):
     """Observer collecting per-(grid point, escape level) visit evidence."""
 
@@ -92,10 +178,23 @@ class CapVisitAccumulator(ObserverBase):
         self.level_totals = np.zeros(n_lv, dtype=np.int64)
         self.level_band_hits = np.zeros(n_lv, dtype=np.int64)
         self.n_steps_seen = 0
+        self.fallback_blocks = 0        # blocks decided by the dense expression
         self._dot_min = 1.0 - config.cap_radius ** 2 / 2.0  # chord < r as a dot bound
         self._log_r0 = math.log(config.escape_r0)
+        self._alphas = np.asarray(config.alphas, dtype=float)
         self._band_axis = None if config.band_axis is None \
             else np.asarray(config.band_axis, dtype=float)
+        d = self.grid.shape[1]
+        gamma = d * _ROUNDING / (1.0 - d * _ROUNDING)
+        margin = 2.0 * (2.0 * gamma * (1.0 + _UNIT_SLACK))     # 2b, see observe
+        self._clear_below = self._dot_min - margin
+        self._clear_above = self._dot_min + margin
+        self._table = None
+        norm2 = np.einsum("ij,ij->i", self.grid, self.grid)
+        if np.all(np.abs(norm2 - 1.0) <= _UNIT_SLACK / 2):
+            table = _CellTable(self.grid, self._dot_min)
+            if table.mean_candidates * _PRUNE_FACTOR <= m:
+                self._table = table
 
     # level index of each norm: largest l with norm > r0 * 2**l, or -1
     def _levels_of(self, log_norms: np.ndarray) -> np.ndarray:
@@ -106,7 +205,57 @@ class CapVisitAccumulator(ObserverBase):
         lvl = np.where(np.isfinite(ratio), lvl, -1.0)
         return np.clip(lvl, -1, self.config.escape_levels).astype(np.int64)
 
+    def _table_hits(self, dirs: np.ndarray):
+        """(rows, grid columns) of the block's hits from the cell table, or
+        None when a row is not covered by it or a listed pair's dot lies
+        within the margin of ``dot_min`` (see :meth:`observe`)."""
+        table = self._table
+        slot = table.cell_of(dirs)
+        if len(slot) and slot.min() < 0:
+            return None
+        cand = table.table[slot]                                 # (B, K)
+        dots = table.ext[0].take(cand)
+        dots *= dirs[:, :1]
+        term = np.empty_like(dots)
+        for i in range(1, dirs.shape[1]):
+            table.ext[i].take(cand, out=term)
+            term *= dirs[:, i:i + 1]
+            dots += term
+        rows, k = np.nonzero(dots > self._clear_above)
+        if np.count_nonzero(dots > self._clear_below) != len(rows):
+            return None
+        return rows, cand[rows, k].astype(np.intp)
+
     def observe(self, block: WalkBlock) -> None:
+        """Add a block of steps to the visit and graded records.
+
+        A live step (nonzero, past ``burn_in``) with direction u hits grid
+        point g when the float expression ``(dirs @ grid.T) > dot_min``, as
+        BLAS evaluates it on the block's live rows, is true.
+
+        Where a cell table is in use, only the pairs it lists are tested, by
+        an elementwise dot E: a pair is a hit when ``E > dot_min + 2b`` and
+        not one when ``E <= dot_min - 2b``, with ``b = 2 gamma_d (1 + s)``.
+        For any summation order, with or without fused multiply-adds, E and
+        BLAS's value each differ from the exact dot by at most
+        ``gamma_d sum|u_i g_i| <= gamma_d |u| |g| <= gamma_d (1 + s)``, so
+        they differ by at most b, and rounding ``dot_min +- 2b`` to a float
+        moves it by far less than b: both values lie on the same side of
+        ``dot_min``.  If any listed pair has E in between, or any row is not
+        unit to within the slack, the whole block takes the dense expression
+        instead (``fallback_blocks`` counts these blocks).  Either way the
+        hit set is that of the dense expression.
+
+        The table is used when its mean list holds at most
+        ``M / _PRUNE_FACTOR`` grid points.  On the default grids with cap
+        0.3 that is d = 3, M = 256 (about 8.3 of 256 listed) but not d = 2,
+        M = 64 (about 7.8 of 64, where the dense product is faster); the
+        dense expression then decides every block.
+
+        Graded windows: per call, each (grid point, alpha) gains the bit of
+        only the highest dyadic window ``floor(log2 n)`` among its hits in
+        this block with ``log||S_n|| - a log n > log kappa``.
+        """
         cfg = self.config
         n_lv = cfg.escape_levels + 1
         steps = np.arange(block.first_n, block.first_n + len(block))
@@ -126,37 +275,38 @@ class CapVisitAccumulator(ObserverBase):
                 sel = above & band
                 if np.any(sel):
                     self.level_band_hits += np.bincount(bucket[sel], minlength=n_lv)
-        mask = (dirs @ self.grid.T) > self._dot_min      # (B', M)
-        rows, cols = np.nonzero(mask)
+        hits = None if self._table is None else self._table_hits(dirs)
+        if hits is None:
+            if self._table is not None:
+                self.fallback_blocks += 1
+            hits = np.nonzero((dirs @ self.grid.T) > self._dot_min)
+        rows, cols = hits
         if len(rows) == 0:
             return
+        m = len(self.grid)
         hit_bucket = bucket[rows]
         in_lv = hit_bucket >= 0
         if np.any(in_lv):
             flat = cols[in_lv] * n_lv + hit_bucket[in_lv]
-            by_bucket = np.bincount(flat, minlength=len(self.grid) * n_lv)
-            by_bucket = by_bucket.reshape(len(self.grid), n_lv)
+            by_bucket = np.bincount(flat, minlength=m * n_lv).reshape(m, n_lv)
             # visits at level l count every step beyond it: suffix sums
             self.visits += by_bucket[:, ::-1].cumsum(axis=1)[:, ::-1]
-        # graded records: log(||S||/n^a) maxima and qualifying dyadic windows
-        order = np.argsort(cols, kind="stable")
-        o_rows, o_cols = rows[order], cols[order]
-        seg_starts = np.flatnonzero(np.diff(o_cols)) + 1
+        # graded records, all alphas at once, from hits in grid order
+        key = cols.astype(np.int16) if m <= np.iinfo(np.int16).max else cols
+        order = np.argsort(key, kind="stable")
+        rows, cols = rows[order], cols[order]
+        seg_starts = np.flatnonzero(cols[1:] != cols[:-1]) + 1
         seg_starts = np.concatenate([[0], seg_starts])
-        seg_cols = o_cols[seg_starts]
+        seg_cols = cols[seg_starts]
         log_n = np.log(steps.astype(float))
-        windows = np.floor(np.log2(steps.astype(float))).astype(np.int64)
-        log_kappa = math.log(cfg.kappa)
-        for j, a in enumerate(cfg.alphas):
-            stat = log_norms - a * log_n
-            seg_max = np.maximum.reduceat(stat[o_rows], seg_starts)
-            np.maximum.at(self.graded_max[:, j], seg_cols, seg_max)
-            qual = stat[o_rows] > log_kappa
-            if np.any(qual):
-                keys = o_cols[qual] * 64 + windows[o_rows[qual]]
-                present = np.flatnonzero(np.bincount(keys, minlength=len(self.grid) * 64))
-                self.graded_windows[present // 64, j] |= (
-                    np.int64(1) << (present % 64).astype(np.int64))
+        stat = (log_norms[:, None] - self._alphas * log_n[:, None])[rows]      # (H, A)
+        seg_max = np.maximum.reduceat(stat, seg_starts, axis=0)
+        self.graded_max[seg_cols] = np.maximum(self.graded_max[seg_cols], seg_max)
+        windows = np.floor(np.log2(steps.astype(float))).astype(np.int8)   # 0..62
+        qual_window = np.where(stat > math.log(cfg.kappa), windows[rows, None], np.int8(-1))
+        top = np.maximum.reduceat(qual_window, seg_starts, axis=0).astype(np.int64)
+        self.graded_windows[seg_cols] |= np.where(
+            top >= 0, np.int64(1) << np.maximum(top, 0), np.int64(0))
 
     # -- summaries ----------------------------------------------------------
 

@@ -427,10 +427,19 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
                 if b == 0:
                     break
             fpos = positions.astype(float, copy=False)
-            norms = np.linalg.norm(fpos, axis=1)
+            with np.errstate(over="ignore"):
+                norms = np.linalg.norm(fpos, axis=1)
             with np.errstate(divide="ignore"):
                 log_norms = np.where(norms > 0.0, np.log(np.where(norms > 0, norms, 1.0)), NEG_INF)
             dirs = np.where(norms[:, None] > 0.0, fpos / np.where(norms[:, None] > 0, norms[:, None], 1.0), 0.0)
+            huge = np.isinf(norms)
+            if huge.any():
+                # finite rows past about 1.3e154 square to inf: rescale by max|S_i|
+                peak = np.abs(fpos[huge]).max(axis=1, keepdims=True)
+                scaled = fpos[huge] / peak
+                sub = np.linalg.norm(scaled, axis=1, keepdims=True)
+                dirs[huge] = scaled / sub
+                log_norms[huge] = np.log(peak[:, 0]) + np.log(sub[:, 0])
             state.position = positions[-1].copy()
 
         radial = {}

@@ -64,6 +64,15 @@ def test_criterion_01_exact_geometry():
                f"zero: {ok_mid}, chord identity max gap {gap:.2e}")
 
 
+# Bound on |chord - np.linalg.norm distance| for unit vectors u, v in d <= 4.
+# Normalized floats have | |u|^2 - 1 | <= 2(d + 2) 2^-53 < 1.4e-15, the dot
+# errs by at most d 2^-53 |u||v| < 5e-16 and 2 - 2 u.v adds under 5e-16, so
+# chord^2 is within 1e-14 of |u - v|^2 and, as |sqrt a - sqrt b| <= sqrt|a - b|,
+# chord within 1e-7 of |u - v|; np.linalg.norm is within 1e-15 of it.  The
+# nearest point's chord is the max dot's, as the chord falls as the dot rises.
+CHORD_ERR = 1e-6
+
+
 def test_criterion_02_shull_oracle_equivalence():
     rng = np.random.default_rng(12345)
 
@@ -96,11 +105,11 @@ def test_criterion_02_shull_oracle_equivalence():
         false_neg += int((~h.contains_many(pts)).sum())
         probes = rng.standard_normal((500, d))
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-        dmin = np.full(len(probes), np.inf)
-        for i in range(0, len(pts), 2000):
-            seg = np.linalg.norm(probes[:, None, :] - pts[None, i:i + 2000, :],
-                                 axis=2).min(axis=1)
-            dmin = np.minimum(dmin, seg)
+        # nearest-point chord from chord^2 = 2 - 2 u.v; probes within
+        # CHORD_ERR of 0.05 get the np.linalg.norm distance instead
+        dmin = np.sqrt(np.maximum(2.0 - 2.0 * (probes @ pts.T).max(axis=1), 0.0))
+        for k in np.flatnonzero(np.abs(dmin - 0.05) <= CHORD_ERR):
+            dmin[k] = np.linalg.norm(probes[k] - pts, axis=1).min()
         far = probes[dmin > 0.05]
         rejected = int((~h.contains_many(far)).sum())
         far_total += len(far)

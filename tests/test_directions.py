@@ -5,13 +5,80 @@ import numpy as np
 import pytest
 
 from walkangles.directions import (IN, OUT, UNDECIDED, CapVisitAccumulator,
-                                   EstimatorConfig, combine_runs)
+                                   EstimatorConfig, _CellTable, combine_runs)
 from walkangles.samplers import (coordinate_product, constant, rademacher,
                                  s_two_sided)
-from walkangles.walk import NEG_INF, WalkBlock, run_walk
+from walkangles.walk import BLOCK, NEG_INF, WalkBlock, run_walk
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
+_LN2 = math.log(2.0)
+RECORDS = ("visits", "graded_max", "graded_windows", "level_totals", "level_band_hits")
+
+
+def reference_observe(acc: CapVisitAccumulator, block: WalkBlock) -> None:
+    """The dense update that ``CapVisitAccumulator.observe`` replaced, kept
+    as its oracle: a (B x M) dot-and-compare mask, its ``nonzero``, a stable
+    argsort into grid order and one pass per alpha."""
+    cfg = acc.config
+    n_lv = cfg.escape_levels + 1
+    steps = np.arange(block.first_n, block.first_n + len(block))
+    live = (block.log_norms > NEG_INF) & (steps > cfg.burn_in)
+    acc.n_steps_seen += len(block)
+    if not np.any(live):
+        return
+    dirs = block.dirs[live]
+    log_norms = block.log_norms[live]
+    steps = steps[live]
+    bucket = acc._levels_of(log_norms)
+    above = bucket >= 0
+    if np.any(above):
+        acc.level_totals += np.bincount(bucket[above], minlength=n_lv)
+        if acc._band_axis is not None:
+            band = np.abs(dirs @ acc._band_axis) > cfg.band_threshold
+            sel = above & band
+            if np.any(sel):
+                acc.level_band_hits += np.bincount(bucket[sel], minlength=n_lv)
+    mask = (dirs @ acc.grid.T) > acc._dot_min      # (B', M)
+    rows, cols = np.nonzero(mask)
+    if len(rows) == 0:
+        return
+    hit_bucket = bucket[rows]
+    in_lv = hit_bucket >= 0
+    if np.any(in_lv):
+        flat = cols[in_lv] * n_lv + hit_bucket[in_lv]
+        by_bucket = np.bincount(flat, minlength=len(acc.grid) * n_lv)
+        by_bucket = by_bucket.reshape(len(acc.grid), n_lv)
+        acc.visits += by_bucket[:, ::-1].cumsum(axis=1)[:, ::-1]
+    order = np.argsort(cols, kind="stable")
+    o_rows, o_cols = rows[order], cols[order]
+    seg_starts = np.flatnonzero(np.diff(o_cols)) + 1
+    seg_starts = np.concatenate([[0], seg_starts])
+    seg_cols = o_cols[seg_starts]
+    log_n = np.log(steps.astype(float))
+    windows = np.floor(np.log2(steps.astype(float))).astype(np.int64)
+    log_kappa = math.log(cfg.kappa)
+    for j, a in enumerate(cfg.alphas):
+        stat = log_norms - a * log_n
+        seg_max = np.maximum.reduceat(stat[o_rows], seg_starts)
+        np.maximum.at(acc.graded_max[:, j], seg_cols, seg_max)
+        qual = stat[o_rows] > log_kappa
+        if np.any(qual):
+            keys = o_cols[qual] * 64 + windows[o_rows[qual]]
+            present = np.flatnonzero(np.bincount(keys, minlength=len(acc.grid) * 64))
+            acc.graded_windows[present // 64, j] |= (
+                np.int64(1) << (present % 64).astype(np.int64))
+
+
+class DenseAccumulator(CapVisitAccumulator):
+    def observe(self, block: WalkBlock) -> None:
+        reference_observe(self, block)
+
+
+def assert_same_records(acc: CapVisitAccumulator, ref: CapVisitAccumulator) -> None:
+    for name in RECORDS:
+        got, want = getattr(acc, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 def record_visit(acc: CapVisitAccumulator, position, n: int) -> CapVisitAccumulator:
@@ -208,3 +275,169 @@ def test_kesten_annotation_for_d3():
     record_visit(acc, np.array([30.0, 0.0, 0.0]), 4)
     est = acc.finalize()
     assert est.notes.get("graded_alpha_below_half") == "EXPECTED_FULL"
+
+
+# -- the cell-table update against the dense reference ------------------------
+
+def _unit_rows(rng, n: int, d: int) -> np.ndarray:
+    x = rng.standard_normal((n, d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _spread_log_norms(rng, acc: CapVisitAccumulator, n: int) -> np.ndarray:
+    """Log-norms below, across and beyond the escape ladder."""
+    cfg = acc.config
+    return rng.uniform(math.log(cfg.escape_r0) - 1.0,
+                       math.log(cfg.escape_r0) + (cfg.escape_levels + 2) * _LN2, n)
+
+
+def random_block(rng, acc: CapVisitAccumulator, first_n: int) -> WalkBlock:
+    d = acc.grid.shape[1]
+    log_norms = _spread_log_norms(rng, acc, BLOCK)
+    log_norms[rng.random(BLOCK) < 0.01] = NEG_INF          # the origin
+    return WalkBlock(first_n=first_n, dirs=_unit_rows(rng, BLOCK, d),
+                     log_norms=log_norms, positions=None)
+
+
+def cap_edge_block(rng, acc: CapVisitAccumulator, first_n: int) -> WalkBlock:
+    """Directions at angle arccos(dot_min) from a grid point and 1 ulp either
+    side of it, with norms on the level edges and 1 ulp either side."""
+    cfg = acc.config
+    d = acc.grid.shape[1]
+    g = acc.grid[rng.integers(len(acc.grid), size=BLOCK)]
+    w = _unit_rows(rng, BLOCK, d)
+    w -= np.sum(w * g, axis=1, keepdims=True) * g
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    theta0 = math.acos(acc._dot_min)
+    theta = np.array([np.nextafter(theta0, -np.inf), theta0,
+                      np.nextafter(theta0, np.inf)])[rng.integers(3, size=BLOCK)]
+    dirs = np.cos(theta)[:, None] * g + np.sin(theta)[:, None] * w
+    edges = np.log(cfg.escape_r0 * 2.0 ** rng.integers(cfg.escape_levels + 1, size=BLOCK))
+    log_norms = np.nextafter(edges, edges + rng.integers(-1, 2, size=BLOCK))
+    return WalkBlock(first_n=first_n, dirs=dirs, log_norms=log_norms, positions=None)
+
+
+def disputed_block(rng, acc: CapVisitAccumulator, first_n: int) -> WalkBlock:
+    """Random rows plus cap-edge rows on which BLAS and a coordinate-order
+    elementwise dot, never equal to ``dot_min``, disagree about the cap
+    (none where the two always agree)."""
+    edge = cap_edge_block(rng, acc, first_n)
+    blas = edge.dirs @ acc.grid.T
+    elementwise = sum(edge.dirs[:, i:i + 1] * acc.grid[:, i]
+                      for i in range(acc.grid.shape[1]))
+    split = (blas > acc._dot_min) != (elementwise > acc._dot_min)
+    tie = elementwise == acc._dot_min
+    keep = np.flatnonzero(split.any(axis=1) & ~tie.any(axis=1))[:BLOCK // 2]
+    block = random_block(rng, acc, first_n)
+    block.dirs[:len(keep)] = edge.dirs[keep]
+    block.disputed = len(keep) > 0
+    return block
+
+
+def odd_rows_block(rng, acc: CapVisitAccumulator, first_n: int) -> WalkBlock:
+    """Zero rows with finite log-norms and +inf log-norm rows among random ones."""
+    block = random_block(rng, acc, first_n)
+    pick = rng.random(BLOCK)
+    block.dirs[pick < 0.05] = 0.0
+    block.log_norms[(pick >= 0.05) & (pick < 0.1)] = np.inf
+    return block
+
+
+VARIANTS = {
+    "default": {},
+    "small-cap": {"cap_radius": 0.1},
+    "cap-2": {"cap_radius": 2.0},
+    "wide-cap": {"cap_radius": 1.9},      # dot_min < 0
+    "grid-1": {"grid_m": 1},
+    "band": {"band_axis": "last"},
+}
+
+
+def _accumulators(d: int, variant: str, force_table: bool):
+    kw = dict(VARIANTS[variant])
+    if kw.get("band_axis") == "last":
+        kw["band_axis"] = tuple([0.0] * (d - 1) + [1.0])
+    cfg = EstimatorConfig(grid_m=kw.pop("grid_m", 64 if d == 2 else 256),
+                          escape_levels=4, kappa=1.0, **kw)
+    acc, ref = CapVisitAccumulator(cfg, d), DenseAccumulator(cfg, d)
+    if force_table and acc._table is None:
+        acc._table = _CellTable(acc.grid, acc._dot_min)
+    return acc, ref
+
+
+@pytest.mark.parametrize("force_table", [False, True], ids=["chosen", "table"])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_blocks_match_dense_reference(d, variant, force_table):
+    acc, ref = _accumulators(d, variant, force_table)
+    rng = np.random.default_rng(100 * d + len(variant))
+    blocks = [random_block(rng, acc, 1), cap_edge_block(rng, acc, 1 + BLOCK),
+              disputed_block(rng, acc, 1 + 2 * BLOCK),
+              odd_rows_block(rng, acc, 1 + 3 * BLOCK), random_block(rng, acc, 3 + 5 * BLOCK)]
+    # cap-edge rows and zero rows go to the dense expression
+    falls_back = [False, True, blocks[2].disputed, True, False]
+    fallbacks = 0
+    for block, expect in zip(blocks, falls_back):
+        fallbacks += expect
+        acc.observe(block)
+        ref.observe(block)
+        assert_same_records(acc, ref)
+        if acc._table is not None:
+            assert acc.fallback_blocks == fallbacks
+    assert acc.visits.sum() > 0 and np.any(acc.graded_windows)
+
+
+def test_padded_slots_never_pass():
+    # the padded lists of a 0.3 cap, read with cap_radius = 2 (dot_min = -1),
+    # under which every listed pair is a hit
+    acc = CapVisitAccumulator(EstimatorConfig(cap_radius=2.0), 3)
+    acc._table = table = _CellTable(acc.grid, 1.0 - 0.3 ** 2 / 2.0)
+    m = len(acc.grid)
+    assert np.any(table.table == m)                # the lists are padded with M
+    dirs = _unit_rows(np.random.default_rng(5), BLOCK, 3)
+    rows, cols = acc._table_hits(dirs)
+    listed = table.table[table.cell_of(dirs)]
+    assert cols.max() < m and len(cols) == np.count_nonzero(listed < m)
+
+
+def test_default_d3_grid_uses_the_table():
+    cfg = EstimatorConfig()
+    assert CapVisitAccumulator(cfg, 3)._table is not None
+    assert CapVisitAccumulator(cfg, 2)._table is None
+
+
+WALKS = {
+    "d2-two-pole": (coordinate_product([rademacher(), s_two_sided(0.5)]),
+                    {"cap_radius": 0.1}),
+    "d2-default": (coordinate_product([rademacher(), s_two_sided(0.5)]), {}),
+    "d3-band": (coordinate_product([s_two_sided(1.5), s_two_sided(1.5), rademacher()]), {}),
+    "d4": (coordinate_product([s_two_sided(1.5)] * 3 + [rademacher()]),
+           {"band_axis": (0.0, 0.0, 0.0, 1.0)}),
+    "d2-huge-float": (coordinate_product([constant(1e200), rademacher()]),
+                      {"escape_r0": 1e200}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKS))
+def test_walks_match_dense_reference(name):
+    spec, kw = WALKS[name]
+    cfg = EstimatorConfig(grid_m=64 if spec.dimension == 2 else 256, **kw)
+    acc = CapVisitAccumulator(cfg, spec.dimension)
+    ref = DenseAccumulator(cfg, spec.dimension)
+    run_walk(spec, 3 * BLOCK, seed=11, observers=[acc, ref])
+    assert_same_records(acc, ref)
+    assert acc.fallback_blocks == 0
+    assert acc.visits.sum() > 0
+
+
+@pytest.mark.xfail(strict=True, reason="observe keeps only the highest "
+                   "qualifying window per grid point and alpha in each call")
+def test_graded_windows_of_one_block_all_count():
+    cfg = small_config(alphas=(0.5,), kappa=0.1)
+    acc = CapVisitAccumulator(cfg, 2)
+    dirs = np.array([E1, E1])
+    acc.observe(WalkBlock(first_n=3, dirs=dirs, log_norms=np.full(2, math.log(100.0)),
+                          positions=None))      # steps 3 and 4: windows 1 and 2
+    e1_idx = int(np.argmin(np.linalg.norm(acc.grid - E1, axis=1)))
+    assert acc.graded_windows[e1_idx, 0] == 0b110
+    assert acc.finalize().graded_in[e1_idx, 0]

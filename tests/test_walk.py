@@ -300,6 +300,23 @@ def test_float_overflow_halts_with_partial_record():
     assert np.all(np.isfinite(rec.final_state.position))
 
 
+def test_float_norms_past_square_overflow():
+    # |S| near 1e200 squares to inf; directions and log-norms stay finite
+    spec = coordinate_product([constant(1e200), rademacher()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = run_walk(spec, 8, seed=0)
+    assert not rec.overflowed
+    with np.errstate(over="ignore"):
+        lines = rec.to_csv().splitlines()
+    assert lines[0].split(",")[-2:] == ["shat_1", "shat_2"]
+    for line, row in zip(lines[1:], rec.checkpoints, strict=True):
+        shat = np.array([float(c) for c in line.split(",")[-2:]])
+        assert abs(float(np.hypot(*shat)) - 1.0) <= 1e-15
+        assert math.isfinite(row.log_norm)
+        assert abs(row.log_norm - math.log(row.position[0])) <= 1e-12
+
+
 @pytest.mark.parametrize("spec", [
     coordinate_product([constant(1e19), rademacher()]),
     coordinate_product([rademacher(), rademacher()], drift=[1e19, 0]),
