@@ -96,13 +96,16 @@ class _CellTable:
     ``r^2 = 2 - 2 * dot_min``.  C is about ``4 * sqrt(d) / r``, so a cell's
     diagonal is about r/2, capped so that ``C**d <= _MAX_CELLS``.
 
-    Why a grid point left out of u's list is never a hit: with
-    ``|u|^2, |g|^2 <= 1 + s`` and ``|u - g|^2 >= r^2 + 4s``, the exact dot is
+    Why a grid point left out of u's list is never a hit: u lies in its
+    cell's widened box (the widening covers the rounding of the cell
+    coordinate and coordinates up to ``sqrt(1 + s)``), so ``|u - g|`` is at
+    least the listed distance.  With ``|u|^2, |g|^2 <= 1 + s`` and
+    ``|u - g|^2 >= r^2 + 4s``, the exact dot is
     ``(|u|^2 + |g|^2 - |u - g|^2) / 2 <= dot_min - s``, and any float
     evaluation of a d-term dot of such vectors errs by at most
     ``gamma_d * |u| |g| <= gamma_d (1 + s)`` with ``gamma_d = d u / (1 - d u)``
-    (u = 2^-53), far below s.  The widened box covers the rounding of the
-    cell coordinate and rows up to ``sqrt(1 + s)`` long.
+    (u = 2^-53).  That error, and the rounding of the listed distances and
+    of r^2, are far below s.
 
     Lists are padded to the longest with index M, a NaN row of the extended
     grid: a padded slot's dot is NaN, which is never above ``dot_min`` (even
@@ -138,10 +141,9 @@ class _CellTable:
             dist2 = sum(gap2[coords[i][a:a + 4096], :, i] for i in range(d))
             cand[a:a + 4096] = dist2 < r2 + 4.0 * s
         counts = cand.sum(axis=1)
-        self.mean_candidates = float(counts.mean()) if len(counts) else 0.0
-        width = int(counts.max()) if len(counts) else 0
+        self.mean_candidates = float(counts.mean())
         idx_type = np.int16 if m < np.iinfo(np.int16).max else np.int64
-        self.table = np.full((len(shell), width), m, dtype=idx_type)
+        self.table = np.full((len(shell), counts.max()), m, dtype=idx_type)
         rows, cols = np.nonzero(cand)
         first = np.concatenate([[0], np.cumsum(counts)[:-1]])
         self.table[rows, np.arange(len(rows)) - first[rows]] = cols

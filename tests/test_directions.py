@@ -317,21 +317,16 @@ def cap_edge_block(rng, acc: CapVisitAccumulator, first_n: int) -> WalkBlock:
     return WalkBlock(first_n=first_n, dirs=dirs, log_norms=log_norms, positions=None)
 
 
-def disputed_block(rng, acc: CapVisitAccumulator, first_n: int) -> WalkBlock:
-    """Random rows plus cap-edge rows on which BLAS and a coordinate-order
-    elementwise dot, never equal to ``dot_min``, disagree about the cap
-    (none where the two always agree)."""
-    edge = cap_edge_block(rng, acc, first_n)
-    blas = edge.dirs @ acc.grid.T
-    elementwise = sum(edge.dirs[:, i:i + 1] * acc.grid[:, i]
-                      for i in range(acc.grid.shape[1]))
+def disputed_rows(rng, acc: CapVisitAccumulator) -> np.ndarray:
+    """Cap-edge directions on which BLAS and a coordinate-order elementwise
+    dot, never equal to ``dot_min``, disagree about the cap (none where the
+    two always agree)."""
+    dirs = cap_edge_block(rng, acc, 1).dirs
+    blas = dirs @ acc.grid.T
+    elementwise = sum(dirs[:, i:i + 1] * acc.grid[:, i] for i in range(acc.grid.shape[1]))
     split = (blas > acc._dot_min) != (elementwise > acc._dot_min)
     tie = elementwise == acc._dot_min
-    keep = np.flatnonzero(split.any(axis=1) & ~tie.any(axis=1))[:BLOCK // 2]
-    block = random_block(rng, acc, first_n)
-    block.dirs[:len(keep)] = edge.dirs[keep]
-    block.disputed = len(keep) > 0
-    return block
+    return dirs[split.any(axis=1) & ~tie.any(axis=1)][:BLOCK // 2]
 
 
 def odd_rows_block(rng, acc: CapVisitAccumulator, first_n: int) -> WalkBlock:
@@ -371,11 +366,13 @@ def _accumulators(d: int, variant: str, force_table: bool):
 def test_blocks_match_dense_reference(d, variant, force_table):
     acc, ref = _accumulators(d, variant, force_table)
     rng = np.random.default_rng(100 * d + len(variant))
-    blocks = [random_block(rng, acc, 1), cap_edge_block(rng, acc, 1 + BLOCK),
-              disputed_block(rng, acc, 1 + 2 * BLOCK),
+    disputed = disputed_rows(rng, acc)
+    mixed = random_block(rng, acc, 1 + 2 * BLOCK)
+    mixed.dirs[:len(disputed)] = disputed
+    blocks = [random_block(rng, acc, 1), cap_edge_block(rng, acc, 1 + BLOCK), mixed,
               odd_rows_block(rng, acc, 1 + 3 * BLOCK), random_block(rng, acc, 3 + 5 * BLOCK)]
     # cap-edge rows and zero rows go to the dense expression
-    falls_back = [False, True, blocks[2].disputed, True, False]
+    falls_back = [False, True, len(disputed) > 0, True, False]
     fallbacks = 0
     for block, expect in zip(blocks, falls_back):
         fallbacks += expect
