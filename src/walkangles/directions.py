@@ -136,15 +136,18 @@ class _CellTable:
         gap = np.maximum(np.maximum(lo[:, None, None] - grid, grid - hi[:, None, None]), 0.0)
         gap2 = gap * gap
         coords = np.unravel_index(shell, (c,) * d)
-        cand = np.empty((len(shell), m), dtype=bool)
-        for a in range(0, len(shell), 4096):          # bounded (cells x M) temporaries
-            dist2 = sum(gap2[coords[i][a:a + 4096], :, i] for i in range(d))
-            cand[a:a + 4096] = dist2 < r2 + 4.0 * s
-        counts = cand.sum(axis=1)
+        step = max(1, (1 << 20) // m)                  # (cells x M) temporaries of 8 MiB
+        pairs = []
+        for a in range(0, len(shell), step):
+            dist2 = sum(gap2[coords[i][a:a + step], :, i] for i in range(d))
+            rows, cols = np.nonzero(dist2 < r2 + 4.0 * s)
+            pairs.append((rows + a, cols))
+        rows = np.concatenate([p[0] for p in pairs])
+        cols = np.concatenate([p[1] for p in pairs])
+        counts = np.bincount(rows, minlength=len(shell))
         self.mean_candidates = float(counts.mean())
         idx_type = np.int16 if m < np.iinfo(np.int16).max else np.int64
         self.table = np.full((len(shell), counts.max()), m, dtype=idx_type)
-        rows, cols = np.nonzero(cand)
         first = np.concatenate([[0], np.cumsum(counts)[:-1]])
         self.table[rows, np.arange(len(rows)) - first[rows]] = cols
         self.ext = np.vstack([grid, np.full(d, np.nan)]).T.copy()   # (d, M + 1)
