@@ -338,7 +338,8 @@ class CapVisitAccumulator(ObserverBase):
         beyond = self.visits[:, cfg.out_level + 1:].sum(axis=1) if \
             cfg.out_level + 1 <= cfg.escape_levels else np.zeros(len(self.grid), dtype=np.int64)
         verdicts[(verdicts != IN) & (beyond == 0)] = OUT
-        graded = self._popcount(self.graded_windows) >= 2
+        w = self.graded_windows          # window bits 0..62, so w >= 0
+        graded = (w & (w - 1)) != 0       # at least two windows met
         notes = {}
         if self.grid.shape[1] >= 3:
             notes["graded_alpha_below_half"] = "EXPECTED_FULL"
@@ -348,15 +349,6 @@ class CapVisitAccumulator(ObserverBase):
             graded_in=graded, graded_max=self.graded_max.copy(), notes=notes,
             band_fraction_top=self.band_fraction_at_top()
             if self._band_axis is not None else math.nan)
-
-    @staticmethod
-    def _popcount(arr: np.ndarray) -> np.ndarray:
-        out = np.zeros(arr.shape, dtype=np.int64)
-        work = arr.copy()
-        while np.any(work):
-            out += work & 1
-            work >>= 1
-        return out
 
 
 @dataclass

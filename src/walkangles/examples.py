@@ -244,19 +244,15 @@ def _run_ex_10_4(steps, runs, seed, alpha, vectors):
 
 
 def _chord_to_hull(h, p) -> float:
+    """Chord distance from ``p`` to a d = 2 spherical hull, 64 points per arc."""
     if h.contains(p):
         return 0.0
-    if h.arcs is not None:
-        best = math.inf
-        for s, e in h.arcs:
-            for ang in np.linspace(s, e, 64):
-                best = min(best, float(np.linalg.norm(
-                    p - np.array([math.cos(ang), math.sin(ang)]))))
-        return best
-    rng = np.random.default_rng(0)
-    w = rng.dirichlet(np.ones(len(h.generators)), size=2048) @ h.generators
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    return float(np.linalg.norm(w - p, axis=1).min())
+    best = math.inf
+    for s, e in h.arcs:
+        for ang in np.linspace(s, e, 64):
+            best = min(best, float(np.linalg.norm(
+                p - np.array([math.cos(ang), math.sin(ang)]))))
+    return best
 
 
 def _run_heavytails_demo(steps, runs, seed):

@@ -438,36 +438,31 @@ class IncrementSampler:
     """
 
     def __init__(self, spec: IncrementSpec):
-        spec.validate()
         self.spec = spec
         self.saturations = Saturations()
         self._atoms = np.asarray(spec.atoms, dtype=float) if spec.atoms else None
-        if spec.form == RADIAL_PRODUCT:
+        # lattice increments are formed in int64, which ``is_lattice`` shows cannot wrap
+        self._dtype = np.int64 if spec.is_lattice else float
+        if spec.form == COORDINATE_PRODUCT and spec.drift is not None:
+            self._drift = np.asarray(spec.drift, dtype=self._dtype)
+        elif spec.form == LINEAR_COMBINATION:
+            self._vectors = np.asarray(spec.atoms, dtype=self._dtype)
+        elif spec.form == RADIAL_PRODUCT:
             self._cum_probs = np.cumsum(spec.probs)
 
     def sample_block(self, rng, size: int) -> SampleBlock:
         spec = self.spec
         if spec.form == COORDINATE_PRODUCT:
             cols = [law.sample(rng, size, self.saturations) for law in spec.laws]
-            if spec.is_lattice:
-                vec = np.stack([np.asarray(c, dtype=np.int64) for c in cols], axis=1)
-                if spec.drift is not None:
-                    vec = vec + np.asarray(spec.drift, dtype=np.int64)
-            else:
-                vec = np.stack([np.asarray(c, dtype=float) for c in cols], axis=1)
-                if spec.drift is not None:
-                    vec = vec + np.asarray(spec.drift, dtype=float)
+            vec = np.stack([np.asarray(c, dtype=self._dtype) for c in cols], axis=1)
+            if spec.drift is not None:
+                vec = vec + self._drift
             return SampleBlock(vectors=vec)
         if spec.form == LINEAR_COMBINATION:
             draws = [law.sample(rng, size, self.saturations) for law in spec.laws]
-            if spec.is_lattice:
-                vec = np.zeros((size, spec.dimension), dtype=np.int64)
-                for z, v in zip(draws, self._atoms):
-                    vec += np.asarray(z, dtype=np.int64)[:, None] * np.asarray(v, dtype=np.int64)
-            else:
-                vec = np.zeros((size, spec.dimension), dtype=float)
-                for z, v in zip(draws, self._atoms):
-                    vec += np.asarray(z, dtype=float)[:, None] * v
+            vec = np.zeros((size, spec.dimension), dtype=self._dtype)
+            for z, v in zip(draws, self._vectors):
+                vec += np.asarray(z, dtype=self._dtype)[:, None] * v
             return SampleBlock(vectors=vec)
         # radial product: atom index first, then magnitude, a fixed draw order
         idx = np.searchsorted(self._cum_probs, rng.random(size), side="right")

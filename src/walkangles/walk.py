@@ -47,16 +47,37 @@ __all__ = [
 
 BLOCK = 1 << 14          # fixed: the engine's draw order is part of determinism
 INT_SAT_LIMIT = 2**63 - 1
+_INT64_MIN = np.int64(-2**63)
 NEG_INF = float("-inf")
 _LOG10_E = math.log10(math.e)
 # beyond this magnitude a float64 cannot hold the value; serialize from logs
 _FLOAT_SAFE_LOG = math.log(1e300)
-# slack on the dominance bound for float rounding in hat(S) and rho
+# A reporting threshold, not a float shortcut in front of an exact
+# computation: the dominance bound is an identity of the decomposition, and a
+# step counts as a violation (a bug) when its float margin
+# ||hat(S) - Q|| - 2*rho/(1 - rho) exceeds this.
 BOUND_TOL = 1e-9
 
 
 class UnsupportedSpecError(TypeError):
     """Operation requires a different increment-spec form."""
+
+
+def _norm_parts(position: np.ndarray) -> tuple[float, float]:
+    """``(peak, r)`` with ``||position|| = peak * r``, for a linear-mode position.
+
+    ``peak`` is 1.0 and ``r`` the plain 2-norm unless that overflows, which
+    happens for finite coordinates past about 1.3e154; then ``peak`` is
+    max|coordinate| and ``r`` the norm of ``position / peak``, the rescaling
+    that ``run_walk`` applies to such rows of a block.
+    """
+    v = np.asarray(position, dtype=float)
+    with np.errstate(over="ignore"):
+        r = float(np.linalg.norm(v))
+    if math.isinf(r) and np.isfinite(v).all():
+        peak = float(np.abs(v).max())
+        return peak, float(np.linalg.norm(v / peak))
+    return 1.0, r
 
 
 @dataclass
@@ -103,23 +124,24 @@ class WalkState:
         if self.mode == "log":
             ln = self.log_norm()
             return math.exp(ln) if ln < _FLOAT_SAFE_LOG else math.inf
-        return float(np.linalg.norm(self.position))
+        peak, r = _norm_parts(self.position)
+        return peak * r
 
     def log_norm(self) -> float:
         if self.mode == "log":
             m = float(np.linalg.norm(self.mantissa))
             return NEG_INF if m == 0.0 else self.scale + math.log(m)
-        v = self.norm()
-        return NEG_INF if v == 0.0 else math.log(v)
+        peak, r = _norm_parts(self.position)
+        return NEG_INF if r == 0.0 else math.log(peak) + math.log(r)
 
     def direction(self) -> np.ndarray:
         if self.mode == "log":
             m = float(np.linalg.norm(self.mantissa))
             return np.zeros_like(self.mantissa) if m == 0.0 else self.mantissa / m
-        n = self.norm()
-        if n == 0.0:
+        peak, r = _norm_parts(self.position)
+        if r == 0.0:
             return np.zeros(self.spec.dimension)
-        return np.asarray(self.position, dtype=float) / n
+        return np.asarray(self.position, dtype=float) / peak / r
 
     def rest_to_max(self) -> float:
         """Dominance ratio rho = rest/largest for radial walks."""
@@ -255,7 +277,7 @@ class TrajectoryRecord:
             norms = [_format_log_value(ln) for ln in log_norms]
         else:
             positions = np.array([row.position for row in rows]).reshape(len(rows), d).T
-            norms = [float(np.linalg.norm(row.position)) for row in rows]
+            norms = [math.prod(_norm_parts(row.position)) for row in rows]
         columns = [[row.n for row in rows], *positions, norms, *dirs.T]
         if self.spec.form == RADIAL_PRODUCT:
             header += ["xi_max", "xi_rest", "max_index"]
@@ -269,17 +291,15 @@ class TrajectoryRecord:
 # ---------------------------------------------------------------------------
 # vectorized engine
 
-def _forward_fill_indices(flags: np.ndarray) -> np.ndarray:
-    """Index of the most recent True at or before each slot, -1 before any."""
-    idx = np.where(flags, np.arange(len(flags)), -1)
-    return np.maximum.accumulate(idx)
-
-
 def _advance_radial(state: WalkState, xi: np.ndarray, atom_idx: np.ndarray,
                     first_n: int) -> dict:
     """Carry ``state``'s radial statistics (total, max, rest, max index, atom)
     across one block of magnitudes (logs in log mode).  Returns the per-step
-    running values as ``WalkBlock`` fields."""
+    running values as ``WalkBlock`` fields.
+
+    In log mode the rest is one ``logaddexp`` prefix scan in step order: a
+    step that sets a new maximum adds the old maximum, any other step itself.
+    """
     b = len(xi)
     running = np.maximum(np.maximum.accumulate(xi), state.xi_max)
     prev_max = np.empty(b)
@@ -289,24 +309,8 @@ def _advance_radial(state: WalkState, xi: np.ndarray, atom_idx: np.ndarray,
     if state.mode == "log":
         state.xi_total = float(np.logaddexp.accumulate(
             np.concatenate(([state.xi_total], xi)))[-1])
-        rest = np.empty(b)
-        cur_rest, cur_max = state.xi_rest, state.xi_max
-        events = np.flatnonzero(newmax)
-        start = 0
-        for e in events:
-            if e > start:
-                seg = np.logaddexp.accumulate(
-                    np.concatenate(([cur_rest], xi[start:e])))[1:]
-                rest[start:e] = seg
-                cur_rest = seg[-1]
-            cur_rest = np.logaddexp(cur_rest, cur_max)
-            rest[e] = cur_rest
-            cur_max = xi[e]
-            start = e + 1
-        if start < b:
-            seg = np.logaddexp.accumulate(
-                np.concatenate(([cur_rest], xi[start:b])))[1:]
-            rest[start:b] = seg
+        rest = np.logaddexp.accumulate(
+            np.concatenate(([state.xi_rest], np.where(newmax, prev_max, xi))))[1:]
     else:
         total = state.xi_total + np.cumsum(xi)
         rest = total - running
@@ -314,8 +318,9 @@ def _advance_radial(state: WalkState, xi: np.ndarray, atom_idx: np.ndarray,
     steps = np.arange(first_n, first_n + b, dtype=np.int64)
     k_seq = np.maximum.accumulate(
         np.concatenate(([np.int64(state.max_index)], np.where(newmax, steps, 0))))[1:]
-    ff = _forward_fill_indices(newmax)
-    atom_seq = np.where(ff >= 0, atom_idx[np.maximum(ff, 0)], state.atom_at_max)
+    # k_seq reaches first_n at the block's first new maximum (state.max_index < first_n)
+    atom_seq = np.where(k_seq >= first_n, atom_idx[np.maximum(k_seq - first_n, 0)],
+                        state.atom_at_max)
     state.xi_max = float(running[-1])
     state.xi_rest = float(rest[-1])
     state.max_index = int(k_seq[-1])
@@ -363,22 +368,30 @@ def _scaled_accumulate(state: WalkState, xi_log: np.ndarray, atom_vecs: np.ndarr
 
 
 def _lattice_cumsum(prev: np.ndarray, vectors: np.ndarray):
-    """Exact int64 running sums with conservative overflow screening.
+    """Exact int64 running sums, cut at the first position outside the int64 range.
+
+    The int64 ``cumsum`` wraps modulo 2^64, so every position up to the first
+    out-of-range one is exact, and that one is the first row whose addition
+    ``before + vector`` overflowed: ``before`` and ``vector`` share a sign that
+    the wrapped sum lacks, ``((before ^ pos) & (vector ^ pos)) < 0``.  This
+    holds because ``is_lattice`` bounds every increment coordinate by
+    2^63 - 1.  A position of -2^63 fits int64 but not the symmetric range
+    ``|p| <= INT_SAT_LIMIT`` and halts too.
 
     Returns (positions, ok_upto): ok_upto < len means the walk saturated at
-    that in-block offset (the first position outside the int64 range).
+    that in-block offset, and only ``positions[:ok_upto]`` are valid.
     """
-    bound = np.abs(prev.astype(float)).max() + np.abs(vectors.astype(float)).sum()
-    if bound < 2.0**62:
-        return prev + np.cumsum(vectors, axis=0, dtype=np.int64), len(vectors)
-    pos = [int(x) for x in prev]
-    rows = np.empty((len(vectors), len(prev)), dtype=np.int64)
-    for i, vec in enumerate(vectors):
-        pos = [p + int(v) for p, v in zip(pos, vec)]
-        if any(abs(p) > INT_SAT_LIMIT for p in pos):
-            return rows, i
-        rows[i] = pos
-    return rows, len(vectors)
+    pos = np.cumsum(vectors, axis=0, dtype=np.int64)
+    pos += prev
+    flags = np.empty_like(pos)             # before ^ pos, then & (vector ^ pos)
+    flags[0] = prev
+    flags[1:] = pos[:-1]
+    flags ^= pos
+    flags &= vectors ^ pos
+    if flags.min() >= 0 and pos.min() > _INT64_MIN:
+        return pos, len(vectors)
+    bad = ((flags < 0) | (pos == _INT64_MIN)).any(axis=1)
+    return pos, int(np.argmax(bad))
 
 
 def run_walk(spec: IncrementSpec, n_steps: int, seed: int,

@@ -2,13 +2,15 @@
 import math
 import warnings
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from walkangles import walk as walk_module
 from walkangles.rng import stream
-from walkangles.samplers import (IncrementSampler, coordinate_product,
+from walkangles.samplers import (IncrementSampler, SampleBlock, coordinate_product,
                                  constant, linear_combination, log_tail,
                                  radial_product, rademacher, s_one_sided,
                                  s_two_sided)
@@ -108,6 +110,18 @@ def radial_chain(spec, draws):
     return st_
 
 
+class Positions(ObserverBase):
+    """Records every step's position, and its rest sum on radial walks."""
+
+    def __init__(self):
+        self.positions = []
+        self.xi_rest = []
+
+    def observe(self, block):
+        self.positions.append(block.positions)
+        self.xi_rest.append(block.xi_rest)
+
+
 def test_step_vector_addition():
     spec = coordinate_product([rademacher(), rademacher()])
     st_ = WalkState.initial(spec)
@@ -164,17 +178,10 @@ def test_run_walk_replay_identical():
 
 
 def test_first_coordinate_counts_steps():
-    class Positions(ObserverBase):
-        def __init__(self):
-            self.blocks = []
-
-        def observe(self, block):
-            self.blocks.append(block.positions)
-
     spec = coordinate_product([constant(1), s_two_sided(2.0)])
     obs = Positions()
     rec = run_walk(spec, 10**4, seed=5, observers=[obs])
-    assert np.array_equal(np.concatenate(obs.blocks)[:, 0],
+    assert np.array_equal(np.concatenate(obs.positions)[:, 0],
                           np.arange(1, 10**4 + 1))
     for row in rec.checkpoints:
         assert row.position[0] == row.n
@@ -236,25 +243,81 @@ def test_engine_matches_scalar_oracle(spec, seed):
     n = 300
     block = IncrementSampler(spec).sample_block(stream(seed), n)
     ref = WalkState.initial(spec)
+    ref_rest = []
     for draw in _oracle_draws(spec, block):
         ref = step(ref, draw)
-    fin = run_walk(spec, n, seed=seed).final_state
+        ref_rest.append(ref.xi_rest)
+    obs = Positions()
+    fin = run_walk(spec, n, seed=seed, observers=[obs]).final_state
     assert fin.mode == ref.mode == spec.scale_mode
     assert fin.n == ref.n == n
     if spec.scale_mode == "log":
         assert abs(fin.scale - ref.scale) < 1e-9
         assert np.allclose(fin.direction(), ref.direction(), atol=1e-12)
-        assert abs(fin.xi_total - ref.xi_total) < 1e-9
-        assert abs(fin.xi_rest - ref.xi_rest) < 1e-9
-        assert fin.xi_max == ref.xi_max
     else:
-        # the engine's running sums add in the oracle's order: exact equality
         assert np.array_equal(fin.position, ref.position)
+    if fin.is_radial:
+        # the running sums add (or logaddexp) in the oracle's order: exact equality
         assert fin.xi_total == ref.xi_total
         assert fin.xi_rest == ref.xi_rest
         assert fin.xi_max == ref.xi_max
+        assert np.concatenate(obs.xi_rest).tolist() == ref_rest
     assert fin.max_index == ref.max_index
     assert fin.atom_at_max == ref.atom_at_max
+
+
+class _FixedIncrements:
+    """Stands in for ``IncrementSampler``: hands out the given rows in order."""
+
+    atoms = None
+    saturations = SimpleNamespace(count=0)
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=np.int64)
+
+    def sample_block(self, rng, size):
+        out, self.rows = self.rows[:size], self.rows[size:]
+        return SampleBlock(vectors=out)
+
+
+_BIG = 2**62
+
+
+@pytest.mark.parametrize("rows, halt", [
+    # lands on +(2^63 - 1), then keeps going
+    ([[_BIG, 0], [_BIG - 1, 1], [-5, 0], [5, -1], [-1, 0]], None),
+    # lands on -(2^63 - 1), then keeps going
+    ([[-_BIG, 0], [-_BIG + 1, 1], [5, 0], [-5, -1], [1, 0]], None),
+    # lands on -2^63, which int64 holds but |p| <= 2^63 - 1 does not
+    ([[1, -_BIG], [0, -_BIG], [1, 0], [0, 1]], 2),
+    # crosses +2^63 mid-block; the int64 sum wraps to -2^63 + 4
+    ([[1, 0], [_BIG, 0], [_BIG - 7, 0], [10, 0], [1, 0]], 4),
+    # crosses -2^63 in the second coordinate; the sum wraps to 2^63 - 4
+    ([[0, -_BIG], [1, -_BIG + 1], [0, -5], [1, 1]], 3),
+], ids=["land-max", "land-neg-max", "land-int64-min", "cross-up", "cross-down"])
+def test_lattice_halts_at_int64_boundary_like_oracle(monkeypatch, rows, halt):
+    spec = coordinate_product([rademacher(), rademacher()])
+    assert spec.scale_mode == "lattice"
+    ref = WalkState.initial(spec)
+    ref_positions = []
+    for row in rows:
+        ref = step(ref, IncrementDraw(vector=np.array(row, dtype=np.int64)))
+        if ref.overflowed:
+            break
+        ref_positions.append(ref.position.tolist())
+    assert ref.overflowed == (halt is not None)
+    assert len(ref_positions) == (len(rows) if halt is None else halt - 1)
+
+    monkeypatch.setattr(walk_module, "IncrementSampler",
+                        lambda spec: _FixedIncrements(rows))
+    obs = Positions()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = run_walk(spec, len(rows), seed=0, observers=[obs])
+    assert rec.overflowed == ref.overflowed
+    assert rec.final_state.n == len(ref_positions)
+    assert np.concatenate(obs.positions).tolist() == ref_positions
+    assert rec.final_state.position.tolist() == ref_positions[-1]
 
 
 def test_radial_invariants_along_run():
@@ -301,18 +364,26 @@ def test_float_overflow_halts_with_partial_record():
 
 
 def test_float_norms_past_square_overflow():
-    # |S| near 1e200 squares to inf; directions and log-norms stay finite
+    # |S| near 1e200 squares to inf; directions, log-norms and norms stay
+    # finite in the blocks, the final state and the CSV
     spec = coordinate_product([constant(1e200), rademacher()])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rec = run_walk(spec, 8, seed=0)
-    assert not rec.overflowed
-    with np.errstate(over="ignore"):
+        fin = rec.final_state
+        direction, log_norm, norm = fin.direction(), fin.log_norm(), fin.norm()
         lines = rec.to_csv().splitlines()
-    assert lines[0].split(",")[-2:] == ["shat_1", "shat_2"]
+    assert not rec.overflowed
+    assert np.all(np.isfinite(direction))
+    assert abs(float(np.hypot(*direction)) - 1.0) <= 1e-15
+    assert log_norm == rec.checkpoints[-1].log_norm
+    assert math.isfinite(norm)
+    header = lines[0].split(",")
+    assert header[-3:] == ["norm", "shat_1", "shat_2"]
     for line, row in zip(lines[1:], rec.checkpoints, strict=True):
-        shat = np.array([float(c) for c in line.split(",")[-2:]])
-        assert abs(float(np.hypot(*shat)) - 1.0) <= 1e-15
+        cells = [float(c) for c in line.split(",")[-3:]]
+        assert math.isfinite(cells[0])
+        assert abs(float(np.hypot(*cells[1:])) - 1.0) <= 1e-15
         assert math.isfinite(row.log_norm)
         assert abs(row.log_norm - math.log(row.position[0])) <= 1e-12
 
