@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .directions import (CapVisitAccumulator, EstimatorConfig, combine_runs,
-                         IN, OUT, VERDICT_NAMES)
+from .directions import (CapVisitAccumulator, DirectionSetEstimate, EstimatorConfig,
+                         combine_runs, IN, OUT, UNDECIDED as NO_VERDICT, VERDICT_NAMES)
 from .hull import HullTracker, hull_growth_report
 from .projections import (UNDECIDED, ClassifierThresholds, ProjectionTracker, classify,
                           scan_exceptional)
@@ -241,15 +241,27 @@ def _one_run(config: ExperimentConfig, index: int) -> RunResult:
         hull = HullTracker(support_m=config.hull_tracked_m)
         observers.append(hull)
     record = run_walk(spec, config.n_steps, seed, observers=observers)
-    if len(proj.checkpoint_ns) < config.classifier.min_checkpoints:
+    if len(proj.stats.checkpoints) < config.classifier.min_checkpoints:
         # the walk halted (record.overflowed) before its ladder could classify
         verdicts = [UNDECIDED] * len(proj.directions)
     else:
-        verdicts = [classify(s, config.classifier) for s in proj.all_stats()]
-    return RunResult(index=index, seed=seed, record=record, estimate=acc.finalize(),
+        verdicts = classify(proj.stats, config.classifier)
+    estimate = acc.finalize() if acc.n_steps_seen else _no_evidence(acc)
+    return RunResult(index=index, seed=seed, record=record, estimate=estimate,
                      projections=proj, hull=hull,
                      hull_report=hull_growth_report(hull) if hull else None,
                      verdicts=verdicts)
+
+
+def _no_evidence(acc: CapVisitAccumulator) -> DirectionSetEstimate:
+    """Estimate of a walk that left range at step 1: it recorded no step, so
+    every grid point is UNDECIDED."""
+    m = len(acc.grid)
+    return DirectionSetEstimate(
+        grid=acc.grid, config=acc.config, verdicts=np.full(m, NO_VERDICT, dtype=np.int8),
+        top_level=-1, top_level_per_point=np.full(m, -1), visits=acc.visits.copy(),
+        graded_in=np.zeros(acc.graded_max.shape, dtype=bool),
+        graded_max=acc.graded_max.copy())
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -287,7 +299,7 @@ def _summarize(config, runs, consensus) -> dict:
             "out_count": int((r.estimate.verdicts == OUT).sum()),
             "classification_counts": dict(Counter(r.verdicts)),
             "exceptional_candidates": len(scan_exceptional(
-                r.projections, r.verdicts, config.classifier)),
+                r.projections.stats, r.verdicts, config.classifier)),
             "overflowed": r.record.overflowed,
             "saturations": r.record.saturations,
         }

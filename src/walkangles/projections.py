@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sphere import direction_grid
-from .walk import NEG_INF, ObserverBase, WalkBlock, csv_text
+from .walk import NEG_INF, ObserverBase, WalkBlock, csv_text, dyadic_checkpoints
 
 __all__ = [
     "PLUS", "MINUS", "OSC", "UNDECIDED",
@@ -59,66 +59,59 @@ def _psi_from_signed_log(sign: np.ndarray, log_abs: np.ndarray) -> np.ndarray:
     return np.where((sign == 0) | (log_abs == NEG_INF), 0.0, out)
 
 
-def _psi_log_abs(psi: float) -> float:
-    return NEG_INF if psi == 0.0 else abs(psi) - PSI_OFFSET
-
-
 @dataclass
 class ProjectionStats:
-    """Running extreme ladder of S_n . u at dyadic checkpoints.
+    """Running extreme ladders of S_n . u for M directions at dyadic checkpoints.
 
-    ``log_scale`` is False for walks tracked in plain floats (mins/maxes and
-    the final value are ordinary numbers) and True for log-scale walks, in
-    which case the same fields hold psi encodings.
+    Row k of ``mins`` and ``maxes`` (K x M) holds every direction's running
+    extreme at ``checkpoints[k]``; ``final`` (M,) holds S_n . u at the last
+    step.  ``log_scale`` is False for walks tracked in plain floats (the
+    values are ordinary numbers) and True for log-scale walks, in which case
+    they are psi encodings.
     """
 
-    direction: np.ndarray
+    directions: np.ndarray
     checkpoints: list[int]
     mins: np.ndarray
     maxes: np.ndarray
-    final: float
+    final: np.ndarray
     n_steps: int
     log_scale: bool = False
+
 
 class ProjectionTracker(ObserverBase):
     """Per-step running min/max of the projections onto a direction grid.
 
-    After ``finish``, ``mins`` and ``maxes`` are (checkpoints reached x M)
-    arrays: row k holds every direction's running extreme at
-    ``checkpoint_ns[k]``.
+    After ``finish``, ``stats`` holds the ladder of every direction up to the
+    last checkpoint the walk reached.
     """
 
     def __init__(self, directions: np.ndarray | None = None, grid_m: int = 64):
         self._dirs = None if directions is None else np.atleast_2d(
             np.asarray(directions, dtype=float))
         self._grid_m = grid_m
-        self.log_scale = False
-        self.checkpoint_ns: list[int] = []
-        self.mins: np.ndarray | None = None
-        self.maxes: np.ndarray | None = None
-        self.final_values: np.ndarray | None = None
-        self.n_steps = 0
+        self.stats: ProjectionStats | None = None
 
     def begin(self, spec, n_steps, checkpoints):
         if self._dirs is None:
             self._dirs = direction_grid(spec.dimension, self._grid_m)
-        self.log_scale = spec.scale_mode == "log"
         self._cps = set(checkpoints)
-        self.n_steps = n_steps
         m = len(self._dirs)
         # S_0 = 0 is part of every trajectory
         self._cur_min = np.zeros(m)
         self._cur_max = np.zeros(m)
-        self._last = np.zeros(m)
-        self.mins = np.empty((len(checkpoints), m))
-        self.maxes = np.empty((len(checkpoints), m))
+        self.stats = ProjectionStats(
+            directions=self._dirs, checkpoints=[],
+            mins=np.empty((len(checkpoints), m)), maxes=np.empty((len(checkpoints), m)),
+            final=np.zeros(m), n_steps=n_steps, log_scale=spec.scale_mode == "log")
 
     @property
     def directions(self) -> np.ndarray:
         return self._dirs
 
     def observe(self, block: WalkBlock) -> None:
-        if self.log_scale:
+        st = self.stats
+        if st.log_scale:
             dots = block.dirs @ self._dirs.T                     # (B, M)
             with np.errstate(divide="ignore"):
                 log_abs = np.where(dots != 0.0,
@@ -129,164 +122,156 @@ class ProjectionTracker(ObserverBase):
             vals = block.positions @ self._dirs.T
         np.minimum(self._cur_min, vals.min(axis=0), out=self._cur_min)
         np.maximum(self._cur_max, vals.max(axis=0), out=self._cur_max)
-        self._last = vals[-1]
+        st.final = vals[-1]
         if block.last_n in self._cps:
-            k = len(self.checkpoint_ns)
-            self.mins[k] = self._cur_min
-            self.maxes[k] = self._cur_max
-            self.checkpoint_ns.append(block.last_n)
+            k = len(st.checkpoints)
+            st.mins[k] = self._cur_min
+            st.maxes[k] = self._cur_max
+            st.checkpoints.append(block.last_n)
 
     def finish(self, state) -> None:
-        # a walk that halts early reaches only the first checkpoints
-        k = len(self.checkpoint_ns)
-        self.mins, self.maxes = self.mins[:k], self.maxes[:k]
-        self.final_values = self._last.copy()
-
-    def stats_for(self, index: int) -> ProjectionStats:
-        return ProjectionStats(
-            direction=self._dirs[index],
-            checkpoints=list(self.checkpoint_ns),
-            mins=self.mins[:, index],
-            maxes=self.maxes[:, index],
-            final=float(self.final_values[index]),
-            n_steps=self.n_steps,
-            log_scale=self.log_scale)
-
-    def all_stats(self) -> list[ProjectionStats]:
-        return [self.stats_for(i) for i in range(len(self._dirs))]
+        # a walk that halts early reaches only the first checkpoints.  final
+        # stays a view of the last block's values: a copy would free that
+        # block, letting the allocator return pages that the next run then
+        # faults in again (measured slower on log-scale walks)
+        st = self.stats
+        k = len(st.checkpoints)
+        st.mins, st.maxes = st.mins[:k], st.maxes[:k]
 
     def to_csv(self, verdicts: list[str]) -> str:
         """One row per direction; ``verdicts[i]`` is direction i's classification."""
-        d = self._dirs.shape[1]
-        cols = ([f"u_{i+1}" for i in range(d)]
-                + [f"min_n{n}" for n in self.checkpoint_ns]
-                + [f"max_n{n}" for n in self.checkpoint_ns]
+        st = self.stats
+        cols = ([f"u_{i+1}" for i in range(st.directions.shape[1])]
+                + [f"min_n{n}" for n in st.checkpoints]
+                + [f"max_n{n}" for n in st.checkpoints]
                 + ["final", "verdict"])
-        return csv_text(cols, [*self._dirs.T, *self.mins, *self.maxes,
-                               self.final_values, verdicts])
+        return csv_text(cols, [*st.directions.T, *st.mins, *st.maxes,
+                               st.final, verdicts])
 
 
 def project_series(positions, u, checkpoints=None) -> ProjectionStats:
-    """Stats for one direction from a dense position array (S_1, S_2, ...).
+    """Stats for one direction ``u`` (d,) or several (M, d) from a dense
+    position array (S_1, S_2, ...).
 
     S_0 = 0 is prepended automatically.  For checkpoint-only traces the
     extremes are lower-resolution; dense observation is required for exact
     minima.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    u = np.asarray(u, dtype=float)
-    proj = np.concatenate([[0.0], pos @ u])
+    dirs = np.atleast_2d(np.asarray(u, dtype=float))
+    proj = np.concatenate([np.zeros((1, len(dirs))), pos @ dirs.T])   # (n + 1, M)
     n = len(proj) - 1
     if checkpoints is None:
-        from .walk import dyadic_checkpoints
         checkpoints = dyadic_checkpoints(n)
     checkpoints = [c for c in checkpoints if c <= n]
-    run_min = np.minimum.accumulate(proj)
-    run_max = np.maximum.accumulate(proj)
     return ProjectionStats(
-        direction=u, checkpoints=list(checkpoints),
-        mins=run_min[list(checkpoints)], maxes=run_max[list(checkpoints)],
-        final=float(proj[-1]), n_steps=n, log_scale=False)
+        directions=dirs, checkpoints=checkpoints,
+        mins=np.minimum.accumulate(proj)[checkpoints],
+        maxes=np.maximum.accumulate(proj)[checkpoints],
+        final=proj[-1], n_steps=n, log_scale=False)
 
 
 # ---------------------------------------------------------------------------
-# classification
+# classification: every helper maps (K x M) ladders or (M,) rows to one
+# boolean per direction, comparing element by element
 
-def _stabilized(values: np.ndarray) -> bool:
+def _stabilized(values: np.ndarray) -> np.ndarray:
     """Exactly constant over the last half of the checkpoint ladder."""
     half = (len(values) + 1) // 2
     tail = values[-half:]
-    return bool(np.all(tail == tail[0]))
+    return np.all(tail == tail[0], axis=0)
 
 
 def _grew_each(values: np.ndarray, ns: list[int], factor: float,
-               log_scale: bool) -> bool:
+               log_scale: bool, among: np.ndarray) -> np.ndarray:
     """Growth of at least ``factor`` per doubling over the last two checkpoint
-    steps.  The final checkpoint may be a partial doubling (n need not be a
-    power of two), so each step's requirement scales with log2 of its actual
-    time ratio."""
+    steps, tested in the columns ``among`` (False elsewhere).  The final
+    checkpoint may be a partial doubling (n need not be a power of two), so
+    each step's requirement scales with log2 of its actual time ratio."""
     a, b, c = values[-3], values[-2], values[-1]
     w1 = math.log2(ns[-2] / ns[-3])
     w2 = math.log2(ns[-1] / ns[-2])
     need1, need2 = w1 * math.log(factor), w2 * math.log(factor)
+    ok = among & (a > 0) & (b > 0) & (c > 0)      # psi > 0 means a positive value
     if log_scale:
-        if min(a, b, c) <= 0:       # psi > 0 means a positive value
-            return False
-        return (b - a) >= need1 - 1e-12 and (c - b) >= need2 - 1e-12
-    if a <= 0 or b <= 0 or c <= 0:
-        return False
-    return (math.log(b / a) >= need1 - 1e-12
-            and math.log(c / b) >= need2 - 1e-12)
+        return ok & ((b - a) >= need1 - 1e-12) & ((c - b) >= need2 - 1e-12)
+    # math.log on each ratio, not np.log: the two can differ in the last bit
+    ok[ok] = [math.log(r1) >= need1 - 1e-12 and math.log(r2) >= need2 - 1e-12
+              for r1, r2 in zip((b[ok] / a[ok]).tolist(), (c[ok] / b[ok]).tolist())]
+    return ok
 
 
-def _exceeds_scale(psi_or_value: float, threshold: float, log_scale: bool) -> bool:
+def _exceeds_scale(values: np.ndarray, threshold: float, log_scale: bool) -> np.ndarray:
     """|value| > threshold, in the right encoding."""
     if threshold <= 0:
-        return True
+        return np.ones(values.shape, dtype=bool)
     if log_scale:
-        return _psi_log_abs(abs(psi_or_value)) > math.log(threshold)
-    return abs(psi_or_value) > threshold
+        return (values != 0) & (np.abs(values) - PSI_OFFSET > math.log(threshold))
+    return np.abs(values) > threshold
+
+
+def _side_dominates(big: np.ndarray, small: np.ndarray, ratio: float,
+                    log_scale: bool) -> np.ndarray:
+    """|small| <= ratio * big, where big is the winning side's extreme (> 0);
+    true where the losing side never crossed zero (small >= 0)."""
+    if log_scale:
+        # ClassifierThresholds accepts side_ratio <= 0, where math.log raises
+        log_ratio = math.log(ratio) if ratio > 0 else NEG_INF
+        big_log = np.where(big == 0, NEG_INF, np.abs(big) - PSI_OFFSET)
+        within = np.abs(small) - PSI_OFFSET <= big_log + log_ratio
+    else:
+        within = -small <= ratio * big
+    return (small >= 0) | within
+
+
+def _past_floor(stats: ProjectionStats, thresholds: ClassifierThresholds):
+    """Per direction: did the running max, and the running min, pass the
+    oscillation floor osc_scale * sqrt(N) at the last checkpoint?  A ladder
+    with no checkpoint holds only S_0 = 0."""
+    floor = thresholds.osc_scale * math.sqrt(stats.n_steps)
+    # the extremes of the last row, or 0 on an empty ladder; taking 0 in too
+    # changes no result, as each test below also asks for the sign
+    top = stats.maxes[-1:].max(axis=0, initial=0.0)
+    bottom = stats.mins[-1:].min(axis=0, initial=0.0)
+    return ((top > 0) & _exceeds_scale(top, floor, stats.log_scale),
+            (bottom < 0) & _exceeds_scale(bottom, floor, stats.log_scale))
 
 
 def classify(stats: ProjectionStats,
-             thresholds: ClassifierThresholds = ClassifierThresholds()) -> str:
-    """Trend verdict for one direction's projection ladder."""
+             thresholds: ClassifierThresholds = ClassifierThresholds()) -> list[str]:
+    """Trend verdict of every direction's projection ladder, in order."""
     if len(stats.checkpoints) < thresholds.min_checkpoints:
         raise ValueError(
             f"classification needs >= {thresholds.min_checkpoints} checkpoints")
-    mins, maxes = stats.mins, stats.maxes
-    ls = stats.log_scale
-    sqrt_n = math.sqrt(stats.n_steps)
-    final_floor = thresholds.final_scale * sqrt_n
-    osc_floor = thresholds.osc_scale * sqrt_n
-
-    max_big = maxes[-1] > 0 and _exceeds_scale(maxes[-1], osc_floor, ls)
-    min_big = mins[-1] < 0 and _exceeds_scale(mins[-1], osc_floor, ls)
-
+    mins, maxes, final = stats.mins, stats.maxes, stats.final
+    ls, cps, growth = stats.log_scale, stats.checkpoints, thresholds.growth
+    final_far = _exceeds_scale(final, thresholds.final_scale * math.sqrt(stats.n_steps), ls)
     # PLUS: floor frozen, ceiling compounding, endpoint far out on + side,
     # and the negative side negligible next to the positive one.
-    cps = stats.checkpoints
-    if (_stabilized(mins) and _grew_each(maxes, cps, thresholds.growth, ls)
-            and stats.final > 0 and _exceeds_scale(stats.final, final_floor, ls)
-            and _side_dominates(maxes[-1], mins[-1], thresholds.side_ratio, ls)):
-        return PLUS
-    if (_stabilized(maxes) and _grew_each(-mins, cps, thresholds.growth, ls)
-            and stats.final < 0 and _exceeds_scale(stats.final, final_floor, ls)
-            and _side_dominates(-mins[-1], -maxes[-1], thresholds.side_ratio, ls)):
-        return MINUS
-    if max_big and min_big:
-        return OSC
-    return UNDECIDED
+    plus = (_stabilized(mins) & (final > 0) & final_far
+            & _side_dominates(maxes[-1], mins[-1], thresholds.side_ratio, ls))
+    plus = _grew_each(maxes, cps, growth, ls, among=plus)
+    minus = (_stabilized(maxes) & (final < 0) & final_far
+             & _side_dominates(-mins[-1], -maxes[-1], thresholds.side_ratio, ls))
+    minus = _grew_each(-mins, cps, growth, ls, among=minus)
+    above, below = _past_floor(stats, thresholds)
+    return np.where(plus, PLUS, np.where(minus, MINUS, np.where(
+        above & below, OSC, UNDECIDED))).tolist()
 
 
-def _side_dominates(big: float, small: float, ratio: float, log_scale: bool) -> bool:
-    """|small| <= ratio * big, where big is the winning side's extreme (> 0)."""
-    if small >= 0:      # the losing side never crossed zero
-        return True
-    if log_scale:
-        return _psi_log_abs(-small) <= _psi_log_abs(big) + math.log(ratio)
-    return -small <= ratio * big
+def scan_exceptional(stats: ProjectionStats, verdicts: list[str],
+                     thresholds: ClassifierThresholds = ClassifierThresholds()) -> np.ndarray:
+    """Indices of the directions whose projections look boundedly exceptional.
 
-
-def scan_exceptional(tracker: ProjectionTracker, verdicts: list[str],
-                     thresholds: ClassifierThresholds = ClassifierThresholds()):
-    """Directions whose projections look boundedly exceptional.
-
-    ``verdicts[i]`` is the classification of direction i under
-    ``thresholds``.  Returns the directions classified UNDECIDED whose
-    running max (or min) stayed inside the oscillation floor -- a
-    finite-sample proxy for a finite limsup (or liminf).  For planar walks
-    the expectation at large N is an empty list; nonempty output is a
-    finite-N artifact worth a look, not a discovery.
+    ``verdicts[i]`` is the verdict of direction i.  Returns the UNDECIDED
+    directions whose running max or min stayed inside the oscillation floor
+    -- a finite-sample proxy for a finite limsup or liminf.  When
+    ``verdicts`` came from :func:`classify` with the same thresholds, that is
+    every UNDECIDED direction, since a direction with both extremes past the
+    floor classifies OSC if not PLUS or MINUS; the bound test matters for
+    verdicts set otherwise, such as a halted walk's.  For planar walks the
+    expectation at large N is an empty result; a nonempty one is a finite-N
+    artifact worth a look, not a discovery.
     """
-    out = []
-    for i, verdict in enumerate(verdicts):
-        if verdict != UNDECIDED:
-            continue
-        st = tracker.stats_for(i)
-        osc_floor = thresholds.osc_scale * math.sqrt(st.n_steps)
-        bounded_above = not (st.maxes[-1] > 0 and _exceeds_scale(st.maxes[-1], osc_floor, st.log_scale))
-        bounded_below = not (st.mins[-1] < 0 and _exceeds_scale(st.mins[-1], osc_floor, st.log_scale))
-        if bounded_above or bounded_below:
-            out.append((st.direction, st))
-    return out
+    above, below = _past_floor(stats, thresholds)
+    return np.flatnonzero((np.asarray(verdicts) == UNDECIDED) & ~(above & below))

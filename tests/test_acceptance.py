@@ -174,17 +174,16 @@ def test_criterion_09_projection_trichotomy():
     for seed in range(100, 120):
         tr = ProjectionTracker(grid_m=64)
         run_walk(sym, 10**6, seed=seed, observers=[tr])
-        verdicts = [classify(s) for s in tr.all_stats()]
+        verdicts = classify(tr.stats)
         all_osc += int(all(v == OSC for v in verdicts))
-        scan_empty += int(len(scan_exceptional(tr, verdicts)) == 0)
+        scan_empty += int(len(scan_exceptional(tr.stats, verdicts)) == 0)
     drift = coordinate_product([constant(1), rademacher()])
     drift_ok = 0
     for seed in range(200, 220):
         tr = ProjectionTracker(grid_m=64)
         run_walk(drift, 10**6, seed=seed, observers=[tr])
         good = True
-        for i, u in enumerate(tr.directions):
-            v = classify(tr.stats_for(i))
+        for u, v in zip(tr.directions, classify(tr.stats)):
             if u[0] > 0.1 and v != PLUS:
                 good = False
             if u[0] < -0.1 and v != MINUS:
@@ -210,7 +209,7 @@ def test_criterion_10_hull_behaviour():
             # cross-module consistency: a space-filling hull means every
             # tracked projection oscillates (statistical at finite n, like
             # every limit statement here)
-            cross_ok += int(all(classify(s) == OSC for s in tr.all_stats()))
+            cross_ok += int(all(v == OSC for v in classify(tr.stats)))
     drift = coordinate_product([constant(1), rademacher()])
     confined = 0
     for seed in range(1000, 1020):

@@ -60,18 +60,20 @@ def test_projection_csv_uses_configured_classifier(tmp_path):
 
 
 def test_each_direction_classified_once(tmp_path, monkeypatch):
+    # one call per run, one verdict per direction
     calls = []
     classify = projections.classify
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return classify(*args, **kwargs)
+        verdicts = classify(*args, **kwargs)
+        calls.append(len(verdicts))
+        return verdicts
 
     for module in (experiment, projections):
         monkeypatch.setattr(module, "classify", counting)
     cfg = dict(MINIMAL, n_runs=3, projection_grid_m=16)
     run_experiment(load_config(cfg, out_dir=str(tmp_path)))
-    assert len(calls) == 3 * 16
+    assert calls == [16] * 3
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -181,6 +183,27 @@ def test_cli_simulate_halted_runs_are_undecided(tmp_path):
     assert rows[0] == ["u_1", "u_2", "min_n1", "max_n1", "final", "verdict"]
     assert {row[-1] for row in rows[1:]} == {"UNDECIDED"}
     assert (out / "manifest.json").exists()
+    # these walks leave float range at step 1: no step is recorded, so no
+    # checkpoint and no cap-visit evidence, yet every artifact is written
+    config = {"spec": {"dimension": 2, "form": "linear_combination",
+                       "atoms": [{"vector": [1e300, 0]}, {"vector": [0, 1]}],
+                       "laws": [{"name": "s_two_sided", "alpha": 0.01},
+                                {"name": "rademacher"}]},
+              "n_steps": 64, "n_runs": 4, "base_seed": 0}
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out_step1"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0
+    summary = json.loads(read(out / "summary.json"))
+    assert [(r["overflowed"], r["classification_counts"], r["exceptional_candidates"])
+            for r in summary["runs"]] == [(True, {"UNDECIDED": 64}, 64)] * 4
+    manifest = json.loads(read(out / "manifest.json"))
+    assert len(manifest["files"]) == 4 * 4 + 2
+    for name in manifest["files"]:
+        assert (out / name).exists(), name
+    for name in ("run0_projections.csv", "run0_directions.csv", "consensus_directions.csv"):
+        rows = list(csv.DictReader(io.StringIO(read(out / name).decode())))
+        assert {row["verdict"] for row in rows} == {"UNDECIDED"}, name
 
 
 def test_cli_simulate_bad_field_exit_2(tmp_path, capsys):
