@@ -8,9 +8,7 @@ reproducible experiment runner.
 from .samplers import (IncrementSampler, IncrementSpec, ScalarLaw,
                        coordinate_product, constant, linear_combination,
                        log_tail, radial_product, rademacher, s_one_sided,
-                       s_two_sided, sample_rademacher, sample_s_one_sided,
-                       sample_s_two_sided, spec_from_json, spec_to_json,
-                       stretched_exp)
+                       s_two_sided, spec_from_json, spec_to_json, stretched_exp)
 from .sphere import (Cap, SHull, cap_contains, direction_grid, hat, interpolate,
                      s_hull)
 from .walk import (BoundCheckObserver, TrajectoryRecord, WalkState,

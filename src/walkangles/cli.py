@@ -172,6 +172,17 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``; a smaller one is a
+    usage error (exit 2) that names the flag."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="walkangles",
@@ -185,16 +196,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="rerun a worked example")
     p.add_argument("name", help="example name (e.g. ex-10.1)")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--steps", type=_int_at_least(1), default=None)
+    p.add_argument("--runs", type=_int_at_least(1), default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--out", default=None, help="directory for the JSON report")
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("pruitt", help="dyadic hazard ratio diagnostic")
     p.add_argument("tail", help="log_tail | poly:ALPHA | stretched:BETA | table.json")
-    p.add_argument("--K", type=int, default=64)
+    # the trend fit needs two terms k >= 1 in the sequence's last half
+    p.add_argument("--K", type=_int_at_least(2), default=64)
     p.add_argument("--csv", default=None, help="write the u_k table here")
     p.set_defaults(func=_cmd_pruitt)
 

@@ -56,6 +56,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.grid_m < 1:
             raise ValueError("estimator.grid_m must be >= 1")
+        if self.grid_seed < 0:
+            raise ValueError("estimator.grid_seed must be >= 0")
         if not (0 < self.cap_radius <= 2):
             raise ValueError("estimator.cap_radius must be in (0, 2]")
         if self.escape_r0 <= 0:
@@ -64,6 +66,8 @@ class EstimatorConfig:
             raise ValueError("estimator.escape_levels must be >= 0")
         if self.v_min < 1:
             raise ValueError("estimator.v_min must be >= 1")
+        if self.kappa <= 0:
+            raise ValueError("estimator.kappa must be positive")
 
     @classmethod
     def defaults_for(cls, spec) -> "EstimatorConfig":

@@ -13,7 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from .hull import HullTracker, hull_growth_report
 from .projections import (UNDECIDED, ClassifierThresholds, ProjectionTracker, classify,
                           scan_exceptional)
 from .rng import run_seed
-from .samplers import IncrementSpec, spec_from_json, spec_to_json
+from .samplers import (IncrementSpec, InvalidSpecError, check_object, spec_from_json,
+                       spec_to_json)
 from .walk import csv_text, dyadic_checkpoints, run_walk
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "RunResult", "run_experiment",
@@ -53,6 +55,8 @@ class ExperimentConfig:
             raise ConfigError("n_steps must be >= 1")
         if self.n_runs < 1:
             raise ConfigError("n_runs must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError("base_seed must be >= 0")
         if self.projection_grid_m < 1:
             raise ConfigError("projection_grid_m must be >= 1")
         if self.hull_tracked_m < 16:
@@ -62,13 +66,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"n_steps={self.n_steps} gives {n_cps} checkpoints, fewer than "
                 f"classifier.min_checkpoints={self.classifier.min_checkpoints}")
-        if self.run_seeds is not None and len(self.run_seeds) != self.n_runs:
-            raise ConfigError("run_seeds must list exactly n_runs seeds")
+        if self.run_seeds is not None:
+            if len(self.run_seeds) != self.n_runs:
+                raise ConfigError("run_seeds must list exactly n_runs seeds")
+            if any(s < 0 for s in self.run_seeds):
+                raise ConfigError("run_seeds must be non-negative")
         if self.estimator is None:
             self.estimator = EstimatorConfig.defaults_for(self.spec)
         band_axis = self.estimator.band_axis
         if band_axis is not None and len(band_axis) != self.spec.dimension:
-            raise ConfigError(f"config.estimator.band_axis must have "
+            raise ConfigError(f"estimator.band_axis must have "
                               f"{self.spec.dimension} entries, got {len(band_axis)}")
         if self.spec.scale_mode == "log" and self.track_hull:
             # astronomically scaled coordinates have no float hull
@@ -81,84 +88,32 @@ class ExperimentConfig:
 
     def to_json(self) -> str:
         # out_dir is where artifacts go, not experiment identity; it stays
-        # out of the canonical form and so out of the config hash
-        obj = {
-            "spec": json.loads(spec_to_json(self.spec)),
-            "n_steps": self.n_steps,
-            "n_runs": self.n_runs,
-            "base_seed": self.base_seed,
-            "estimator": _estimator_obj(self.estimator),
-            "classifier": asdict(self.classifier),
-            "projection_grid_m": self.projection_grid_m,
-            "track_hull": self.track_hull,
-            "hull_tracked_m": self.hull_tracked_m,
-        }
-        if self.run_seeds is not None:
-            obj["run_seeds"] = list(self.run_seeds)
-        return json.dumps(obj, sort_keys=True, indent=2)
+        # out of the canonical form and so out of the config hash.  A None
+        # field (run_seeds not given) is left out.  json writes the nested
+        # configs through asdict, and their tuples as lists
+        obj = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "out_dir" and getattr(self, f.name) is not None}
+        obj["spec"] = json.loads(spec_to_json(self.spec))
+        return json.dumps(obj, sort_keys=True, indent=2, default=asdict)
 
 
-def _estimator_obj(est: EstimatorConfig) -> dict:
-    obj = asdict(est)
-    obj["alphas"] = list(est.alphas)
-    if est.band_axis is not None:
-        obj["band_axis"] = list(est.band_axis)
-    return obj
+def _read(cls, obj, where: str):
+    """A ``cls`` read from the JSON object ``obj`` at path ``where``.
 
-
-_CONFIG_KEYS = frozenset({"spec", "n_steps", "n_runs", "base_seed", "run_seeds",
-                          "estimator", "classifier", "projection_grid_m",
-                          "track_hull", "hull_tracked_m", "out_dir"})
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-def _is_numbers(value) -> bool:
-    return isinstance(value, list) and all(_is_number(x) for x in value)
-
-
-# nested field annotation -> (check, what the message says it must be)
-_NESTED_KINDS = {
-    "int": (_is_int, "an integer"),
-    "float": (_is_number, "a number"),
-    "tuple[float, ...]": (_is_numbers, "a list of numbers"),
-    "tuple[float, ...] | None": (lambda v: v is None or _is_numbers(v),
-                                 "a list of numbers or null"),
-}
-
-
-def _field(obj: dict, key: str, kind: type, default=None):
-    """``obj[key]``, or ``default`` when absent (None: required), checked to
-    be a ``kind``; a bool never passes as an int."""
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"config.{key} is required")
-        return default
-    value = obj[key]
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ConfigError(f"config.{key} must be of type {kind.__name__}, got {value!r}")
-    return value
-
-
-def _nested(obj: dict, key: str, cls):
-    """``cls`` built from the object ``obj[key]``, each value checked against
-    the type its dataclass field declares; lists become tuples."""
-    raw = _field(obj, key, dict)
-    declared = {f.name: f.type for f in fields(cls)}
-    unknown = set(raw) - set(declared)
-    if unknown:
-        raise ConfigError(f"config.{key} has unexpected fields {sorted(unknown)}")
+    Every key must name a field of ``cls``, every field without a default
+    must be present, and every value must be of the kind its field's
+    annotation names in ``KINDS``; a nested config object is read by its
+    entry in ``_OBJECT_READERS``, and lists become tuples.
+    """
+    types = {f.name: f.type for f in fields(cls)}
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    check_object(obj, where, {name: "object" if kind in _OBJECT_READERS else kind
+                              for name, kind in types.items()}, required)
     values = {}
-    for name, value in raw.items():
-        check, what = _NESTED_KINDS[declared[name]]
-        if not check(value):
-            raise ConfigError(f"config.{key}.{name} must be {what}, got {value!r}")
+    for name, value in obj.items():
+        if types[name] in _OBJECT_READERS:
+            value = _OBJECT_READERS[types[name]](value, f"{where}.{name}")
         values[name] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**values)
@@ -167,42 +122,28 @@ def _nested(obj: dict, key: str, cls):
         raise ConfigError(f"config.{exc}") from exc
 
 
+# readers of the config's object fields, keyed by field annotation
+_OBJECT_READERS = {
+    "IncrementSpec": spec_from_json,
+    "EstimatorConfig | None": partial(_read, EstimatorConfig),
+    "ClassifierThresholds": partial(_read, ClassifierThresholds),
+}
+
+
 def load_config(source: str | dict, out_dir: str | None = None) -> ExperimentConfig:
     """Parse and validate an experiment config from JSON text or a dict."""
     if isinstance(source, str):
         try:
-            obj = json.loads(source)
+            source = json.loads(source)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    else:
-        obj = source
-    if not isinstance(obj, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(obj) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"config has unexpected fields {sorted(unknown)}")
-    spec_obj = _field(obj, "spec", dict)
     try:
-        spec = spec_from_json(spec_obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"config.spec: {exc}") from exc
-    run_seeds = None
-    if "run_seeds" in obj:
-        run_seeds = tuple(_field(obj, "run_seeds", list))
-        if any(isinstance(s, bool) or not isinstance(s, int) for s in run_seeds):
-            raise ConfigError("config.run_seeds must be a list of integers")
-    est = _nested(obj, "estimator", EstimatorConfig) if "estimator" in obj else None
-    cls = _nested(obj, "classifier", ClassifierThresholds) \
-        if "classifier" in obj else ClassifierThresholds()
-    return ExperimentConfig(
-        spec=spec, n_steps=_field(obj, "n_steps", int),
-        n_runs=_field(obj, "n_runs", int, 1),
-        base_seed=_field(obj, "base_seed", int, 0),
-        run_seeds=run_seeds, estimator=est, classifier=cls,
-        projection_grid_m=_field(obj, "projection_grid_m", int, 64),
-        track_hull=_field(obj, "track_hull", bool, True),
-        hull_tracked_m=_field(obj, "hull_tracked_m", int, 16),
-        out_dir=out_dir if out_dir is not None else _field(obj, "out_dir", str, "."))
+        config = _read(ExperimentConfig, source, "config")
+    except InvalidSpecError as exc:
+        raise ConfigError(str(exc)) from exc
+    if out_dir is not None:
+        config.out_dir = out_dir
+    return config
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -282,7 +223,7 @@ def _summarize(config, runs, consensus) -> dict:
         "n_runs": len(runs),
         "seeds": [r.seed for r in runs],
         "thresholds": {
-            "estimator": _estimator_obj(config.estimator),
+            "estimator": asdict(config.estimator),
             "classifier": asdict(config.classifier),
             "verdict_note": "all membership thresholds are finite-sample "
                             "engineering choices",

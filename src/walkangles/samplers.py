@@ -15,6 +15,9 @@ Integer magnitudes saturate at SATURATION_CAP = 2**62 with a counter rather
 than overflowing; the heavy-tailed real laws also expose their *log*
 magnitude exactly (log xi = 1/U resp. E**(1/b)), which the walk engine uses
 for radial products whose jumps dwarf float64 range.
+
+``check_object`` is the one check of a JSON spec or config object: known
+keys only, required keys present, each value of its declared kind.
 """
 from __future__ import annotations
 
@@ -44,9 +47,6 @@ __all__ = [
     "radial_product",
     "linear_combination",
     "IncrementSampler",
-    "sample_rademacher",
-    "sample_s_two_sided",
-    "sample_s_one_sided",
     "spec_to_json",
     "spec_from_json",
 ]
@@ -146,31 +146,31 @@ class ScalarLaw:
             return [1.0, 2.0]
         return [float(self.param)]
 
-    def sample(self, rng, size=None, counter: Saturations | None = None):
+    def sample(self, rng, size: int, counter: Saturations | None = None) -> np.ndarray:
+        """``size`` draws; integer magnitudes drawn past SATURATION_CAP are
+        clipped to it and counted in ``counter``.  A two-sided law draws its
+        magnitudes' uniforms first, then its signs' uniforms."""
         if self.kind == "rademacher":
-            return sample_rademacher(rng, size)
-        if self.kind == "s_two_sided":
-            return sample_s_two_sided(rng, self.param, size, counter)
-        if self.kind == "s_one_sided":
-            return sample_s_one_sided(rng, self.param, size, counter)
+            return np.where(rng.random(size) < 0.5, 1, -1).astype(np.int64)
+        if self.kind in ("s_two_sided", "s_one_sided"):
+            mag = _magnitude_from_uniform(uniform_open(rng, size), self.param, counter)
+            if self.kind == "s_one_sided":
+                return mag
+            return mag * rademacher().sample(rng, size)
         if self.is_heavy_real:
             # exp(log magnitude), clipped at SATURATION_CAP with the counter
             # incremented; sample_log gives the unclipped log magnitude
             log_mag = self.sample_log(rng, size)
-            over = np.asarray(log_mag) > _LOG_SATURATION_CAP
+            over = log_mag > _LOG_SATURATION_CAP
             if np.any(over):
                 if counter is not None:
                     counter.count += int(np.count_nonzero(over))
                 log_mag = np.where(over, _LOG_SATURATION_CAP, log_mag)
-            out = np.exp(log_mag)
-            return float(out) if size is None else out
-        value = self.param
-        if size is None:
-            return value
-        return np.full(size, value)
+            return np.exp(log_mag)
+        return np.full(size, self.param)
 
-    def sample_log(self, rng, size=None):
-        """Natural log of a heavy-tail magnitude, computed without overflow."""
+    def sample_log(self, rng, size: int) -> np.ndarray:
+        """Natural log of ``size`` heavy-tail magnitudes, computed without overflow."""
         if self.kind == "log_tail":
             return 1.0 / uniform_open(rng, size)
         if self.kind == "stretched_exp":
@@ -203,14 +203,6 @@ def constant(value: float) -> ScalarLaw:
     return ScalarLaw("constant", value)
 
 
-def sample_rademacher(rng, size=None):
-    """+1 or -1, each with probability exactly 1/2."""
-    u = rng.random(size)
-    if size is None:
-        return 1 if u < 0.5 else -1
-    return np.where(u < 0.5, 1, -1).astype(np.int64)
-
-
 def _magnitude_from_uniform(u, alpha: float, counter: Saturations | None):
     """floor(U**(-1/alpha)) with saturation at SATURATION_CAP."""
     raw = np.floor(np.asarray(u, dtype=np.float64) ** (-1.0 / alpha))
@@ -220,24 +212,6 @@ def _magnitude_from_uniform(u, alpha: float, counter: Saturations | None):
             counter.count += int(np.count_nonzero(over))
         raw = np.where(over, float(SATURATION_CAP), raw)
     return raw.astype(np.int64)
-
-
-def sample_s_two_sided(rng, alpha: float, size=None, counter: Saturations | None = None):
-    """Symmetric integer law with P(|zeta| >= r) = r**-alpha for integer r >= 1."""
-    if alpha <= 0:
-        raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
-    mag = _magnitude_from_uniform(uniform_open(rng, size), alpha, counter)
-    sign = sample_rademacher(rng, size)
-    out = mag * sign
-    return int(out) if size is None else out
-
-
-def sample_s_one_sided(rng, alpha: float, size=None, counter: Saturations | None = None):
-    """Positive integer law with P(zeta >= r) = r**-alpha for integer r >= 1."""
-    if alpha <= 0:
-        raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
-    out = _magnitude_from_uniform(uniform_open(rng, size), alpha, counter)
-    return int(out) if size is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +443,7 @@ class IncrementSampler:
         idx = np.minimum(idx, len(self._cum_probs) - 1).astype(np.int64)
         law = spec.laws[0]
         if spec.scale_mode == "log":
-            xi_log = np.asarray(law.sample_log(rng, size), dtype=float)
-            return SampleBlock(vectors=None, xi_log=xi_log, atom_idx=idx)
+            return SampleBlock(vectors=None, xi_log=law.sample_log(rng, size), atom_idx=idx)
         xi = np.asarray(law.sample(rng, size, self.saturations), dtype=float)
         vec = xi[:, None] * self._atoms[idx]
         return SampleBlock(vectors=vec, xi=xi, atom_idx=idx)
@@ -481,34 +454,72 @@ class IncrementSampler:
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip
+# JSON objects
 
-_LAW_PARAM_KEY = {"s_two_sided": "alpha", "s_one_sided": "alpha",
-                  "stretched_exp": "beta", "constant": "value"}
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _law_to_obj(law: ScalarLaw) -> dict:
-    obj = {"name": law.kind}
-    key = _LAW_PARAM_KEY.get(law.kind)
-    if key is not None:
-        obj[key] = law.param
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(check(x) for x in value)
+
+
+# value kinds of spec and config objects, keyed by the name (a dataclass
+# field's annotation, where there is one) that declares them:
+# kind -> (check, what an error says the value must be)
+KINDS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "objects": (_list_of(lambda v: isinstance(v, dict)), "a list of objects"),
+    "tuple[float, ...]": (_list_of(_is_number), "a list of numbers"),
+    "tuple[float, ...] | None": (lambda v: v is None or _list_of(_is_number)(v),
+                                 "a list of numbers or null"),
+    # no null: a config's run_seeds is None only when not given, and is then not written
+    "tuple[int, ...] | None": (_list_of(_is_int), "a list of integers"),
+}
+
+
+def check_object(obj, where: str, kinds: dict[str, str], required=()) -> dict:
+    """``obj`` once it passes as the JSON object at path ``where``: every key
+    is one of ``kinds`` (key -> kind in KINDS), every key in ``required`` is
+    present, and every value is of its key's kind; a bool is never a number.
+    Raises InvalidSpecError naming the path, e.g. ``spec.laws[0].alpha``."""
+    if not isinstance(obj, dict):
+        raise InvalidSpecError(f"{where} must be an object, got {obj!r}")
+    unknown = set(obj) - set(kinds)
+    if unknown:
+        raise InvalidSpecError(f"{where} has unexpected fields {sorted(unknown)}")
+    for key in required:
+        if key not in obj:
+            raise InvalidSpecError(f"{where}.{key} is required")
+    for key, value in obj.items():
+        check, what = KINDS[kinds[key]]
+        if not check(value):
+            raise InvalidSpecError(f"{where}.{key} must be {what}, got {value!r}")
     return obj
 
 
+_LAW_PARAM_KEY = {"s_two_sided": "alpha", "s_one_sided": "alpha",
+                  "stretched_exp": "beta", "constant": "value"}
+_SPEC_KINDS = {"dimension": "int", "form": "str", "laws": "objects", "atoms": "objects",
+               "drift": "tuple[float, ...] | None"}
+_ATOM_KINDS = {"vector": "tuple[float, ...]", "p": "float"}
+
+
 def _law_from_obj(obj: dict, where: str) -> ScalarLaw:
-    if not isinstance(obj, dict) or "name" not in obj:
-        raise InvalidSpecError(f"{where} must be an object with a 'name' field")
-    name = obj["name"]
-    key = _LAW_PARAM_KEY.get(name)
-    extra = set(obj) - {"name"} - ({key} if key else set())
-    if extra:
-        raise InvalidSpecError(f"{where} has unexpected fields {sorted(extra)}")
+    name = obj.get("name")
+    key = _LAW_PARAM_KEY.get(name) if isinstance(name, str) else None
+    kinds = {"name": "str", key: "float"} if key else {"name": "str"}
+    check_object(obj, where, kinds, required=kinds)
     try:
-        if key is None:
-            return ScalarLaw(name)
-        if key not in obj:
-            raise InvalidParameterError(f"missing required field '{key}'")
-        return ScalarLaw(name, float(obj[key]))
+        return ScalarLaw(name, obj[key] if key else None)
     except InvalidParameterError as exc:
         raise InvalidSpecError(f"{where}: {exc}") from exc
 
@@ -517,42 +528,29 @@ def spec_to_json(spec: IncrementSpec) -> str:
     obj: dict = {
         "dimension": spec.dimension,
         "form": spec.form,
-        "laws": [_law_to_obj(law) for law in spec.laws],
+        "laws": [{"name": law.kind} if law.param is None else
+                 {"name": law.kind, _LAW_PARAM_KEY[law.kind]: law.param} for law in spec.laws],
     }
-    if spec.form == RADIAL_PRODUCT:
-        obj["atoms"] = [{"vector": list(v), "p": p} for v, p in zip(spec.atoms, spec.probs)]
-    elif spec.form == LINEAR_COMBINATION:
+    if spec.atoms:
         obj["atoms"] = [{"vector": list(v)} for v in spec.atoms]
+        for atom, p in zip(obj["atoms"], spec.probs):
+            atom["p"] = p
     if spec.drift is not None:
         obj["drift"] = list(spec.drift)
     return json.dumps(obj, sort_keys=True)
 
 
-def spec_from_json(text: str | dict) -> IncrementSpec:
-    obj = json.loads(text) if isinstance(text, str) else text
-    for req in ("dimension", "form", "laws"):
-        if req not in obj:
-            raise InvalidSpecError(f"spec is missing required field '{req}'")
-    dim = obj["dimension"]
-    if not isinstance(dim, int) or dim < 1:
-        raise InvalidSpecError(f"dimension must be a positive integer, got {dim!r}")
-    laws = tuple(_law_from_obj(law, f"laws[{i}]") for i, law in enumerate(obj["laws"]))
-    form = obj["form"]
-    atoms: tuple = ()
-    probs: tuple = ()
-    if form == RADIAL_PRODUCT:
-        raw = obj.get("atoms")
-        if not raw:
-            raise InvalidSpecError("radial_product spec needs an 'atoms' list")
-        atoms = tuple(tuple(float(x) for x in a["vector"]) for a in raw)
-        if any("p" not in a for a in raw):
-            raise InvalidSpecError("every radial atom needs a probability 'p'")
-        probs = tuple(float(a["p"]) for a in raw)
-    elif form == LINEAR_COMBINATION:
-        raw = obj.get("atoms")
-        if not raw:
-            raise InvalidSpecError("linear_combination spec needs an 'atoms' list")
-        atoms = tuple(tuple(float(x) for x in a["vector"]) for a in raw)
-    drift = obj.get("drift")
-    return IncrementSpec(dim, form, laws, atoms=atoms, probs=probs,
-                         drift=None if drift is None else tuple(float(x) for x in drift))
+def spec_from_json(text: str | dict, where: str = "spec") -> IncrementSpec:
+    """The spec of a JSON text or object; an error names the path from ``where``."""
+    obj = check_object(json.loads(text) if isinstance(text, str) else text, where,
+                       _SPEC_KINDS, required=("dimension", "form", "laws"))
+    laws = [_law_from_obj(law, f"{where}.laws[{i}]") for i, law in enumerate(obj["laws"])]
+    atoms = [check_object(a, f"{where}.atoms[{i}]", _ATOM_KINDS, required=("vector",))
+             for i, a in enumerate(obj.get("atoms", ()))]
+    try:
+        return IncrementSpec(obj["dimension"], obj["form"], laws,
+                             atoms=[a["vector"] for a in atoms],
+                             probs=[a["p"] for a in atoms if "p" in a],
+                             drift=obj.get("drift"))
+    except InvalidSpecError as exc:
+        raise InvalidSpecError(f"{where}: {exc}") from exc

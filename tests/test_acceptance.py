@@ -21,8 +21,7 @@ from walkangles.pruitt import (CONVERGENT_TREND, DIVERGENT_TREND, TailFunction,
                                pruitt_diagnostic, u_sequence)
 from walkangles.rng import stream
 from walkangles.samplers import (coordinate_product, constant, log_tail,
-                                 radial_product, rademacher, s_two_sided,
-                                 sample_s_two_sided)
+                                 radial_product, rademacher, s_two_sided)
 from walkangles.sphere import interpolate, s_hull
 from walkangles.walk import BoundCheckObserver, run_walk
 
@@ -254,7 +253,7 @@ def test_criterion_12_sampler_tails():
     ok = True
     details = []
     for alpha, seed in ((0.5, 5000), (1.5, 5001)):
-        draws = np.abs(sample_s_two_sided(stream(seed), alpha, n))
+        draws = np.abs(s_two_sided(alpha).sample(stream(seed), n))
         for r in (2, 4, 8):
             p = r ** -alpha
             bound = 6.0 * math.sqrt(p * (1 - p) / n)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -16,6 +17,8 @@ from walkangles.cli import main
 from walkangles.experiment import (ConfigError, load_config, run_experiment,
                                    config_hash)
 from walkangles.plots import rose_svg, trajectory_svg
+
+from test_golden import BENCH, COMMITTED_CONFIGS, EXTRA_CONFIGS
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -111,6 +114,14 @@ def test_config_errors_name_fields():
         load_config(dict(MINIMAL, n_runs=0))
 
 
+SPEC = MINIMAL["spec"]
+RADIAL_SPEC = {"dimension": 2, "form": "radial_product",
+               "laws": [{"name": "s_one_sided", "alpha": 1.0}],
+               "atoms": [{"vector": [1.0, 0.0], "p": 0.5}, {"vector": [0.0, 1.0], "p": 0.5}]}
+
+# (key, value) or (key, value, pattern the error must match); without a
+# pattern, the error must name the key, or for an object the path to its
+# first key, e.g. config.estimator.grid_m
 BAD_FIELDS = [
     ("n_runs", "x"), ("n_runs", None), ("n_runs", 2.7), ("n_runs", True),
     ("n_steps", 1000.0), ("base_seed", "7"), ("track_hull", "no"),
@@ -122,16 +133,64 @@ BAD_FIELDS = [
     ("estimator", {"alphas": "ab"}), ("estimator", {"band_axis": [1, 0, 0]}),
     ("classifier", {"min_checkpoints": 2.5}), ("classifier", {"min_checkpoints": 2}),
     ("n_steps", 4),
+    # null means "not given" only where to_json writes null (estimator.band_axis)
+    ("run_seeds", None), ("estimator", None),
+    # seeds feed SeedSequence, which takes no negative entropy; kappa is a log's argument
+    ("base_seed", -1, r"config\.base_seed must be >= 0"),
+    ("run_seeds", [-1], r"config\.run_seeds must be non-negative"),
+    ("estimator", {"grid_seed": -1}), ("estimator", {"kappa": 0}),
+    # spec, law and atom objects are checked like every other config object
+    ("spec", dict(SPEC, drfit=[1, 0]), r"config\.spec has unexpected fields \['drfit'\]"),
+    ("spec", dict(SPEC, dimension=True), r"config\.spec\.dimension must be an integer"),
+    ("spec", dict(SPEC, laws=[{"name": "s_two_sided", "alpha": True}, {"name": "rademacher"}]),
+     r"config\.spec\.laws\[0\]\.alpha must be a number"),
+    ("spec", dict(RADIAL_SPEC, atoms=[{"vector": [1.0, 0.0], "p": 0.5, "q": 1},
+                                      {"vector": [0.0, 1.0], "p": 0.5}]),
+     r"config\.spec\.atoms\[0\] has unexpected fields \['q'\]"),
+    ("spec", dict(SPEC, atoms=[{"vector": [1, 0]}]),
+     "config.spec: coordinate_product takes no atoms"),
+    ("spec", {"dimension": 2, "form": "linear_combination",
+              "laws": [{"name": "rademacher"}, {"name": "rademacher"}],
+              "atoms": [{"vector": "12"}, {"vector": [0, 1]}]},
+     r"config\.spec\.atoms\[0\]\.vector must be a list of numbers"),
 ]
 
 
-@pytest.mark.parametrize("key, value", BAD_FIELDS,
-                         ids=[f"{k}={v!r}" for k, v in BAD_FIELDS])
-def test_config_rejects_bad_field(key, value):
-    # a nested field is named by its full path, e.g. config.estimator.grid_m
+@pytest.mark.parametrize("case", BAD_FIELDS, ids=[f"{c[0]}={c[1]!r}" for c in BAD_FIELDS])
+def test_config_rejects_bad_field(case, tmp_path, capsys):
+    key, value, *pattern = case
     name = f"config.{key}.{next(iter(value))}" if isinstance(value, dict) else key
+    name = pattern[0] if pattern else name
     with pytest.raises(ConfigError, match=name):
         load_config(dict(MINIMAL, **{key: value}))
+    # simulate reports it as a config error, before any walk runs
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(MINIMAL, **{key: value})))
+    assert main(["simulate", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert re.search(name, capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+# every config the repository commits or pins, plus one that sets every field
+ROUND_TRIP_CONFIGS = {
+    **{os.path.basename(path): json.loads(read(path)) for path in COMMITTED_CONFIGS},
+    **{f"bench-{name}": BENCH["config_for"](name, BENCH["DEFAULT_SEED"])
+       for name in BENCH["WORKLOADS"]},
+    **EXTRA_CONFIGS,
+    "every-field": dict(MINIMAL, spec=dict(SPEC, drift=[0.5, 0]), n_runs=2, run_seeds=[3, 0],
+                        estimator={"band_axis": [0, 1], "alphas": [0.5], "kappa": 2},
+                        classifier={"growth": 1.9}, projection_grid_m=8, track_hull=False,
+                        hull_tracked_m=32, out_dir="elsewhere"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_CONFIGS))
+def test_config_json_round_trip(name):
+    # the reader accepts everything the writer writes, and reads it back unchanged
+    config = load_config(ROUND_TRIP_CONFIGS[name])
+    again = load_config(json.loads(config.to_json()))
+    assert config_hash(again) == config_hash(config)
+    assert again.to_json() == config.to_json()
 
 
 def test_log_mode_spec_disables_hull(tmp_path):
@@ -237,6 +296,21 @@ def test_cli_reproduce_smoke(tmp_path, capsys):
     report = json.loads(read(tmp_path / "ex-10.4-report.json"))
     assert report["name"] == "ex-10.4"
     assert main(["reproduce", "no-such-example"]) == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["reproduce", "ex-10.4", "--steps", "0"], "--steps"),
+    (["reproduce", "ex-10.4", "--runs", "0"], "--runs"),
+    (["reproduce", "ex-10.4", "--seed", "-1"], "--seed"),
+    (["pruitt", "log_tail", "--K", "-1"], "--K"),
+    (["pruitt", "poly:1.5", "--K", "1"], "--K"),
+])
+def test_cli_bad_integer_flag_exit_2(argv, flag, capsys):
+    # exit 1 means a FAILed report, so a bad flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >=" in capsys.readouterr().err
 
 
 def test_cli_pruitt(tmp_path, capsys):

@@ -10,8 +10,6 @@ from walkangles.samplers import (IncrementSampler, InvalidParameterError,
                                  coordinate_product, constant,
                                  linear_combination, log_tail, radial_product,
                                  rademacher, s_one_sided, s_two_sided,
-                                 sample_rademacher, sample_s_one_sided,
-                                 sample_s_two_sided,
                                  spec_from_json, spec_to_json, stretched_exp,
                                  SATURATION_CAP, _magnitude_from_uniform)
 
@@ -24,16 +22,13 @@ class FixedUniform:
     def __init__(self, *values):
         self.values = list(values)
 
-    def random(self, size=None):
-        v = self.values.pop(0)
-        if size is None:
-            return v
-        return np.full(size, v)
+    def random(self, size):
+        return np.full(size, self.values.pop(0))
 
 
 def test_rademacher_symmetry():
     rng = stream(11)
-    draws = sample_rademacher(rng, N_BIG)
+    draws = rademacher().sample(rng, N_BIG)
     assert set(np.unique(draws)) == {-1, 1}
     assert abs(draws.mean()) <= 0.003
     # 6-sigma binomial band around 1/2 at a million draws is +-0.003
@@ -41,8 +36,8 @@ def test_rademacher_symmetry():
 
 
 def test_rademacher_seed_determinism():
-    a = sample_rademacher(stream(5), 1000)
-    b = sample_rademacher(stream(5), 1000)
+    a = rademacher().sample(stream(5), 1000)
+    b = rademacher().sample(stream(5), 1000)
     assert np.array_equal(a, b)
 
 
@@ -54,33 +49,33 @@ def test_two_sided_inverse_identity():
 
 
 def test_two_sided_magnitude_floor():
-    draws = sample_s_two_sided(stream(7), 0.7, 10000)
+    draws = s_two_sided(0.7).sample(stream(7), 10000)
     assert np.all(np.abs(draws) >= 1)
 
 
 def test_two_sided_exact_tail():
-    draws = sample_s_two_sided(stream(13), 0.5, N_BIG)
+    draws = s_two_sided(0.5).sample(stream(13), N_BIG)
     # P(|zeta| >= 4) = 4**-0.5 = 1/2 exactly
     assert abs(np.mean(np.abs(draws) >= 4) - 0.5) <= 0.002
 
 
 def test_one_sided_exact_tail():
-    draws = sample_s_one_sided(stream(17), 1.0, N_BIG)
+    draws = s_one_sided(1.0).sample(stream(17), N_BIG)
     assert np.all(draws >= 1)
     assert abs(np.mean(draws >= 10) - 0.1) <= 0.001
 
 
 def test_invalid_alpha_rejected():
     with pytest.raises(InvalidParameterError):
-        sample_s_two_sided(stream(1), 0.0)
+        s_two_sided(0.0)
     with pytest.raises(InvalidParameterError):
-        sample_s_one_sided(stream(1), -1.0)
+        s_one_sided(-1.0)
 
 
 def test_log_tail_inverse_identity():
     # U = 0.5 -> xi = e**2, and P(xi > e**2) = 1/log(e**2) = 1/2
     rng = FixedUniform(0.5)  # uniform_open gives 1 - 0.5 = 0.5
-    assert log_tail().sample(rng) == pytest.approx(math.e**2, rel=1e-12)
+    assert log_tail().sample(rng, 1)[0] == pytest.approx(math.e**2, rel=1e-12)
 
 
 def test_log_tail_support_floor():
@@ -103,7 +98,7 @@ def test_stretched_exp_beta_range():
 
 def test_saturation_counted_not_clipped_silently():
     counter = Saturations()
-    draws = sample_s_one_sided(stream(29), 0.05, 2000, counter)
+    draws = s_one_sided(0.05).sample(stream(29), 2000, counter)
     assert counter.count > 0
     assert draws.max() == SATURATION_CAP
     assert np.all(draws <= SATURATION_CAP)
