@@ -64,10 +64,14 @@ class EstimatorConfig:
             raise ValueError("estimator.escape_r0 must be positive")
         if self.escape_levels < 0:
             raise ValueError("estimator.escape_levels must be >= 0")
+        if self.min_top_level > self.escape_levels:
+            raise ValueError("estimator.min_top_level must be <= escape_levels, the top level")
         if self.v_min < 1:
             raise ValueError("estimator.v_min must be >= 1")
         if self.kappa <= 0:
             raise ValueError("estimator.kappa must be positive")
+        if self.band_axis is not None and not any(self.band_axis):
+            raise ValueError("estimator.band_axis must not be all zeros")
 
     @classmethod
     def defaults_for(cls, spec) -> "EstimatorConfig":
@@ -75,9 +79,6 @@ class EstimatorConfig:
         log-tailed radial specs whose norms explode."""
         return cls(grid_m=64 if spec.dimension == 2 else 256,
                    escape_r0=1e3 if spec.scale_mode == "log" else 10.0)
-
-    def levels(self) -> np.ndarray:
-        return self.escape_r0 * 2.0 ** np.arange(self.escape_levels + 1)
 
 
 # rows and grid points are unit vectors to within this slack on |x|^2

@@ -182,12 +182,13 @@ def _one_run(config: ExperimentConfig, index: int) -> RunResult:
         hull = HullTracker(support_m=config.hull_tracked_m)
         observers.append(hull)
     record = run_walk(spec, config.n_steps, seed, observers=observers)
-    if len(proj.stats.checkpoints) < config.classifier.min_checkpoints:
-        # the walk halted (record.overflowed) before its ladder could classify
+    if record.overflowed:
+        # "never seen beyond a level" is evidence only of a walk that ran its course
         verdicts = [UNDECIDED] * len(proj.directions)
+        estimate = _no_evidence(acc)
     else:
         verdicts = classify(proj.stats, config.classifier)
-    estimate = acc.finalize() if acc.n_steps_seen else _no_evidence(acc)
+        estimate = acc.finalize()
     return RunResult(index=index, seed=seed, record=record, estimate=estimate,
                      projections=proj, hull=hull,
                      hull_report=hull_growth_report(hull) if hull else None,
@@ -195,8 +196,8 @@ def _one_run(config: ExperimentConfig, index: int) -> RunResult:
 
 
 def _no_evidence(acc: CapVisitAccumulator) -> DirectionSetEstimate:
-    """Estimate of a walk that left range at step 1: it recorded no step, so
-    every grid point is UNDECIDED."""
+    """Estimate of a halted walk: the visits and graded maxima it recorded,
+    with every grid point UNDECIDED."""
     m = len(acc.grid)
     return DirectionSetEstimate(
         grid=acc.grid, config=acc.config, verdicts=np.full(m, NO_VERDICT, dtype=np.int8),
@@ -279,9 +280,9 @@ def _write_artifacts(result: ExperimentResult) -> None:
         if r.hull is not None:
             write_text(f"run{r.index}_hull.csv", r.hull.to_csv())
         else:
-            write_text(f"run{r.index}_hull.csv",
-                       "n,r,vertex_count\n# hull tracking unsupported for "
-                       "log-scale walks\n")
+            why = ("unsupported for log-scale walks" if config.spec.scale_mode == "log"
+                   else "off (track_hull is false)")
+            write_text(f"run{r.index}_hull.csv", f"n,r,vertex_count\n# hull tracking {why}\n")
     if result.consensus is not None:
         cons = result.consensus
         write_text("consensus_directions.csv", csv_text(

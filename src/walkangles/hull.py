@@ -289,7 +289,7 @@ class HullTracker(ObserverBase):
         self.state: HullState | None = None
         self.series: list[HullCheckpoint] = []
 
-    def begin(self, spec, n_steps, checkpoints):
+    def begin(self, spec, n_steps):
         if spec.scale_mode == "log":
             raise UnsupportedSpecError(
                 "hull tracking is not supported for log-scale walks")
@@ -297,12 +297,11 @@ class HullTracker(ObserverBase):
         # S_0 = 0, as an int for lattice walks so the planar chain stays exact
         dtype = np.int64 if spec.scale_mode == "lattice" else float
         self.state.update(np.zeros((1, spec.dimension), dtype=dtype))
-        self._cps = set(checkpoints)
         self._r_prev = 0.0
 
     def observe(self, block: WalkBlock) -> None:
         self.state.update(block.positions)
-        if block.last_n in self._cps:
+        if block.at_checkpoint:
             r = self.state.inscribed_radius()
             # the true radius is monotone; the max() guards against last-ulp
             # jitter when an edge is re-derived from new endpoints

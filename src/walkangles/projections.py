@@ -92,17 +92,16 @@ class ProjectionTracker(ObserverBase):
         self._grid_m = grid_m
         self.stats: ProjectionStats | None = None
 
-    def begin(self, spec, n_steps, checkpoints):
+    def begin(self, spec, n_steps):
         if self._dirs is None:
             self._dirs = direction_grid(spec.dimension, self._grid_m)
-        self._cps = set(checkpoints)
         m = len(self._dirs)
         # S_0 = 0 is part of every trajectory
         self._cur_min = np.zeros(m)
         self._cur_max = np.zeros(m)
+        # mins and maxes collect one row per checkpoint; finish stacks them
         self.stats = ProjectionStats(
-            directions=self._dirs, checkpoints=[],
-            mins=np.empty((len(checkpoints), m)), maxes=np.empty((len(checkpoints), m)),
+            directions=self._dirs, checkpoints=[], mins=[], maxes=[],
             final=np.zeros(m), n_steps=n_steps, log_scale=spec.scale_mode == "log")
 
     @property
@@ -120,23 +119,22 @@ class ProjectionTracker(ObserverBase):
             vals = _psi_from_signed_log(np.sign(dots), log_abs)
         else:
             vals = block.positions @ self._dirs.T
-        np.minimum(self._cur_min, vals.min(axis=0), out=self._cur_min)
-        np.maximum(self._cur_max, vals.max(axis=0), out=self._cur_max)
+        self._cur_min = np.minimum(self._cur_min, vals.min(axis=0))
+        self._cur_max = np.maximum(self._cur_max, vals.max(axis=0))
+        # final stays a view of the last block's values: a copy would free
+        # that block, letting the allocator return pages that the next run
+        # then faults in again (measured slower on log-scale walks)
         st.final = vals[-1]
-        if block.last_n in self._cps:
-            k = len(st.checkpoints)
-            st.mins[k] = self._cur_min
-            st.maxes[k] = self._cur_max
+        if block.at_checkpoint:
             st.checkpoints.append(block.last_n)
+            st.mins.append(self._cur_min)
+            st.maxes.append(self._cur_max)
 
-    def finish(self, state) -> None:
-        # a walk that halts early reaches only the first checkpoints.  final
-        # stays a view of the last block's values: a copy would free that
-        # block, letting the allocator return pages that the next run then
-        # faults in again (measured slower on log-scale walks)
+    def finish(self) -> None:
         st = self.stats
-        k = len(st.checkpoints)
-        st.mins, st.maxes = st.mins[:k], st.maxes[:k]
+        shape = (len(st.checkpoints), len(self._dirs))
+        st.mins = np.array(st.mins).reshape(shape)
+        st.maxes = np.array(st.maxes).reshape(shape)
 
     def to_csv(self, verdicts: list[str]) -> str:
         """One row per direction; ``verdicts[i]`` is direction i's classification."""

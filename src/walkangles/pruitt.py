@@ -120,6 +120,8 @@ def pruitt_diagnostic(u, min_terms: int = 16) -> PruittDiagnostic:
     log-log slope below -1); DIVERGENT_TREND when they sit on a positive
     constant; INCONCLUSIVE otherwise (including non-monotone sequences).
     """
+    if min_terms < 3:
+        raise ValueError(f"min_terms must be >= 3 to fit a slope, got {min_terms}")
     u = np.asarray(u, dtype=float)
     if len(u) < min_terms:
         raise ValueError(f"diagnostic needs at least {min_terms} terms")

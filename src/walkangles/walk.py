@@ -174,6 +174,8 @@ class WalkBlock:
     xi_rest: np.ndarray | None = None
     max_index: np.ndarray | None = None
     atom_at_max: np.ndarray | None = None
+    # the block's last step is on the checkpoint ladder of ``run_walk``
+    at_checkpoint: bool = False
 
     def __len__(self) -> int:
         return len(self.log_norms)
@@ -186,13 +188,13 @@ class WalkBlock:
 class ObserverBase:
     """No-op observer; subclasses override what they need."""
 
-    def begin(self, spec: IncrementSpec, n_steps: int, checkpoints: Sequence[int]) -> None:
+    def begin(self, spec: IncrementSpec, n_steps: int) -> None:
         pass
 
     def observe(self, block: WalkBlock) -> None:
         pass
 
-    def finish(self, state: WalkState) -> None:
+    def finish(self) -> None:
         pass
 
 
@@ -256,9 +258,6 @@ class TrajectoryRecord:
     """Checkpoint trace of one walk, serializable to CSV."""
 
     spec: IncrementSpec
-    seed: int
-    n_steps: int
-    mode: str
     checkpoints: list[CheckpointRow] = field(default_factory=list)
     overflowed: bool = False
     saturations: int = 0
@@ -270,7 +269,7 @@ class TrajectoryRecord:
         header = (["n"] + [f"s_{i+1}" for i in range(d)] + ["norm"]
                   + [f"shat_{i+1}" for i in range(d)])
         dirs = np.array([row.direction for row in rows]).reshape(len(rows), d)
-        if self.mode == "log":
+        if self.spec.scale_mode == "log":
             log_norms = [row.log_norm for row in rows]
             positions = [[_format_log_value(ln + math.log(abs(c)), c) if c != 0.0 else "0"
                           for ln, c in zip(log_norms, col)] for col in dirs.T.tolist()]
@@ -282,7 +281,7 @@ class TrajectoryRecord:
         if self.spec.form == RADIAL_PRODUCT:
             header += ["xi_max", "xi_rest", "max_index"]
             xi = [[row.xi_max for row in rows], [row.xi_rest for row in rows]]
-            if self.mode == "log":
+            if self.spec.scale_mode == "log":
                 xi = [[_format_log_value(x) for x in col] for col in xi]
             columns += xi + [[row.max_index for row in rows]]
         return csv_text(header, columns)
@@ -395,23 +394,22 @@ def _lattice_cumsum(prev: np.ndarray, vectors: np.ndarray):
 
 
 def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
-             observers: Sequence[ObserverBase] = (), *,
-             checkpoints: Sequence[int] | None = None) -> TrajectoryRecord:
+             observers: Sequence[ObserverBase] = ()) -> TrajectoryRecord:
     """Drive a walk for ``n_steps``; deterministic given (spec, n_steps, seed).
 
-    Every observer sees every step (in vectorized blocks, split so that each
-    checkpoint ends a block).
+    Every observer sees every step, in vectorized blocks split so that each
+    checkpoint of ``dyadic_checkpoints(n_steps)`` ends one, marked
+    ``at_checkpoint``; a halted walk reaches the checkpoints up to its halt.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     sampler = IncrementSampler(spec)
     rng = stream(seed)
     mode = spec.scale_mode
-    cps = sorted(set(checkpoints)) if checkpoints is not None else dyadic_checkpoints(n_steps)
-    cp_set = set(cps)
-    record = TrajectoryRecord(spec=spec, seed=seed, n_steps=n_steps, mode=mode)
+    cp_set = set(dyadic_checkpoints(n_steps))
+    record = TrajectoryRecord(spec=spec)
     for obs in observers:
-        obs.begin(spec, n_steps, cps)
+        obs.begin(spec, n_steps)
 
     state = WalkState.initial(spec)
     atoms = sampler.atoms
@@ -469,17 +467,17 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
         start = 0
         for cut in cuts:
             sub = _slice_block(block, start, cut) if (start, cut) != (0, b) else block
+            sub.at_checkpoint = first_n + cut - 1 in cp_set
             for obs in observers:
                 obs.observe(sub)
-            end_n = first_n + cut - 1
-            if end_n in cp_set:
+            if sub.at_checkpoint:
                 record.checkpoints.append(_checkpoint_from_block(sub, spec))
             start = cut
         n_done += b
 
     record.saturations = sampler.saturations.count
     for obs in observers:
-        obs.finish(state)
+        obs.finish()
     record.final_state = state
     return record
 
@@ -555,7 +553,7 @@ class BoundCheckObserver(ObserverBase):
         self._atoms = None
         self._log = False
 
-    def begin(self, spec, n_steps, checkpoints):
+    def begin(self, spec, n_steps):
         if spec.form != RADIAL_PRODUCT:
             raise UnsupportedSpecError("bound checking needs a radial-product spec")
         self._atoms = np.asarray(spec.atoms, dtype=float)

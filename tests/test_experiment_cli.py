@@ -133,6 +133,8 @@ BAD_FIELDS = [
     ("estimator", {"alphas": "ab"}), ("estimator", {"band_axis": [1, 0, 0]}),
     ("classifier", {"min_checkpoints": 2.5}), ("classifier", {"min_checkpoints": 2}),
     ("n_steps", 4),
+    # knobs under which no grid point could be IN, or no step lies in the band
+    ("estimator", {"min_top_level": 9}), ("estimator", {"band_axis": [0, 0]}),
     # null means "not given" only where to_json writes null (estimator.band_axis)
     ("run_seeds", None), ("estimator", None),
     # seeds feed SeedSequence, which takes no negative entropy; kappa is a log's argument
@@ -204,8 +206,14 @@ def test_log_mode_spec_disables_hull(tmp_path):
     config = load_config(cfg, out_dir=str(tmp_path))
     assert not config.track_hull
     result = run_experiment(config)
-    text = read(tmp_path / "run0_hull.csv").decode()
-    assert "unsupported" in text
+    assert read(tmp_path / "run0_hull.csv") == \
+        b"n,r,vertex_count\n# hull tracking unsupported for log-scale walks\n"
+
+
+def test_hull_placeholder_when_tracking_is_off(tmp_path):
+    run_experiment(load_config(dict(MINIMAL, track_hull=False), out_dir=str(tmp_path)))
+    assert read(tmp_path / "run0_hull.csv") == \
+        b"n,r,vertex_count\n# hull tracking off (track_hull is false)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -223,25 +231,39 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     assert main(["simulate", str(bad_path), "--out", str(tmp_path / "o2")]) == 2
 
 
-def test_cli_simulate_halted_runs_are_undecided(tmp_path):
-    # both float walks leave float range at step 2, so each ladder holds one
-    # checkpoint: too few to classify, yet every artifact is written
-    config = {"spec": {"dimension": 2, "form": "coordinate_product",
-                       "laws": [{"name": "constant", "value": 1e308},
-                                {"name": "rademacher"}]},
-              "n_steps": 64, "n_runs": 2}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    with np.errstate(over="ignore"):
-        assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0
+def assert_all_undecided(out, n_runs):
+    """Every run of the experiment in ``out`` halted, with no verdict at all."""
     summary = json.loads(read(out / "summary.json"))
-    assert [(r["overflowed"], r["classification_counts"]) for r in summary["runs"]] \
-        == [(True, {"UNDECIDED": 64})] * 2
-    rows = list(csv.reader(io.StringIO(read(out / "run0_projections.csv").decode())))
-    assert rows[0] == ["u_1", "u_2", "min_n1", "max_n1", "final", "verdict"]
-    assert {row[-1] for row in rows[1:]} == {"UNDECIDED"}
-    assert (out / "manifest.json").exists()
+    assert [(r["overflowed"], r["classification_counts"], r["in_count"], r["out_count"])
+            for r in summary["runs"]] == [(True, {"UNDECIDED": 64}, 0, 0)] * n_runs
+    for i in range(n_runs):
+        for kind in ("projections", "directions"):
+            rows = csv.DictReader(io.StringIO(read(out / f"run{i}_{kind}.csv").decode()))
+            assert {row["verdict"] for row in rows} == {"UNDECIDED"}, (i, kind)
+
+
+def test_cli_simulate_halted_runs_are_undecided(tmp_path):
+    # a halted walk is judged by the one rule on record.overflowed, however
+    # many checkpoints it reached, yet every artifact is written.  The float
+    # walk leaves float range at step 2 (one checkpoint, and one recorded step
+    # that would put 57 of 64 grid points OUT); the lattice walk leaves int64
+    # range at step 16 (four checkpoints, enough to call 32 directions PLUS
+    # and 32 MINUS)
+    cfg_path = tmp_path / "cfg.json"
+    for value, ladder in ((1e308, [1]), (2**59, [1, 2, 4, 8])):
+        config = {"spec": {"dimension": 2, "form": "coordinate_product",
+                           "laws": [{"name": "constant", "value": value},
+                                    {"name": "rademacher"}]},
+                  "n_steps": 64, "n_runs": 2}
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / f"out{value}"
+        with np.errstate(over="ignore"):
+            assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0
+        assert_all_undecided(out, 2)
+        rows = list(csv.reader(io.StringIO(read(out / "run0_projections.csv").decode())))
+        assert rows[0] == (["u_1", "u_2"] + [f"min_n{n}" for n in ladder]
+                           + [f"max_n{n}" for n in ladder] + ["final", "verdict"])
+        assert (out / "manifest.json").exists()
     # these walks leave float range at step 1: no step is recorded, so no
     # checkpoint and no cap-visit evidence, yet every artifact is written
     config = {"spec": {"dimension": 2, "form": "linear_combination",
@@ -253,16 +275,15 @@ def test_cli_simulate_halted_runs_are_undecided(tmp_path):
     out = tmp_path / "out_step1"
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0
+    assert_all_undecided(out, 4)
     summary = json.loads(read(out / "summary.json"))
-    assert [(r["overflowed"], r["classification_counts"], r["exceptional_candidates"])
-            for r in summary["runs"]] == [(True, {"UNDECIDED": 64}, 64)] * 4
+    assert [r["exceptional_candidates"] for r in summary["runs"]] == [64] * 4
     manifest = json.loads(read(out / "manifest.json"))
     assert len(manifest["files"]) == 4 * 4 + 2
     for name in manifest["files"]:
         assert (out / name).exists(), name
-    for name in ("run0_projections.csv", "run0_directions.csv", "consensus_directions.csv"):
-        rows = list(csv.DictReader(io.StringIO(read(out / name).decode())))
-        assert {row["verdict"] for row in rows} == {"UNDECIDED"}, name
+    rows = csv.DictReader(io.StringIO(read(out / "consensus_directions.csv").decode()))
+    assert {row["verdict"] for row in rows} == {"UNDECIDED"}
 
 
 def test_cli_simulate_bad_field_exit_2(tmp_path, capsys):

@@ -9,8 +9,8 @@ from walkangles.projections import (MINUS, OSC, PLUS, PSI_OFFSET, UNDECIDED,
                                     ClassifierThresholds, ProjectionStats,
                                     ProjectionTracker, _psi_from_signed_log,
                                     classify, project_series, scan_exceptional)
-from walkangles.samplers import (coordinate_product, constant, log_tail,
-                                 radial_product, rademacher, s_two_sided)
+from walkangles.samplers import (coordinate_product, constant, linear_combination,
+                                 log_tail, radial_product, rademacher, s_two_sided)
 from walkangles.walk import NEG_INF, dyadic_checkpoints, run_walk
 
 E1 = np.array([1.0, 0.0])
@@ -144,12 +144,13 @@ def test_tracker_csv():
 
 
 def test_ladder_of_walk_halted_before_first_checkpoint():
-    # the float walk leaves float range at step 2, before checkpoint 4
-    spec = coordinate_product([constant(1e308), rademacher()])
+    # at seed 2 the float walk leaves float range at step 1, so it records no
+    # step and reaches no checkpoint
+    spec = linear_combination([[1e300, 0.0], [0.0, 1.0]], [s_two_sided(0.01), rademacher()])
     tr = ProjectionTracker(grid_m=8)
-    with np.errstate(over="ignore"):
-        rec = run_walk(spec, 64, seed=0, observers=[tr], checkpoints=[4, 64])
-    assert rec.overflowed
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = run_walk(spec, 64, seed=2, observers=[tr])
+    assert rec.overflowed and rec.checkpoints == []
     st = tr.stats
     assert st.checkpoints == []
     assert st.mins.shape == st.maxes.shape == (0, 8)

@@ -14,7 +14,9 @@ from walkangles.samplers import (IncrementSampler, SampleBlock, coordinate_produ
                                  constant, linear_combination, log_tail,
                                  radial_product, rademacher, s_one_sided,
                                  s_two_sided)
-from walkangles.walk import (INT_SAT_LIMIT, BoundCheckObserver,
+from walkangles.hull import HullTracker
+from walkangles.projections import ProjectionTracker
+from walkangles.walk import (BLOCK, INT_SAT_LIMIT, BoundCheckObserver,
                              ObserverBase, TrajectoryRecord, UnsupportedSpecError, WalkState,
                              biggest_jump_bound_check, csv_text, dyadic_checkpoints,
                              run_walk)
@@ -465,6 +467,47 @@ def test_dyadic_checkpoints():
     assert dyadic_checkpoints(10) == [1, 2, 4, 8, 10]
     assert dyadic_checkpoints(8) == [1, 2, 4, 8]
     assert dyadic_checkpoints(1) == [1]
+
+
+class Pieces(ObserverBase):
+    """Records the last step, and the checkpoint mark, of every piece seen."""
+
+    def __init__(self):
+        self.ends, self.marked = [], []
+
+    def observe(self, block):
+        self.ends.append(block.last_n)
+        if block.at_checkpoint:
+            self.marked.append(block.last_n)
+
+
+@pytest.mark.parametrize("spec, n_steps, reached", [
+    (coordinate_product([rademacher(), s_two_sided(0.5)]), 1000, dyadic_checkpoints(1000)),
+    # leaves int64 range at step 16, so only the checkpoints before it are reached
+    (coordinate_product([constant(2**59), rademacher()]), 64, [1, 2, 4, 8]),
+], ids=["full", "halted"])
+def test_one_checkpoint_ladder(spec, n_steps, reached):
+    # the engine's marks, the record's rows, the projection ladder and the
+    # hull series all read the one ladder of run_walk
+    pieces, proj, hull = Pieces(), ProjectionTracker(grid_m=8), HullTracker()
+    rec = run_walk(spec, n_steps, seed=3, observers=[pieces, proj, hull])
+    assert rec.overflowed == (reached != dyadic_checkpoints(n_steps))
+    assert pieces.marked == [row.n for row in rec.checkpoints] == proj.stats.checkpoints \
+        == [cp.n for cp in hull.series] == reached
+    assert proj.stats.mins.shape == proj.stats.maxes.shape == (len(reached), 8)
+
+
+def test_cut_structure():
+    # artifact bytes depend on where run_walk cuts its blocks: at every
+    # checkpoint, and past BLOCK steps also at every multiple of BLOCK
+    spec = coordinate_product([constant(1), rademacher()])
+    pieces = Pieces()
+    run_walk(spec, 2**10, seed=0, observers=[pieces])
+    assert pieces.ends == pieces.marked == [2**k for k in range(11)]
+    pieces = Pieces()
+    run_walk(spec, 4 * BLOCK + 3, seed=0, observers=[pieces])
+    assert pieces.ends == [2**k for k in range(16)] + [3 * BLOCK, 4 * BLOCK, 4 * BLOCK + 3]
+    assert pieces.marked == [2**k for k in range(16)] + [4 * BLOCK, 4 * BLOCK + 3]
 
 
 def test_csv_header_and_rows():
