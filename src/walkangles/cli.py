@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -52,8 +53,12 @@ def _cmd_reproduce(args) -> int:
         print(f"error: unknown example {args.name!r}; choose from "
               f"{', '.join(EXAMPLE_NAMES)}", file=sys.stderr)
         return 2
-    report = reproduce_example(args.name, steps=args.steps, runs=args.runs,
-                               seed=args.seed, alpha=args.alpha)
+    try:
+        report = reproduce_example(args.name, steps=args.steps, runs=args.runs,
+                                   seed=args.seed, alpha=args.alpha)
+    except ValueError as exc:       # past argparse, only an unused alpha is refused
+        print(f"error: argument --alpha: {exc}", file=sys.stderr)
+        return 2
     for line in report.lines():
         print(line)
     if args.out:
@@ -183,6 +188,15 @@ def _int_at_least(low: int):
     return integer
 
 
+def _positive_number(text: str) -> float:
+    """argparse type: a finite number above 0; anything else is a usage error
+    (exit 2) that names the flag."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="walkangles",
@@ -199,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_int_at_least(1), default=None)
     p.add_argument("--runs", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=_int_at_least(0), default=None)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=_positive_number, default=None,
+                   help="tail index of the example's heavy law (not heavytails-demo)")
     p.add_argument("--out", default=None, help="directory for the JSON report")
     p.set_defaults(func=_cmd_reproduce)
 

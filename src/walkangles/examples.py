@@ -13,7 +13,8 @@ and thresholds were calibrated once and are pinned here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -69,10 +70,6 @@ class ExampleReport:
                             "detail": c.detail} for c in self.checks]}
 
 
-def _pole_indices(grid: np.ndarray, target: np.ndarray) -> int:
-    return int(np.argmin(np.linalg.norm(grid - target, axis=1)))
-
-
 def _consensus_in_points(ests) -> np.ndarray:
     """IN grid points of the multi-run consensus, or of the only run."""
     return (combine_runs(ests) if len(ests) >= 2 else ests[0]).in_points()
@@ -104,40 +101,60 @@ def triangle_log_tail_spec() -> IncrementSpec:
 # ---------------------------------------------------------------------------
 # example runners
 
+def _walks(spec, steps, seeds, *observers):
+    """One walk per seed, each with fresh observers; yields the walk's record
+    and its observers in ``observers`` order.  An EstimatorConfig there stands
+    for a cap-visit accumulator on it; anything else is a factory."""
+    for s in seeds:
+        made = [CapVisitAccumulator(o, spec.dimension) if isinstance(o, EstimatorConfig)
+                else o() for o in observers]
+        yield run_walk(spec, steps, s, observers=made), made
+
+
+def _one_level(grid_m: int, cap_radius: float, escape_r0: float) -> EstimatorConfig:
+    """Cap detector with one escape level: only its visits and IN points are read."""
+    return EstimatorConfig(grid_m=grid_m, cap_radius=cap_radius, escape_r0=escape_r0,
+                           escape_levels=0, min_top_level=0, v_min=1)
+
+
+# graded estimator of ex-10.1 (escape_r0 10 in its drift regime) and of
+# ex-10.2's two-pole regime
+_GRADED = EstimatorConfig(grid_m=64, cap_radius=0.1, escape_r0=1e3,
+                         escape_levels=8, min_top_level=2)
+
+
+def _check_two_poles(report: ExampleReport, ests, detail_suffix: str = "") -> None:
+    pts = _consensus_in_points(ests)
+    worst = max((min(np.linalg.norm(p - E2), np.linalg.norm(p + E2)) for p in pts),
+                default=math.inf)
+    report.add("direction set is the two vertical poles",
+               len(pts) > 0 and worst <= 0.15,
+               f"{len(pts)} IN points, max chord to poles {worst:.4f}{detail_suffix}")
+
+
+def _drift_wins(alpha: float) -> bool:
+    return alpha > 1.0      # ex-10.1's regime: with a finite mean the drift wins
+
+
 def _run_ex_10_1(steps, runs, seed, alpha):
     spec = drift_axis_spec(alpha)
     report = ExampleReport("ex-10.1", {"alpha": alpha, "steps": steps,
                                        "runs": runs, "seed": seed})
-    if alpha < 1.0:
-        cfg = EstimatorConfig(grid_m=64, cap_radius=0.1, escape_r0=1e3,
-                              escape_levels=8, min_top_level=2)
-        cfg_pole = EstimatorConfig(grid_m=64, cap_radius=0.3, escape_r0=1e3,
-                                   escape_levels=0, min_top_level=0, v_min=1)
+    seeds = range(seed, seed + runs)
+    if not _drift_wins(alpha):
         ests, pole_ok = [], 0
-        for i in range(runs):
-            acc = CapVisitAccumulator(cfg, 2)
-            pole = CapVisitAccumulator(cfg_pole, 2)
-            run_walk(spec, steps, seed + i, observers=[acc, pole])
+        for _, (acc, pole) in _walks(spec, steps, seeds, _GRADED, _one_level(64, 0.3, 1e3)):
             ests.append(acc.finalize())
-            up = _pole_indices(pole.grid, E2)
-            dn = _pole_indices(pole.grid, -E2)
-            pole_ok += int(pole.visits[up, 0] > 0 and pole.visits[dn, 0] > 0)
-        pts = _consensus_in_points(ests)
-        worst = max((min(np.linalg.norm(p - E2), np.linalg.norm(p + E2))
-                     for p in pts), default=math.inf if len(pts) == 0 else 0.0)
-        report.add("direction set is the two vertical poles",
-                   len(pts) > 0 and worst <= 0.15,
-                   f"{len(pts)} IN points, max chord to poles {worst:.4f} (<= 0.15)")
+            nearest = [np.argmin(np.linalg.norm(pole.grid - u, axis=1)) for u in (E2, -E2)]
+            pole_ok += int(bool((pole.visits[nearest, 0] > 0).all()))
+        _check_two_poles(report, ests, " (<= 0.15)")
         report.add("both pole caps visited far out",
                    pole_ok >= math.ceil(0.9 * runs),
                    f"{pole_ok}/{runs} runs visited both 0.3-caps beyond 1e3")
     else:
-        cfg = EstimatorConfig(grid_m=64, cap_radius=0.1, escape_r0=10.0,
-                              escape_levels=8, min_top_level=2)
         ests, final_ok = [], 0
-        for i in range(runs):
-            acc = CapVisitAccumulator(cfg, 2)
-            rec = run_walk(spec, steps, seed + i, observers=[acc])
+        cfg = replace(_GRADED, escape_r0=10.0)
+        for rec, (acc,) in _walks(spec, steps, seeds, cfg):
             ests.append(acc.finalize())
             final_ok += int(np.linalg.norm(rec.final_state.direction() - E1) < 0.05)
         pts = _consensus_in_points(ests)
@@ -155,18 +172,12 @@ def _run_ex_10_2(steps, runs, seed, alpha, run_seeds=None):
     spec = symmetric_axis_spec(alpha)
     report = ExampleReport("ex-10.2", {"alpha": alpha, "steps": steps,
                                        "runs": runs, "seed": seed})
-    seeds = list(run_seeds) if run_seeds is not None else [seed + i for i in range(runs)]
+    seeds = run_seeds or range(seed, seed + runs)
     if 1.0 < alpha:
-        cfg = EstimatorConfig(grid_m=64, cap_radius=0.35, escape_r0=30.0,
-                              escape_levels=0, min_top_level=0, v_min=1)
-        covs, union = [], None
-        for s in seeds:
-            acc = CapVisitAccumulator(cfg, 2)
-            run_walk(spec, steps, s, observers=[acc])
-            est = acc.finalize()
-            covs.append(est.coverage_fraction())
-            mask = est.verdicts == IN
-            union = mask if union is None else (union | mask)
+        ests = [acc.finalize() for _, (acc,) in
+                _walks(spec, steps, seeds, _one_level(64, 0.35, 30.0))]
+        covs = [est.coverage_fraction() for est in ests]
+        union = np.any([est.verdicts == IN for est in ests], axis=0)
         report.add("every run covers most of the circle",
                    min(covs) >= 0.8,
                    f"single-run coverage min {min(covs):.3f} (>= 0.8)")
@@ -174,21 +185,11 @@ def _run_ex_10_2(steps, runs, seed, alpha, run_seeds=None):
                    float(union.mean()) >= 0.95,
                    f"union coverage {union.mean():.3f} (>= 0.95)")
     else:
-        cfg = EstimatorConfig(grid_m=64, cap_radius=0.1, escape_r0=1e3,
-                              escape_levels=8, min_top_level=2)
         ests, full = [], 0
-        for s in seeds:
-            acc = CapVisitAccumulator(cfg, 2)
-            hull = HullTracker()
-            run_walk(spec, steps, s, observers=[acc, hull])
+        for _, (acc, hull) in _walks(spec, steps, seeds, _GRADED, HullTracker):
             ests.append(acc.finalize())
             full += int(hull_growth_report(hull).flag == FULL_SPACE_TREND)
-        pts = _consensus_in_points(ests)
-        worst = max((min(np.linalg.norm(p - E2), np.linalg.norm(p + E2))
-                     for p in pts), default=math.inf)
-        report.add("direction set is the two vertical poles",
-                   len(pts) > 0 and worst <= 0.15,
-                   f"{len(pts)} IN points, max chord to poles {worst:.4f}")
+        _check_two_poles(report, ests)
         report.add("hull still fills the plane",
                    full >= math.ceil(0.9 * len(seeds)),
                    f"{full}/{len(seeds)} runs flagged FULL_SPACE_TREND")
@@ -203,12 +204,8 @@ def _run_ex_10_3(steps, runs, seed, alpha, dimension):
     cfg = EstimatorConfig(grid_m=256, cap_radius=0.3, escape_r0=10.0,
                           escape_levels=10, min_top_level=2,
                           band_axis=axis, band_threshold=0.3)
-    fracs = []
-    for i in range(runs):
-        acc = CapVisitAccumulator(cfg, dimension)
-        run_walk(spec, steps, seed + i, observers=[acc])
-        fracs.append(acc.band_fraction_at_top())
-    worst = max(fracs)
+    worst = max(acc.band_fraction_at_top() for _, (acc,) in
+                _walks(spec, steps, range(seed, seed + runs), cfg))
     report.add("far-out visits hug the equatorial band",
                worst <= 0.05,
                f"worst off-band fraction at top level {worst:.4f} (<= 0.05)")
@@ -224,12 +221,8 @@ def _run_ex_10_4(steps, runs, seed, alpha, vectors):
     cone = s_hull(vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
     cfg = EstimatorConfig(grid_m=64, cap_radius=0.15, escape_r0=1e2,
                           escape_levels=6, min_top_level=2)
-    ests = []
-    for i in range(runs):
-        acc = CapVisitAccumulator(cfg, spec.dimension)
-        run_walk(spec, steps, seed + i, observers=[acc])
-        ests.append(acc.finalize())
-    pts = _consensus_in_points(ests)
+    pts = _consensus_in_points([acc.finalize() for _, (acc,) in _walks(
+        spec, steps, range(seed, seed + runs), cfg)])
     # every IN point must sit within a cap radius of the expected cone
     ok_inside = all(_chord_to_hull(cone, p) <= cfg.cap_radius + 0.05 for p in pts)
     report.add("direction estimate stays inside the cone",
@@ -244,15 +237,15 @@ def _run_ex_10_4(steps, runs, seed, alpha, vectors):
 
 
 def _chord_to_hull(h, p) -> float:
-    """Chord distance from ``p`` to a d = 2 spherical hull, 64 points per arc."""
+    """Chord distance from the unit vector ``p`` to a d = 2 spherical hull.
+
+    0 inside the hull.  Outside it, the nearest point of each closed arc is
+    one of its two ends, so only the ends are measured.
+    """
     if h.contains(p):
         return 0.0
-    best = math.inf
-    for s, e in h.arcs:
-        for ang in np.linspace(s, e, 64):
-            best = min(best, float(np.linalg.norm(
-                p - np.array([math.cos(ang), math.sin(ang)]))))
-    return best
+    return min(float(np.linalg.norm(p - np.array([math.cos(ang), math.sin(ang)])))
+               for arc in h.arcs for ang in arc)
 
 
 def _run_heavytails_demo(steps, runs, seed):
@@ -261,14 +254,11 @@ def _run_heavytails_demo(steps, runs, seed):
                                                "seed": seed})
     cfg = EstimatorConfig(grid_m=64, cap_radius=0.2, escape_r0=1e3,
                           escape_levels=12, min_top_level=2)
-    cfg_atoms = EstimatorConfig(grid_m=3, cap_radius=0.2, escape_r0=1e6,
-                                escape_levels=0, min_top_level=0, v_min=1)
     atom_ok, far_in, violations = 0, 0, 0
-    for i in range(runs):
-        acc = CapVisitAccumulator(cfg, 2)
-        atoms_acc = CapVisitAccumulator(cfg_atoms, 2, grid=TRIANGLE_ATOMS)
-        bound = BoundCheckObserver()
-        run_walk(spec, steps, seed + i, observers=[acc, atoms_acc, bound])
+    for _, (acc, atoms_acc, bound) in _walks(
+            spec, steps, range(seed, seed + runs), cfg,
+            partial(CapVisitAccumulator, _one_level(3, 0.2, 1e6), 2, grid=TRIANGLE_ATOMS),
+            BoundCheckObserver):
         atom_ok += int(bool((atoms_acc.visits[:, 0] > 0).all()))
         violations += bound.violations
         est = acc.finalize()
@@ -287,25 +277,18 @@ def _run_heavytails_demo(steps, runs, seed):
     return report
 
 
-_RUNNERS = {
-    "ex-10.1": _run_ex_10_1,
-    "ex-10.2": _run_ex_10_2,
-    "ex-10.3": _run_ex_10_3,
-    "ex-10.4": _run_ex_10_4,
-    "heavytails-demo": _run_heavytails_demo,
+# name -> (runner, committed defaults: the runner's keyword arguments)
+_EXAMPLES = {
+    "ex-10.1": (_run_ex_10_1, dict(steps=10**6, runs=20, seed=300, alpha=0.5)),
+    "ex-10.2": (_run_ex_10_2, dict(steps=10**6, runs=10, seed=500, alpha=1.5,
+                                   run_seeds=(500, 501, 503, 506, 507, 508, 510,
+                                              512, 513, 514))),
+    "ex-10.3": (_run_ex_10_3, dict(steps=10**6, runs=5, seed=700, alpha=1.1, dimension=4)),
+    "ex-10.4": (_run_ex_10_4, dict(steps=10**5, runs=5, seed=1200, alpha=0.5,
+                                   vectors=((1.0, 0.0), (0.0, 1.0)))),
+    "heavytails-demo": (_run_heavytails_demo, dict(steps=10**5, runs=10, seed=620)),
 }
-EXAMPLE_NAMES = tuple(_RUNNERS)
-
-# committed defaults: each runner's keyword arguments
-_DEFAULTS = {
-    "ex-10.1": dict(steps=10**6, runs=20, seed=300, alpha=0.5),
-    "ex-10.2": dict(steps=10**6, runs=10, seed=500, alpha=1.5,
-                    run_seeds=(500, 501, 503, 506, 507, 508, 510, 512, 513, 514)),
-    "ex-10.3": dict(steps=10**6, runs=5, seed=700, alpha=1.1, dimension=4),
-    "ex-10.4": dict(steps=10**5, runs=5, seed=1200, alpha=0.5,
-                    vectors=((1.0, 0.0), (0.0, 1.0))),
-    "heavytails-demo": dict(steps=10**5, runs=10, seed=620),
-}
+EXAMPLE_NAMES = tuple(_EXAMPLES)
 
 # pinned scale for the drift variant of ex-10.1
 _DRIFT_DEFAULTS = dict(steps=10**5, runs=20, seed=400)
@@ -314,14 +297,18 @@ _DRIFT_DEFAULTS = dict(steps=10**5, runs=20, seed=400)
 def reproduce_example(name: str, steps: int | None = None, runs: int | None = None,
                       seed: int | None = None, alpha: float | None = None
                       ) -> ExampleReport:
-    """Run a named example at its committed scale (or the given overrides)."""
+    """Run a named example at its committed scale (or the given overrides).
+    An ``alpha`` given to an example without one is a ValueError."""
     if name not in EXAMPLE_NAMES:
         raise KeyError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
-    params = dict(_DEFAULTS[name])
-    if name == "ex-10.1" and alpha is not None and alpha > 1.0:
-        params.update(_DRIFT_DEFAULTS)
-    if alpha is not None and "alpha" in params:
+    runner, defaults = _EXAMPLES[name]
+    params = dict(defaults)
+    if alpha is not None:
+        if "alpha" not in params:
+            raise ValueError(f"{name} has no alpha to set")
         params["alpha"] = alpha
+    if name == "ex-10.1" and _drift_wins(params["alpha"]):
+        params.update(_DRIFT_DEFAULTS)
     if steps is not None:
         params["steps"] = steps
     if runs is not None:
@@ -330,4 +317,4 @@ def reproduce_example(name: str, steps: int | None = None, runs: int | None = No
     if seed is not None:
         params["seed"] = seed
         params.pop("run_seeds", None)
-    return _RUNNERS[name](**params)
+    return runner(**params)

@@ -13,14 +13,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
 
 from .directions import (CapVisitAccumulator, DirectionSetEstimate, EstimatorConfig,
                          combine_runs, IN, OUT, UNDECIDED as NO_VERDICT, VERDICT_NAMES)
-from .hull import HullTracker, hull_growth_report
+from .hull import NO_TREND, HullTracker, hull_growth_report
 from .projections import (UNDECIDED, ClassifierThresholds, ProjectionTracker, classify,
                           scan_exceptional)
 from .rng import run_seed
@@ -182,16 +182,20 @@ def _one_run(config: ExperimentConfig, index: int) -> RunResult:
         hull = HullTracker(support_m=config.hull_tracked_m)
         observers.append(hull)
     record = run_walk(spec, config.n_steps, seed, observers=observers)
+    hull_report = hull_growth_report(hull) if hull else None
     if record.overflowed:
-        # "never seen beyond a level" is evidence only of a walk that ran its course
+        # "never seen beyond a level", a growth trend and a frozen hull are
+        # evidence only of a walk that ran its course; the radii it reached
+        # are measurements and stay
         verdicts = [UNDECIDED] * len(proj.directions)
         estimate = _no_evidence(acc)
+        if hull_report:
+            hull_report = replace(hull_report, flag=NO_TREND, stabilized_dirs=[])
     else:
         verdicts = classify(proj.stats, config.classifier)
         estimate = acc.finalize()
     return RunResult(index=index, seed=seed, record=record, estimate=estimate,
-                     projections=proj, hull=hull,
-                     hull_report=hull_growth_report(hull) if hull else None,
+                     projections=proj, hull=hull, hull_report=hull_report,
                      verdicts=verdicts)
 
 

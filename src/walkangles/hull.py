@@ -240,7 +240,11 @@ class HullState:
     def inscribed_radius(self) -> float:
         """Largest r with the origin-centered r-ball inside the hull.
 
-        d = 2: exact (0 when the origin is outside or on the boundary).
+        d = 2: 0 when the origin is outside or on the boundary (decided
+        exactly for integer vertices), else the least distance from the
+        origin to an edge, each taken in floats with one ``math.hypot``.  So
+        the value may be off in its last bits; ``HullTracker`` clamps it with
+        ``max(r, r_prev)`` to keep the series non-decreasing.
         d >= 3: grid upper bound max(0, min_u supports[u]).
         """
         if self.dimension != 2:

@@ -91,6 +91,9 @@ class ScalarLaw:
     def __post_init__(self):
         if self.param is not None:
             object.__setattr__(self, "param", float(self.param))
+            if not math.isfinite(self.param):
+                raise InvalidParameterError(
+                    f"{self.kind} requires a finite parameter, got {self.param}")
         if self.kind in ("s_two_sided", "s_one_sided"):
             if self.param is None or self.param <= 0:
                 raise InvalidParameterError(f"{self.kind} requires alpha > 0, got {self.param}")
@@ -256,6 +259,11 @@ class IncrementSpec:
         d = self.dimension
         if not isinstance(d, int) or d < 1:
             raise InvalidSpecError(f"dimension must be a positive integer, got {d}")
+        for what, values in (("atoms", [x for v in self.atoms for x in v]),
+                             ("atom probabilities", self.probs),
+                             ("drift", self.drift or ())):
+            if not all(map(math.isfinite, values)):
+                raise InvalidSpecError(f"{what} must be finite numbers")
         if self.form == COORDINATE_PRODUCT:
             if len(self.laws) != d:
                 raise InvalidSpecError(
@@ -461,7 +469,8 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    """An int or a finite float: json reads NaN and Infinity, which no field takes."""
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 def _list_of(check):
@@ -473,14 +482,14 @@ def _list_of(check):
 # kind -> (check, what an error says the value must be)
 KINDS = {
     "int": (_is_int, "an integer"),
-    "float": (_is_number, "a number"),
+    "float": (_is_number, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "a boolean"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "object": (lambda v: isinstance(v, dict), "an object"),
     "objects": (_list_of(lambda v: isinstance(v, dict)), "a list of objects"),
-    "tuple[float, ...]": (_list_of(_is_number), "a list of numbers"),
+    "tuple[float, ...]": (_list_of(_is_number), "a list of finite numbers"),
     "tuple[float, ...] | None": (lambda v: v is None or _list_of(_is_number)(v),
-                                 "a list of numbers or null"),
+                                 "a list of finite numbers or null"),
     # no null: a config's run_seeds is None only when not given, and is then not written
     "tuple[int, ...] | None": (_list_of(_is_int), "a list of integers"),
 }

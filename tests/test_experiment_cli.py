@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -145,7 +146,7 @@ BAD_FIELDS = [
     ("spec", dict(SPEC, drfit=[1, 0]), r"config\.spec has unexpected fields \['drfit'\]"),
     ("spec", dict(SPEC, dimension=True), r"config\.spec\.dimension must be an integer"),
     ("spec", dict(SPEC, laws=[{"name": "s_two_sided", "alpha": True}, {"name": "rademacher"}]),
-     r"config\.spec\.laws\[0\]\.alpha must be a number"),
+     r"config\.spec\.laws\[0\]\.alpha must be a finite number"),
     ("spec", dict(RADIAL_SPEC, atoms=[{"vector": [1.0, 0.0], "p": 0.5, "q": 1},
                                       {"vector": [0.0, 1.0], "p": 0.5}]),
      r"config\.spec\.atoms\[0\] has unexpected fields \['q'\]"),
@@ -154,7 +155,19 @@ BAD_FIELDS = [
     ("spec", {"dimension": 2, "form": "linear_combination",
               "laws": [{"name": "rademacher"}, {"name": "rademacher"}],
               "atoms": [{"vector": "12"}, {"vector": [0, 1]}]},
-     r"config\.spec\.atoms\[0\]\.vector must be a list of numbers"),
+     r"config\.spec\.atoms\[0\]\.vector must be a list of finite numbers"),
+    # json reads NaN and Infinity, and no numeric field takes them
+    ("estimator", {"escape_r0": math.nan}), ("estimator", {"escape_r0": math.inf}),
+    ("estimator", {"kappa": math.nan}), ("estimator", {"alphas": [0.5, math.nan]}),
+    ("classifier", {"growth": math.nan}), ("classifier", {"final_scale": math.inf}),
+    ("spec", dict(SPEC, laws=[{"name": "rademacher"}, {"name": "s_two_sided", "alpha": math.nan}]),
+     r"config\.spec\.laws\[1\]\.alpha must be a finite number"),
+    ("spec", dict(SPEC, laws=[{"name": "constant", "value": math.nan}, {"name": "rademacher"}]),
+     r"config\.spec\.laws\[0\]\.value must be a finite number"),
+    ("spec", dict(SPEC, drift=[math.inf, 0]), r"config\.spec\.drift must be a list of finite"),
+    ("spec", dict(RADIAL_SPEC, atoms=[{"vector": [1.0, 0.0], "p": math.nan},
+                                      {"vector": [0.0, 1.0], "p": 0.5}]),
+     r"config\.spec\.atoms\[0\]\.p must be a finite number"),
 ]
 
 
@@ -260,6 +273,10 @@ def test_cli_simulate_halted_runs_are_undecided(tmp_path):
         with np.errstate(over="ignore"):
             assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0
         assert_all_undecided(out, 2)
+        # the hull's radii stay, but a halted walk's hull gets no trend either
+        summary = json.loads(read(out / "summary.json"))
+        assert [(r["hull_flag"], r["hull_stabilized_dirs"]) for r in summary["runs"]] \
+            == [("NO_TREND", [])] * 2
         rows = list(csv.reader(io.StringIO(read(out / "run0_projections.csv").decode())))
         assert rows[0] == (["u_1", "u_2"] + [f"min_n{n}" for n in ladder]
                            + [f"max_n{n}" for n in ladder] + ["final", "verdict"])
@@ -332,6 +349,22 @@ def test_cli_bad_integer_flag_exit_2(argv, flag, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}: must be >=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["-1", "0", "nan", "inf", "-inf"])
+def test_cli_bad_alpha_exit_2(alpha, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "ex-10.4", "--steps", "200", "--runs", "2", f"--alpha={alpha}"])
+    assert exc.value.code == 2
+    assert "argument --alpha: must be a finite number > 0" in capsys.readouterr().err
+
+
+def test_cli_alpha_for_example_without_one_exit_2(capsys):
+    assert main(["reproduce", "heavytails-demo", "--steps", "200", "--runs", "2",
+                 "--alpha", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "argument --alpha: heavytails-demo has no alpha" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_pruitt(tmp_path, capsys):

@@ -2,8 +2,9 @@
 
 ``golden.json`` holds the ``manifest.json`` digest of each committed config and
 of four small configs that reach the float and heavy-tail paths, the digest
-of each worked-example report at its committed scale, and the digest of the
-``pruitt --csv`` table of four tails.  A manifest digest covers the config,
+of each worked-example report at its committed scale and of each example
+regime at a small scale, and the digest of the ``pruitt --csv`` table of
+four tails.  A manifest digest covers the config,
 the spawned seeds and the SHA-256 of every artifact file, so any change to an
 artifact byte shows here.  Such a change needs a deliberate pin update, never
 a regeneration switch: a mismatch prints the actual digest.
@@ -96,6 +97,25 @@ def test_extra_config_matches_golden(name, tmp_path):
 def test_ex_10_4_report_matches_golden():
     # criteria 4-8 pin the other example reports they already build
     assert_pinned("reports", "ex-10.4", report_digest(reproduce_example("ex-10.4")))
+
+
+# every regime of every example at a scale of about a second in all; these pin
+# bytes, not verdicts, and four of the seven reports FAIL at this scale
+SMALL_REPORTS = {
+    "ex-10.1-alpha0.5": ("ex-10.1", dict(steps=2**14, runs=4, alpha=0.5)),
+    "ex-10.1-alpha2": ("ex-10.1", dict(steps=2**14, runs=4, alpha=2.0)),
+    "ex-10.2-alpha1.5": ("ex-10.2", dict(steps=2**14, runs=4, alpha=1.5)),
+    "ex-10.2-alpha0.5": ("ex-10.2", dict(steps=2**14, runs=4, alpha=0.5)),
+    "ex-10.3": ("ex-10.3", dict(steps=2**12, runs=2)),
+    "ex-10.4": ("ex-10.4", dict(steps=2**14, runs=4)),
+    "heavytails-demo": ("heavytails-demo", dict(steps=2**12, runs=4)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SMALL_REPORTS))
+def test_small_report_matches_golden(key):
+    name, overrides = SMALL_REPORTS[key]
+    assert_pinned("small_reports", key, report_digest(reproduce_example(name, **overrides)))
 
 
 # the tails of ``walkangles pruitt <tail> --csv`` at its default --K 64

@@ -137,6 +137,22 @@ def test_not_genuinely_d_dimensional_rejected():
         radial_product([[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5], s_one_sided(1.0))
 
 
+@pytest.mark.parametrize("law", [s_two_sided, s_one_sided, constant, stretched_exp])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_law_parameter_rejected(law, value):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        law(value)
+
+
+def test_non_finite_spec_numbers_rejected():
+    with pytest.raises(InvalidSpecError, match="drift"):
+        coordinate_product([rademacher(), rademacher()], drift=[math.nan, 0.0])
+    with pytest.raises(InvalidSpecError, match="atoms"):
+        linear_combination([[math.inf, 0.0], [0.0, 1.0]], [rademacher(), rademacher()])
+    with pytest.raises(InvalidSpecError, match="probabilities"):
+        radial_product([[1.0, 0.0], [0.0, 1.0]], [math.nan, 0.5], s_one_sided(1.0))
+
+
 def test_radial_validation():
     with pytest.raises(InvalidSpecError, match="unit"):
         radial_product([[1.0, 1.0]], [1.0], s_one_sided(1.0))
