@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .samplers import check_finite
 from .sphere import direction_grid
 from .walk import NEG_INF, ObserverBase, WalkBlock, csv_text
 
@@ -54,6 +55,7 @@ class EstimatorConfig:
     band_threshold: float = 0.3
 
     def __post_init__(self):
+        check_finite(self, "estimator")
         if self.grid_m < 1:
             raise ValueError("estimator.grid_m must be >= 1")
         if self.grid_seed < 0:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .samplers import check_finite
 from .sphere import direction_grid
 from .walk import NEG_INF, ObserverBase, WalkBlock, csv_text, dyadic_checkpoints
 
@@ -45,6 +46,7 @@ class ClassifierThresholds:
     min_checkpoints: int = 4
 
     def __post_init__(self):
+        check_finite(self, "classifier")
         if self.growth <= 1:
             raise ValueError("classifier.growth must exceed 1")
         if self.osc_scale <= 0 or self.final_scale <= 0:

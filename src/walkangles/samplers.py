@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +55,8 @@ __all__ = [
 SATURATION_CAP = 2**62
 _LOG_SATURATION_CAP = math.log(SATURATION_CAP)
 _INT64_MAX = 2**63 - 1
+# abs(x) <= _FLOAT_MAX: x is finite, also an int of any size (compared exactly)
+_FLOAT_MAX = sys.float_info.max
 
 
 class InvalidParameterError(ValueError):
@@ -84,16 +87,12 @@ class ScalarLaw:
     kind: str
     param: float | None = None
 
-    # Laws whose samples are integers; walks built purely from these can keep
-    # exact lattice positions.
-    _INTEGER_KINDS = ("rademacher", "s_two_sided", "s_one_sided", "constant")
-
     def __post_init__(self):
         if self.param is not None:
-            object.__setattr__(self, "param", float(self.param))
-            if not math.isfinite(self.param):
+            if not abs(self.param) <= _FLOAT_MAX:
                 raise InvalidParameterError(
                     f"{self.kind} requires a finite parameter, got {self.param}")
+            object.__setattr__(self, "param", float(self.param))
         if self.kind in ("s_two_sided", "s_one_sided"):
             if self.param is None or self.param <= 0:
                 raise InvalidParameterError(f"{self.kind} requires alpha > 0, got {self.param}")
@@ -111,19 +110,13 @@ class ScalarLaw:
             raise InvalidParameterError(f"unknown scalar law {self.kind!r}")
 
     @property
-    def is_integer_valued(self) -> bool:
-        if self.kind == "constant":
-            return _is_int64(self.param)
-        return self.kind in self._INTEGER_KINDS
-
-    @property
-    def max_abs(self) -> int:
-        """Largest |sample| of an integer-valued law, as an exact int."""
+    def max_abs(self) -> int | None:
+        """Largest |sample| as an exact int; None unless all are int64 integers."""
         if self.kind == "rademacher":
             return 1
         if self.kind == "constant":
-            return abs(int(self.param))
-        return SATURATION_CAP
+            return abs(int(self.param)) if _is_int64(self.param) else None
+        return None if self.is_heavy_real else SATURATION_CAP
 
     @property
     def is_heavy_real(self) -> bool:
@@ -141,12 +134,10 @@ class ScalarLaw:
             return [-1.0, 1.0]
         if self.kind == "s_two_sided":
             return [-2.0, -1.0, 1.0, 2.0]
-        if self.kind == "s_one_sided":
+        if self.kind in ("s_one_sided", "stretched_exp"):
             return [1.0, 2.0]
         if self.kind == "log_tail":
             return [math.e, math.e**2]
-        if self.kind == "stretched_exp":
-            return [1.0, 2.0]
         return [float(self.param)]
 
     def sample(self, rng, size: int, counter: Saturations | None = None) -> np.ndarray:
@@ -231,12 +222,12 @@ _UNIT_TOL = 1e-12
 class IncrementSpec:
     """Declarative description of a d-dimensional increment distribution.
 
-    ``coordinate_product``: independent scalar law per coordinate plus an
-    optional deterministic drift vector.  ``radial_product``: X = Q*xi with Q
-    drawn from a finite set of unit vectors (``atoms`` with probabilities) and
-    xi an independent nonnegative scalar law (``laws[0]``).
-    ``linear_combination``: X = sum_j atoms[j] * zeta_j with independent
-    scalar laws zeta_j attached to fixed vectors.
+    ``linear_combination``: X = sum_j vectors[j] * zeta_j with independent
+    scalar laws zeta_j, where ``vectors`` is ``atoms``.  ``coordinate_product``:
+    the same sum over the unit axes, one law per coordinate, plus an optional
+    deterministic drift vector.  ``radial_product``: X = Q*xi with Q drawn
+    from a finite set of unit vectors (``atoms`` with probabilities) and xi
+    an independent nonnegative scalar law (``laws[0]``).
     """
 
     dimension: int
@@ -264,6 +255,9 @@ class IncrementSpec:
                              ("drift", self.drift or ())):
             if not all(map(math.isfinite, values)):
                 raise InvalidSpecError(f"{what} must be finite numbers")
+        for i, v in enumerate(self.atoms):
+            if len(v) != d:
+                raise InvalidSpecError(f"atoms[{i}] must have length {d}")
         if self.form == COORDINATE_PRODUCT:
             if len(self.laws) != d:
                 raise InvalidSpecError(
@@ -283,8 +277,6 @@ class IncrementSpec:
             if len(self.probs) != len(self.atoms):
                 raise InvalidSpecError("one probability per atom required")
             for i, v in enumerate(self.atoms):
-                if len(v) != d:
-                    raise InvalidSpecError(f"atoms[{i}] must have length {d}")
                 if abs(math.sqrt(sum(x * x for x in v)) - 1.0) > _UNIT_TOL:
                     raise InvalidSpecError(f"atoms[{i}] is not a unit vector")
             if any(p <= 0 for p in self.probs):
@@ -298,9 +290,6 @@ class IncrementSpec:
                 raise InvalidSpecError("linear_combination needs fixed vectors")
             if len(self.laws) != len(self.atoms):
                 raise InvalidSpecError("one scalar law per fixed vector required")
-            for i, v in enumerate(self.atoms):
-                if len(v) != d:
-                    raise InvalidSpecError(f"atoms[{i}] must have length {d}")
             if self.probs:
                 raise InvalidSpecError("linear_combination takes no probabilities")
             if self.drift is not None:
@@ -312,28 +301,22 @@ class IncrementSpec:
             raise InvalidSpecError(
                 f"support spans only {rank} of {d} dimensions (not genuinely {d}-dimensional)")
 
+    @property
+    def vectors(self) -> tuple[tuple[float, ...], ...]:
+        """Each law's fixed vector: the unit axes of a coordinate product, else atoms."""
+        if self.form == COORDINATE_PRODUCT:
+            return tuple(map(tuple, np.eye(self.dimension).tolist()))
+        return self.atoms
+
     def _support_span(self) -> np.ndarray:
         """Representative support points whose linear span is the walk's span."""
-        d = self.dimension
         if self.form == RADIAL_PRODUCT:
             reps = [s for s in self.laws[0].support_points() if s > 0]
             if not reps:
                 raise InvalidSpecError("radial magnitude law is degenerate at 0")
             return np.asarray(self.atoms, dtype=float) * reps[0]
-        if self.form == COORDINATE_PRODUCT:
-            base = np.array([law.support_points()[0] for law in self.laws])
-            if self.drift is not None:
-                base = base + np.asarray(self.drift, dtype=float)
-            points = [base]
-            for i, law in enumerate(self.laws):
-                reps = law.support_points()
-                for s in reps[1:]:
-                    p = base.copy()
-                    p[i] += s - reps[0]
-                    points.append(p)
-            return np.vstack(points)
-        vecs = np.asarray(self.atoms, dtype=float)
-        base = np.zeros(d)
+        vecs = np.asarray(self.vectors, dtype=float)
+        base = np.asarray(self.drift or np.zeros(self.dimension), dtype=float)
         for j, law in enumerate(self.laws):
             base = base + law.support_points()[0] * vecs[j]
         points = [base]
@@ -347,24 +330,17 @@ class IncrementSpec:
     def is_lattice(self) -> bool:
         """True when every increment coordinate is an integer that int64 holds.
 
-        Each coordinate's largest magnitude is bounded in exact Python ints,
-        so forming an increment in int64 can never wrap.
+        That is ``max_i(|drift_i| + sum_j max_abs_j * |vectors[j][i]|) <= 2**63 - 1``
+        in exact Python ints, so forming an increment in int64 can never wrap.
         """
         if self.form == RADIAL_PRODUCT:
             return False
-        if not all(law.is_integer_valued for law in self.laws):
+        bounds, vectors = [law.max_abs for law in self.laws], self.vectors
+        drift = self.drift or (0.0,) * self.dimension
+        if None in bounds or not all(_is_int64(x) for x in drift + sum(vectors, ())):
             return False
-        if self.form == COORDINATE_PRODUCT:
-            drift = self.drift or (0.0,) * self.dimension
-            if not all(_is_int64(x) for x in drift):
-                return False
-            bounds = [law.max_abs + abs(int(x)) for law, x in zip(self.laws, drift)]
-        else:
-            if not all(_is_int64(x) for v in self.atoms for x in v):
-                return False
-            bounds = [sum(law.max_abs * abs(int(v[i])) for law, v in zip(self.laws, self.atoms))
-                      for i in range(self.dimension)]
-        return max(bounds) <= _INT64_MAX
+        return max(abs(int(drift[i])) + sum(m * abs(int(v[i])) for m, v in zip(bounds, vectors))
+                   for i in range(self.dimension)) <= _INT64_MAX
 
     @property
     def scale_mode(self) -> str:
@@ -376,21 +352,21 @@ class IncrementSpec:
 
 def coordinate_product(laws: Sequence[ScalarLaw], drift: Sequence[float] | None = None
                        ) -> IncrementSpec:
-    return IncrementSpec(len(laws), COORDINATE_PRODUCT, tuple(laws),
-                         drift=None if drift is None else tuple(drift))
+    return IncrementSpec(len(laws), COORDINATE_PRODUCT, laws, drift=drift)
 
 
 def radial_product(atoms: Sequence[Sequence[float]], probs: Sequence[float],
                    magnitude_law: ScalarLaw) -> IncrementSpec:
-    atoms = tuple(tuple(float(x) for x in v) for v in atoms)
-    return IncrementSpec(len(atoms[0]), RADIAL_PRODUCT, (magnitude_law,),
-                         atoms=atoms, probs=tuple(float(p) for p in probs))
+    if len(atoms) == 0:
+        raise InvalidSpecError("radial_product needs at least one direction atom")
+    return IncrementSpec(len(atoms[0]), RADIAL_PRODUCT, (magnitude_law,), atoms=atoms, probs=probs)
 
 
 def linear_combination(vectors: Sequence[Sequence[float]], laws: Sequence[ScalarLaw]
                        ) -> IncrementSpec:
-    vectors = tuple(tuple(float(x) for x in v) for v in vectors)
-    return IncrementSpec(len(vectors[0]), LINEAR_COMBINATION, tuple(laws), atoms=vectors)
+    if len(vectors) == 0:
+        raise InvalidSpecError("linear_combination needs fixed vectors")
+    return IncrementSpec(len(vectors[0]), LINEAR_COMBINATION, laws, atoms=vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -425,26 +401,26 @@ class IncrementSampler:
         self._atoms = np.asarray(spec.atoms, dtype=float) if spec.atoms else None
         # lattice increments are formed in int64, which ``is_lattice`` shows cannot wrap
         self._dtype = np.int64 if spec.is_lattice else float
-        if spec.form == COORDINATE_PRODUCT and spec.drift is not None:
-            self._drift = np.asarray(spec.drift, dtype=self._dtype)
-        elif spec.form == LINEAR_COMBINATION:
-            self._vectors = np.asarray(spec.atoms, dtype=self._dtype)
-        elif spec.form == RADIAL_PRODUCT:
+        if spec.form == RADIAL_PRODUCT:
             self._cum_probs = np.cumsum(spec.probs)
+            return
+        # each law's nonzero entries: +-0 never changes a sum that starts at +0.0
+        self._entries = [[(i, c) for i, c in enumerate(v) if c != 0]
+                         for v in np.asarray(spec.vectors, dtype=self._dtype)]
+        self._drift = None if spec.drift is None else np.asarray(spec.drift, dtype=self._dtype)
 
     def sample_block(self, rng, size: int) -> SampleBlock:
         spec = self.spec
-        if spec.form == COORDINATE_PRODUCT:
-            cols = [law.sample(rng, size, self.saturations) for law in spec.laws]
-            vec = np.stack([np.asarray(c, dtype=self._dtype) for c in cols], axis=1)
-            if spec.drift is not None:
-                vec = vec + self._drift
-            return SampleBlock(vectors=vec)
-        if spec.form == LINEAR_COMBINATION:
+        if spec.form != RADIAL_PRODUCT:
+            # every law is drawn before any is combined, a fixed draw order
             draws = [law.sample(rng, size, self.saturations) for law in spec.laws]
             vec = np.zeros((size, spec.dimension), dtype=self._dtype)
-            for z, v in zip(draws, self._vectors):
-                vec += np.asarray(z, dtype=self._dtype)[:, None] * v
+            for z, entries in zip(draws, self._entries):
+                z = np.asarray(z, dtype=self._dtype)
+                for i, c in entries:
+                    vec[:, i] += z if c == 1 else z * c
+            if self._drift is not None:
+                vec += self._drift
             return SampleBlock(vectors=vec)
         # radial product: atom index first, then magnitude, a fixed draw order
         idx = np.searchsorted(self._cum_probs, rng.random(size), side="right")
@@ -469,8 +445,17 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """An int or a finite float: json reads NaN and Infinity, which no field takes."""
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+    """A finite int or float: json reads NaN, Infinity and ints of any size."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= _FLOAT_MAX
+
+
+def check_finite(config, where: str) -> None:
+    """Raise ValueError naming ``where.<field>`` for a non-finite float or float entry."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        values = value if isinstance(value, (tuple, list)) else [value]
+        if "float" in f.type and not all(abs(x) <= _FLOAT_MAX for x in values if x is not None):
+            raise ValueError(f"{where}.{f.name} must be finite, got {value!r}")
 
 
 def _list_of(check):

@@ -15,9 +15,11 @@ import pytest
 
 from walkangles import experiment, projections
 from walkangles.cli import main
+from walkangles.directions import EstimatorConfig
 from walkangles.experiment import (ConfigError, load_config, run_experiment,
                                    config_hash)
 from walkangles.plots import rose_svg, trajectory_svg
+from walkangles.projections import ClassifierThresholds
 
 from test_golden import BENCH, COMMITTED_CONFIGS, EXTRA_CONFIGS
 
@@ -168,6 +170,11 @@ BAD_FIELDS = [
     ("spec", dict(RADIAL_SPEC, atoms=[{"vector": [1.0, 0.0], "p": math.nan},
                                       {"vector": [0.0, 1.0], "p": 0.5}]),
      r"config\.spec\.atoms\[0\]\.p must be a finite number"),
+    # json reads integers of any size, and a float holds none past about 1.8e308
+    ("spec", dict(SPEC, laws=[{"name": "constant", "value": 10**400}, {"name": "rademacher"}]),
+     r"config\.spec\.laws\[0\]\.value must be a finite number"),
+    ("classifier", {"final_scale": 10**400}), ("estimator", {"alphas": [10**400]}),
+    ("estimator", {"escape_r0": 10**400}), ("estimator", {"kappa": 10**400}),
 ]
 
 
@@ -184,6 +191,23 @@ def test_config_rejects_bad_field(case, tmp_path, capsys):
     assert main(["simulate", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert re.search(name, capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (EstimatorConfig, "cap_radius", math.nan), (EstimatorConfig, "escape_r0", math.nan),
+    pytest.param(EstimatorConfig, "escape_r0", 10**400, id="EstimatorConfig-escape_r0-10**400"),
+    (EstimatorConfig, "kappa", math.nan), (EstimatorConfig, "kappa", -math.inf),
+    (EstimatorConfig, "alphas", (math.nan,)), (EstimatorConfig, "alphas", (0.5, math.inf)),
+    (EstimatorConfig, "band_axis", (math.nan, math.nan)),
+    (EstimatorConfig, "band_threshold", math.nan),
+    (ClassifierThresholds, "growth", math.nan), (ClassifierThresholds, "final_scale", math.inf),
+    (ClassifierThresholds, "osc_scale", math.nan), (ClassifierThresholds, "side_ratio", math.nan),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_python_api_rejects_non_finite_field(cls, field, value):
+    # the Python API reaches no JSON check, so each dataclass checks its own floats
+    where = "estimator" if cls is EstimatorConfig else "classifier"
+    with pytest.raises(ValueError, match=rf"{where}\.{field} must be finite"):
+        cls(**{field: value})
 
 
 # every config the repository commits or pins, plus one that sets every field

@@ -11,7 +11,7 @@ from walkangles.samplers import (IncrementSampler, InvalidParameterError,
                                  linear_combination, log_tail, radial_product,
                                  rademacher, s_one_sided, s_two_sided,
                                  spec_from_json, spec_to_json, stretched_exp,
-                                 SATURATION_CAP, _magnitude_from_uniform)
+                                 SATURATION_CAP, _is_int64, _magnitude_from_uniform)
 
 N_BIG = 10**6
 
@@ -138,7 +138,9 @@ def test_not_genuinely_d_dimensional_rejected():
 
 
 @pytest.mark.parametrize("law", [s_two_sided, s_one_sided, constant, stretched_exp])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                   pytest.param(10**400, id="10**400"),
+                                   pytest.param(-10**400, id="-10**400")])
 def test_non_finite_law_parameter_rejected(law, value):
     with pytest.raises(InvalidParameterError, match="finite"):
         law(value)
@@ -202,3 +204,110 @@ def test_block_sampling_deterministic_bytes():
     assert a.atom_idx.tobytes() == b.atom_idx.tobytes()
     c = IncrementSampler(spec).sample_block(stream(run_seed(42, 4)), 512)
     assert a.xi_log.tobytes() != c.xi_log.tobytes()
+
+
+def test_empty_factories_name_what_is_missing():
+    with pytest.raises(InvalidSpecError, match="direction atom"):
+        radial_product([], [], log_tail())
+    with pytest.raises(InvalidSpecError, match="fixed vectors"):
+        linear_combination([], [])
+    with pytest.raises(InvalidSpecError, match="dimension"):
+        coordinate_product([])
+
+
+# ---------------------------------------------------------------------------
+# a coordinate product is the linear combination of the unit axes plus its
+# drift: the two-branch sampler and lattice bound below are the oracle
+
+def oracle_is_lattice(spec):
+    """The lattice bound with one branch per form and per-law integer kinds."""
+    def integer_valued(law):
+        if law.kind == "constant":
+            return _is_int64(law.param)
+        return law.kind in ("rademacher", "s_two_sided", "s_one_sided", "constant")
+
+    def max_abs(law):
+        if law.kind == "rademacher":
+            return 1
+        if law.kind == "constant":
+            return abs(int(law.param))
+        return SATURATION_CAP
+
+    if spec.form == "radial_product":
+        return False
+    if not all(integer_valued(law) for law in spec.laws):
+        return False
+    if spec.form == "coordinate_product":
+        drift = spec.drift or (0.0,) * spec.dimension
+        if not all(_is_int64(x) for x in drift):
+            return False
+        bounds = [max_abs(law) + abs(int(x)) for law, x in zip(spec.laws, drift)]
+    else:
+        if not all(_is_int64(x) for v in spec.atoms for x in v):
+            return False
+        bounds = [sum(max_abs(law) * abs(int(v[i])) for law, v in zip(spec.laws, spec.atoms))
+                  for i in range(spec.dimension)]
+    return max(bounds) <= 2**63 - 1
+
+
+def oracle_vectors(spec, rng, size, saturations):
+    """A block from the stacked coordinate formula or the broadcast linear one."""
+    dtype = np.int64 if oracle_is_lattice(spec) else float
+    if spec.form == "coordinate_product":
+        cols = [law.sample(rng, size, saturations) for law in spec.laws]
+        vec = np.stack([np.asarray(c, dtype=dtype) for c in cols], axis=1)
+        if spec.drift is not None:
+            vec = vec + np.asarray(spec.drift, dtype=dtype)
+        return vec
+    draws = [law.sample(rng, size, saturations) for law in spec.laws]
+    vec = np.zeros((size, spec.dimension), dtype=dtype)
+    for z, v in zip(draws, np.asarray(spec.atoms, dtype=dtype)):
+        vec += np.asarray(z, dtype=dtype)[:, None] * v
+    return vec
+
+
+COORDINATE_LAWS = {
+    "lattice": [rademacher(), s_two_sided(0.5), s_one_sided(1.5), constant(-3)],
+    "float": [constant(1.5), s_two_sided(1.1), rademacher(), s_one_sided(0.7)],
+    "heavy-real": [log_tail(), stretched_exp(0.3), rademacher(), s_two_sided(0.05)],
+}
+DRIFTS = {"none": None, "int": [3, -2, 0, 5], "float": [0.5, -1.25, 0.0, 2.0]}
+
+ORACLE_SPECS = {
+    **{f"{laws}-{drift}-d{d}": coordinate_product(
+        COORDINATE_LAWS[laws][:d], None if DRIFTS[drift] is None else DRIFTS[drift][:d])
+       for laws in COORDINATE_LAWS for drift in DRIFTS for d in (2, 3, 4)},
+    "lin-int": linear_combination([[1, -2], [0, 3]], [rademacher(), s_two_sided(0.7)]),
+    "lin-float": linear_combination([[0.5, 0.0], [-1.5, 2.25]], [s_one_sided(1.2), constant(-2)]),
+    "lin-d3": linear_combination([[1, 0, -1], [0, 2, 0], [-3, 0, 1]],
+                                 [s_two_sided(0.2), rademacher(), constant(7)]),
+    "lin-heavy": linear_combination([[1.0, -1.0], [0.0, -0.5]], [log_tail(), stretched_exp(0.2)]),
+    # the int64 edges of tests/test_walk.py
+    "edge-drift-sum": coordinate_product([constant(2**63 - 1024), rademacher()],
+                                         drift=[2**63 - 1024, 0]),
+    "edge-vector-product": linear_combination([[4, 0], [0, 1]], [constant(2**62), rademacher()]),
+    "edge-saturated-drift-over": coordinate_product([s_two_sided(1.0), rademacher()],
+                                                    drift=[2**62, 0]),
+    "edge-saturated-drift-near": coordinate_product([s_two_sided(1.0), rademacher()],
+                                                    drift=[2**62 - 1024, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_sample_block_matches_two_branch_formulas(name):
+    spec = ORACLE_SPECS[name]
+    sampler, oracle_rng, oracle_saturations = IncrementSampler(spec), stream(41), Saturations()
+    rng = stream(41)
+    for size in (1, 7, 2**14):
+        got = sampler.sample_block(rng, size).vectors
+        want = oracle_vectors(spec, oracle_rng, size, oracle_saturations)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert sampler.saturations.count == oracle_saturations.count
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_lattice_bound_matches_two_branch_bound(name):
+    spec = ORACLE_SPECS[name]
+    assert spec.is_lattice == oracle_is_lattice(spec)
+    assert spec.scale_mode == ("lattice" if oracle_is_lattice(spec) else "float")
