@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .samplers import check_finite
-from .sphere import direction_grid
+from .sphere import MAX_GRID_M, direction_grid
 from .walk import NEG_INF, ObserverBase, WalkBlock, csv_text
 
 __all__ = [
     "EstimatorConfig",
+    "MAX_ESCAPE_LEVELS",
     "CapVisitAccumulator",
     "DirectionSetEstimate",
     "ConsensusEstimate",
@@ -38,8 +39,23 @@ VERDICT_NAMES = {IN: "IN", OUT: "OUT", UNDECIDED: "UNDECIDED"}
 _LN2 = math.log(2.0)
 
 
+MAX_ESCAPE_LEVELS = 1024
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
+    """Knobs of the cap-visit estimator.
+
+    Size fields are bounded so that a config cannot ask for arrays numpy
+    cannot allocate.  ``grid_m`` is at most ``MAX_GRID_M`` (4096): every
+    block is tested against the whole grid in one (block x grid) float64
+    product, 512 MiB at the bound.  ``escape_levels`` is at most
+    ``MAX_ESCAPE_LEVELS`` (1024): the visit table holds
+    ``grid_m x (escape_levels + 1)`` int64 counts that every block rebuilds
+    (32 MiB at both bounds), and 1024 doublings of an ``escape_r0`` of at
+    least 1 already pass every finite float norm.
+    """
+
     grid_m: int = 64
     grid_seed: int = 0
     cap_radius: float = 0.3
@@ -56,16 +72,16 @@ class EstimatorConfig:
 
     def __post_init__(self):
         check_finite(self, "estimator")
-        if self.grid_m < 1:
-            raise ValueError("estimator.grid_m must be >= 1")
+        if not 1 <= self.grid_m <= MAX_GRID_M:
+            raise ValueError(f"estimator.grid_m must be in 1..{MAX_GRID_M}")
         if self.grid_seed < 0:
             raise ValueError("estimator.grid_seed must be >= 0")
         if not (0 < self.cap_radius <= 2):
             raise ValueError("estimator.cap_radius must be in (0, 2]")
         if self.escape_r0 <= 0:
             raise ValueError("estimator.escape_r0 must be positive")
-        if self.escape_levels < 0:
-            raise ValueError("estimator.escape_levels must be >= 0")
+        if not 0 <= self.escape_levels <= MAX_ESCAPE_LEVELS:
+            raise ValueError(f"estimator.escape_levels must be in 0..{MAX_ESCAPE_LEVELS}")
         if self.min_top_level > self.escape_levels:
             raise ValueError("estimator.min_top_level must be <= escape_levels, the top level")
         if self.v_min < 1:
@@ -158,6 +174,8 @@ class _CellTable:
         first = np.concatenate([[0], np.cumsum(counts)[:-1]])
         self.table[rows, np.arange(len(rows)) - first[rows]] = cols
         self.ext = np.vstack([grid, np.full(d, np.nan)]).T.copy()   # (d, M + 1)
+        for arr in (self.slot, self.table, self.ext):   # shared, see _table_for
+            arr.setflags(write=False)
 
     def cell_of(self, dirs: np.ndarray) -> np.ndarray:
         """Table row of each direction, -1 where a row is not unit to within
@@ -172,6 +190,27 @@ class _CellTable:
         norm2 = np.einsum("ij,ij->i", dirs, dirs)
         unit = np.abs(norm2 - 1.0) <= _UNIT_SLACK / 2
         return np.where(unit, self.slot[flat], -1)
+
+
+# (grid shape, grid bytes, dot_min) -> the grid's cell table, or None where
+# the dense expression decides every block; each is decided once per process
+_TABLES: dict[tuple, "_CellTable | None"] = {}
+
+
+def _table_for(grid: np.ndarray, dot_min: float) -> "_CellTable | None":
+    """The cell table of ``grid`` and ``dot_min`` when every grid point is unit
+    to within the slack and its mean list holds at most ``M / _PRUNE_FACTOR``
+    points, else None."""
+    key = (grid.shape, grid.tobytes(), dot_min)
+    if key not in _TABLES:
+        table = None
+        norm2 = np.einsum("ij,ij->i", grid, grid)
+        if np.all(np.abs(norm2 - 1.0) <= _UNIT_SLACK / 2):
+            table = _CellTable(grid, dot_min)
+            if table.mean_candidates * _PRUNE_FACTOR > len(grid):
+                table = None
+        _TABLES[key] = table
+    return _TABLES[key]
 
 
 class CapVisitAccumulator(ObserverBase):
@@ -201,12 +240,7 @@ class CapVisitAccumulator(ObserverBase):
         margin = 2.0 * (2.0 * gamma * (1.0 + _UNIT_SLACK))     # 2b, see observe
         self._clear_below = self._dot_min - margin
         self._clear_above = self._dot_min + margin
-        self._table = None
-        norm2 = np.einsum("ij,ij->i", self.grid, self.grid)
-        if np.all(np.abs(norm2 - 1.0) <= _UNIT_SLACK / 2):
-            table = _CellTable(self.grid, self._dot_min)
-            if table.mean_candidates * _PRUNE_FACTOR <= m:
-                self._table = table
+        self._table = _table_for(self.grid, self._dot_min)
 
     # level index of each norm: largest l with norm > r0 * 2**l, or -1
     def _levels_of(self, log_norms: np.ndarray) -> np.ndarray:

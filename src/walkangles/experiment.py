@@ -26,6 +26,7 @@ from .projections import (UNDECIDED, ClassifierThresholds, ProjectionTracker, cl
 from .rng import run_seed
 from .samplers import (IncrementSpec, InvalidSpecError, check_object, spec_from_json,
                        spec_to_json)
+from .sphere import MAX_GRID_M
 from .walk import csv_text, dyadic_checkpoints, run_walk
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "RunResult", "run_experiment",
@@ -38,6 +39,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """One experiment.  ``projection_grid_m`` and ``hull_tracked_m`` are grid
+    sizes, at most ``sphere.MAX_GRID_M`` (4096): every block is projected on
+    the whole grid in one (block x grid) float64 product, 512 MiB at the
+    bound."""
+
     spec: IncrementSpec
     n_steps: int
     n_runs: int = 1
@@ -57,10 +63,10 @@ class ExperimentConfig:
             raise ConfigError("n_runs must be >= 1")
         if self.base_seed < 0:
             raise ConfigError("base_seed must be >= 0")
-        if self.projection_grid_m < 1:
-            raise ConfigError("projection_grid_m must be >= 1")
-        if self.hull_tracked_m < 16:
-            raise ConfigError("hull_tracked_m must be >= 16")
+        if not 1 <= self.projection_grid_m <= MAX_GRID_M:
+            raise ConfigError(f"projection_grid_m must be in 1..{MAX_GRID_M}")
+        if not 16 <= self.hull_tracked_m <= MAX_GRID_M:
+            raise ConfigError(f"hull_tracked_m must be in 16..{MAX_GRID_M}")
         n_cps = len(dyadic_checkpoints(self.n_steps))
         if n_cps < self.classifier.min_checkpoints:
             raise ConfigError(

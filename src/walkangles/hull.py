@@ -156,9 +156,12 @@ class HullState:
         if self.dimension == 2:
             self._update_planar(arr, f)
         else:
-            self._update_support(arr, f)
-        np.minimum(self.confinements, (f @ self.tracked_dirs.T).min(axis=0),
-                   out=self.confinements)
+            proj = f @ self.support_dirs.T       # (B, M)
+            self._update_support(arr, proj)
+        # the grids are cached, so at the default sizes they are one array
+        if self.tracked_dirs is not self.support_dirs:
+            proj = f @ self.tracked_dirs.T
+        np.minimum(self.confinements, proj.min(axis=0), out=self.confinements)
         return self
 
     def _update_planar(self, arr: np.ndarray, f: np.ndarray) -> None:
@@ -220,8 +223,8 @@ class HullState:
         else:
             self.vertices = inner
 
-    def _update_support(self, arr: np.ndarray, f: np.ndarray) -> None:
-        proj = f @ self.support_dirs.T   # (B, M)
+    def _update_support(self, arr: np.ndarray, proj: np.ndarray) -> None:
+        """Absorb ``arr`` into the sketch; ``proj`` is ``arr @ support_dirs.T`` in float."""
         best = proj.argmax(axis=0)
         vals = proj[best, np.arange(proj.shape[1])]
         better = vals > self.supports

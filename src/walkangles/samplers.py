@@ -218,6 +218,17 @@ LINEAR_COMBINATION = "linear_combination"
 _UNIT_TOL = 1e-12
 
 
+def _finite_floats(values, what: str) -> tuple[float, ...]:
+    """``values`` as floats; InvalidSpecError naming ``what`` unless each is finite."""
+    try:
+        out = tuple(map(float, values))
+        if all(map(math.isfinite, out)):
+            return out
+    except OverflowError:       # an int too large for a float, such as 10**400
+        pass
+    raise InvalidSpecError(f"{what} must be finite numbers")
+
+
 @dataclass(frozen=True)
 class IncrementSpec:
     """Declarative description of a d-dimensional increment distribution.
@@ -239,22 +250,16 @@ class IncrementSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "laws", tuple(self.laws))
-        object.__setattr__(self, "atoms",
-                           tuple(tuple(float(x) for x in v) for v in self.atoms))
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+        object.__setattr__(self, "atoms", tuple(_finite_floats(v, "atoms") for v in self.atoms))
+        object.__setattr__(self, "probs", _finite_floats(self.probs, "atom probabilities"))
         if self.drift is not None:
-            object.__setattr__(self, "drift", tuple(float(x) for x in self.drift))
+            object.__setattr__(self, "drift", _finite_floats(self.drift, "drift"))
         self.validate()
 
     def validate(self) -> None:
         d = self.dimension
         if not isinstance(d, int) or d < 1:
             raise InvalidSpecError(f"dimension must be a positive integer, got {d}")
-        for what, values in (("atoms", [x for v in self.atoms for x in v]),
-                             ("atom probabilities", self.probs),
-                             ("drift", self.drift or ())):
-            if not all(map(math.isfinite, values)):
-                raise InvalidSpecError(f"{what} must be finite numbers")
         for i, v in enumerate(self.atoms):
             if len(v) != d:
                 raise InvalidSpecError(f"atoms[{i}] must have length {d}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "SHull",
     "s_hull",
     "direction_grid",
+    "MAX_GRID_M",
 ]
 
 MEMBERSHIP_TOL = 1e-9
@@ -300,16 +302,36 @@ def s_hull(generators) -> SHull:
 # ---------------------------------------------------------------------------
 # direction grids
 
+# grid size bound: a block of 2**14 steps is tested against a whole grid in
+# one (block x grid) float64 product, 512 MiB at 4096 points
+MAX_GRID_M = 4096
+# (d, m, seed) -> its grid, built once per process
+_GRIDS: dict[tuple[int, int, int], np.ndarray] = {}
+
+
 def direction_grid(d: int, m: int, seed: int = 0) -> np.ndarray:
-    """Deterministic evaluation grid of m unit vectors in R^d.
+    """Deterministic evaluation grid of m unit vectors in R^d, 1 <= m <= MAX_GRID_M.
 
     d = 2 uses equally spaced angles starting at 0.  d >= 3 draws Gaussian
     candidates from a seeded Philox stream and keeps, for each slot, the
     candidate farthest from the points chosen so far (best-candidate
     sampling), which keeps the grid well separated.
+
+    Each grid is built once per process and shared by every caller, so it is
+    returned read-only.
     """
-    if m < 1:
-        raise ValueError("grid size must be >= 1")
+    key = (operator.index(d), operator.index(m), operator.index(seed))
+    grid = _GRIDS.get(key)
+    if grid is None:
+        grid = _build_grid(*key)
+        grid.setflags(write=False)
+        _GRIDS[key] = grid
+    return grid
+
+
+def _build_grid(d: int, m: int, seed: int) -> np.ndarray:
+    if not 1 <= m <= MAX_GRID_M:
+        raise ValueError(f"grid size must be in 1..{MAX_GRID_M}, got {m}")
     if d < 2:
         raise ValueError("direction grids need d >= 2")
     if d == 2:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from walkangles.directions import (IN, OUT, UNDECIDED, CapVisitAccumulator,
-                                   EstimatorConfig, _CellTable, combine_runs)
+                                   EstimatorConfig, _CellTable, _TABLES, combine_runs)
 from walkangles.samplers import (coordinate_product, constant, rademacher,
                                  s_two_sided)
 from walkangles.walk import BLOCK, NEG_INF, WalkBlock, run_walk
@@ -401,6 +401,28 @@ def test_default_d3_grid_uses_the_table():
     cfg = EstimatorConfig()
     assert CapVisitAccumulator(cfg, 3)._table is not None
     assert CapVisitAccumulator(cfg, 2)._table is None
+
+
+def test_accumulators_share_grid_and_table():
+    cfg = EstimatorConfig(grid_m=256)
+    a, b = CapVisitAccumulator(cfg, 3), CapVisitAccumulator(cfg, 3)
+    assert a.grid is b.grid and a._table is b._table
+    assert isinstance(a._table, _CellTable)
+    # an equal grid passed in, or an equal config, finds the same table
+    assert CapVisitAccumulator(cfg, 3, grid=a.grid.copy())._table is a._table
+    assert CapVisitAccumulator(EstimatorConfig(grid_m=256), 3)._table is a._table
+    assert CapVisitAccumulator(EstimatorConfig(grid_m=256, cap_radius=0.2), 3)._table \
+        is not a._table
+    for arr in (a.grid, a._table.slot, a._table.table, a._table.ext):
+        assert not arr.flags.writeable
+
+
+def test_d2_decision_cached_as_no_table():
+    cfg = EstimatorConfig()
+    a, b = CapVisitAccumulator(cfg, 2), CapVisitAccumulator(cfg, 2)
+    assert a.grid is b.grid
+    assert a._table is None and b._table is None
+    assert _TABLES[(a.grid.shape, a.grid.tobytes(), a._dot_min)] is None
 
 
 WALKS = {

@@ -16,8 +16,8 @@ import pytest
 from walkangles import experiment, projections
 from walkangles.cli import main
 from walkangles.directions import EstimatorConfig
-from walkangles.experiment import (ConfigError, load_config, run_experiment,
-                                   config_hash)
+from walkangles.experiment import (ConfigError, ExperimentConfig, load_config,
+                                   run_experiment, config_hash)
 from walkangles.plots import rose_svg, trajectory_svg
 from walkangles.projections import ClassifierThresholds
 
@@ -175,6 +175,15 @@ BAD_FIELDS = [
      r"config\.spec\.laws\[0\]\.value must be a finite number"),
     ("classifier", {"final_scale": 10**400}), ("estimator", {"alphas": [10**400]}),
     ("estimator", {"escape_r0": 10**400}), ("estimator", {"kappa": 10**400}),
+    # size fields have upper bounds: numpy could not allocate 10**20 grid points,
+    # and 10**7 would exhaust memory; no grid is built for a rejected config
+    ("projection_grid_m", 10**20, r"config\.projection_grid_m must be in 1\.\.4096"),
+    ("projection_grid_m", 4097), ("hull_tracked_m", 10**20),
+    ("estimator", {"grid_m": 10**20}, r"config\.estimator\.grid_m must be in 1\.\.4096"),
+    ("estimator", {"grid_m": 10**7}), ("estimator", {"grid_m": 4097}),
+    ("estimator", {"escape_levels": 10**20},
+     r"config\.estimator\.escape_levels must be in 0\.\.1024"),
+    ("estimator", {"escape_levels": 1025}),
 ]
 
 
@@ -208,6 +217,20 @@ def test_python_api_rejects_non_finite_field(cls, field, value):
     where = "estimator" if cls is EstimatorConfig else "classifier"
     with pytest.raises(ValueError, match=rf"{where}\.{field} must be finite"):
         cls(**{field: value})
+
+
+def test_size_bounds_from_the_python_api():
+    # the dataclasses hold the bounds themselves; constructing one allocates no grid
+    EstimatorConfig(grid_m=4096, escape_levels=1024)
+    for field, value in (("grid_m", 4097), ("grid_m", 10**20),
+                         ("escape_levels", 1025), ("escape_levels", 10**20)):
+        with pytest.raises(ValueError, match=rf"estimator\.{field} must be in"):
+            EstimatorConfig(**{field: value})
+    spec = load_config(MINIMAL).spec
+    ExperimentConfig(spec=spec, n_steps=64, projection_grid_m=4096, hull_tracked_m=4096)
+    for field, value in (("projection_grid_m", 4097), ("hull_tracked_m", 10**20)):
+        with pytest.raises(ConfigError, match=rf"{field} must be in"):
+            ExperimentConfig(spec=spec, n_steps=64, **{field: value})
 
 
 # every config the repository commits or pins, plus one that sets every field

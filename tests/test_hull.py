@@ -102,6 +102,28 @@ def test_support_sketch_d3():
     assert st.vertex_count() >= 3
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_one_product_when_sketch_and_ledger_share_a_grid(d):
+    # at the default sizes both are direction_grid(d, 16): one cached array,
+    # and each batch is multiplied by it once; a copy of it (another array)
+    # takes the second product, and every number comes out the same
+    shared = HullState.empty(d, support_m=16)
+    assert shared.tracked_dirs is shared.support_dirs
+    apart = HullState.empty(d, tracked_dirs=shared.tracked_dirs.copy(), support_m=16)
+    assert apart.tracked_dirs is not apart.support_dirs
+    rng = np.random.default_rng(d)
+    batches = [np.zeros((1, d), dtype=np.int64), rng.integers(-50, 51, (1, d)),
+               rng.integers(-10**6, 10**6, (300, d)),
+               rng.standard_normal((2, d)) * 1e3, rng.standard_normal((5000, d)) * 1e5]
+    for batch in batches:
+        shared.update(batch)
+        apart.update(batch)
+        assert shared.confinements.tobytes() == apart.confinements.tobytes()
+        assert shared.supports.tobytes() == apart.supports.tobytes()
+        assert shared.support_points.tobytes() == apart.support_points.tobytes()
+    assert np.all(np.isfinite(shared.confinements))
+
+
 NAN = math.nan
 
 

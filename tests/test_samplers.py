@@ -155,6 +155,16 @@ def test_non_finite_spec_numbers_rejected():
         radial_product([[1.0, 0.0], [0.0, 1.0]], [math.nan, 0.5], s_one_sided(1.0))
 
 
+def test_spec_int_too_large_for_float_rejected():
+    # the Python API reaches no JSON check; float(10**400) raises OverflowError
+    with pytest.raises(InvalidSpecError, match="drift must be finite"):
+        coordinate_product([rademacher(), rademacher()], drift=[10**400, 0])
+    with pytest.raises(InvalidSpecError, match="atoms must be finite"):
+        linear_combination([[10**400, 0], [0, 1]], [rademacher(), rademacher()])
+    with pytest.raises(InvalidSpecError, match="probabilities must be finite"):
+        radial_product([[1.0, 0.0], [0.0, 1.0]], [-10**400, 0.5], s_one_sided(1.0))
+
+
 def test_radial_validation():
     with pytest.raises(InvalidSpecError, match="unit"):
         radial_product([[1.0, 1.0]], [1.0], s_one_sided(1.0))

@@ -1,12 +1,13 @@
 """Spherical geometry: hat map, interpolation, caps, hulls, grids."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walkangles.sphere import (Cap, cap_contains, chord, direction_grid, hat,
-                               interpolate, s_hull)
+from walkangles.sphere import (MAX_GRID_M, Cap, cap_contains, chord, direction_grid,
+                               hat, interpolate, s_hull)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -283,6 +284,48 @@ def test_grid_deterministic():
     assert np.array_equal(a, b)
     c = direction_grid(4, 64, seed=10)
     assert not np.array_equal(a, c)
+
+
+def test_grid_built_once_per_key():
+    g = direction_grid(3, 16)
+    assert direction_grid(3, 16) is g
+    # the key is normalized to plain ints, so a default seed and numpy ints share it
+    assert direction_grid(3, 16, 0) is g
+    assert direction_grid(np.int64(3), np.int32(16), np.int64(0)) is g
+    assert direction_grid(3, 16, 1) is not g
+    assert direction_grid(2, 16) is direction_grid(2, 16)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_grid_read_only(d):
+    g = direction_grid(d, 16)
+    with pytest.raises(ValueError, match="read-only"):
+        g[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        g *= 2.0
+    assert np.max(np.abs(np.linalg.norm(direction_grid(d, 16), axis=1) - 1)) < 1e-12
+
+
+# sha256 of the grids' bytes as built before grids were cached, so a cache
+# that outlived a change of the generator could not hide it
+GRID_SHA256 = {
+    (3, 256, 0): "51fe046b946212d465551f9eff93fc8fca27a698b44dee0e740446baabe55e62",
+    (3, 64, 0): "f9d81a4035db0bbe69a7133db674ed64cf9cd5b27b5c98699d9ad4c99e0eed91",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GRID_SHA256), ids=str)
+def test_grid_bytes_pinned(key):
+    g = direction_grid(*key)
+    assert g.dtype == np.float64 and g.shape == key[1::-1]
+    assert hashlib.sha256(g.tobytes()).hexdigest() == GRID_SHA256[key]
+
+
+@pytest.mark.parametrize("m", [0, MAX_GRID_M + 1, 10**20])
+def test_grid_size_bounded(m):
+    # rejected before anything is allocated
+    with pytest.raises(ValueError, match="grid size"):
+        direction_grid(3, m)
 
 def test_functional_op_surface():
     h = s_hull([E1, E2])
