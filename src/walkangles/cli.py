@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
 import sys
 
 import numpy as np
+
+from .pruitt import MAX_K
 
 __all__ = ["main"]
 
@@ -107,28 +110,49 @@ def _cmd_shull(args) -> int:
     from .sphere import s_hull
     try:
         with open(args.points) as fh:
-            pts = np.asarray(json.load(fh), dtype=float)
+            pts = np.atleast_2d(np.asarray(json.load(fh), dtype=float))
     except (OSError, ValueError) as exc:
         print(f"error: cannot read points: {exc}", file=sys.stderr)
         return 2
-    norms = np.linalg.norm(np.atleast_2d(pts), axis=1, keepdims=True)
-    if np.any(norms == 0):
-        print("error: points must be nonzero vectors", file=sys.stderr)
+    # NaN, inf or a norm past float range make a row that s_hull rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(pts, axis=1, keepdims=True)
+        if np.any(norms == 0):
+            print("error: points must be nonzero vectors", file=sys.stderr)
+            return 2
+        units = pts / norms
+    try:
+        hull = s_hull(units)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    hull = s_hull(np.atleast_2d(pts) / norms)
     if hull.arcs is not None:
-        print(hull.to_json())
-        if args.out:
-            with open(args.out, "w", newline="\n") as fh:
-                fh.write(hull.to_json() + "\n")
+        shown = hull.to_json()
+        saved = shown + "\n"
     else:
         info = {"dimension": hull.dimension, "full_sphere": hull.is_full_sphere(),
                 "generators": hull.generators.tolist()}
-        print(json.dumps(info, sort_keys=True))
-        if args.out:
-            with open(args.out, "w", newline="\n") as fh:
-                json.dump(info, fh, sort_keys=True, indent=2)
+        shown = json.dumps(info, sort_keys=True)
+        saved = json.dumps(info, sort_keys=True, indent=2)
+    print(shown)
+    if args.out:
+        with open(args.out, "w", newline="\n") as fh:
+            fh.write(saved)
     return 0
+
+
+def _column(rows, name: str) -> np.ndarray:
+    """Column ``name`` as floats; a value beyond float range is a ValueError."""
+    values = np.array([float(r[name]) for r in rows])
+    if not np.isfinite(values).all():
+        raise ValueError(f"column {name} holds a value that is not a finite float")
+    return values
+
+
+def _vectors(rows, prefix: str) -> np.ndarray:
+    """The (n, d) array of columns ``prefix1``, ``prefix2``, ... in index order."""
+    more = itertools.takewhile(rows[0].__contains__, (f"{prefix}{i}" for i in itertools.count(2)))
+    return np.column_stack([_column(rows, name) for name in (f"{prefix}1", *more)])
 
 
 def _cmd_plot(args) -> int:
@@ -157,15 +181,12 @@ def _cmd_plot(args) -> int:
             return 2
     try:
         if kind == "trajectory":
-            data = np.array([[float(r["s_1"]), float(r["s_2"])] for r in rows])
+            data = _vectors(rows, "s_")
         elif kind == "rose":
-            grid = np.array([[float(r["u_1"]), float(r["u_2"])] for r in rows])
-            name_to_code = {"IN": 1, "OUT": -1, "UNDECIDED": 0}
-            verdicts = np.array([name_to_code[r["verdict"]] for r in rows])
-            data = (grid, verdicts)
+            codes = {"IN": 1, "OUT": -1, "UNDECIDED": 0}
+            data = (_vectors(rows, "u_"), np.array([codes[r["verdict"]] for r in rows]))
         else:
-            data = (np.array([float(r["n"]) for r in rows]),
-                    np.array([float(r["r"]) for r in rows]))
+            data = (_column(rows, "n"), _column(rows, "r"))
         emit_plot(kind, data, args.output)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -177,13 +198,15 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``; a smaller one is a
-    usage error (exit 2) that names the flag."""
+def _int_between(low: int, high: int | None = None):
+    """argparse type: an integer in ``low..high`` (no upper end when ``high``
+    is None); one outside is a usage error (exit 2) that names the flag."""
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     return integer
 
@@ -210,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="rerun a worked example")
     p.add_argument("name", help="example name (e.g. ex-10.1)")
-    p.add_argument("--steps", type=_int_at_least(1), default=None)
-    p.add_argument("--runs", type=_int_at_least(1), default=None)
-    p.add_argument("--seed", type=_int_at_least(0), default=None)
+    p.add_argument("--steps", type=_int_between(1), default=None)
+    p.add_argument("--runs", type=_int_between(1), default=None)
+    p.add_argument("--seed", type=_int_between(0), default=None)
     p.add_argument("--alpha", type=_positive_number, default=None,
                    help="tail index of the example's heavy law (not heavytails-demo)")
     p.add_argument("--out", default=None, help="directory for the JSON report")
@@ -220,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pruitt", help="dyadic hazard ratio diagnostic")
     p.add_argument("tail", help="log_tail | poly:ALPHA | stretched:BETA | table.json")
-    # the trend fit needs two terms k >= 1 in the sequence's last half
-    p.add_argument("--K", type=_int_at_least(2), default=64)
+    # the trend fit needs two terms k >= 1 in the sequence's last half, and
+    # 2**(K + 1) must be a finite float
+    p.add_argument("--K", type=_int_between(2, MAX_K), default=64)
     p.add_argument("--csv", default=None, help="write the u_k table here")
     p.set_defaults(func=_cmd_pruitt)
 

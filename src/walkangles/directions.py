@@ -376,8 +376,7 @@ class CapVisitAccumulator(ObserverBase):
         if top >= cfg.min_top_level:
             all_levels = (self.visits[:, :top + 1] > 0).all(axis=1)
             verdicts[all_levels & (self.visits[:, top] >= cfg.v_min)] = IN
-        beyond = self.visits[:, cfg.out_level + 1:].sum(axis=1) if \
-            cfg.out_level + 1 <= cfg.escape_levels else np.zeros(len(self.grid), dtype=np.int64)
+        beyond = self.visits[:, cfg.out_level + 1:].sum(axis=1)
         verdicts[(verdicts != IN) & (beyond == 0)] = OUT
         w = self.graded_windows          # window bits 0..62, so w >= 0
         graded = (w & (w - 1)) != 0       # at least two windows met

@@ -10,6 +10,7 @@ from finitely many terms.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,7 @@ __all__ = [
 CONVERGENT_TREND = "CONVERGENT_TREND"
 DIVERGENT_TREND = "DIVERGENT_TREND"
 INCONCLUSIVE = "INCONCLUSIVE"
+MAX_K = 1022        # the largest k_max with 2.0 ** (k_max + 1) a finite float
 
 
 class TailExhaustedError(ValueError):
@@ -50,26 +52,24 @@ class TailFunction:
 
     def __post_init__(self):
         if self.kind == "poly":
-            if self.param is None or self.param <= 0:
+            if self.param is None or not self.param > 0:
                 raise ValueError("poly tail requires alpha > 0")
         elif self.kind == "stretched_exp":
             if self.param is None or not (0 < self.param < 0.5):
                 raise ValueError("stretched_exp tail requires beta in (0, 1/2)")
-        elif self.kind == "log_tail":
-            pass
         elif self.kind == "custom":
             if not self.table:
                 raise ValueError("custom tail requires a nonempty table")
             rs = [r for r, _ in self.table]
             ps = [p for _, p in self.table]
-            if sorted(rs) != rs:
-                raise ValueError("custom tail radii must be sorted")
+            if not all(a <= b for a, b in zip(rs, rs[1:] + [math.inf])):   # NaN fails
+                raise ValueError("custom tail radii must be sorted numbers")
             if any(not (0 < p <= 1) for p in ps):
                 raise ValueError("custom tail values must lie in (0, 1]")
             for i, (a, b) in enumerate(zip(ps, ps[1:])):
                 if b > a + 1e-12:
                     raise ValueError(f"custom tail increases at entry {i + 1}")
-        else:
+        elif self.kind != "log_tail":
             raise ValueError(f"unknown tail kind {self.kind!r}")
 
     def __call__(self, r: float) -> float:
@@ -79,17 +79,14 @@ class TailFunction:
             return 1.0 if r < math.e else 1.0 / math.log(r)
         if self.kind == "stretched_exp":
             return 1.0 if r < 1.0 else math.exp(-(math.log(r) ** self.param))
-        value = 1.0
-        for rr, pp in self.table:
-            if r >= rr:
-                value = pp
-            else:
-                break
-        return value
+        i = bisect.bisect_right([rr for rr, _ in self.table], r)   # entries with rr <= r
+        return self.table[i - 1][1] if i else 1.0
 
 
 def u_sequence(tail: TailFunction, k_max: int) -> np.ndarray:
-    """u_k for k = 0..k_max; requires the tail positive at 2**k_max."""
+    """u_k for k = 0..k_max <= MAX_K; requires the tail positive at 2**k_max."""
+    if k_max > MAX_K:
+        raise ValueError(f"k_max must be <= {MAX_K}, got {k_max}")
     out = np.empty(k_max + 1)
     for k in range(k_max + 1):
         t0 = tail(2.0 ** k)

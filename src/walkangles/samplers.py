@@ -403,7 +403,7 @@ class IncrementSampler:
     def __init__(self, spec: IncrementSpec):
         self.spec = spec
         self.saturations = Saturations()
-        self._atoms = np.asarray(spec.atoms, dtype=float) if spec.atoms else None
+        self.atoms = np.asarray(spec.atoms, dtype=float) if spec.atoms else None
         # lattice increments are formed in int64, which ``is_lattice`` shows cannot wrap
         self._dtype = np.int64 if spec.is_lattice else float
         if spec.form == RADIAL_PRODUCT:
@@ -434,12 +434,8 @@ class IncrementSampler:
         if spec.scale_mode == "log":
             return SampleBlock(vectors=None, xi_log=law.sample_log(rng, size), atom_idx=idx)
         xi = np.asarray(law.sample(rng, size, self.saturations), dtype=float)
-        vec = xi[:, None] * self._atoms[idx]
+        vec = xi[:, None] * self.atoms[idx]
         return SampleBlock(vectors=vec, xi=xi, atom_idx=idx)
-
-    @property
-    def atoms(self) -> np.ndarray | None:
-        return self._atoms
 
 
 # ---------------------------------------------------------------------------

@@ -118,8 +118,8 @@ class SHull:
         if gens.size == 0:
             raise ValueError("s_hull needs at least one generator")
         norms = np.linalg.norm(gens, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("s_hull generators must be unit vectors")
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):      # NaN fails too
+            raise ValueError("s_hull generators must be finite unit vectors")
         self.generators = gens
         self.dimension = gens.shape[1]
         self.arcs: list[tuple[float, float]] | None = None
@@ -236,10 +236,8 @@ class SHull:
                 return []
             pts = []
             for s, e in self.arcs:
-                if e - s <= 1e-12:
-                    pts.append(np.array([math.cos(s), math.sin(s)]))
-                else:
-                    pts.append(np.array([math.cos(s), math.sin(s)]))
+                pts.append(np.array([math.cos(s), math.sin(s)]))
+                if e - s > 1e-12:
                     pts.append(np.array([math.cos(e), math.sin(e)]))
             return pts
         if self.dimension != 3:

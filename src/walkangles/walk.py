@@ -14,9 +14,10 @@ For radial products the engine tracks the running magnitude sum, the largest
 magnitude so far, its step index (ties keep the earlier index), the atom that
 produced it, and the remainder sum.  The dominance ratio remainder/largest
 controls how far the walk's direction can sit from the biggest jump's atom:
-``||hat(S) - Q|| <= 2*rho/(1 - rho)`` whenever ``rho < 1``, which
-:func:`biggest_jump_bound_check` evaluates per state and
-:class:`BoundCheckObserver` enforces per step.
+``||hat(S) - Q|| <= 2*rho/(1 - rho)`` whenever ``rho < 1``.  One array
+function, ``_dominance_terms``, evaluates it row by row;
+:func:`biggest_jump_bound_check` calls it on one state and
+:class:`BoundCheckObserver` on every step of each block.
 """
 from __future__ import annotations
 
@@ -101,7 +102,6 @@ class WalkState:
     xi_rest: float = 0.0
     max_index: int = 0
     atom_at_max: int = -1
-    overflowed: bool = False
 
     @classmethod
     def initial(cls, spec: IncrementSpec) -> "WalkState":
@@ -115,10 +115,6 @@ class WalkState:
             st.mantissa = np.zeros(spec.dimension, dtype=float)
             st.xi_total = st.xi_max = st.xi_rest = NEG_INF
         return st
-
-    @property
-    def is_radial(self) -> bool:
-        return self.spec.form == RADIAL_PRODUCT
 
     def norm(self) -> float:
         if self.mode == "log":
@@ -142,20 +138,6 @@ class WalkState:
         if r == 0.0:
             return np.zeros(self.spec.dimension)
         return np.asarray(self.position, dtype=float) / peak / r
-
-    def rest_to_max(self) -> float:
-        """Dominance ratio rho = rest/largest for radial walks."""
-        if not self.is_radial:
-            raise UnsupportedSpecError("rest_to_max applies to radial products only")
-        if self.mode == "log":
-            if self.xi_max == NEG_INF:
-                return math.nan
-            if self.xi_rest == NEG_INF:
-                return 0.0
-            return math.exp(min(self.xi_rest - self.xi_max, 700.0))
-        if self.xi_max <= 0:
-            return math.nan
-        return self.xi_rest / self.xi_max
 
 
 # ---------------------------------------------------------------------------
@@ -518,23 +500,38 @@ class BoundCheck:
     applicable: bool
 
 
+def _dominance_terms(spec: IncrementSpec, xi_max, xi_rest, dirs, atom_at_max):
+    """Per step (row) of a radial walk of ``spec``: rho = rest/largest (NaN
+    unless largest > 0; the statistics are logs in log mode), the bound,
+    actual = ||hat(S) - Q_at_max|| and whether the step is applicable: rho < 1
+    and S != 0 (``dirs`` has zero rows where S = 0).  The bound is
+    2*rho/(1 - rho) there and inf elsewhere, so a margin ``actual - bound``
+    above ``BOUND_TOL`` is a violation."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if spec.scale_mode == "log":
+            rho = np.exp(np.minimum(xi_rest - xi_max, 700.0))
+        else:
+            rho = np.where(xi_max > 0, xi_rest / np.maximum(xi_max, 1e-300), np.nan)
+        applicable = (rho < 1.0) & dirs.any(axis=1)
+        bound = np.where(applicable, 2.0 * rho / (1.0 - rho), np.inf)
+    actual = np.linalg.norm(dirs - np.asarray(spec.atoms, dtype=float)[atom_at_max], axis=1)
+    return rho, bound, actual, applicable
+
+
 def biggest_jump_bound_check(state: WalkState) -> BoundCheck:
     """Evaluate ||hat(S) - Q_at_max|| against 2*rho/(1-rho) for one state."""
     if state.spec.form != RADIAL_PRODUCT:
         raise UnsupportedSpecError("the biggest-jump bound applies to radial products")
-    if state.n < 1 or state.log_norm() == NEG_INF:
+    direction = state.direction()
+    if state.n < 1 or not direction.any():
         raise ValueError("bound check requires S != 0 after at least one step")
-    rho = state.rest_to_max()
+    rho, bound, actual, applicable = (a.item() for a in _dominance_terms(
+        state.spec, np.array([state.xi_max]), np.array([state.xi_rest]),
+        direction[None, :], np.array([state.atom_at_max])))
     if math.isnan(rho):
         raise ValueError("bound check requires a positive largest magnitude")
-    q = np.asarray(state.spec.atoms[state.atom_at_max], dtype=float)
-    actual = float(np.linalg.norm(state.direction() - q))
-    if rho >= 1.0:
-        return BoundCheck(rho=rho, bound=math.inf, actual=actual, ok=True,
-                          applicable=False)
-    bound = 2.0 * rho / (1.0 - rho)
     return BoundCheck(rho=rho, bound=bound, actual=actual,
-                      ok=actual <= bound + BOUND_TOL, applicable=True)
+                      ok=not actual - bound > BOUND_TOL, applicable=applicable)
 
 
 class BoundCheckObserver(ObserverBase):
@@ -550,31 +547,18 @@ class BoundCheckObserver(ObserverBase):
         self.applicable = 0
         self.violations = 0
         self.worst_margin = NEG_INF
-        self._atoms = None
-        self._log = False
+        self._spec = None
 
     def begin(self, spec, n_steps):
         if spec.form != RADIAL_PRODUCT:
             raise UnsupportedSpecError("bound checking needs a radial-product spec")
-        self._atoms = np.asarray(spec.atoms, dtype=float)
-        self._log = spec.scale_mode == "log"
+        self._spec = spec
 
     def observe(self, block: WalkBlock) -> None:
+        _, bound, actual, applicable = _dominance_terms(
+            self._spec, block.xi_max, block.xi_rest, block.dirs, block.atom_at_max)
+        margin = actual - bound          # -inf where not applicable
         self.checked += len(block)
-        if self._log:
-            with np.errstate(over="ignore"):
-                rho = np.exp(np.minimum(block.xi_rest - block.xi_max, 700.0))
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rho = np.where(block.xi_max > 0, block.xi_rest / np.maximum(block.xi_max, 1e-300), np.nan)
-        nonzero = block.log_norms > NEG_INF
-        ok = (rho < 1.0) & nonzero
-        if not np.any(ok):
-            return
-        self.applicable += int(np.count_nonzero(ok))
-        q = self._atoms[block.atom_at_max[ok]]
-        actual = np.linalg.norm(block.dirs[ok] - q, axis=1)
-        bound = 2.0 * rho[ok] / (1.0 - rho[ok])
-        margin = actual - bound
-        self.worst_margin = max(self.worst_margin, float(np.max(margin)))
+        self.applicable += int(np.count_nonzero(applicable))
+        self.worst_margin = max(self.worst_margin, float(margin.max()))
         self.violations += int(np.count_nonzero(margin > BOUND_TOL))

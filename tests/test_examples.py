@@ -45,6 +45,14 @@ def test_ex_10_1_regime_is_decided_once():
     assert drift.params["seed"] == 400
 
 
+def test_ex_10_3_run_without_escape_level_fails():
+    # at 3 steps run 702 reaches no escape level, so its off-band fraction is
+    # NaN; that is the worst value, not one that max() may skip
+    report = reproduce_example("ex-10.3", steps=3, runs=5)
+    assert not report.passed
+    assert report.checks[0].detail.startswith("worst off-band fraction at top level nan")
+
+
 def test_example_without_alpha_refuses_one():
     with pytest.raises(ValueError, match="heavytails-demo has no alpha"):
         reproduce_example("heavytails-demo", steps=64, runs=1, alpha=1.0)

@@ -398,6 +398,15 @@ def test_cli_bad_integer_flag_exit_2(argv, flag, capsys):
     assert f"argument {flag}: must be >=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tail", ["log_tail", "stretched:0.3"])
+def test_cli_pruitt_K_beyond_float_range_exit_2(tail, capsys):
+    # u_k reads the tail at 2.0 ** (k + 1), which overflows at k = 1023
+    with pytest.raises(SystemExit) as exc:
+        main(["pruitt", tail, "--K", "1023"])
+    assert exc.value.code == 2
+    assert "argument --K: must be <= 1022, got 1023" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("alpha", ["-1", "0", "nan", "inf", "-inf"])
 def test_cli_bad_alpha_exit_2(alpha, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -424,6 +433,19 @@ def test_cli_pruitt(tmp_path, capsys):
     assert main(["pruitt", "poly:1.5"]) == 0
     assert "DIVERGENT_TREND" in capsys.readouterr().out
     assert main(["pruitt", "nonsense"]) == 2
+    assert main(["pruitt", "stretched:0.3", "--K", "1022"]) == 0
+
+
+@pytest.mark.parametrize("table", [None, [[float("nan"), 0.5]]], ids=["poly", "table"])
+def test_cli_pruitt_nan_tail_exit_2(table, tmp_path, capsys):
+    tail = "poly:nan"
+    if table is not None:
+        tail = str(tmp_path / "tail.json")
+        with open(tail, "w") as fh:
+            json.dump(table, fh)         # writes the NaN literal json.load accepts
+    assert main(["pruitt", tail, "--K", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_cli_shull(tmp_path, capsys):
@@ -433,6 +455,45 @@ def test_cli_shull(tmp_path, capsys):
     arcs = json.loads(read(tmp_path / "arcs.json"))
     assert len(arcs) == 1
     assert arcs[0][0] == 0.0
+
+
+@pytest.mark.parametrize("points", [
+    [[float("nan"), 1.0]], [[float("inf"), 1.0]], [[1e308, 1e308]],
+    [[float("nan"), 0.0, 1.0], [1.0, 0.0, 0.0]],
+], ids=["nan-d2", "inf-d2", "huge-d2", "nan-d3"])
+def test_cli_shull_non_finite_exit_2(points, tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps(points))
+    assert main(["shull", str(pts)]) == 2
+    captured = capsys.readouterr()
+    assert "finite unit vectors" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("name, kind", [("run0_directions.csv", "rose"),
+                                        ("run0_trajectory.csv", "trajectory")])
+def test_cli_plot_of_d3_run_exit_2(name, kind, tmp_path, capsys):
+    # every u_i / s_i column reaches the renderer, which draws planar data only
+    config = dict(MINIMAL, n_steps=64, spec={
+        "dimension": 3, "form": "coordinate_product",
+        "laws": [{"name": "rademacher"}] * 3})
+    run_experiment(load_config(config, out_dir=str(tmp_path)))
+    out = tmp_path / "no.svg"
+    assert main(["plot", str(tmp_path / name), "-o", str(out)]) == 2
+    assert f"{kind} plots are planar only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_plot_value_beyond_float_range_exit_2(tmp_path, capsys):
+    # log-scale trajectories print magnitudes past float range in extended
+    # notation; float() reads them as inf
+    csv_path = tmp_path / "traj.csv"
+    csv_path.write_text("n,s_1,s_2,norm,shat_1,shat_2\n"
+                        "1,3.5,0,3.5,1.0,0.0\n"
+                        "2,3.5,6.79854612432e+1512,6.79854612432e+1512,0.0,1.0\n")
+    out = tmp_path / "no.svg"
+    assert main(["plot", str(csv_path), "-o", str(out)]) == 2
+    assert "column s_2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_plot_trajectory_vertices(tmp_path):

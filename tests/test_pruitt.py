@@ -52,6 +52,25 @@ def test_table_validation():
         TailFunction("stretched_exp", 0.6)
 
 
+@pytest.mark.parametrize("kind, param, table", [
+    ("poly", math.nan, ()),
+    ("stretched_exp", math.nan, ()),
+    ("custom", None, ((math.nan, 0.5),)),
+    ("custom", None, ((1.0, 1.0), (math.nan, 0.5))),
+    ("custom", None, ((1.0, math.nan),)),
+], ids=["poly", "stretched", "custom-radius", "custom-second-radius", "custom-value"])
+def test_nan_tail_rejected(kind, param, table):
+    with pytest.raises(ValueError):
+        TailFunction(kind, param, table)
+
+
+def test_u_sequence_stays_in_float_range():
+    # 2.0 ** (k + 1) overflows at k = 1023
+    assert len(u_sequence(TailFunction("stretched_exp", 0.3), 1022)) == 1023
+    with pytest.raises(ValueError, match="k_max must be <= 1022"):
+        u_sequence(TailFunction("log_tail"), 1023)
+
+
 def test_diagnostic_verdicts():
     u_log = u_sequence(TailFunction("log_tail"), 64)
     assert pruitt_diagnostic(u_log).verdict == CONVERGENT_TREND

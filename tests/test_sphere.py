@@ -132,6 +132,14 @@ def test_empty_input_rejected():
         s_hull(np.empty((0, 2)))
 
 
+@pytest.mark.parametrize("gens", [
+    [[math.nan, 1.0]], [[math.inf, 1.0]], [[math.nan, 0.0, 1.0], [1.0, 0.0, 0.0]],
+], ids=["nan-d2", "inf-d2", "nan-d3"])
+def test_non_finite_generators_rejected(gens):
+    with pytest.raises(ValueError, match="finite unit vectors"):
+        s_hull(gens)
+
+
 def test_boundary_descriptions():
     b = s_hull([E1, E2]).boundary()
     ends = sorted(tuple(np.round(p, 9)) for p in b)

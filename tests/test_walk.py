@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from walkangles import walk as walk_module
 from walkangles.rng import stream
-from walkangles.samplers import (IncrementSampler, SampleBlock, coordinate_product,
-                                 constant, linear_combination, log_tail,
-                                 radial_product, rademacher, s_one_sided,
+from walkangles.samplers import (RADIAL_PRODUCT, IncrementSampler, SampleBlock,
+                                 coordinate_product, constant, linear_combination,
+                                 log_tail, radial_product, rademacher, s_one_sided,
                                  s_two_sided)
 from walkangles.hull import HullTracker
 from walkangles.projections import ProjectionTracker
@@ -35,15 +35,24 @@ class IncrementDraw:
     atom_index: int | None = None
 
 
-def step(state: WalkState, draw: IncrementDraw) -> WalkState:
+@dataclass
+class OracleState(WalkState):
+    """A walk state with the oracle's own halt flag: set by the step that
+    would leave the int64 or float range, which the state then stops at."""
+
+    halted: bool = False
+
+
+def step(state: OracleState, draw: IncrementDraw) -> OracleState:
     """Advance one step.  Returns a new state; the input is not mutated."""
-    if state.overflowed:
+    if state.halted:
         return state
+    radial = state.spec.form == RADIAL_PRODUCT
     new = replace(state)
     new.n = state.n + 1
     vector = draw.vector
     if vector is None and state.mode != "log":
-        if not state.is_radial or draw.xi is None or draw.atom_index is None:
+        if not radial or draw.xi is None or draw.atom_index is None:
             raise ValueError("draw must carry a vector, or xi and atom_index "
                              "for a radial spec")
         vector = draw.xi * np.asarray(state.spec.atoms[draw.atom_index], dtype=float)
@@ -51,13 +60,13 @@ def step(state: WalkState, draw: IncrementDraw) -> WalkState:
         vec = [int(x) for x in vector]
         pos = [int(p) + v for p, v in zip(state.position, vec)]
         if any(abs(p) > INT_SAT_LIMIT for p in pos):
-            new.overflowed = True
+            new.halted = True
             return new
         new.position = np.array(pos, dtype=np.int64)
     elif state.mode == "float":
         new.position = state.position + np.asarray(vector, dtype=float)
         if not np.all(np.isfinite(new.position)):
-            new.overflowed = True
+            new.halted = True
             return new
     else:
         lx = float(draw.xi_log)
@@ -71,7 +80,7 @@ def step(state: WalkState, draw: IncrementDraw) -> WalkState:
         else:
             new.mantissa = mant
             new.scale = c
-    if state.is_radial:
+    if radial:
         if state.mode == "log":
             lx = float(draw.xi_log)
             new.xi_total = np.logaddexp(state.xi_total, lx)
@@ -103,7 +112,7 @@ DRIFT = coordinate_product([constant(1), rademacher()])
 
 
 def radial_chain(spec, draws):
-    st_ = WalkState.initial(spec)
+    st_ = OracleState.initial(spec)
     for xi, idx in draws:
         if spec.scale_mode == "log":
             st_ = step(st_, IncrementDraw(vector=None, xi_log=math.log(xi), atom_index=idx))
@@ -126,7 +135,7 @@ class Positions(ObserverBase):
 
 def test_step_vector_addition():
     spec = coordinate_product([rademacher(), rademacher()])
-    st_ = WalkState.initial(spec)
+    st_ = OracleState.initial(spec)
     st_.position = np.array([2, 1], dtype=np.int64)
     st_.n = 3
     out = step(st_, IncrementDraw(vector=np.array([1, -1])))
@@ -223,6 +232,32 @@ def test_bound_holds_along_log_tail_run():
     assert obs.applicable > 0
 
 
+class LastRow(ObserverBase):
+    """Keeps the last step's radial statistics and direction, as 1-row arrays."""
+
+    def observe(self, block):
+        self.row = (block.xi_max[-1:], block.xi_rest[-1:], block.dirs[-1:],
+                    block.atom_at_max[-1:])
+
+
+@pytest.mark.parametrize("spec, seed, applicable", [
+    (TWO_ATOMS, 0, False), (TWO_ATOMS, 3, True), (TRIANGLE, 2, True),
+], ids=["float-radial-rho-above-1", "float-radial", "log-radial"])
+def test_state_bound_check_is_the_last_rows(spec, seed, applicable):
+    # the per-state check and the observer share one evaluator: on a final
+    # state it gives the last row's rho and bound bit for bit; the distance
+    # differs only through the state's direction, taken from the 1-D norm
+    last = LastRow()
+    rec = run_walk(spec, 3000, seed=seed, observers=[last])
+    chk = biggest_jump_bound_check(rec.final_state)
+    rho, bound, actual, ok = walk_module._dominance_terms(spec, *last.row)
+    assert chk.applicable == ok[0] == applicable
+    assert chk.rho.hex() == rho[0].hex()
+    assert chk.bound.hex() == bound[0].hex()
+    assert abs(chk.actual - actual[0]) <= 1e-15
+    assert chk.ok
+
+
 def _oracle_draws(spec, block):
     if spec.scale_mode == "log":
         return [IncrementDraw(vector=None, xi_log=float(lx), atom_index=int(i))
@@ -244,7 +279,7 @@ def _oracle_draws(spec, block):
 def test_engine_matches_scalar_oracle(spec, seed):
     n = 300
     block = IncrementSampler(spec).sample_block(stream(seed), n)
-    ref = WalkState.initial(spec)
+    ref = OracleState.initial(spec)
     ref_rest = []
     for draw in _oracle_draws(spec, block):
         ref = step(ref, draw)
@@ -258,7 +293,7 @@ def test_engine_matches_scalar_oracle(spec, seed):
         assert np.allclose(fin.direction(), ref.direction(), atol=1e-12)
     else:
         assert np.array_equal(fin.position, ref.position)
-    if fin.is_radial:
+    if spec.form == RADIAL_PRODUCT:
         # the running sums add (or logaddexp) in the oracle's order: exact equality
         assert fin.xi_total == ref.xi_total
         assert fin.xi_rest == ref.xi_rest
@@ -300,14 +335,14 @@ _BIG = 2**62
 def test_lattice_halts_at_int64_boundary_like_oracle(monkeypatch, rows, halt):
     spec = coordinate_product([rademacher(), rademacher()])
     assert spec.scale_mode == "lattice"
-    ref = WalkState.initial(spec)
+    ref = OracleState.initial(spec)
     ref_positions = []
     for row in rows:
         ref = step(ref, IncrementDraw(vector=np.array(row, dtype=np.int64)))
-        if ref.overflowed:
+        if ref.halted:
             break
         ref_positions.append(ref.position.tolist())
-    assert ref.overflowed == (halt is not None)
+    assert ref.halted == (halt is not None)
     assert len(ref_positions) == (len(rows) if halt is None else halt - 1)
 
     monkeypatch.setattr(walk_module, "IncrementSampler",
@@ -316,7 +351,7 @@ def test_lattice_halts_at_int64_boundary_like_oracle(monkeypatch, rows, halt):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rec = run_walk(spec, len(rows), seed=0, observers=[obs])
-    assert rec.overflowed == ref.overflowed
+    assert rec.overflowed == ref.halted
     assert rec.final_state.n == len(ref_positions)
     assert np.concatenate(obs.positions).tolist() == ref_positions
     assert rec.final_state.position.tolist() == ref_positions[-1]
@@ -353,6 +388,7 @@ def test_overflow_halts_with_partial_record():
     rec = run_walk(spec, 100, seed=1)
     assert rec.overflowed
     assert rec.checkpoints[-1].n < 100
+    assert not hasattr(rec.final_state, "overflowed")   # the record's flag is the one
 
 
 def test_float_overflow_halts_with_partial_record():
