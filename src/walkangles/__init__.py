@@ -22,6 +22,5 @@ from .hull import HullState, HullTracker, hull_growth_report
 from .pruitt import TailFunction, pruitt_diagnostic, u_sequence
 from .experiment import ExperimentConfig, load_config, run_experiment
 from .examples import reproduce_example
-from .plots import emit_plot
 
 __version__ = "0.1.0"

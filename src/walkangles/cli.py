@@ -107,20 +107,18 @@ def _cmd_pruitt(args) -> int:
 
 
 def _cmd_shull(args) -> int:
-    from .sphere import s_hull
+    from .sphere import normalize_rows, s_hull
     try:
         with open(args.points) as fh:
             pts = np.atleast_2d(np.asarray(json.load(fh), dtype=float))
     except (OSError, ValueError) as exc:
         print(f"error: cannot read points: {exc}", file=sys.stderr)
         return 2
-    # NaN, inf or a norm past float range make a row that s_hull rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(pts, axis=1, keepdims=True)
-        if np.any(norms == 0):
-            print("error: points must be nonzero vectors", file=sys.stderr)
-            return 2
-        units = pts / norms
+    # a NaN or infinite coordinate makes a NaN row, which s_hull rejects
+    units, _, log_norms = normalize_rows(pts)
+    if np.any(log_norms == -math.inf):
+        print("error: points must be nonzero vectors", file=sys.stderr)
+        return 2
     try:
         hull = s_hull(units)
     except ValueError as exc:
@@ -156,7 +154,7 @@ def _vectors(rows, prefix: str) -> np.ndarray:
 
 
 def _cmd_plot(args) -> int:
-    from .plots import emit_plot
+    from .plots import radius_svg, rose_svg, trajectory_svg
     try:
         with open(args.csv) as fh:
             rows = list(csv.DictReader(fh))
@@ -165,6 +163,11 @@ def _cmd_plot(args) -> int:
         return 2
     if not rows:
         print("error: no data rows in input", file=sys.stderr)
+        return 2
+    # the hull CSV of a run without hull tracking holds one comment line
+    note = rows[0].get("n") or ""
+    if note.startswith("# hull tracking"):
+        print(f"error: the run has no hull series ({note[2:]})", file=sys.stderr)
         return 2
     cols = rows[0].keys()
     kind = args.kind
@@ -181,13 +184,14 @@ def _cmd_plot(args) -> int:
             return 2
     try:
         if kind == "trajectory":
-            data = _vectors(rows, "s_")
+            svg = trajectory_svg(_vectors(rows, "s_"))
         elif kind == "rose":
             codes = {"IN": 1, "OUT": -1, "UNDECIDED": 0}
-            data = (_vectors(rows, "u_"), np.array([codes[r["verdict"]] for r in rows]))
+            svg = rose_svg(_vectors(rows, "u_"), [codes[r["verdict"]] for r in rows])
         else:
-            data = (_column(rows, "n"), _column(rows, "r"))
-        emit_plot(kind, data, args.output)
+            svg = radius_svg(_column(rows, "n"), _column(rows, "r"))
+        with open(args.output, "w", newline="\n") as fh:
+            fh.write(svg)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

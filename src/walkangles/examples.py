@@ -23,7 +23,7 @@ from .hull import FULL_SPACE_TREND, HullTracker, hull_growth_report
 from .samplers import (IncrementSpec, coordinate_product, constant, log_tail,
                        linear_combination, radial_product, rademacher,
                        s_one_sided, s_two_sided)
-from .sphere import s_hull
+from .sphere import normalize_rows, s_hull
 from .walk import BoundCheckObserver, run_walk
 
 __all__ = ["ExampleReport", "EXAMPLE_NAMES", "reproduce_example",
@@ -101,14 +101,22 @@ def triangle_log_tail_spec() -> IncrementSpec:
 # ---------------------------------------------------------------------------
 # example runners
 
-def _walks(spec, steps, seeds, *observers):
+def _walks(report, spec, steps, seeds, *observers):
     """One walk per seed, each with fresh observers; yields the walk's record
     and its observers in ``observers`` order.  An EstimatorConfig there stands
-    for a cap-visit accumulator on it; anything else is a factory."""
+    for a cap-visit accumulator on it; anything else is a factory.  A halted
+    walk cannot be graded: after the last walk, halts add a failed check."""
+    halts = []
     for s in seeds:
         made = [CapVisitAccumulator(o, spec.dimension) if isinstance(o, EstimatorConfig)
                 else o() for o in observers]
-        yield run_walk(spec, steps, s, observers=made), made
+        record = run_walk(spec, steps, s, observers=made)
+        if record.overflowed:
+            halts.append(record.final_state.n)
+        yield record, made
+    if halts:
+        report.add("every walk ran all its steps", False,
+                   f"{len(halts)}/{len(seeds)} runs halted, the earliest after step {min(halts)}")
 
 
 def _one_level(grid_m: int, cap_radius: float, escape_r0: float) -> EstimatorConfig:
@@ -143,7 +151,8 @@ def _run_ex_10_1(steps, runs, seed, alpha):
     seeds = range(seed, seed + runs)
     if not _drift_wins(alpha):
         ests, pole_ok = [], 0
-        for _, (acc, pole) in _walks(spec, steps, seeds, _GRADED, _one_level(64, 0.3, 1e3)):
+        for _, (acc, pole) in _walks(report, spec, steps, seeds,
+                                     _GRADED, _one_level(64, 0.3, 1e3)):
             ests.append(acc.finalize())
             nearest = [np.argmin(np.linalg.norm(pole.grid - u, axis=1)) for u in (E2, -E2)]
             pole_ok += int(bool((pole.visits[nearest, 0] > 0).all()))
@@ -154,7 +163,7 @@ def _run_ex_10_1(steps, runs, seed, alpha):
     else:
         ests, final_ok = [], 0
         cfg = replace(_GRADED, escape_r0=10.0)
-        for rec, (acc,) in _walks(spec, steps, seeds, cfg):
+        for rec, (acc,) in _walks(report, spec, steps, seeds, cfg):
             ests.append(acc.finalize())
             final_ok += int(np.linalg.norm(rec.final_state.direction() - E1) < 0.05)
         pts = _consensus_in_points(ests)
@@ -175,7 +184,7 @@ def _run_ex_10_2(steps, runs, seed, alpha, run_seeds=None):
     seeds = run_seeds or range(seed, seed + runs)
     if 1.0 < alpha:
         ests = [acc.finalize() for _, (acc,) in
-                _walks(spec, steps, seeds, _one_level(64, 0.35, 30.0))]
+                _walks(report, spec, steps, seeds, _one_level(64, 0.35, 30.0))]
         covs = [est.coverage_fraction() for est in ests]
         union = np.any([est.verdicts == IN for est in ests], axis=0)
         report.add("every run covers most of the circle",
@@ -186,7 +195,7 @@ def _run_ex_10_2(steps, runs, seed, alpha, run_seeds=None):
                    f"union coverage {union.mean():.3f} (>= 0.95)")
     else:
         ests, full = [], 0
-        for _, (acc, hull) in _walks(spec, steps, seeds, _GRADED, HullTracker):
+        for _, (acc, hull) in _walks(report, spec, steps, seeds, _GRADED, HullTracker):
             ests.append(acc.finalize())
             full += int(hull_growth_report(hull).flag == FULL_SPACE_TREND)
         _check_two_poles(report, ests)
@@ -206,7 +215,7 @@ def _run_ex_10_3(steps, runs, seed, alpha, dimension):
                           band_axis=axis, band_threshold=0.3)
     # np.max propagates NaN: a run that reached no escape level fails the check
     worst = float(np.max([acc.band_fraction_at_top() for _, (acc,) in
-                          _walks(spec, steps, range(seed, seed + runs), cfg)]))
+                          _walks(report, spec, steps, range(seed, seed + runs), cfg)]))
     report.add("far-out visits hug the equatorial band",
                worst <= 0.05,
                f"worst off-band fraction at top level {worst:.4f} (<= 0.05)")
@@ -219,11 +228,11 @@ def _run_ex_10_4(steps, runs, seed, alpha, vectors):
     report = ExampleReport("ex-10.4", {"alpha": alpha, "steps": steps,
                                        "runs": runs, "seed": seed,
                                        "vectors": vectors.tolist()})
-    cone = s_hull(vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
+    cone = s_hull(normalize_rows(vectors)[0])
     cfg = EstimatorConfig(grid_m=64, cap_radius=0.15, escape_r0=1e2,
                           escape_levels=6, min_top_level=2)
     pts = _consensus_in_points([acc.finalize() for _, (acc,) in _walks(
-        spec, steps, range(seed, seed + runs), cfg)])
+        report, spec, steps, range(seed, seed + runs), cfg)])
     # every IN point must sit within a cap radius of the expected cone
     ok_inside = all(_chord_to_hull(cone, p) <= cfg.cap_radius + 0.05 for p in pts)
     report.add("direction estimate stays inside the cone",
@@ -257,7 +266,7 @@ def _run_heavytails_demo(steps, runs, seed):
                           escape_levels=12, min_top_level=2)
     atom_ok, far_in, violations = 0, 0, 0
     for _, (acc, atoms_acc, bound) in _walks(
-            spec, steps, range(seed, seed + runs), cfg,
+            report, spec, steps, range(seed, seed + runs), cfg,
             partial(CapVisitAccumulator, _one_level(3, 0.2, 1e6), 2, grid=TRIANGLE_ATOMS),
             BoundCheckObserver):
         atom_ok += int(bool((atoms_acc.visits[:, 0] > 0).all()))

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-__all__ = ["trajectory_svg", "rose_svg", "radius_svg", "emit_plot"]
+__all__ = ["trajectory_svg", "rose_svg", "radius_svg"]
 
 _SIZE = 480
 _PAD = 24
@@ -96,20 +96,3 @@ def radius_svg(ns, radii) -> str:
     return (_HEADER + _STYLE + axis
             + f'<polyline class="curve" points="{coords}"/>\n</svg>\n')
 
-
-def emit_plot(kind: str, data, path: str) -> str:
-    """Write one figure; returns the path.  Fails before touching the file
-    when the data is empty or the kind unknown."""
-    if kind == "trajectory":
-        svg = trajectory_svg(data)
-    elif kind == "rose":
-        grid, verdicts = data
-        svg = rose_svg(grid, verdicts)
-    elif kind == "radius":
-        ns, radii = data
-        svg = radius_svg(ns, radii)
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(svg)
-    return path

@@ -24,6 +24,8 @@ import numpy as np
 __all__ = [
     "MEMBERSHIP_TOL",
     "UnsupportedDimensionError",
+    "normalize",
+    "normalize_rows",
     "hat",
     "chord",
     "interpolate",
@@ -44,13 +46,53 @@ class UnsupportedDimensionError(ValueError):
     pass
 
 
+# ---------------------------------------------------------------------------
+# normalization: every direction the package takes comes from these two.
+# Only where |x|^2 overflows (finite coordinates past about 1.3e154) is x first
+# scaled by peak = max|x_i| (Blue, ACM TOMS 4(1), 1978): ||x|| = peak*||x/peak||.
+# Zero maps to zero with log-norm -inf; a NaN or infinite coordinate gives NaN.
+# The forms round differently (a 1-d norm is a BLAS dot product, a row norm
+# numpy's row reduction), and each caller keeps the one its pins were taken on.
+
+def normalize(x) -> tuple[np.ndarray, float, float]:
+    """``(x / ||x||, ||x||, log ||x||)`` of one vector, without overflow."""
+    v = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = float(np.linalg.norm(v))
+        peak = 1.0
+        if math.isinf(r) and np.isfinite(v).all():
+            peak = float(np.abs(v).max())
+            r = float(np.linalg.norm(v / peak))
+        if r == 0.0:
+            return np.zeros_like(v), 0.0, -math.inf
+        return v / peak / r, peak * r, math.log(peak) + math.log(r)
+
+
+def normalize_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row by row ``(row / ||row||, ||row||, log ||row||)`` of a (B, d) array,
+    without overflow."""
+    rows = np.asarray(rows, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+        nz = norms != 0.0
+        safe = np.where(nz, norms, 1.0)
+        log_norms = np.where(nz, np.log(safe), -math.inf)
+        dirs = np.where(nz[:, None], rows / safe[:, None], 0.0)
+        huge = np.isinf(norms)
+        if huge.any():
+            huge &= np.isfinite(rows).all(axis=1)
+            peak = np.abs(rows[huge]).max(axis=1, keepdims=True)
+            scaled = rows[huge] / peak
+            sub = np.linalg.norm(scaled, axis=1, keepdims=True)
+            dirs[huge] = scaled / sub
+            log_norms[huge] = np.log(peak[:, 0]) + np.log(sub[:, 0])
+            norms[huge] = peak[:, 0] * sub[:, 0]
+    return dirs, norms, log_norms
+
+
 def hat(x) -> np.ndarray:
     """x / ||x||, with the zero vector mapping to itself."""
-    x = np.asarray(x, dtype=float)
-    n = np.linalg.norm(x)
-    if n == 0.0:
-        return np.zeros_like(x)
-    return x / n
+    return normalize(x)[0]
 
 
 def chord(u, v) -> float:
@@ -340,10 +382,9 @@ def _build_grid(d: int, m: int, seed: int) -> np.ndarray:
     n_cand = 32
     points = np.empty((m, d))
     first = rng.standard_normal(d)
-    points[0] = first / np.linalg.norm(first)
+    points[0] = normalize(first)[0]
     for i in range(1, m):
-        cand = rng.standard_normal((n_cand, d))
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        cand = normalize_rows(rng.standard_normal((n_cand, d)))[0]
         dists = np.linalg.norm(cand[:, None, :] - points[None, :i, :], axis=2)
         points[i] = cand[np.argmax(dists.min(axis=1))]
     return points

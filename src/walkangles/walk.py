@@ -29,6 +29,7 @@ import numpy as np
 
 from .rng import stream
 from .samplers import RADIAL_PRODUCT, IncrementSampler, IncrementSpec
+from .sphere import normalize, normalize_rows
 
 __all__ = [
     "BLOCK",
@@ -62,23 +63,6 @@ BOUND_TOL = 1e-9
 
 class UnsupportedSpecError(TypeError):
     """Operation requires a different increment-spec form."""
-
-
-def _norm_parts(position: np.ndarray) -> tuple[float, float]:
-    """``(peak, r)`` with ``||position|| = peak * r``, for a linear-mode position.
-
-    ``peak`` is 1.0 and ``r`` the plain 2-norm unless that overflows, which
-    happens for finite coordinates past about 1.3e154; then ``peak`` is
-    max|coordinate| and ``r`` the norm of ``position / peak``, the rescaling
-    that ``run_walk`` applies to such rows of a block.
-    """
-    v = np.asarray(position, dtype=float)
-    with np.errstate(over="ignore"):
-        r = float(np.linalg.norm(v))
-    if math.isinf(r) and np.isfinite(v).all():
-        peak = float(np.abs(v).max())
-        return peak, float(np.linalg.norm(v / peak))
-    return 1.0, r
 
 
 @dataclass
@@ -120,24 +104,15 @@ class WalkState:
         if self.mode == "log":
             ln = self.log_norm()
             return math.exp(ln) if ln < _FLOAT_SAFE_LOG else math.inf
-        peak, r = _norm_parts(self.position)
-        return peak * r
+        return normalize(self.position)[1]
 
     def log_norm(self) -> float:
         if self.mode == "log":
-            m = float(np.linalg.norm(self.mantissa))
-            return NEG_INF if m == 0.0 else self.scale + math.log(m)
-        peak, r = _norm_parts(self.position)
-        return NEG_INF if r == 0.0 else math.log(peak) + math.log(r)
+            return self.scale + normalize(self.mantissa)[2]
+        return normalize(self.position)[2]
 
     def direction(self) -> np.ndarray:
-        if self.mode == "log":
-            m = float(np.linalg.norm(self.mantissa))
-            return np.zeros_like(self.mantissa) if m == 0.0 else self.mantissa / m
-        peak, r = _norm_parts(self.position)
-        if r == 0.0:
-            return np.zeros(self.spec.dimension)
-        return np.asarray(self.position, dtype=float) / peak / r
+        return normalize(self.mantissa if self.mode == "log" else self.position)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +233,7 @@ class TrajectoryRecord:
             norms = [_format_log_value(ln) for ln in log_norms]
         else:
             positions = np.array([row.position for row in rows]).reshape(len(rows), d).T
-            norms = [math.prod(_norm_parts(row.position)) for row in rows]
+            norms = [normalize(row.position)[1] for row in rows]
         columns = [[row.n for row in rows], *positions, norms, *dirs.T]
         if self.spec.form == RADIAL_PRODUCT:
             header += ["xi_max", "xi_rest", "max_index"]
@@ -331,18 +306,11 @@ def _scaled_accumulate(state: WalkState, xi_log: np.ndarray, atom_vecs: np.ndarr
         seg = slice(start, nxt)
         pref = u * math.exp(s - c) if s != NEG_INF else np.zeros(d)
         rows = pref + np.cumsum(np.exp(xi_log[seg] - c)[:, None] * atom_vecs[seg], axis=0)
-        norms = np.linalg.norm(rows, axis=1)
-        nz = norms > 0.0
-        safe = np.where(nz, norms, 1.0)
-        with np.errstate(divide="ignore"):
-            log_norms[seg] = np.where(nz, c + np.log(safe), NEG_INF)
-        dirs[seg] = np.where(nz[:, None], rows / safe[:, None], 0.0)
-        if norms[-1] > 0.0:
-            u = rows[-1] / norms[-1]
-            s = c + math.log(norms[-1])
-        else:
-            u = np.zeros(d)
-            s = NEG_INF
+        dirs[seg], norms, seg_logs = normalize_rows(rows)
+        log_norms[seg] = c + seg_logs
+        # math.log, not the block's numpy log: the carry is pinned on it
+        u = dirs[nxt - 1].copy()
+        s = c + math.log(norms[-1]) if norms[-1] > 0.0 else NEG_INF
         start = nxt
     state.mantissa, state.scale = u, s
     return dirs, log_norms
@@ -419,20 +387,7 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
                 record.overflowed = True
                 if b == 0:
                     break
-            fpos = positions.astype(float, copy=False)
-            with np.errstate(over="ignore"):
-                norms = np.linalg.norm(fpos, axis=1)
-            with np.errstate(divide="ignore"):
-                log_norms = np.where(norms > 0.0, np.log(np.where(norms > 0, norms, 1.0)), NEG_INF)
-            dirs = np.where(norms[:, None] > 0.0, fpos / np.where(norms[:, None] > 0, norms[:, None], 1.0), 0.0)
-            huge = np.isinf(norms)
-            if huge.any():
-                # finite rows past about 1.3e154 square to inf: rescale by max|S_i|
-                peak = np.abs(fpos[huge]).max(axis=1, keepdims=True)
-                scaled = fpos[huge] / peak
-                sub = np.linalg.norm(scaled, axis=1, keepdims=True)
-                dirs[huge] = scaled / sub
-                log_norms[huge] = np.log(peak[:, 0]) + np.log(sub[:, 0])
+            dirs, _, log_norms = normalize_rows(positions)
             state.position = positions[-1].copy()
 
         radial = {}

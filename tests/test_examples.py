@@ -1,10 +1,11 @@
 """Worked-example plumbing: the closed-form arc distance, the ex-10.1 regime
-rule and the arguments an example refuses."""
+rule, the arguments an example refuses and the halted-walk check."""
 import math
 
 import numpy as np
 import pytest
 
+from walkangles.cli import main
 from walkangles.examples import _chord_to_hull, reproduce_example
 from walkangles.sphere import s_hull
 
@@ -51,6 +52,18 @@ def test_ex_10_3_run_without_escape_level_fails():
     report = reproduce_example("ex-10.3", steps=3, runs=5)
     assert not report.passed
     assert report.checks[0].detail.startswith("worst off-band fraction at top level nan")
+
+
+def test_halted_walks_fail_the_report(capsys):
+    # at alpha = 0.05 the heavy coordinate leaves the int64 range within a
+    # few dozen steps; the three walks of seeds 300-302 halt, yet their few
+    # steps pass both two-pole checks
+    report = reproduce_example("ex-10.1", steps=2**10, runs=3, alpha=0.05)
+    assert [c.passed for c in report.checks] == [False, True, True]
+    assert report.checks[0].detail == "3/3 runs halted, the earliest after step 22"
+    argv = ["reproduce", "ex-10.1", "--alpha", "0.05", "--steps", "1024", "--runs", "3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL ex-10.1 (2/3 checks)"
 
 
 def test_example_without_alpha_refuses_one():

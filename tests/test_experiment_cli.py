@@ -458,15 +458,35 @@ def test_cli_shull(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("points", [
-    [[float("nan"), 1.0]], [[float("inf"), 1.0]], [[1e308, 1e308]],
+    [[float("nan"), 1.0]], [[float("inf"), 1.0]],
     [[float("nan"), 0.0, 1.0], [1.0, 0.0, 0.0]],
-], ids=["nan-d2", "inf-d2", "huge-d2", "nan-d3"])
+], ids=["nan-d2", "inf-d2", "nan-d3"])
 def test_cli_shull_non_finite_exit_2(points, tmp_path, capsys):
     pts = tmp_path / "pts.json"
     pts.write_text(json.dumps(points))
     assert main(["shull", str(pts)]) == 2
     captured = capsys.readouterr()
     assert "finite unit vectors" in captured.err and captured.out == ""
+
+
+def test_cli_shull_zero_point_exit_2(tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([[1.0, 0.0], [0.0, 0.0]]))
+    assert main(["shull", str(pts)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: points must be nonzero vectors\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("points, arcs", [
+    ([[1e308, 1e308]], "[[0.7853981633974483, 0.7853981633974483]]"),
+    ([[1e200, 0], [0, 1e200]], "[[0.0, 1.5707963267948966]]"),
+], ids=["huge-d2", "huge-axes"])
+def test_cli_shull_overflowing_points(points, arcs, tmp_path, capsys):
+    # finite points whose squares overflow still have a direction
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps(points))
+    assert main(["shull", str(pts)]) == 0
+    assert capsys.readouterr().out == arcs + "\n"
 
 
 @pytest.mark.parametrize("name, kind", [("run0_directions.csv", "rose"),
@@ -494,6 +514,48 @@ def test_cli_plot_value_beyond_float_range_exit_2(tmp_path, capsys):
     assert main(["plot", str(csv_path), "-o", str(out)]) == 2
     assert "column s_2" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, track_hull, why", [
+    ({"dimension": 2, "form": "radial_product", "laws": [{"name": "log_tail"}],
+      "atoms": [{"vector": [1.0, 0.0], "p": 0.5}, {"vector": [0.0, 1.0], "p": 0.5}]},
+     True, "unsupported for log-scale walks"),
+    (MINIMAL["spec"], False, "off (track_hull is false)"),
+], ids=["log-scale", "track-hull-off"])
+def test_cli_plot_of_placeholder_hull_exit_2(spec, track_hull, why, tmp_path, capsys):
+    config = dict(MINIMAL, n_steps=64, spec=spec, track_hull=track_hull)
+    run_experiment(load_config(config, out_dir=str(tmp_path)))
+    out = tmp_path / "no.svg"
+    assert main(["plot", str(tmp_path / "run0_hull.csv"), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: the run has no hull series (hull tracking {why})\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, track_hull", [
+    (MINIMAL["spec"], True),
+    ({"dimension": 2, "form": "radial_product", "laws": [{"name": "log_tail"}],
+      "atoms": [{"vector": [1.0, 0.0], "p": 0.5}, {"vector": [0.0, 1.0], "p": 0.5}]}, True),
+    ({"dimension": 2, "form": "coordinate_product",
+      "laws": [{"name": "rademacher"}, {"name": "s_two_sided", "alpha": 1.5}]}, False),
+], ids=["lattice", "log-radial", "track-hull-off"])
+def test_cli_plot_of_every_artifact_csv(spec, track_hull, tmp_path, capsys):
+    # each run CSV either draws or is refused with one error line, never a traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(MINIMAL, n_steps=512, spec=spec,
+                                        track_hull=track_hull)))
+    assert main(["simulate", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    names = sorted(p.name for p in (tmp_path / "out").glob("run0_*.csv"))
+    assert len(names) == 4
+    capsys.readouterr()
+    for name in names:
+        out = tmp_path / f"{name}.svg"
+        code = main(["plot", str(tmp_path / "out" / name), "-o", str(out)])
+        err = capsys.readouterr().err
+        if code == 0:
+            assert read(out).startswith(b"<svg") and err == "", name
+        else:
+            assert code == 2 and not out.exists(), name
+            assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
 
 
 def test_cli_plot_trajectory_vertices(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walkangles.sphere import (MAX_GRID_M, Cap, cap_contains, chord, direction_grid,
-                               hat, interpolate, s_hull)
+                               hat, interpolate, normalize, normalize_rows, s_hull)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -22,6 +22,103 @@ def test_hat_examples():
     assert np.allclose(hat([3, 4]), [0.6, 0.8])
     assert np.array_equal(hat([0, 0]), [0.0, 0.0])
     assert np.allclose(hat([-2, 0]), [-1.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# the normalizer: bit for bit the expressions it replaced
+
+def one_vector_reference(x):
+    """``(direction, norm, log-norm)`` from the walk's former ``_norm_parts``
+    and the ``WalkState`` expressions that combined its parts."""
+    v = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        r = float(np.linalg.norm(v))
+    peak = 1.0
+    if math.isinf(r) and np.isfinite(v).all():
+        peak = float(np.abs(v).max())
+        r = float(np.linalg.norm(v / peak))
+    if r == 0.0:
+        return np.zeros(len(v)), peak * r, -math.inf
+    return v / peak / r, peak * r, math.log(peak) + math.log(r)
+
+
+def rows_reference(fpos):
+    """``(dirs, log_norms)`` from the engine's former block code."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(fpos, axis=1)
+    with np.errstate(divide="ignore"):
+        log_norms = np.where(norms > 0.0, np.log(np.where(norms > 0, norms, 1.0)), -math.inf)
+    dirs = np.where(norms[:, None] > 0.0,
+                    fpos / np.where(norms[:, None] > 0, norms[:, None], 1.0), 0.0)
+    huge = np.isinf(norms)
+    if huge.any():
+        peak = np.abs(fpos[huge]).max(axis=1, keepdims=True)
+        scaled = fpos[huge] / peak
+        sub = np.linalg.norm(scaled, axis=1, keepdims=True)
+        dirs[huge] = scaled / sub
+        log_norms[huge] = np.log(peak[:, 0]) + np.log(sub[:, 0])
+    return dirs, log_norms
+
+
+# coordinates up to 1e300 keep every norm finite at d <= 5, while their
+# squares overflow past about 1.3e154 and take the rescaled branch
+COORD = st.one_of(st.floats(-1e300, 1e300), st.integers(-2**62, 2**62).map(float),
+                  st.sampled_from([0.0, -0.0, 5e-324, 1e160, -3e200]))
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(COORD, min_size=1, max_size=5))
+def test_normalize_is_the_former_expressions(x):
+    got, ref = normalize(x), one_vector_reference(x)
+    assert all(same_bits(g, r) for g, r in zip(got, ref))
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(x)       # the former hat: x / n
+    if 0.0 < n < math.inf:
+        assert same_bits(hat(x), np.asarray(x) / n)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda d: st.lists(st.lists(COORD, min_size=d, max_size=d), min_size=1, max_size=12)))
+def test_normalize_rows_is_the_former_block_code(rows):
+    rows = np.array(rows)
+    dirs, norms, log_norms = normalize_rows(rows)
+    ref_dirs, ref_logs = rows_reference(rows)
+    assert same_bits(dirs, ref_dirs) and same_bits(log_norms, ref_logs)
+    with np.errstate(over="ignore"):
+        plain = np.linalg.norm(rows, axis=1)
+    fits = np.isfinite(plain)
+    assert same_bits(norms[fits], plain[fits])
+    # the former grid candidates and log-engine rows: rows / norms, c + log
+    nonzero = fits & (plain > 0)
+    assert same_bits(dirs[nonzero], rows[nonzero] / plain[nonzero, None])
+    assert same_bits(2.5 + log_norms[nonzero], 2.5 + np.log(plain[nonzero]))
+
+
+def test_normalize_zero_vector():
+    assert same_bits(normalize([0.0, 0.0])[0], [0.0, 0.0])
+    assert normalize([0, 0, 0])[1:] == (0.0, -math.inf)
+    dirs, norms, log_norms = normalize_rows([[0.0, 0.0], [3.0, 4.0]])
+    assert same_bits(dirs, [[0.0, 0.0], [0.6, 0.8]])
+    assert same_bits(norms, [0.0, 5.0]) and same_bits(log_norms, [-math.inf, math.log(5.0)])
+
+
+@pytest.mark.parametrize("x", [[1e200, 1e200], [1e308, -1e308, 3.0]])
+def test_hat_of_overflowing_vector_is_unit(x):
+    # |x|^2 overflows; the suite turns the overflow warning into an error
+    u = hat(x)
+    assert abs(np.linalg.norm(u) - 1.0) <= 1e-15
+    assert np.allclose(u, np.sign(x) * (np.abs(x) == max(np.abs(x))) / math.sqrt(2.0))
+    assert np.array_equal(normalize_rows([x])[0][0], u)
+
+
+def test_cap_contains_overflowing_point():
+    center = np.array([math.sqrt(0.5), math.sqrt(0.5)])
+    assert cap_contains(Cap(tuple(center), 0.1), 1e200 * center)
 
 
 def test_interpolate_examples():
