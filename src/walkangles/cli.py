@@ -7,12 +7,13 @@ Verbs:
   shull <points.json>           spherical hull of unit vectors
   plot <csv> -o out.svg         figure from an artifact CSV
 
-Exit codes: 0 success/PASS, 1 FAIL, 2 usage or config error.
+Exit codes: 0 success/PASS, 1 FAIL, 2 a bad argument, input file or output path.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
@@ -22,28 +23,48 @@ import sys
 import numpy as np
 
 from .pruitt import MAX_K
+from .samplers import KINDS
 
 __all__ = ["main"]
+
+# the package's number rule (a finite int or float, never a boolean) on each list entry
+_is_number_list = KINDS["tuple[float, ...]"][0]
+
+
+class CliError(Exception):
+    """A bad argument, input file or output path; ``main`` reports it and exits 2."""
+
+
+def _read(path: str, parse=json.loads):
+    """``parse`` of the text of ``path``; a CliError naming it if that fails."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    # ValueError: JSON or text decoding; RecursionError: JSON nested too deep
+    except (OSError, ValueError, RecursionError, csv.Error) as exc:
+        raise CliError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def _write(path: str, text: str, make_dir: bool = False) -> None:
+    """``text`` into ``path``, making its directory first if ``make_dir``; or a CliError."""
+    try:
+        if make_dir:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_simulate(args) -> int:
     from .experiment import ConfigError, load_config, run_experiment
     try:
-        with open(args.config) as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    try:
-        config = load_config(text, out_dir=args.out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        config = load_config(_read(args.config), out_dir=args.out)
         result = run_experiment(config)
+    except ConfigError as exc:
+        raise CliError(exc) from exc
     except OSError as exc:
-        print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(f"cannot write artifacts: {exc}") from exc
     print(f"wrote {len(result.files)} files to {config.out_dir}")
     for name in result.files:
         print(f"  {name}")
@@ -53,22 +74,17 @@ def _cmd_simulate(args) -> int:
 def _cmd_reproduce(args) -> int:
     from .examples import EXAMPLE_NAMES, reproduce_example
     if args.name not in EXAMPLE_NAMES:
-        print(f"error: unknown example {args.name!r}; choose from "
-              f"{', '.join(EXAMPLE_NAMES)}", file=sys.stderr)
-        return 2
+        raise CliError(f"unknown example {args.name!r}; choose from {', '.join(EXAMPLE_NAMES)}")
     try:
         report = reproduce_example(args.name, steps=args.steps, runs=args.runs,
                                    seed=args.seed, alpha=args.alpha)
     except ValueError as exc:       # past argparse, only an unused alpha is refused
-        print(f"error: argument --alpha: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(f"argument --alpha: {exc}") from exc
     for line in report.lines():
         print(line)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{args.name}-report.json")
-        with open(path, "w", newline="\n") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
+        _write(path, json.dumps(report.to_dict(), sort_keys=True, indent=2), make_dir=True)
         print(f"report written to {path}")
     return 0 if report.passed else 1
 
@@ -84,22 +100,21 @@ def _cmd_pruitt(args) -> int:
         elif spec.startswith("stretched:"):
             tail = TailFunction("stretched_exp", float(spec.split(":", 1)[1]))
         elif spec.endswith(".json"):
-            with open(spec) as fh:
-                rows = json.load(fh)
-            tail = TailFunction("custom", table=tuple((float(r), float(p))
-                                                      for r, p in rows))
+            rows = _read(spec)
+            if not (isinstance(rows, list) and rows
+                    and all(_is_number_list(row) and len(row) == 2 for row in rows)):
+                raise CliError(f"{spec} must be a non-empty list of [r, p] pairs "
+                               "of finite numbers")
+            tail = TailFunction("custom", table=tuple((float(r), float(p)) for r, p in rows))
         else:
-            print(f"error: unknown tail {spec!r} (use log_tail, poly:A, "
-                  "stretched:B, or a .json table)", file=sys.stderr)
-            return 2
+            raise CliError(f"unknown tail {spec!r} (use log_tail, poly:A, stretched:B, "
+                           "or a .json table)")
         u = u_sequence(tail, args.K)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise CliError(exc) from exc
     diag = pruitt_diagnostic(u, min_terms=min(16, args.K + 1))
     if args.csv:
-        with open(args.csv, "w", newline="\n") as fh:
-            fh.write(diag.to_csv(tail))
+        _write(args.csv, diag.to_csv(tail))
         print(f"wrote {args.csv}")
     print(f"verdict: {diag.verdict} (fitted slope {diag.fitted_slope:.3f}, "
           f"partial sum {diag.partial_sums[-1]:.6g})")
@@ -108,22 +123,18 @@ def _cmd_pruitt(args) -> int:
 
 def _cmd_shull(args) -> int:
     from .sphere import normalize_rows, s_hull
-    try:
-        with open(args.points) as fh:
-            pts = np.atleast_2d(np.asarray(json.load(fh), dtype=float))
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read points: {exc}", file=sys.stderr)
-        return 2
-    # a NaN or infinite coordinate makes a NaN row, which s_hull rejects
-    units, _, log_norms = normalize_rows(pts)
+    points = _read(args.points)
+    if not (isinstance(points, list) and points and all(map(_is_number_list, points))
+            and len({len(p) for p in points}) == 1 and len(points[0]) >= 2):
+        raise CliError("points must be a non-empty list of vectors of one dimension "
+                       "d >= 2 whose coordinates are finite numbers")
+    units, _, log_norms = normalize_rows(np.asarray(points, dtype=float))
     if np.any(log_norms == -math.inf):
-        print("error: points must be nonzero vectors", file=sys.stderr)
-        return 2
+        raise CliError("points must be nonzero vectors")
     try:
         hull = s_hull(units)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(exc) from exc
     if hull.arcs is not None:
         shown = hull.to_json()
         saved = shown + "\n"
@@ -132,10 +143,9 @@ def _cmd_shull(args) -> int:
                 "generators": hull.generators.tolist()}
         shown = json.dumps(info, sort_keys=True)
         saved = json.dumps(info, sort_keys=True, indent=2)
-    print(shown)
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(saved)
+        _write(args.out, saved)
+    print(shown)
     return 0
 
 
@@ -155,20 +165,13 @@ def _vectors(rows, prefix: str) -> np.ndarray:
 
 def _cmd_plot(args) -> int:
     from .plots import radius_svg, rose_svg, trajectory_svg
-    try:
-        with open(args.csv) as fh:
-            rows = list(csv.DictReader(fh))
-    except OSError as exc:
-        print(f"error: cannot read {args.csv}: {exc}", file=sys.stderr)
-        return 2
+    rows = _read(args.csv, lambda text: list(csv.DictReader(io.StringIO(text))))
     if not rows:
-        print("error: no data rows in input", file=sys.stderr)
-        return 2
+        raise CliError("no data rows in input")
     # the hull CSV of a run without hull tracking holds one comment line
     note = rows[0].get("n") or ""
     if note.startswith("# hull tracking"):
-        print(f"error: the run has no hull series ({note[2:]})", file=sys.stderr)
-        return 2
+        raise CliError(f"the run has no hull series ({note[2:]})")
     cols = rows[0].keys()
     kind = args.kind
     if kind is None:
@@ -179,9 +182,7 @@ def _cmd_plot(args) -> int:
         elif "s_1" in cols:
             kind = "trajectory"
         else:
-            print("error: cannot infer plot kind from columns; pass --kind",
-                  file=sys.stderr)
-            return 2
+            raise CliError("cannot infer plot kind from columns; pass --kind")
     try:
         if kind == "trajectory":
             svg = trajectory_svg(_vectors(rows, "s_"))
@@ -190,14 +191,9 @@ def _cmd_plot(args) -> int:
             svg = rose_svg(_vectors(rows, "u_"), [codes[r["verdict"]] for r in rows])
         else:
             svg = radius_svg(_column(rows, "n"), _column(rows, "r"))
-        with open(args.output, "w", newline="\n") as fh:
-            fh.write(svg)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(exc) from exc
+    _write(args.output, svg)
     print(f"wrote {args.output}")
     return 0
 
@@ -267,9 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

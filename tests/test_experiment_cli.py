@@ -466,7 +466,7 @@ def test_cli_shull_non_finite_exit_2(points, tmp_path, capsys):
     pts.write_text(json.dumps(points))
     assert main(["shull", str(pts)]) == 2
     captured = capsys.readouterr()
-    assert "finite unit vectors" in captured.err and captured.out == ""
+    assert "whose coordinates are finite numbers" in captured.err and captured.out == ""
 
 
 def test_cli_shull_zero_point_exit_2(tmp_path, capsys):
@@ -487,6 +487,55 @@ def test_cli_shull_overflowing_points(points, arcs, tmp_path, capsys):
     pts.write_text(json.dumps(points))
     assert main(["shull", str(pts)]) == 0
     assert capsys.readouterr().out == arcs + "\n"
+
+
+SHULL_RULE = ("points must be a non-empty list of vectors of one dimension d >= 2 "
+              "whose coordinates are finite numbers")
+TABLE_RULE = "{file} must be a non-empty list of [r, p] pairs of finite numbers"
+WRITE_DIR = "cannot write {dir}: Is a directory"
+
+
+@pytest.mark.parametrize("argv, text, error", [
+    (["shull", "{file}"], "5", SHULL_RULE),
+    (["shull", "{file}"], "[[1], [2]]", SHULL_RULE),
+    (["shull", "{file}"], "[[[1, 2]]]", SHULL_RULE),
+    (["shull", "{file}"], "{}", SHULL_RULE),
+    (["shull", "{file}"], "null", SHULL_RULE),
+    (["shull", "{file}"], "[]", SHULL_RULE),
+    (["shull", "{file}"], "[true, false]", SHULL_RULE),
+    (["shull", "{file}"], f"[[{10**400}, 1], [0, 1]]", SHULL_RULE),
+    (["shull", "{file}"], "[1, 2]", SHULL_RULE),
+    (["shull", "{file}"], "[" * 10**5 + "]" * 10**5, "cannot read {file}: maximum recursion "
+     "depth exceeded while decoding a JSON array from a unicode string"),
+    (["pruitt", "{file}"], "[1, 2]", TABLE_RULE),
+    (["pruitt", "{file}"], "null", TABLE_RULE),
+    (["pruitt", "{file}"], '{"a": 1}', TABLE_RULE),
+    (["pruitt", "{file}"], "[[1]]", TABLE_RULE),
+    (["pruitt", "{file}"], f"[[{10**400}, 0.5]]", TABLE_RULE),
+    (["reproduce", "ex-10.4", "--steps", "64", "--runs", "2", "--out", "{file}"], "",
+     "cannot write {file}: File exists"),
+    (["pruitt", "log_tail", "--csv", "{dir}"], None, WRITE_DIR),
+    (["shull", "{file}", "--out", "{dir}"], "[[1, 0], [0, 1]]", WRITE_DIR),
+    (["plot", "{file}", "-o", "{dir}/no.svg"], None,
+     "cannot read {file}: No such file or directory"),
+], ids=["shull-number", "shull-d1", "shull-nested", "shull-object", "shull-null",
+        "shull-empty", "shull-booleans", "shull-huge-int", "shull-bare-vector", "shull-deep",
+        "pruitt-flat-list", "pruitt-null", "pruitt-object", "pruitt-short-row",
+        "pruitt-huge-int", "reproduce-out-is-file", "pruitt-csv-is-dir",
+        "shull-out-is-dir", "plot-missing-file"])
+def test_cli_bad_input_or_output_path_exit_2(argv, text, error, tmp_path, capsys):
+    # every bad argument, input file or output path is one error line and
+    # exit 2, never a traceback; exit 1 is kept for a FAILed report.  ``text``
+    # (None for no file) is the content of {file}
+    paths = {"file": str(tmp_path / "in.json"), "dir": str(tmp_path)}
+    if text is not None:
+        (tmp_path / "in.json").write_text(text)
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error.format(**paths)}\n"
+    # reproduce prints its report before writing it
+    assert (captured.out != "") == (argv[0] == "reproduce")
 
 
 @pytest.mark.parametrize("name, kind", [("run0_directions.csv", "rose"),
