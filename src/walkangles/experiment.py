@@ -57,6 +57,9 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        if self.spec.dimension < 2:
+            # direction grids, caps and hulls need a sphere of dimension >= 1
+            raise ConfigError("spec.dimension must be >= 2")
         if self.n_steps < 1:
             raise ConfigError("n_steps must be >= 1")
         if self.n_runs < 1:

@@ -194,9 +194,12 @@ class HullState:
         Below M = 2**510 no product overflows; above it nothing is dropped.
         """
         lo, hi = f.min(axis=0), f.max(axis=0)
-        span = np.where(hi > lo, hi - lo, 1.0)
-        # repeated probes are harmless: the chain drops duplicate points
-        probes = (_PROBE_DIRS @ ((f - lo) / span).T).argmax(axis=1)
+        # a batch spanning more than float range scales to inf and nan; any
+        # probe is sound, as P only has to lie inside the hull
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = np.where(hi > lo, hi - lo, 1.0)
+            # repeated probes are harmless: the chain drops duplicate points
+            probes = (_PROBE_DIRS @ ((f - lo) / span).T).argmax(axis=1)
         inner = convex_hull_2d(self.vertices + _tuples(arr[probes]))
         keep = np.ones(len(arr), dtype=bool)
         v = np.asarray(inner, dtype=float)
@@ -236,7 +239,11 @@ class HullState:
             return len(self.vertices)
         # distinct rows, counted as np.unique(..., axis=0) counts them without
         # its import of numpy.ma: sorted, equal rows are adjacent
-        pts = np.round(self.support_points, 9)
+        # rounding scales by 1e9, which overflows past about 1.8e299; such
+        # coordinates keep their unrounded value
+        with np.errstate(over="ignore"):
+            pts = np.round(self.support_points, 9)
+        pts = np.where(np.isfinite(pts), pts, self.support_points)
         pts = pts[np.lexsort(pts.T[::-1])]
         return 1 + int(np.any(pts[1:] != pts[:-1], axis=1).sum())
 

@@ -56,11 +56,6 @@ class ClassifierThresholds:
             raise ValueError("classifier.min_checkpoints must be >= 3")
 
 
-def _psi_from_signed_log(sign: np.ndarray, log_abs: np.ndarray) -> np.ndarray:
-    out = np.sign(sign) * (np.maximum(log_abs, -PSI_OFFSET) + PSI_OFFSET)
-    return np.where((sign == 0) | (log_abs == NEG_INF), 0.0, out)
-
-
 @dataclass
 class ProjectionStats:
     """Running extreme ladders of S_n . u for M directions at dyadic checkpoints.
@@ -113,20 +108,21 @@ class ProjectionTracker(ObserverBase):
     def observe(self, block: WalkBlock) -> None:
         st = self.stats
         if st.log_scale:
+            # psi in place on one array: a zero dot's log is -inf, which the
+            # clamp and offset take to 0, and np.sign(+-0.0) is +0.0
             dots = block.dirs @ self._dirs.T                     # (B, M)
+            vals = np.abs(dots)
             with np.errstate(divide="ignore"):
-                log_abs = np.where(dots != 0.0,
-                                   block.log_norms[:, None] + np.log(np.abs(np.where(dots != 0, dots, 1.0))),
-                                   NEG_INF)
-            vals = _psi_from_signed_log(np.sign(dots), log_abs)
+                np.log(vals, out=vals)
+            vals += block.log_norms[:, None]
+            np.maximum(vals, -PSI_OFFSET, out=vals)
+            vals += PSI_OFFSET
+            vals *= np.sign(dots)
         else:
             vals = block.positions @ self._dirs.T
         self._cur_min = np.minimum(self._cur_min, vals.min(axis=0))
         self._cur_max = np.maximum(self._cur_max, vals.max(axis=0))
-        # final stays a view of the last block's values: a copy would free
-        # that block, letting the allocator return pages that the next run
-        # then faults in again (measured slower on log-scale walks)
-        st.final = vals[-1]
+        st.final = vals[-1].copy()
         if block.at_checkpoint:
             st.checkpoints.append(block.last_n)
             st.mins.append(self._cur_min)

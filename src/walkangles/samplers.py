@@ -169,7 +169,10 @@ class ScalarLaw:
             return 1.0 / uniform_open(rng, size)
         if self.kind == "stretched_exp":
             expo = -np.log(uniform_open(rng, size))
-            return expo ** (1.0 / self.param)
+            # for small beta the power can pass float range; an infinite
+            # log magnitude halts a log-scale walk and saturates sample()
+            with np.errstate(over="ignore"):
+                return expo ** (1.0 / self.param)
         raise InvalidParameterError(f"{self.kind} has no log-domain sampler")
 
 
@@ -199,7 +202,9 @@ def constant(value: float) -> ScalarLaw:
 
 def _magnitude_from_uniform(u, alpha: float, counter: Saturations | None):
     """floor(U**(-1/alpha)) with saturation at SATURATION_CAP."""
-    raw = np.floor(np.asarray(u, dtype=np.float64) ** (-1.0 / alpha))
+    # for small alpha the power can pass float range; inf saturates below
+    with np.errstate(over="ignore"):
+        raw = np.floor(np.asarray(u, dtype=np.float64) ** (-1.0 / alpha))
     over = raw >= SATURATION_CAP
     if np.any(over):
         if counter is not None:
@@ -301,7 +306,14 @@ class IncrementSpec:
                 raise InvalidSpecError("linear_combination takes no drift")
         else:
             raise InvalidSpecError(f"unknown form {self.form!r}")
-        rank = np.linalg.matrix_rank(self._support_span(), tol=1e-9)
+        # support points of huge vectors and laws can pass float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = self._support_span()
+        if not np.isfinite(points).all():
+            raise InvalidSpecError(
+                "support points overflow float range (a law value times its "
+                "vector, or a sum of such terms, is not finite)")
+        rank = np.linalg.matrix_rank(points, tol=1e-9)
         if rank < d:
             raise InvalidSpecError(
                 f"support spans only {rank} of {d} dimensions (not genuinely {d}-dimensional)")
@@ -420,12 +432,15 @@ class IncrementSampler:
             # every law is drawn before any is combined, a fixed draw order
             draws = [law.sample(rng, size, self.saturations) for law in spec.laws]
             vec = np.zeros((size, spec.dimension), dtype=self._dtype)
-            for z, entries in zip(draws, self._entries):
-                z = np.asarray(z, dtype=self._dtype)
-                for i, c in entries:
-                    vec[:, i] += z if c == 1 else z * c
-            if self._drift is not None:
-                vec += self._drift
+            # float increments near float max can overflow to inf, or to nan
+            # from opposite infinities; the float walk halts at such a step
+            with np.errstate(over="ignore", invalid="ignore"):
+                for z, entries in zip(draws, self._entries):
+                    z = np.asarray(z, dtype=self._dtype)
+                    for i, c in entries:
+                        vec[:, i] += z if c == 1 else z * c
+                if self._drift is not None:
+                    vec += self._drift
             return SampleBlock(vectors=vec)
         # radial product: atom index first, then magnitude, a fixed draw order
         idx = np.searchsorted(self._cum_probs, rng.random(size), side="right")

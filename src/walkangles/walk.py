@@ -268,7 +268,9 @@ def _advance_radial(state: WalkState, xi: np.ndarray, atom_idx: np.ndarray,
         rest = np.logaddexp.accumulate(
             np.concatenate(([state.xi_rest], np.where(newmax, prev_max, xi))))[1:]
     else:
-        total = state.xi_total + np.cumsum(xi)
+        # a magnitude sum past float range is inf, where the bound does not apply
+        with np.errstate(over="ignore"):
+            total = state.xi_total + np.cumsum(xi)
         rest = total - running
         state.xi_total = float(total[-1])
     steps = np.arange(first_n, first_n + b, dtype=np.int64)
@@ -314,6 +316,12 @@ def _scaled_accumulate(state: WalkState, xi_log: np.ndarray, atom_vecs: np.ndarr
         start = nxt
     state.mantissa, state.scale = u, s
     return dirs, log_norms
+
+
+def _finite_prefix(values: np.ndarray) -> int:
+    """Number of leading entries (rows, for a 2-d array) that are all finite."""
+    finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    return len(finite) if finite.all() else int(np.argmin(finite))
 
 
 def _lattice_cumsum(prev: np.ndarray, vectors: np.ndarray):
@@ -369,24 +377,29 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
         b = min(BLOCK, n_steps - n_done)
         sb = sampler.sample_block(rng, b)
         first_n = n_done + 1
-        # positions / directions for the whole block
-        if mode == "log":
-            dirs, log_norms = _scaled_accumulate(state, sb.xi_log, atoms[sb.atom_idx])
-            positions = None
-        else:
-            if mode == "lattice":
-                positions, ok = _lattice_cumsum(state.position, sb.vectors)
-            else:
+        # positions / directions for the whole block, cut at the first step
+        # past the range of the mode's arithmetic
+        if mode == "lattice":
+            positions, ok = _lattice_cumsum(state.position, sb.vectors)
+        elif mode == "float":
+            # a sum past float range is inf, or nan after opposite infinities:
+            # the walk halts there
+            with np.errstate(over="ignore", invalid="ignore"):
                 positions = state.position + np.cumsum(sb.vectors, axis=0)
-                finite = np.all(np.isfinite(positions), axis=1)
-                ok = b if finite.all() else int(np.argmin(finite))
-            if ok < b:
-                positions = positions[:ok]
-                b = ok
-                halted = True
-                record.overflowed = True
-                if b == 0:
-                    break
+            ok = _finite_prefix(positions)
+        else:
+            positions = None
+            ok = _finite_prefix(sb.xi_log)
+        if ok < b:
+            b = ok
+            halted = True
+            record.overflowed = True
+            if b == 0:
+                break
+        if mode == "log":
+            dirs, log_norms = _scaled_accumulate(state, sb.xi_log[:b], atoms[sb.atom_idx[:b]])
+        else:
+            positions = positions[:b]
             dirs, _, log_norms = normalize_rows(positions)
             state.position = positions[-1].copy()
 

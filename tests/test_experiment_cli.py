@@ -8,10 +8,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walkangles import experiment, projections
 from walkangles.cli import main
@@ -184,6 +186,19 @@ BAD_FIELDS = [
     ("estimator", {"escape_levels": 10**20},
      r"config\.estimator\.escape_levels must be in 0\.\.1024"),
     ("estimator", {"escape_levels": 1025}),
+    # direction grids need d >= 2; run_walk itself takes d = 1 specs
+    ("spec", {"dimension": 1, "form": "coordinate_product", "laws": [{"name": "rademacher"}]},
+     r"config\.spec\.dimension must be >= 2"),
+    # support points past float range, or two infinite terms cancelling to nan
+    ("spec", {"dimension": 2, "form": "linear_combination",
+              "laws": [{"name": "s_one_sided", "alpha": 0.5}, {"name": "rademacher"}],
+              "atoms": [{"vector": [1e308, 1e308]}, {"vector": [0, 1]}]},
+     "config.spec: support points overflow float range"),
+    ("spec", {"dimension": 2, "form": "linear_combination",
+              "laws": [{"name": "constant", "value": 1e308},
+                       {"name": "constant", "value": -1e308}, {"name": "rademacher"}],
+              "atoms": [{"vector": [10, 0]}, {"vector": [10, 0]}, {"vector": [0, 1]}]},
+     "config.spec: support points overflow float range"),
 ]
 
 
@@ -317,8 +332,7 @@ def test_cli_simulate_halted_runs_are_undecided(tmp_path):
                   "n_steps": 64, "n_runs": 2}
         cfg_path.write_text(json.dumps(config))
         out = tmp_path / f"out{value}"
-        with np.errstate(over="ignore"):
-            assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0
         assert_all_undecided(out, 2)
         # the hull's radii stay, but a halted walk's hull gets no trend either
         summary = json.loads(read(out / "summary.json"))
@@ -337,8 +351,7 @@ def test_cli_simulate_halted_runs_are_undecided(tmp_path):
               "n_steps": 64, "n_runs": 4, "base_seed": 0}
     cfg_path.write_text(json.dumps(config))
     out = tmp_path / "out_step1"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0
     assert_all_undecided(out, 4)
     summary = json.loads(read(out / "summary.json"))
     assert [r["exceptional_candidates"] for r in summary["runs"]] == [64] * 4
@@ -348,6 +361,85 @@ def test_cli_simulate_halted_runs_are_undecided(tmp_path):
         assert (out / name).exists(), name
     rows = csv.DictReader(io.StringIO(read(out / "consensus_directions.csv").decode()))
     assert {row["verdict"] for row in rows} == {"UNDECIDED"}
+
+
+def test_cli_simulate_log_walk_past_float_range(tmp_path, capsys):
+    # at beta = 0.001 a log magnitude passes float range within a few steps:
+    # each run halts there and is flagged, with no warning and no nan written
+    config = {"spec": {"dimension": 2, "form": "radial_product",
+                       "laws": [{"name": "stretched_exp", "beta": 0.001}],
+                       "atoms": [{"vector": [1, 0], "p": 0.25}, {"vector": [0, 1], "p": 0.25},
+                                 {"vector": [-1, 0], "p": 0.5}]},
+              "n_steps": 64, "n_runs": 2}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads(read(out / "summary.json"))
+    assert [r["overflowed"] for r in summary["runs"]] == [True, True]
+    assert_all_undecided(out, 2)
+    for name in json.loads(read(out / "manifest.json"))["files"]:
+        assert not re.search(rb"\bnan\b", read(out / name), re.I), name
+
+
+ALPHAS = [0.005, 0.5, 1.5]
+BETAS = [0.001, 0.3]
+CONSTANTS = [0, 1, -3, 0.5, 1e19, 2**62, 1e200, 1e308, -1e308]
+ENTRIES = [0, 1, -1, 0.5, 3, 1e300, -1e300]
+# the magnitude laws of radial products, then every law
+RADIAL_LAWS = st.one_of(
+    st.just({"name": "log_tail"}),
+    st.builds(lambda a: {"name": "s_one_sided", "alpha": a}, st.sampled_from(ALPHAS)),
+    st.builds(lambda b: {"name": "stretched_exp", "beta": b}, st.sampled_from(BETAS)),
+    st.builds(lambda c: {"name": "constant", "value": c},
+              st.sampled_from([c for c in CONSTANTS if c > 0])))
+LAWS = st.one_of(
+    RADIAL_LAWS, st.just({"name": "rademacher"}),
+    st.builds(lambda a: {"name": "s_two_sided", "alpha": a}, st.sampled_from(ALPHAS)),
+    st.builds(lambda c: {"name": "constant", "value": c}, st.sampled_from(CONSTANTS)))
+
+
+@st.composite
+def fuzzed_specs(draw):
+    d = draw(st.sampled_from([2, 3]))
+    vector = st.lists(st.sampled_from(ENTRIES), min_size=d, max_size=d)
+    form = draw(st.sampled_from(["coordinate_product", "linear_combination",
+                                 "radial_product"]))
+    if form == "coordinate_product":
+        spec = {"laws": draw(st.lists(LAWS, min_size=d, max_size=d))}
+        if draw(st.booleans()):
+            spec["drift"] = draw(vector)
+    elif form == "linear_combination":
+        k = draw(st.integers(d, d + 1))
+        spec = {"laws": draw(st.lists(LAWS, min_size=k, max_size=k)),
+                "atoms": [{"vector": v} for v in draw(st.lists(vector, min_size=k,
+                                                               max_size=k))]}
+    else:
+        # unit atoms: the signed axes and the normalized all-ones vector
+        units = np.vstack([np.eye(d), -np.eye(d), np.ones(d) / np.sqrt(d)]).tolist()
+        atoms = draw(st.lists(st.sampled_from(units), min_size=d, max_size=d + 1))
+        spec = {"laws": [draw(RADIAL_LAWS)],
+                "atoms": [{"vector": v, "p": 1 / len(atoms)} for v in atoms]}
+    return {"dimension": d, "form": form, **spec}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(fuzzed_specs(), st.integers(8, 256))
+def test_every_valid_config_completes(spec, n_steps):
+    # under the suite's warnings-as-errors: a config is rejected at load time
+    # or every run reaches n_steps or is flagged, and no artifact holds a nan
+    try:
+        config = load_config({"spec": spec, "n_steps": n_steps, "n_runs": 2})
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        config.out_dir = out
+        result = run_experiment(config)
+        for r in result.runs:
+            assert r.record.final_state.n == n_steps or r.record.overflowed
+        for name in result.files:
+            assert not re.search(rb"\bnan\b", read(os.path.join(out, name)), re.I), name
 
 
 def test_cli_simulate_bad_field_exit_2(tmp_path, capsys):

@@ -141,6 +141,23 @@ def test_vertex_count_matches_np_unique(rows):
     assert st.vertex_count() == len(np.unique(np.round(st.support_points, 9), axis=0))
 
 
+def test_vertex_count_past_rounding_range():
+    # rounding to 9 decimals scales by 1e9, past float range for these rows;
+    # they keep their unrounded values and stay distinct
+    st = HullState.empty(3, support_m=16)
+    st.support_points = np.array([[1e300, 0.0, 0.0], [1.0000000000000002e300, 0.0, 0.0],
+                                  [0.0, 1e300, 0.0], [0.0, 0.0, -1e300]])
+    assert st.vertex_count() == 4
+
+
+def test_planar_batch_spanning_past_float_range():
+    # the batch's bounding box is wider than float range; scaling the probe
+    # coordinates overflows by design and must not warn
+    st = HullState.empty(2)
+    st.update(np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, -1.0], [0.0, 0.0]]))
+    assert sorted(st.vertices) == [(-1e308, 0.0), (0.0, -1.0), (1e308, 1.0)]
+
+
 def test_d3_hull_run_leaves_numpy_ma_unimported():
     # np.unique(..., axis=0) imports numpy.ma, about 15 ms per process
     script = """

@@ -7,11 +7,11 @@ import pytest
 
 from walkangles.projections import (MINUS, OSC, PLUS, PSI_OFFSET, UNDECIDED,
                                     ClassifierThresholds, ProjectionStats,
-                                    ProjectionTracker, _psi_from_signed_log,
-                                    classify, project_series, scan_exceptional)
+                                    ProjectionTracker, classify, project_series,
+                                    scan_exceptional)
 from walkangles.samplers import (coordinate_product, constant, linear_combination,
                                  log_tail, radial_product, rademacher, s_two_sided)
-from walkangles.walk import NEG_INF, dyadic_checkpoints, run_walk
+from walkangles.walk import NEG_INF, WalkBlock, dyadic_checkpoints, run_walk
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -148,8 +148,7 @@ def test_ladder_of_walk_halted_before_first_checkpoint():
     # step and reaches no checkpoint
     spec = linear_combination([[1e300, 0.0], [0.0, 1.0]], [s_two_sided(0.01), rademacher()])
     tr = ProjectionTracker(grid_m=8)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rec = run_walk(spec, 64, seed=2, observers=[tr])
+    rec = run_walk(spec, 64, seed=2, observers=[tr])
     assert rec.overflowed and rec.checkpoints == []
     st = tr.stats
     assert st.checkpoints == []
@@ -319,9 +318,88 @@ def test_zero_side_ratio_on_log_walk():
     assert_matches_reference(tr.stats, ClassifierThresholds(side_ratio=0.0))
 
 
+def _psi_from_signed_log(sign: np.ndarray, log_abs: np.ndarray) -> np.ndarray:
+    """The psi encoding as the tracker once computed it: the reference of the
+    in-place evaluation in ``ProjectionTracker.observe``."""
+    out = np.sign(sign) * (np.maximum(log_abs, -PSI_OFFSET) + PSI_OFFSET)
+    return np.where((sign == 0) | (log_abs == NEG_INF), 0.0, out)
+
+
 def _psi(values: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return _psi_from_signed_log(np.sign(values), np.log(np.abs(values)))
+
+
+def reference_psi(dots: np.ndarray, log_norms: np.ndarray) -> np.ndarray:
+    """psi of a log-scale block's projections, as the tracker once built it."""
+    with np.errstate(divide="ignore"):
+        log_abs = np.where(dots != 0.0,
+                           log_norms[:, None] + np.log(np.abs(np.where(dots != 0, dots, 1.0))),
+                           NEG_INF)
+    return _psi_from_signed_log(np.sign(dots), log_abs)
+
+
+class FixedDots:
+    """Stands in for a block's directions: its product with the tracker's grid
+    is ``dots``, so the test sets each projection, -0.0 included, which no
+    BLAS product gives."""
+
+    def __init__(self, dots: np.ndarray):
+        self.dots = dots
+
+    def __matmul__(self, grid_t: np.ndarray) -> np.ndarray:
+        assert grid_t.shape[1] == self.dots.shape[1]
+        return self.dots.copy()
+
+
+def psi_blocks(rng, m: int):
+    """(B x M) projections with +0.0 and -0.0 entries, zero rows (S = 0),
+    subnormals, |v| below e**-2048, and log-norms from 1e4 to 1e300 apart."""
+    for _ in range(300):
+        b = int(rng.integers(1, 40))
+        dots = rng.uniform(-1, 1, (b, m))
+        pick = rng.random((b, m))
+        dots[pick < 0.1] = 0.0
+        dots[(pick >= 0.1) & (pick < 0.2)] = -0.0
+        dots[(pick >= 0.2) & (pick < 0.25)] *= 1e-310
+        log_norms = rng.choice([-1e300, -1e4, -3000.0, -2048.0, -5.0, 0.0, 3.0,
+                                700.0, 1e4, 1e300], b)
+        log_norms += rng.uniform(-1, 1, b) * (np.abs(log_norms) < 1e5)
+        zero = rng.random(b) < 0.15
+        dots[zero] = np.where(rng.random((int(zero.sum()), m)) < 0.5, 0.0, -0.0)
+        log_norms[zero] = NEG_INF
+        yield dots, log_norms
+
+
+def test_log_scale_psi_matches_former_formula_bytewise():
+    m = 16
+    tr = ProjectionTracker(directions=np.eye(m))
+    tr.begin(SimpleNamespace(dimension=m, scale_mode="log"), 10**6)
+    ref_min = ref_max = np.zeros(m)
+    ref_mins, ref_maxes = [], []
+    n = 1
+    for dots, log_norms in psi_blocks(np.random.default_rng(18), m):
+        tr.observe(WalkBlock(first_n=n, dirs=FixedDots(dots), log_norms=log_norms,
+                             positions=None, at_checkpoint=True))
+        n += len(log_norms)
+        ref = reference_psi(dots, log_norms)
+        assert tr.stats.final.tobytes() == ref[-1].tobytes()
+        ref_min = np.minimum(ref_min, ref.min(axis=0))
+        ref_max = np.maximum(ref_max, ref.max(axis=0))
+        ref_mins.append(ref_min)
+        ref_maxes.append(ref_max)
+    tr.finish()
+    assert tr.stats.mins.tobytes() == np.array(ref_mins).tobytes()
+    assert tr.stats.maxes.tobytes() == np.array(ref_maxes).tobytes()
+
+
+@pytest.mark.parametrize("spec", [TRACKER_SPECS[1], TRACKER_SPECS[4]], ids=["float", "log"])
+def test_final_owns_its_data(spec):
+    # a view would keep the run's last (B x M) block of values alive
+    tr = ProjectionTracker(grid_m=64)
+    run_walk(spec, 1000, seed=0, observers=[tr])
+    assert tr.stats.final.shape == (64,)
+    assert tr.stats.final.base is None
 
 
 def synthetic_stats(rng, m: int, log_scale: bool) -> ProjectionStats:

@@ -165,6 +165,29 @@ def test_spec_int_too_large_for_float_rejected():
         radial_product([[1.0, 0.0], [0.0, 1.0]], [-10**400, 0.5], s_one_sided(1.0))
 
 
+def test_overflowing_support_rejected_before_rank():
+    # support points past float range, and two infinite terms that cancel to
+    # nan, are named as an overflow rather than passed to matrix_rank
+    with pytest.raises(InvalidSpecError, match="overflow"):
+        linear_combination([[1e308, 1e308], [0, 1]], [s_one_sided(0.5), rademacher()])
+    with pytest.raises(InvalidSpecError, match="overflow"):
+        linear_combination([[10, 0], [10, 0], [0, 1]],
+                           [constant(1e308), constant(-1e308), rademacher()])
+
+
+def test_handled_overflow_draws_no_warning():
+    # the suite turns numpy warnings into errors: each draw below overflows
+    # by design and must not warn
+    counter = Saturations()
+    mags = s_two_sided(0.005).sample(stream(0), 4096, counter)
+    assert counter.count > 0 and np.abs(mags).max() == SATURATION_CAP
+    assert not np.isfinite(stretched_exp(0.001).sample_log(stream(0), 4096)).all()
+    spec = linear_combination([[1e300, 0.0], [1e300, 0.0], [0.0, 1.0]],
+                              [s_two_sided(0.01), s_two_sided(0.01), rademacher()])
+    vectors = IncrementSampler(spec).sample_block(stream(0), 4096).vectors
+    assert np.isinf(vectors[:, 0]).any() and np.isnan(vectors[:, 0]).any()
+
+
 def test_radial_validation():
     with pytest.raises(InvalidSpecError, match="unit"):
         radial_product([[1.0, 1.0]], [1.0], s_one_sided(1.0))

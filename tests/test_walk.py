@@ -13,7 +13,7 @@ from walkangles.rng import stream
 from walkangles.samplers import (RADIAL_PRODUCT, IncrementSampler, SampleBlock,
                                  coordinate_product, constant, linear_combination,
                                  log_tail, radial_product, rademacher, s_one_sided,
-                                 s_two_sided)
+                                 s_two_sided, stretched_exp)
 from walkangles.hull import HullTracker
 from walkangles.projections import ProjectionTracker
 from walkangles.walk import (BLOCK, INT_SAT_LIMIT, BoundCheckObserver,
@@ -394,11 +394,31 @@ def test_overflow_halts_with_partial_record():
 def test_float_overflow_halts_with_partial_record():
     spec = linear_combination([[0.5, 0.0], [0.0, 0.5]], [constant(1e308), rademacher()])
     assert spec.scale_mode == "float"
-    with np.errstate(over="ignore"):
-        rec = run_walk(spec, 10, seed=1)
+    rec = run_walk(spec, 10, seed=1)
     assert rec.overflowed
     assert rec.final_state.n == 3          # 1.5e308 is finite, 2e308 is not
     assert np.all(np.isfinite(rec.final_state.position))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_log_walk_halts_at_infinite_log_magnitude(seed):
+    # at beta = 0.001 the log magnitude E**1000 passes float range in about
+    # one step of eight; the walk halts before the first such step
+    spec = radial_product([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], [0.25, 0.25, 0.5],
+                          stretched_exp(0.001))
+    xi_log = IncrementSampler(spec).sample_block(stream(seed), 64).xi_log
+    finite = np.isfinite(xi_log)
+    assert not finite.all()
+    rec = run_walk(spec, 64, seed=seed)
+    assert rec.overflowed
+    assert rec.final_state.n == int(np.argmin(finite))
+    assert [row.n for row in rec.checkpoints] == [
+        n for n in dyadic_checkpoints(64) if n <= rec.final_state.n]
+    for row in rec.checkpoints:
+        assert np.all(np.isfinite(row.direction))
+        assert math.isfinite(row.log_norm) and math.isfinite(row.xi_max)
+        assert row.xi_rest < math.inf
+    assert "nan" not in rec.to_csv()
 
 
 def test_float_norms_past_square_overflow():
