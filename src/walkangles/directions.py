@@ -37,6 +37,7 @@ __all__ = [
 IN, UNDECIDED, OUT = 1, 0, -1
 VERDICT_NAMES = {IN: "IN", OUT: "OUT", UNDECIDED: "UNDECIDED"}
 _LN2 = math.log(2.0)
+_INT16_MAX = np.iinfo(np.int16).max
 
 
 MAX_ESCAPE_LEVELS = 1024
@@ -49,7 +50,9 @@ class EstimatorConfig:
     Size fields are bounded so that a config cannot ask for arrays numpy
     cannot allocate.  ``grid_m`` is at most ``MAX_GRID_M`` (4096): every
     block is tested against the whole grid in one (block x grid) float64
-    product, 512 MiB at the bound.  ``escape_levels`` is at most
+    product, 512 MiB at the bound.  Its hit mask and the mask's column edges
+    hold one byte per (row, column) each, 64 MiB at the bound, and the edges
+    are built after the product is freed.  ``escape_levels`` is at most
     ``MAX_ESCAPE_LEVELS`` (1024): the visit table holds
     ``grid_m x (escape_levels + 1)`` int64 counts that every block rebuilds
     (32 MiB at both bounds), and 1024 doublings of an ``escape_r0`` of at
@@ -169,7 +172,7 @@ class _CellTable:
         cols = np.concatenate([p[1] for p in pairs])
         counts = np.bincount(rows, minlength=len(shell))
         self.mean_candidates = float(counts.mean())
-        idx_type = np.int16 if m < np.iinfo(np.int16).max else np.int64
+        idx_type = np.int16 if m < _INT16_MAX else np.int64
         self.table = np.full((len(shell), counts.max()), m, dtype=idx_type)
         first = np.concatenate([[0], np.cumsum(counts)[:-1]])
         self.table[rows, np.arange(len(rows)) - first[rows]] = cols
@@ -244,12 +247,15 @@ class CapVisitAccumulator(ObserverBase):
 
     # level index of each norm: largest l with norm > r0 * 2**l, or -1
     def _levels_of(self, log_norms: np.ndarray) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            ratio = (log_norms - self._log_r0) / _LN2
-        lvl = np.floor(ratio)
-        lvl = np.where(ratio == lvl, lvl - 1, lvl)  # strict inequality at level edges
-        lvl = np.where(np.isfinite(ratio), lvl, -1.0)
-        return np.clip(lvl, -1, self.config.escape_levels).astype(np.int64)
+        ratio = (log_norms - self._log_r0) / _LN2
+        lvl = np.zeros(len(ratio))
+        # ceil(x) - 1 is the largest l < x, so a norm on a level edge is not
+        # beyond it; +inf and nan stay at level -1
+        np.ceil(ratio, out=lvl, where=ratio < np.inf)
+        lvl -= 1.0
+        np.maximum(lvl, -1.0, out=lvl)
+        np.minimum(lvl, self.config.escape_levels, out=lvl)
+        return lvl.astype(np.int64)
 
     def _table_hits(self, dirs: np.ndarray):
         """(rows, grid columns) of the block's hits from the cell table, or
@@ -271,6 +277,21 @@ class CapVisitAccumulator(ObserverBase):
         if np.count_nonzero(dots > self._clear_below) != len(rows):
             return None
         return rows, cand[rows, k].astype(np.intp)
+
+    def _dense_runs(self, dirs: np.ndarray):
+        """(rows, first columns, lengths) of the runs of consecutive hit
+        columns in each row of ``(dirs @ grid.T) > dot_min``.  The mask is
+        padded with a False column at both ends, so every run has a rising
+        and a falling edge in its row, and the edges of all rows, read in
+        row-major order, alternate start, end.  A row whose hits wrap from
+        column M - 1 to column 0 gives two runs."""
+        m = len(self.grid)
+        edge = np.zeros((len(dirs), m + 2), dtype=bool)
+        np.greater(dirs @ self.grid.T, self._dot_min, out=edge[:, 1:-1])
+        ends = np.not_equal(edge[:, 1:], edge[:, :-1]).ravel().nonzero()[0]
+        first, stop = ends[0::2], ends[1::2]
+        rows = first // (m + 1)
+        return rows, first - rows * (m + 1), stop - first
 
     def observe(self, block: WalkBlock) -> None:
         """Add a block of steps to the visit and graded records.
@@ -298,61 +319,102 @@ class CapVisitAccumulator(ObserverBase):
         M = 64 (about 7.8 of 64, where the dense product is faster); the
         dense expression then decides every block.
 
-        Graded windows: per call, each (grid point, alpha) gains the bit of
-        only the highest dyadic window ``floor(log2 n)`` among its hits in
-        this block with ``log||S_n|| - a log n > log kappa``.
+        Evidence is accumulated per run of hit columns (row, first column,
+        length), not per hit.  The dense expression gives the runs of each
+        row of its mask (on the equally spaced d = 2 grid one run per row,
+        two where the cap wraps past column M - 1, about 7 hits each); the
+        table's hits enter as runs of length 1.  Every hit of a run carries
+        its row's level, statistic and window, so a run adds to each of its
+        columns exactly what its hits would add one by one.  Visits go
+        through a difference array over columns.  The runs are grouped by
+        (length, first column); each group's maximum statistic and highest
+        qualifying window are spread over its columns with ``maximum.at``.
+        Integer counts and maxima do not depend on the order they are taken
+        in, so the records are those of the per-hit update.  Graded
+        windows: per call, each (grid point, alpha) gains the bit of only
+        the highest dyadic window ``floor(log2 n)`` among its hits in this
+        block with ``log||S_n|| - a log n > log kappa``.
         """
         cfg = self.config
         n_lv = cfg.escape_levels + 1
         steps = np.arange(block.first_n, block.first_n + len(block))
         live = (block.log_norms > NEG_INF) & (steps > cfg.burn_in)
         self.n_steps_seen += len(block)
-        if not np.any(live):
+        if not live.any():
             return
         dirs = block.dirs[live]
         log_norms = block.log_norms[live]
         steps = steps[live]
         bucket = self._levels_of(log_norms)
         above = bucket >= 0
-        if np.any(above):
+        if above.any():
             self.level_totals += np.bincount(bucket[above], minlength=n_lv)
             if self._band_axis is not None:
                 band = np.abs(dirs @ self._band_axis) > cfg.band_threshold
                 sel = above & band
-                if np.any(sel):
+                if sel.any():
                     self.level_band_hits += np.bincount(bucket[sel], minlength=n_lv)
         hits = None if self._table is None else self._table_hits(dirs)
         if hits is None:
             if self._table is not None:
                 self.fallback_blocks += 1
-            hits = np.nonzero((dirs @ self.grid.T) > self._dot_min)
-        rows, cols = hits
+            rows, cols, lens = self._dense_runs(dirs)
+        else:
+            (rows, cols), lens = hits, None
         if len(rows) == 0:
             return
+        span = 1 if lens is None else int(lens.max())
         m = len(self.grid)
-        hit_bucket = bucket[rows]
-        in_lv = hit_bucket >= 0
-        if np.any(in_lv):
-            flat = cols[in_lv] * n_lv + hit_bucket[in_lv]
-            by_bucket = np.bincount(flat, minlength=m * n_lv).reshape(m, n_lv)
+        run_bucket = bucket[rows]
+        in_lv = run_bucket >= 0
+        if in_lv.any():
+            first = cols[in_lv] * n_lv + run_bucket[in_lv]
+            if span == 1:
+                by_bucket = np.bincount(first, minlength=m * n_lv).reshape(m, n_lv)
+            else:
+                # +1 at a run's first column, -1 past its last, summed over columns
+                size = (m + 1) * n_lv
+                by_bucket = np.bincount(first, minlength=size) - np.bincount(
+                    first + lens[in_lv] * n_lv, minlength=size)
+                by_bucket = by_bucket.reshape(m + 1, n_lv)[:m].cumsum(axis=0)
             # visits at level l count every step beyond it: suffix sums
             self.visits += by_bucket[:, ::-1].cumsum(axis=1)[:, ::-1]
-        # graded records, all alphas at once, from hits in grid order
-        key = cols.astype(np.int16) if m <= np.iinfo(np.int16).max else cols
-        order = np.argsort(key, kind="stable")
-        rows, cols = rows[order], cols[order]
-        seg_starts = np.flatnonzero(cols[1:] != cols[:-1]) + 1
-        seg_starts = np.concatenate([[0], seg_starts])
-        seg_cols = cols[seg_starts]
-        log_n = np.log(steps.astype(float))
-        stat = (log_norms[:, None] - self._alphas * log_n[:, None])[rows]      # (H, A)
+        # graded records, all alphas at once, from runs grouped by (length,
+        # first column); with every length 1 the key is the column
+        key = cols if span == 1 else cols + m * (lens - 1)
+        order = np.argsort(key.astype(np.int16) if m * span <= _INT16_MAX else key,
+                           kind="stable")
+        key, rows = key[order], rows[order]
+        new = np.empty(len(key), dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        seg_starts = new.nonzero()[0]
+        steps = steps.astype(float)
+        stat = (log_norms[:, None] - self._alphas * np.log(steps)[:, None])[rows]  # (R, A)
         seg_max = np.maximum.reduceat(stat, seg_starts, axis=0)
-        self.graded_max[seg_cols] = np.maximum(self.graded_max[seg_cols], seg_max)
-        windows = np.floor(np.log2(steps.astype(float))).astype(np.int8)   # 0..62
+        windows = np.floor(np.log2(steps)).astype(np.int8)                      # 0..62
         qual_window = np.where(stat > math.log(cfg.kappa), windows[rows, None], np.int8(-1))
-        top = np.maximum.reduceat(qual_window, seg_starts, axis=0).astype(np.int64)
-        self.graded_windows[seg_cols] |= np.where(
-            top >= 0, np.int64(1) << np.maximum(top, 0), np.int64(0))
+        top = np.maximum.reduceat(qual_window, seg_starts, axis=0)
+        seg_key = key[seg_starts]
+        if span == 1:
+            seg_cols = seg_key
+        else:
+            # spread each group over its columns: flat indices for maximum.at
+            n_a = len(self._alphas)
+            seg_lens = seg_key // m + 1
+            ends = seg_lens.cumsum()
+            spread = np.repeat(seg_key % m + seg_lens - ends, seg_lens)
+            spread += np.arange(ends[-1])
+            flat = (spread[:, None] * n_a + np.arange(n_a)).ravel()
+            col_max = np.full((m, n_a), NEG_INF)
+            np.maximum.at(col_max.reshape(-1), flat, np.repeat(seg_max, seg_lens, axis=0).ravel())
+            col_top = np.full((m, n_a), -1, dtype=np.int8)
+            np.maximum.at(col_top.reshape(-1), flat, np.repeat(top, seg_lens, axis=0).ravel())
+            seg_cols, seg_max, top = slice(None), col_max, col_top
+        self.graded_max[seg_cols] = np.maximum(self.graded_max[seg_cols], seg_max)
+        bits = np.zeros(top.shape, dtype=np.int64)
+        np.left_shift(np.int64(1), top, out=bits, where=top >= 0)
+        self.graded_windows[seg_cols] |= bits
 
     # -- summaries ----------------------------------------------------------
 

@@ -48,6 +48,13 @@ _PROBE_DIRS = direction_grid(2, 16)
 # unit roundoff and smallest normal double of the planar filter's error bound
 _U = 2.0 ** -53
 _TINY = float(np.finfo(float).tiny)
+# For float coordinates up to M in magnitude, a cross product and a squared
+# edge length reach 8 M**2, which overflows past M = 2**510.5.  From _BIG on
+# they are evaluated on the points times 2**-k, with 2**-k * M in [1, 2):
+# scaling by a power of two is exact (short of underflow), so every sign and
+# every distance is the one the unscaled arithmetic would give without
+# overflow.
+_BIG = 2.0 ** 510
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +62,20 @@ _TINY = float(np.finfo(float).tiny)
 
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _shrink(pts: list) -> tuple[list, int]:
+    """The points times 2**-k, and k, with 2**-k * M in [1, 2) where the
+    float points ``pts`` reach ``_BIG`` in magnitude M; else ``pts`` and 0.
+    Integer points, exact in Python ints, are never scaled."""
+    if not isinstance(pts[0][0], float):
+        return pts, 0
+    big = max(max(abs(x), abs(y)) for x, y in pts)
+    if not _BIG <= big < math.inf:
+        return pts, 0
+    k = math.frexp(big)[1] - 1
+    s = 2.0 ** -k
+    return [(x * s, y * s) for x, y in pts], k
 
 
 def _tuples(arr: np.ndarray) -> list[tuple]:
@@ -66,11 +87,21 @@ def convex_hull_2d(points) -> list[tuple]:
     """Monotone chain; counter-clockwise, collinear points dropped.
 
     Works on exact Python ints for lattice walks (no rounding anywhere) and
-    on floats otherwise.  Degenerate inputs yield fewer than 3 vertices.
+    on floats otherwise, scaled by a power of two from ``_BIG`` on.
+    Degenerate inputs yield fewer than 3 vertices.
     """
     pts = sorted(set(tuple(p) for p in points))
     if len(pts) <= 2:
         return pts
+    scaled, k = _shrink(pts)
+    if k:
+        back = dict(zip(scaled, pts))
+        return [back[p] for p in _chain(scaled)]
+    return _chain(pts)
+
+
+def _chain(pts: list) -> list:
+    """Andrew's monotone chain over sorted points."""
     lower: list = []
     for p in pts:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
@@ -85,9 +116,11 @@ def convex_hull_2d(points) -> list[tuple]:
 
 
 def point_in_convex_polygon(vertices, p, strict: bool = False) -> bool:
-    """Membership in a CCW convex polygon; exact for integer inputs."""
+    """Membership in a CCW convex polygon; exact for integer inputs, and
+    scaled by a power of two from ``_BIG`` on for float ones."""
     if len(vertices) == 0:
         return False
+    *vertices, p = _shrink([*vertices, tuple(p)])[0]
     if len(vertices) == 1:
         return tuple(p) == tuple(vertices[0]) and not strict
     if len(vertices) == 2:
@@ -252,8 +285,9 @@ class HullState:
 
         d = 2: 0 when the origin is outside or on the boundary (decided
         exactly for integer vertices), else the least distance from the
-        origin to an edge, each taken in floats with one ``math.hypot``.  So
-        the value may be off in its last bits; ``HullTracker`` clamps it with
+        origin to an edge, each taken in floats with one ``math.hypot``, on
+        float vertices scaled by a power of two from ``_BIG`` on.  So the
+        value may be off in its last bits; ``HullTracker`` clamps it with
         ``max(r, r_prev)`` to keep the series non-decreasing.
         d >= 3: grid upper bound max(0, min_u supports[u]).
         """
@@ -263,13 +297,12 @@ class HullState:
             return max(0.0, float(self.supports.min()))
         if len(self.vertices) < 3:
             return 0.0
-        origin = (0, 0)
-        if not point_in_convex_polygon(self.vertices, origin, strict=True):
+        verts, k = _shrink(self.vertices)
+        if not point_in_convex_polygon(verts, (0, 0), strict=True):
             return 0.0
-        best = min(_segment_distance(self.vertices[i],
-                                     self.vertices[(i + 1) % len(self.vertices)])
-                   for i in range(len(self.vertices)))
-        return best
+        best = min(_segment_distance(verts[i], verts[(i + 1) % len(verts)])
+                   for i in range(len(verts)))
+        return best * 2.0 ** k
 
     def confinement(self, u) -> float:
         u = np.asarray(u, dtype=float)

@@ -8,6 +8,7 @@ from walkangles.directions import (IN, OUT, UNDECIDED, CapVisitAccumulator,
                                    EstimatorConfig, _CellTable, _TABLES, combine_runs)
 from walkangles.samplers import (coordinate_product, constant, rademacher,
                                  s_two_sided)
+from walkangles.sphere import direction_grid
 from walkangles.walk import BLOCK, NEG_INF, WalkBlock, run_walk
 
 E1 = np.array([1.0, 0.0])
@@ -16,8 +17,18 @@ _LN2 = math.log(2.0)
 RECORDS = ("visits", "graded_max", "graded_windows", "level_totals", "level_band_hits")
 
 
+def reference_levels(acc: CapVisitAccumulator, log_norms: np.ndarray) -> np.ndarray:
+    """Escape level of each norm, as the floor of its ratio, one lower on a
+    level edge; -1 below the lowest level and for a non-finite norm."""
+    ratio = (log_norms - acc._log_r0) / _LN2
+    lvl = np.floor(ratio)
+    lvl = np.where(ratio == lvl, lvl - 1, lvl)
+    lvl = np.where(np.isfinite(ratio), lvl, -1.0)
+    return np.clip(lvl, -1, acc.config.escape_levels).astype(np.int64)
+
+
 def reference_observe(acc: CapVisitAccumulator, block: WalkBlock) -> None:
-    """The dense update that ``CapVisitAccumulator.observe`` replaced, kept
+    """The per-hit update that ``CapVisitAccumulator.observe`` replaced, kept
     as its oracle: a (B x M) dot-and-compare mask, its ``nonzero``, a stable
     argsort into grid order and one pass per alpha."""
     cfg = acc.config
@@ -30,7 +41,7 @@ def reference_observe(acc: CapVisitAccumulator, block: WalkBlock) -> None:
     dirs = block.dirs[live]
     log_norms = block.log_norms[live]
     steps = steps[live]
-    bucket = acc._levels_of(log_norms)
+    bucket = reference_levels(acc, log_norms)
     above = bucket >= 0
     if np.any(above):
         acc.level_totals += np.bincount(bucket[above], minlength=n_lv)
@@ -338,6 +349,32 @@ def odd_rows_block(rng, acc: CapVisitAccumulator, first_n: int) -> WalkBlock:
     return block
 
 
+def seam_block(rng, acc: CapVisitAccumulator, first_n: int, rows: int = 1024) -> WalkBlock:
+    """Directions near the bisector of grid points M - 1 and 0, whose hits
+    on the d = 2 grid wrap from column M - 1 to column 0."""
+    d = acc.grid.shape[1]
+    mid = acc.grid[0] + acc.grid[-1]
+    if not mid.any():                           # a one-point grid
+        mid = acc.grid[0]
+    dirs = mid / np.linalg.norm(mid) + 0.02 * rng.standard_normal((rows, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return WalkBlock(first_n=first_n, dirs=dirs, log_norms=_spread_log_norms(rng, acc, rows),
+                     positions=None)
+
+
+def zero_rows_block(rng, acc: CapVisitAccumulator, first_n: int, rows: int = 1024) -> WalkBlock:
+    """Zero rows with finite log-norms: no hits unless ``dot_min < 0``."""
+    d = acc.grid.shape[1]
+    return WalkBlock(first_n=first_n, dirs=np.zeros((rows, d)),
+                     log_norms=_spread_log_norms(rng, acc, rows), positions=None)
+
+
+def head(block: WalkBlock, rows: int, first_n: int) -> WalkBlock:
+    """The first ``rows`` steps of ``block``, renumbered from ``first_n``."""
+    return WalkBlock(first_n=first_n, dirs=block.dirs[:rows],
+                     log_norms=block.log_norms[:rows], positions=None)
+
+
 VARIANTS = {
     "default": {},
     "small-cap": {"cap_radius": 0.1},
@@ -345,6 +382,7 @@ VARIANTS = {
     "wide-cap": {"cap_radius": 1.9},      # dot_min < 0
     "grid-1": {"grid_m": 1},
     "band": {"band_axis": "last"},
+    "permuted": {"grid": "permuted"},     # grid rows shuffled: hits split into runs
 }
 
 
@@ -352,12 +390,24 @@ def _accumulators(d: int, variant: str, force_table: bool):
     kw = dict(VARIANTS[variant])
     if kw.get("band_axis") == "last":
         kw["band_axis"] = tuple([0.0] * (d - 1) + [1.0])
+    permuted = kw.pop("grid", None) == "permuted"
     cfg = EstimatorConfig(grid_m=kw.pop("grid_m", 64 if d == 2 else 256),
                           escape_levels=4, kappa=1.0, **kw)
-    acc, ref = CapVisitAccumulator(cfg, d), DenseAccumulator(cfg, d)
+    grid = None
+    if permuted:
+        grid = direction_grid(d, cfg.grid_m, cfg.grid_seed)
+        grid = grid[np.random.default_rng(d).permutation(len(grid))]
+    acc, ref = CapVisitAccumulator(cfg, d, grid=grid), DenseAccumulator(cfg, d, grid=grid)
     if force_table and acc._table is None:
         acc._table = _CellTable(acc.grid, acc._dot_min)
     return acc, ref
+
+
+def runs_of(acc: CapVisitAccumulator, block: WalkBlock):
+    """Rows and lengths of the dense expression's runs, and its hit mask."""
+    mask = (block.dirs @ acc.grid.T) > acc._dot_min
+    rows, _, lens = acc._dense_runs(block.dirs)
+    return rows, lens, mask
 
 
 @pytest.mark.parametrize("force_table", [False, True], ids=["chosen", "table"])
@@ -369,10 +419,15 @@ def test_blocks_match_dense_reference(d, variant, force_table):
     disputed = disputed_rows(rng, acc)
     mixed = random_block(rng, acc, 1 + 2 * BLOCK)
     mixed.dirs[:len(disputed)] = disputed
+    tiny = random_block(rng, acc, 1)
     blocks = [random_block(rng, acc, 1), cap_edge_block(rng, acc, 1 + BLOCK), mixed,
-              odd_rows_block(rng, acc, 1 + 3 * BLOCK), random_block(rng, acc, 3 + 5 * BLOCK)]
+              odd_rows_block(rng, acc, 1 + 3 * BLOCK), random_block(rng, acc, 3 + 5 * BLOCK),
+              seam_block(rng, acc, 1 + 6 * BLOCK), zero_rows_block(rng, acc, 1 + 7 * BLOCK),
+              # the first checkpoint cuts of a run: steps 1, 2-3 and 4-7
+              head(tiny, 1, 1), head(tiny, 2, 2), head(tiny, 4, 4)]
     # cap-edge rows and zero rows go to the dense expression
-    falls_back = [False, True, len(disputed) > 0, True, False]
+    falls_back = [False, True, len(disputed) > 0, True, False, False, True,
+                  False, False, False]
     fallbacks = 0
     for block, expect in zip(blocks, falls_back):
         fallbacks += expect
@@ -382,6 +437,16 @@ def test_blocks_match_dense_reference(d, variant, force_table):
         if acc._table is not None:
             assert acc.fallback_blocks == fallbacks
     assert acc.visits.sum() > 0 and np.any(acc.graded_windows)
+    # the blocks reach the cases the run accounting has to get right
+    m = len(acc.grid)
+    rows, lens, mask = runs_of(acc, blocks[5])
+    assert lens.sum() == mask.sum()
+    if d == 2 and variant != "permuted" and m > 1 and acc._dot_min > -1:
+        assert np.any(mask[:, 0] & mask[:, -1] & ~mask.all(axis=1))     # a wrap: two runs
+    if variant == "permuted" and d == 2:
+        assert np.any(np.bincount(rows) > 2)       # rows split into several runs
+    if acc._dot_min >= 0:
+        assert not runs_of(acc, blocks[6])[2].any()                        # no hits
 
 
 def test_padded_slots_never_pass():

@@ -158,6 +158,35 @@ def test_planar_batch_spanning_past_float_range():
     assert sorted(st.vertices) == [(-1e308, 0.0), (0.0, -1.0), (1e308, 1.0)]
 
 
+def test_float_hull_past_product_overflow():
+    # cross products of coordinates past about 1e154 overflow; the unscaled
+    # chain listed (1e199, 1e199) twice and gave an inscribed radius of 0
+    pts = [(1e200, 0.0), (-1e200, 0.0), (0.0, 1e200), (0.0, -1e200), (0.0, 0.0),
+           (1e199, 1e199)]
+    st = planar(pts)
+    assert sorted(st.vertices) == sorted(pts[:4])
+    assert st.inscribed_radius() == pytest.approx(1e200 / math.sqrt(2), rel=1e-15)
+    assert st.contains((1e199, 1e199)) and not st.contains((1e200, 1e200))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_float_hull_scales_by_a_power_of_two(seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((200, 2)) * 10.0 ** rng.uniform(-3, 3)
+    scale = 2.0 ** 600
+
+    def scaled(vertices):
+        return [(x * scale, y * scale) for x, y in vertices]
+
+    assert convex_hull_2d((pts * scale).tolist()) == scaled(convex_hull_2d(pts.tolist()))
+    small, big = planar(pts), planar(pts * scale)
+    assert big.vertices == scaled(small.vertices)
+    assert small.inscribed_radius() > 0
+    assert big.inscribed_radius() == small.inscribed_radius() * scale
+    inside = tuple(pts.mean(axis=0))
+    assert big.contains(scaled([inside])[0]) and small.contains(inside)
+
+
 def test_d3_hull_run_leaves_numpy_ma_unimported():
     # np.unique(..., axis=0) imports numpy.ma, about 15 ms per process
     script = """
