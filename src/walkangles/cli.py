@@ -164,6 +164,7 @@ def _vectors(rows, prefix: str) -> np.ndarray:
 
 
 def _cmd_plot(args) -> int:
+    from .directions import VERDICT_NAMES
     from .plots import radius_svg, rose_svg, trajectory_svg
     rows = _read(args.csv, lambda text: list(csv.DictReader(io.StringIO(text))))
     if not rows:
@@ -187,7 +188,11 @@ def _cmd_plot(args) -> int:
         if kind == "trajectory":
             svg = trajectory_svg(_vectors(rows, "s_"))
         elif kind == "rose":
-            codes = {"IN": 1, "OUT": -1, "UNDECIDED": 0}
+            codes = {name: code for code, name in VERDICT_NAMES.items()}
+            bad = next((r["verdict"] for r in rows if r["verdict"] not in codes), None)
+            if bad is not None:
+                raise CliError(f"a rose plot draws the cap verdicts {', '.join(codes)}, "
+                               f"not {bad!r}")
             svg = rose_svg(_vectors(rows, "u_"), [codes[r["verdict"]] for r in rows])
         else:
             svg = radius_svg(_column(rows, "n"), _column(rows, "r"))

@@ -16,7 +16,7 @@ distinct dyadic time windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,6 +89,9 @@ class EstimatorConfig:
             raise ValueError("estimator.min_top_level must be <= escape_levels, the top level")
         if self.v_min < 1:
             raise ValueError("estimator.v_min must be >= 1")
+        if self.out_level < -1:
+            # finalize reads the visits above out_level; -1 reads every level
+            raise ValueError("estimator.out_level must be >= -1")
         if self.kappa <= 0:
             raise ValueError("estimator.kappa must be positive")
         if self.band_axis is not None and not any(self.band_axis):
@@ -442,13 +445,10 @@ class CapVisitAccumulator(ObserverBase):
         verdicts[(verdicts != IN) & (beyond == 0)] = OUT
         w = self.graded_windows          # window bits 0..62, so w >= 0
         graded = (w & (w - 1)) != 0       # at least two windows met
-        notes = {}
-        if self.grid.shape[1] >= 3:
-            notes["graded_alpha_below_half"] = "EXPECTED_FULL"
         return DirectionSetEstimate(
             grid=self.grid, config=cfg, verdicts=verdicts, top_level=top,
             top_level_per_point=tops, visits=self.visits.copy(),
-            graded_in=graded, graded_max=self.graded_max.copy(), notes=notes,
+            graded_in=graded, graded_max=self.graded_max.copy(),
             band_fraction_top=self.band_fraction_at_top()
             if self._band_axis is not None else math.nan)
 
@@ -465,7 +465,6 @@ class DirectionSetEstimate:
     visits: np.ndarray
     graded_in: np.ndarray           # (M, n_alphas) bool
     graded_max: np.ndarray          # (M, n_alphas) log values
-    notes: dict = field(default_factory=dict)
     band_fraction_top: float = math.nan
 
     def in_points(self) -> np.ndarray:

@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -106,13 +105,15 @@ class ExperimentConfig:
         return json.dumps(obj, sort_keys=True, indent=2, default=asdict)
 
 
-def _read(cls, obj, where: str):
+def _read(cls, obj, where: str, base=None):
     """A ``cls`` read from the JSON object ``obj`` at path ``where``.
 
     Every key must name a field of ``cls``, every field without a default
     must be present, and every value must be of the kind its field's
     annotation names in ``KINDS``; a nested config object is read by its
-    entry in ``_OBJECT_READERS``, and lists become tuples.
+    entry in ``_OBJECT_READERS``, given the fields read before it, and lists
+    become tuples.  A field that ``obj`` omits keeps its value in ``base``,
+    a ``cls``, when one is given, else takes its default.
     """
     types = {f.name: f.type for f in fields(cls)}
     required = [f.name for f in fields(cls)
@@ -120,22 +121,28 @@ def _read(cls, obj, where: str):
     check_object(obj, where, {name: "object" if kind in _OBJECT_READERS else kind
                               for name, kind in types.items()}, required)
     values = {}
-    for name, value in obj.items():
-        if types[name] in _OBJECT_READERS:
-            value = _OBJECT_READERS[types[name]](value, f"{where}.{name}")
+    for name, kind in types.items():         # in field order: spec comes first
+        if name not in obj:
+            continue
+        value = obj[name]
+        if kind in _OBJECT_READERS:
+            value = _OBJECT_READERS[kind](value, f"{where}.{name}", values)
         values[name] = tuple(value) if isinstance(value, list) else value
     try:
-        return cls(**values)
+        return cls(**values) if base is None else replace(base, **values)
     except ValueError as exc:
         # the dataclass messages start with the field path, e.g. "estimator.grid_m"
         raise ConfigError(f"config.{exc}") from exc
 
 
-# readers of the config's object fields, keyed by field annotation
+# readers of the config's object fields, keyed by field annotation; each
+# takes the object, its path and the fields of its parent read so far
 _OBJECT_READERS = {
-    "IncrementSpec": spec_from_json,
-    "EstimatorConfig | None": partial(_read, EstimatorConfig),
-    "ClassifierThresholds": partial(_read, ClassifierThresholds),
+    "IncrementSpec": lambda obj, where, _: spec_from_json(obj, where),
+    # the fields an estimator object omits keep the spec's defaults
+    "EstimatorConfig | None": lambda obj, where, values: _read(
+        EstimatorConfig, obj, where, EstimatorConfig.defaults_for(values["spec"])),
+    "ClassifierThresholds": lambda obj, where, _: _read(ClassifierThresholds, obj, where),
 }
 
 
@@ -188,7 +195,7 @@ def _one_run(config: ExperimentConfig, index: int) -> RunResult:
     observers = [acc, proj]
     hull = None
     if config.track_hull:
-        hull = HullTracker(support_m=config.hull_tracked_m)
+        hull = HullTracker(config.hull_tracked_m)
         observers.append(hull)
     record = run_walk(spec, config.n_steps, seed, observers=observers)
     hull_report = hull_growth_report(hull) if hull else None

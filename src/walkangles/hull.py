@@ -15,9 +15,10 @@ grid: the running maximum of S_k . u per grid direction plus the points that
 achieved it; the inscribed radius derived from the sketch is an upper bound
 on the true one with grid-resolution error.
 
-The confinement ledger tracks inf_{k<=n} S_k . u for a small set of
-directions; a value that stops moving while the inscribed radius is frozen
-witnesses confinement to a half-space.
+The confinement ledger tracks inf_{k<=n} S_k . u over the same grid; a value
+that stops moving while the inscribed radius is frozen witnesses confinement
+to a half-space.  Each batch is multiplied by the grid once, and the sketch
+and the ledger read that one product.
 """
 from __future__ import annotations
 
@@ -161,23 +162,18 @@ class HullState:
 
     dimension: int
     vertices: list = field(default_factory=list)      # d=2: CCW tuples
-    support_dirs: np.ndarray | None = None            # d>=3 sketch directions
-    supports: np.ndarray | None = None                # running max of p . u
+    tracked_dirs: np.ndarray | None = None            # the one direction grid
+    supports: np.ndarray | None = None                # d>=3: running max of p . u
     support_points: np.ndarray | None = None
-    tracked_dirs: np.ndarray | None = None
-    confinements: np.ndarray | None = None
+    confinements: np.ndarray | None = None            # running min of p . u
 
     @classmethod
-    def empty(cls, dimension: int, tracked_dirs=None, support_m: int = 64) -> "HullState":
-        st = cls(dimension=dimension)
+    def empty(cls, dimension: int, m: int = 16) -> "HullState":
+        st = cls(dimension=dimension, tracked_dirs=direction_grid(dimension, m))
         if dimension >= 3:
-            st.support_dirs = direction_grid(dimension, support_m)
-            st.supports = np.full(len(st.support_dirs), -np.inf)
-            st.support_points = np.zeros((len(st.support_dirs), dimension))
-        if tracked_dirs is None:
-            tracked_dirs = direction_grid(dimension, 16)
-        st.tracked_dirs = np.atleast_2d(np.asarray(tracked_dirs, dtype=float))
-        st.confinements = np.full(len(st.tracked_dirs), np.inf)
+            st.supports = np.full(m, -np.inf)
+            st.support_points = np.zeros((m, dimension))
+        st.confinements = np.full(m, np.inf)
         return st
 
     def update(self, batch) -> "HullState":
@@ -186,14 +182,11 @@ class HullState:
             raise ValueError("a hull update needs a nonempty batch")
         arr = np.atleast_2d(np.asarray(batch))
         f = np.asarray(arr, dtype=float)
+        proj = f @ self.tracked_dirs.T           # (B, M)
         if self.dimension == 2:
             self._update_planar(arr, f)
         else:
-            proj = f @ self.support_dirs.T       # (B, M)
             self._update_support(arr, proj)
-        # the grids are cached, so at the default sizes they are one array
-        if self.tracked_dirs is not self.support_dirs:
-            proj = f @ self.tracked_dirs.T
         np.minimum(self.confinements, proj.min(axis=0), out=self.confinements)
         return self
 
@@ -237,7 +230,7 @@ class HullState:
         keep = np.ones(len(arr), dtype=bool)
         v = np.asarray(inner, dtype=float)
         m = max(float(np.abs(v).max()), float(np.abs(f).max()))
-        if len(inner) >= 3 and m < 2.0 ** 510:
+        if len(inner) >= 3 and m < _BIG:
             k = _U * m if m > 2.0 ** 53 else 0.0
             (lx, ly), (hx, hy) = lo.tolist(), hi.tolist()
             # points not yet shown to be outside or near some edge
@@ -260,7 +253,7 @@ class HullState:
             self.vertices = inner
 
     def _update_support(self, arr: np.ndarray, proj: np.ndarray) -> None:
-        """Absorb ``arr`` into the sketch; ``proj`` is ``arr @ support_dirs.T`` in float."""
+        """Absorb ``arr`` into the sketch; ``proj`` is ``arr @ tracked_dirs.T`` in float."""
         best = proj.argmax(axis=0)
         vals = proj[best, np.arange(proj.shape[1])]
         better = vals > self.supports
@@ -270,13 +263,11 @@ class HullState:
     def vertex_count(self) -> int:
         if self.dimension == 2:
             return len(self.vertices)
-        # distinct rows, counted as np.unique(..., axis=0) counts them without
-        # its import of numpy.ma: sorted, equal rows are adjacent
-        # rounding scales by 1e9, which overflows past about 1.8e299; such
-        # coordinates keep their unrounded value
-        with np.errstate(over="ignore"):
-            pts = np.round(self.support_points, 9)
-        pts = np.where(np.isfinite(pts), pts, self.support_points)
+        # the rows are copies of walk positions, so a vertex that several
+        # directions share is one row repeated exactly.  Distinct rows are
+        # counted as np.unique(..., axis=0) counts them, without its import
+        # of numpy.ma: sorted, equal rows are adjacent
+        pts = self.support_points
         pts = pts[np.lexsort(pts.T[::-1])]
         return 1 + int(np.any(pts[1:] != pts[:-1], axis=1).sum())
 
@@ -331,8 +322,8 @@ class HullCheckpoint:
 class HullTracker(ObserverBase):
     """Maintains the trajectory hull and snapshots r_n at checkpoints."""
 
-    def __init__(self, support_m: int = 64):
-        self._support_m = support_m
+    def __init__(self, m: int = 16):
+        self._m = m
         self.state: HullState | None = None
         self.series: list[HullCheckpoint] = []
 
@@ -340,7 +331,7 @@ class HullTracker(ObserverBase):
         if spec.scale_mode == "log":
             raise UnsupportedSpecError(
                 "hull tracking is not supported for log-scale walks")
-        self.state = HullState.empty(spec.dimension, support_m=self._support_m)
+        self.state = HullState.empty(spec.dimension, self._m)
         # S_0 = 0, as an int for lattice walks so the planar chain stays exact
         dtype = np.int64 if spec.scale_mode == "lattice" else float
         self.state.update(np.zeros((1, spec.dimension), dtype=dtype))

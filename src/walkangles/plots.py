@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from .directions import VERDICT_NAMES
+
 __all__ = ["trajectory_svg", "rose_svg", "radius_svg"]
 
 _SIZE = 480
@@ -54,7 +56,6 @@ def rose_svg(grid, verdicts) -> str:
         raise ValueError("cannot plot an empty direction estimate")
     if grid.shape[1] != 2:
         raise ValueError("rose plots are planar only")
-    names = {1: "in", -1: "out", 0: "undecided"}
     cx = cy = _SIZE / 2.0
     r_in, r_out = 0.35 * _SIZE / 2.0, 0.92 * _SIZE / 2.0
     m = len(grid)
@@ -67,7 +68,7 @@ def rose_svg(grid, verdicts) -> str:
         x1, y1 = cx + r_out * math.cos(a0), cy - r_out * math.sin(a0)
         x2, y2 = cx + r_out * math.cos(a1), cy - r_out * math.sin(a1)
         x3, y3 = cx + r_in * math.cos(a1), cy - r_in * math.sin(a1)
-        cls = names[int(verdicts[i])]
+        cls = VERDICT_NAMES[int(verdicts[i])].lower()
         parts.append(
             f'<path class="{cls}" d="M {_fmt(x0)} {_fmt(y0)} L {_fmt(x1)} {_fmt(y1)} '
             f'A {_fmt(r_out)} {_fmt(r_out)} 0 0 0 {_fmt(x2)} {_fmt(y2)} '

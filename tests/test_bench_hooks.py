@@ -18,28 +18,46 @@ from walkangles.experiment import load_config, run_experiment
 
 tracer = Tracer()
 tracer.install()
-config = {"spec": {"dimension": 2, "form": "coordinate_product",
-                   "laws": [{"name": "rademacher"}, {"name": "s_two_sided", "alpha": 0.5}]},
-          "n_steps": 64, "n_runs": 2, "base_seed": 0}
+config = {"spec": json.loads(sys.argv[1]), "n_steps": 64, "n_runs": 2, "base_seed": 0}
 with tempfile.TemporaryDirectory() as out:
     run_experiment(load_config(config, out_dir=out))
 json.dump({"layers": tracer.layer_metrics(), "work": tracer.work_counts()}, sys.stdout)
 """
 
 
-def test_tracer_installs_and_counts():
+def traced(spec: dict) -> tuple[dict, dict]:
+    """Layer metrics and work counts of a traced 2-run x 64-step experiment."""
     paths = [os.path.join(REPO, "perfbench"), os.path.join(REPO, "src")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
-                          text=True, cwd=REPO, env=env)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(spec)],
+                          capture_output=True, text=True, cwd=REPO, env=env)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    layers, work = out["layers"], out["work"]
+    return out["layers"], out["work"]
+
+
+def test_tracer_installs_and_counts():
+    layers, work = traced({"dimension": 2, "form": "coordinate_product",
+                           "laws": [{"name": "rademacher"},
+                                    {"name": "s_two_sided", "alpha": 0.5}]})
     assert layers["samplers.sample_block_calls"] == 2       # one block per run
     assert layers["walk.observe_calls"] > 0
     assert layers["sphere.direction_grid_calls"] > 0
     assert layers["experiment.to_csv_s"] > 0
     assert layers["projections.classify_s"] > 0
+    assert layers["directions.finalize_s"] > 0
+    assert work["directions.cap_tests"] > 0
+    assert work["hull.points_in"] == 2 * 64
+
+
+def test_tracer_counts_through_the_d3_sketch():
+    # d = 3 takes the hull's support sketch and the cap cell table
+    layers, work = traced({"dimension": 3, "form": "coordinate_product",
+                           "laws": [{"name": "s_two_sided", "alpha": 1.5}] * 2
+                           + [{"name": "rademacher"}]})
+    assert layers["samplers.sample_block_calls"] == 2
+    assert work["hull.final_vertices"] > 0
+    assert layers["sphere.direction_grid_calls"] > 0
     assert layers["directions.finalize_s"] > 0
     assert work["directions.cap_tests"] > 0
     assert work["hull.points_in"] == 2 * 64

@@ -285,7 +285,24 @@ def test_kesten_annotation_for_d3():
     acc = CapVisitAccumulator(cfg, 3)
     record_visit(acc, np.array([30.0, 0.0, 0.0]), 4)
     est = acc.finalize()
-    assert est.notes.get("graded_alpha_below_half") == "EXPECTED_FULL"
+    # a d >= 3 estimate is its verdicts and counts, with no annotation
+    hit = est.grid @ [1.0, 0.0, 0.0] > 1 - 0.4 ** 2 / 2
+    assert est.top_level == 2 and hit.any()
+    assert (est.visits[hit, 2] == 1).all() and est.visits[~hit].sum() == 0
+    assert not hasattr(est, "notes")
+
+
+def test_out_level_minus_one_reads_every_level():
+    # one step at level 0 near grid point 0: out_level -1 reads levels 0..3,
+    # so that point is not OUT; a bound below -1 is rejected, as its slice
+    # would wrap round to the last levels only
+    cfg = EstimatorConfig(grid_m=8, escape_levels=3, out_level=-1)
+    acc = CapVisitAccumulator(cfg, 2)
+    verdicts = record_visit(acc, 15.0 * acc.grid[0], 1).finalize().verdicts
+    assert verdicts[0] == UNDECIDED and (verdicts[1:] == OUT).all()
+    for bad in (-2, -3):
+        with pytest.raises(ValueError, match=r"estimator\.out_level must be >= -1"):
+            EstimatorConfig(grid_m=8, escape_levels=3, out_level=bad)
 
 
 # -- the cell-table update against the dense reference ------------------------

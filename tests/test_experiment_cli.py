@@ -119,6 +119,28 @@ def test_config_errors_name_fields():
         load_config(dict(MINIMAL, n_runs=0))
 
 
+def test_partial_estimator_keeps_spec_defaults():
+    # the fields an estimator object omits take EstimatorConfig.defaults_for(spec)
+    d3 = dict(MINIMAL, spec={"dimension": 3, "form": "coordinate_product",
+                             "laws": [{"name": "rademacher"}] * 3})
+    assert load_config(dict(d3, estimator={})).estimator == load_config(d3).estimator
+    assert load_config(dict(d3, estimator={})).estimator.grid_m == 256
+    log_spec = {"dimension": 2, "form": "radial_product", "laws": [{"name": "log_tail"}],
+                "atoms": [{"vector": [1.0, 0.0], "p": 0.5}, {"vector": [0.0, 1.0], "p": 0.5}]}
+    est = load_config(dict(MINIMAL, spec=log_spec, estimator={"kappa": 0.2})).estimator
+    assert (est.escape_r0, est.kappa) == (1e3, 0.2)
+    # a field the object names still wins
+    named = load_config(dict(d3, estimator={"grid_m": 32, "escape_r0": 5.0})).estimator
+    assert (named.grid_m, named.escape_r0) == (32, 5.0)
+
+
+def test_hull_tracked_m_sets_the_confinement_columns(tmp_path):
+    cfg = dict(MINIMAL, n_steps=64, hull_tracked_m=32)
+    run_experiment(load_config(cfg, out_dir=str(tmp_path)))
+    header = read(tmp_path / "run0_hull.csv").decode().split("\n")[0].split(",")
+    assert header == ["n", "r", "vertex_count"] + [f"confinement_{i}" for i in range(32)]
+
+
 SPEC = MINIMAL["spec"]
 RADIAL_SPEC = {"dimension": 2, "form": "radial_product",
                "laws": [{"name": "s_one_sided", "alpha": 1.0}],
@@ -146,6 +168,8 @@ BAD_FIELDS = [
     ("base_seed", -1, r"config\.base_seed must be >= 0"),
     ("run_seeds", [-1], r"config\.run_seeds must be non-negative"),
     ("estimator", {"grid_seed": -1}), ("estimator", {"kappa": 0}),
+    # finalize reads the visits above out_level; below -1 the slice would wrap
+    ("estimator", {"out_level": -2}),
     # spec, law and atom objects are checked like every other config object
     ("spec", dict(SPEC, drfit=[1, 0]), r"config\.spec has unexpected fields \['drfit'\]"),
     ("spec", dict(SPEC, dimension=True), r"config\.spec\.dimension must be an integer"),
@@ -697,6 +721,17 @@ def test_cli_plot_of_every_artifact_csv(spec, track_hull, tmp_path, capsys):
         else:
             assert code == 2 and not out.exists(), name
             assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+
+
+def test_cli_plot_rose_of_projections_names_the_verdict(tmp_path, capsys):
+    # a projections CSV has u_i and verdict columns, but its verdicts are not cap verdicts
+    run_experiment(load_config(dict(MINIMAL, n_steps=64), out_dir=str(tmp_path)))
+    out = tmp_path / "no.svg"
+    argv = ["plot", str(tmp_path / "run0_projections.csv"), "--kind", "rose", "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("error: a rose plot draws the cap verdicts "
+                                       "IN, OUT, UNDECIDED, not 'PLUS'\n")
+    assert not out.exists()
 
 
 def test_cli_plot_trajectory_vertices(tmp_path):

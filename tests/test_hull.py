@@ -21,8 +21,10 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 E1 = np.array([1.0, 0.0])
 
 
-def planar(points=None, tracked=((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))):
-    st = HullState.empty(2, tracked_dirs=tracked)
+def planar(points=None):
+    # direction_grid(2, 4) is the four axes to within 2e-16, so the ledger
+    # answers confinement((1.0, 0.0)) and the other axes
+    st = HullState.empty(2, m=4)
     if points is not None:
         st.update(points)
     return st
@@ -91,7 +93,7 @@ def test_confinement_ledger():
 
 
 def test_support_sketch_d3():
-    st = HullState.empty(3, support_m=32)
+    st = HullState.empty(3, m=32)
     rng = np.random.default_rng(3)
     st.update(np.zeros((1, 3)))
     st.update(rng.standard_normal((500, 3)) * 10)
@@ -102,26 +104,40 @@ def test_support_sketch_d3():
     assert st.vertex_count() >= 3
 
 
-@pytest.mark.parametrize("d", [3, 4])
-def test_one_product_when_sketch_and_ledger_share_a_grid(d):
-    # at the default sizes both are direction_grid(d, 16): one cached array,
-    # and each batch is multiplied by it once; a copy of it (another array)
-    # takes the second product, and every number comes out the same
-    shared = HullState.empty(d, support_m=16)
-    assert shared.tracked_dirs is shared.support_dirs
-    apart = HullState.empty(d, tracked_dirs=shared.tracked_dirs.copy(), support_m=16)
-    assert apart.tracked_dirs is not apart.support_dirs
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_supports_and_confinements_read_one_product(d):
+    # each batch is multiplied by the one grid once: the sketch keeps the
+    # column maxima of that product (d >= 3) and the ledger its column minima
+    st = HullState.empty(d, m=24)
+    assert len(st.tracked_dirs) == 24
     rng = np.random.default_rng(d)
     batches = [np.zeros((1, d), dtype=np.int64), rng.integers(-50, 51, (1, d)),
                rng.integers(-10**6, 10**6, (300, d)),
                rng.standard_normal((2, d)) * 1e3, rng.standard_normal((5000, d)) * 1e5]
-    for batch in batches:
-        shared.update(batch)
-        apart.update(batch)
-        assert shared.confinements.tobytes() == apart.confinements.tobytes()
-        assert shared.supports.tobytes() == apart.supports.tobytes()
-        assert shared.support_points.tobytes() == apart.support_points.tobytes()
-    assert np.all(np.isfinite(shared.confinements))
+    proj = [np.asarray(b, dtype=float) @ st.tracked_dirs.T for b in batches]
+    for k, batch in enumerate(batches, 1):
+        st.update(batch)
+        seen = np.vstack(proj[:k])
+        assert st.confinements.tobytes() == seen.min(axis=0).tobytes()
+        if d >= 3:
+            assert st.supports.tobytes() == seen.max(axis=0).tobytes()
+            points = np.vstack(batches[:k]).astype(float)
+            assert st.support_points.tobytes() == points[seen.argmax(axis=0)].tobytes()
+    assert np.all(np.isfinite(st.confinements))
+
+
+def test_tracker_default_grid_is_the_simulate_grid(tmp_path):
+    # HullTracker() and a default-config simulate build the same d = 3 grid
+    from walkangles.experiment import load_config, run_experiment
+    spec = coordinate_product([rademacher()] * 3)
+    tr = HullTracker()
+    run_walk(spec, 64, seed=0, observers=[tr])
+    config = load_config({"spec": {"dimension": 3, "form": "coordinate_product",
+                                   "laws": [{"name": "rademacher"}] * 3},
+                          "n_steps": 64}, out_dir=str(tmp_path))
+    result = run_experiment(config)
+    assert result.runs[0].hull.state.tracked_dirs is tr.state.tracked_dirs
+    assert len(tr.state.supports) == len(tr.state.tracked_dirs) == 16
 
 
 NAN = math.nan
@@ -136,15 +152,14 @@ NAN = math.nan
     [[7.0, 7.0, 7.0]],
 ], ids=["duplicates", "rounding", "signed-zeros", "nan", "one-row"])
 def test_vertex_count_matches_np_unique(rows):
-    st = HullState.empty(3, support_m=16)
+    st = HullState.empty(3)
     st.support_points = np.asarray(rows, dtype=float)
-    assert st.vertex_count() == len(np.unique(np.round(st.support_points, 9), axis=0))
+    assert st.vertex_count() == len(np.unique(st.support_points, axis=0))
 
 
 def test_vertex_count_past_rounding_range():
-    # rounding to 9 decimals scales by 1e9, past float range for these rows;
-    # they keep their unrounded values and stay distinct
-    st = HullState.empty(3, support_m=16)
+    # the rows are compared as they are, also far past 1e299
+    st = HullState.empty(3)
     st.support_points = np.array([[1e300, 0.0, 0.0], [1.0000000000000002e300, 0.0, 0.0],
                                   [0.0, 1e300, 0.0], [0.0, 0.0, -1e300]])
     assert st.vertex_count() == 4
