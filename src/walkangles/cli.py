@@ -163,6 +163,10 @@ def _vectors(rows, prefix: str) -> np.ndarray:
     return np.column_stack([_column(rows, name) for name in (f"{prefix}1", *more)])
 
 
+# the columns each plot kind reads (``_vectors`` reads s_2, u_2, ... when present)
+_PLOT_COLUMNS = {"trajectory": ("s_1",), "rose": ("u_1", "verdict"), "radius": ("n", "r")}
+
+
 def _cmd_plot(args) -> int:
     from .directions import VERDICT_NAMES
     from .plots import radius_svg, rose_svg, trajectory_svg
@@ -184,6 +188,10 @@ def _cmd_plot(args) -> int:
             kind = "trajectory"
         else:
             raise CliError("cannot infer plot kind from columns; pass --kind")
+    missing = [name for name in _PLOT_COLUMNS[kind] if name not in cols]
+    if missing:
+        raise CliError(f"a {kind} plot needs the column(s) {', '.join(missing)}, "
+                       f"which {args.csv} lacks")
     try:
         if kind == "trajectory":
             svg = trajectory_svg(_vectors(rows, "s_"))
@@ -196,7 +204,7 @@ def _cmd_plot(args) -> int:
             svg = rose_svg(_vectors(rows, "u_"), [codes[r["verdict"]] for r in rows])
         else:
             svg = radius_svg(_column(rows, "n"), _column(rows, "r"))
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(exc) from exc
     _write(args.output, svg)
     print(f"wrote {args.output}")

@@ -393,11 +393,12 @@ class CapVisitAccumulator(ObserverBase):
         np.not_equal(key[1:], key[:-1], out=new[1:])
         seg_starts = new.nonzero()[0]
         steps = steps.astype(float)
-        stat = (log_norms[:, None] - self._alphas * np.log(steps)[:, None])[rows]  # (R, A)
-        seg_max = np.maximum.reduceat(stat, seg_starts, axis=0)
+        # (A, R), so both reductions run along the runs; the results are (S, A)
+        stat = (log_norms - self._alphas[:, None] * np.log(steps)).take(rows, axis=1)
+        seg_max = np.maximum.reduceat(stat, seg_starts, axis=1).T
         windows = np.floor(np.log2(steps)).astype(np.int8)                      # 0..62
-        qual_window = np.where(stat > math.log(cfg.kappa), windows[rows, None], np.int8(-1))
-        top = np.maximum.reduceat(qual_window, seg_starts, axis=0)
+        qual_window = np.where(stat > math.log(cfg.kappa), windows[rows], np.int8(-1))
+        top = np.maximum.reduceat(qual_window, seg_starts, axis=1).T
         seg_key = key[seg_starts]
         if span == 1:
             seg_cols = seg_key

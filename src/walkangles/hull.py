@@ -181,17 +181,18 @@ class HullState:
         if len(batch) == 0:
             raise ValueError("a hull update needs a nonempty batch")
         arr = np.atleast_2d(np.asarray(batch))
-        f = np.asarray(arr, dtype=float)
-        proj = f @ self.tracked_dirs.T           # (B, M)
+        # the batch as (d, B) floats, so every reduction runs along the batch
+        ft = np.array(arr.T, dtype=float, order="C")
+        proj = self.tracked_dirs @ ft            # (M, B)
         if self.dimension == 2:
-            self._update_planar(arr, f)
+            self._update_planar(arr, ft)
         else:
             self._update_support(arr, proj)
-        np.minimum(self.confinements, proj.min(axis=0), out=self.confinements)
+        np.minimum(self.confinements, proj.min(axis=1), out=self.confinements)
         return self
 
-    def _update_planar(self, arr: np.ndarray, f: np.ndarray) -> None:
-        """Exact hull of the vertices and ``arr``; ``f`` is ``arr`` as float.
+    def _update_planar(self, arr: np.ndarray, ft: np.ndarray) -> None:
+        """Exact hull of the vertices and ``arr``; ``ft`` is ``arr.T`` as float.
 
         The batch's extreme points along ``_PROBE_DIRS`` (taken after scaling
         the batch to its bounding box, so sliver batches still give points
@@ -218,23 +219,28 @@ class HullState:
         (which stays above that error after its own rounding) on every edge,
         that is when its exact cross product is positive on every edge.
         Below M = 2**510 no product overflows; above it nothing is dropped.
+        A batch of fewer points than there are probes goes to the chain whole.
         """
-        lo, hi = f.min(axis=0), f.max(axis=0)
+        if len(arr) < len(_PROBE_DIRS):
+            self.vertices = convex_hull_2d(self.vertices + _tuples(arr))
+            return
+        lo, hi = ft.min(axis=1), ft.max(axis=1)
         # a batch spanning more than float range scales to inf and nan; any
         # probe is sound, as P only has to lie inside the hull
         with np.errstate(over="ignore", invalid="ignore"):
             span = np.where(hi > lo, hi - lo, 1.0)
             # repeated probes are harmless: the chain drops duplicate points
-            probes = (_PROBE_DIRS @ ((f - lo) / span).T).argmax(axis=1)
+            probes = (_PROBE_DIRS @ ((ft - lo[:, None]) / span[:, None])).argmax(axis=1)
         inner = convex_hull_2d(self.vertices + _tuples(arr[probes]))
         keep = np.ones(len(arr), dtype=bool)
         v = np.asarray(inner, dtype=float)
-        m = max(float(np.abs(v).max()), float(np.abs(f).max()))
+        # the batch's largest |coordinate| is a corner of its bounding box
+        m = max(float(np.abs(v).max()), -float(lo.min()), float(hi.max()))
         if len(inner) >= 3 and m < _BIG:
             k = _U * m if m > 2.0 ** 53 else 0.0
             (lx, ly), (hx, hy) = lo.tolist(), hi.tolist()
             # points not yet shown to be outside or near some edge
-            idx, x, y = np.arange(len(arr)), f[:, 0], f[:, 1]
+            idx, x, y = np.arange(len(arr)), ft[0], ft[1]
             for (ax, ay), (bx, by) in zip(v.tolist(), np.roll(v, -1, axis=0).tolist()):
                 ex, ey = abs(bx - ax), abs(by - ay)
                 rx_max = max(abs(hx - ax), abs(lx - ax))
@@ -253,9 +259,9 @@ class HullState:
             self.vertices = inner
 
     def _update_support(self, arr: np.ndarray, proj: np.ndarray) -> None:
-        """Absorb ``arr`` into the sketch; ``proj`` is ``arr @ tracked_dirs.T`` in float."""
-        best = proj.argmax(axis=0)
-        vals = proj[best, np.arange(proj.shape[1])]
+        """Absorb ``arr`` into the sketch; ``proj`` is ``tracked_dirs @ arr.T`` in float."""
+        best = proj.argmax(axis=1)
+        vals = proj[np.arange(len(proj)), best]
         better = vals > self.supports
         self.supports[better] = vals[better]
         self.support_points[better] = arr[best[better]]

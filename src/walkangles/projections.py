@@ -107,22 +107,23 @@ class ProjectionTracker(ObserverBase):
 
     def observe(self, block: WalkBlock) -> None:
         st = self.stats
+        # (M, B) values, so the extremes reduce along the block
         if st.log_scale:
             # psi in place on one array: a zero dot's log is -inf, which the
             # clamp and offset take to 0, and np.sign(+-0.0) is +0.0
-            dots = block.dirs @ self._dirs.T                     # (B, M)
+            dots = self._dirs @ block.dirs.T
             vals = np.abs(dots)
             with np.errstate(divide="ignore"):
                 np.log(vals, out=vals)
-            vals += block.log_norms[:, None]
+            vals += block.log_norms
             np.maximum(vals, -PSI_OFFSET, out=vals)
             vals += PSI_OFFSET
             vals *= np.sign(dots)
         else:
-            vals = block.positions @ self._dirs.T
-        self._cur_min = np.minimum(self._cur_min, vals.min(axis=0))
-        self._cur_max = np.maximum(self._cur_max, vals.max(axis=0))
-        st.final = vals[-1].copy()
+            vals = self._dirs @ np.asarray(block.positions, dtype=float).T
+        self._cur_min = np.minimum(self._cur_min, vals.min(axis=1))
+        self._cur_max = np.maximum(self._cur_max, vals.max(axis=1))
+        st.final = vals[:, -1].copy()
         if block.at_checkpoint:
             st.checkpoints.append(block.last_n)
             st.mins.append(self._cur_min)

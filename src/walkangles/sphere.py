@@ -26,6 +26,7 @@ __all__ = [
     "UnsupportedDimensionError",
     "normalize",
     "normalize_rows",
+    "row_norms",
     "hat",
     "chord",
     "interpolate",
@@ -51,8 +52,11 @@ class UnsupportedDimensionError(ValueError):
 # Only where |x|^2 overflows (finite coordinates past about 1.3e154) is x first
 # scaled by peak = max|x_i| (Blue, ACM TOMS 4(1), 1978): ||x|| = peak*||x/peak||.
 # Zero maps to zero with log-norm -inf; a NaN or infinite coordinate gives NaN.
-# The forms round differently (a 1-d norm is a BLAS dot product, a row norm
-# numpy's row reduction), and each caller keeps the one its pins were taken on.
+# The forms round differently: a 1-d norm is a BLAS dot product, and a row
+# norm is the fixed-order sum ((x0*x0 + x1*x1) + x2*x2) ..., taken column by
+# column so that every pass runs along the block.  Below 8 coordinates that is
+# the sum numpy's row reduction takes (it adds fewer than 8 entries left to
+# right), so each caller keeps the bytes its pins were taken on.
 
 def normalize(x) -> tuple[np.ndarray, float, float]:
     """``(x / ||x||, ||x||, log ||x||)`` of one vector, without overflow."""
@@ -68,12 +72,22 @@ def normalize(x) -> tuple[np.ndarray, float, float]:
         return v / peak / r, peak * r, math.log(peak) + math.log(r)
 
 
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """``sqrt((x0*x0 + x1*x1) + ...)`` of each row of a (B, d) float array,
+    summed left to right one column at a time."""
+    cols = rows.T
+    sq = cols[0] * cols[0]
+    for col in cols[1:]:
+        sq += col * col
+    return np.sqrt(sq, out=sq)
+
+
 def normalize_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row by row ``(row / ||row||, ||row||, log ||row||)`` of a (B, d) array,
     without overflow."""
     rows = np.asarray(rows, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(rows, axis=1)
+        norms = row_norms(rows)
         nz = norms != 0.0
         safe = np.where(nz, norms, 1.0)
         log_norms = np.where(nz, np.log(safe), -math.inf)
@@ -83,7 +97,7 @@ def normalize_rows(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             huge &= np.isfinite(rows).all(axis=1)
             peak = np.abs(rows[huge]).max(axis=1, keepdims=True)
             scaled = rows[huge] / peak
-            sub = np.linalg.norm(scaled, axis=1, keepdims=True)
+            sub = row_norms(scaled)[:, None]
             dirs[huge] = scaled / sub
             log_norms[huge] = np.log(peak[:, 0]) + np.log(sub[:, 0])
             norms[huge] = peak[:, 0] * sub[:, 0]

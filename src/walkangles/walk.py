@@ -29,7 +29,7 @@ import numpy as np
 
 from .rng import stream
 from .samplers import RADIAL_PRODUCT, IncrementSampler, IncrementSpec
-from .sphere import normalize, normalize_rows
+from .sphere import normalize, normalize_rows, row_norms
 
 __all__ = [
     "BLOCK",
@@ -320,7 +320,10 @@ def _scaled_accumulate(state: WalkState, xi_log: np.ndarray, atom_vecs: np.ndarr
 
 def _finite_prefix(values: np.ndarray) -> int:
     """Number of leading entries (rows, for a 2-d array) that are all finite."""
-    finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    cols = values.reshape(len(values), -1).T
+    finite = np.isfinite(cols[0])
+    for col in cols[1:]:
+        finite &= np.isfinite(col)
     return len(finite) if finite.all() else int(np.argmin(finite))
 
 
@@ -480,9 +483,12 @@ def _dominance_terms(spec: IncrementSpec, xi_max, xi_rest, dirs, atom_at_max):
             rho = np.exp(np.minimum(xi_rest - xi_max, 700.0))
         else:
             rho = np.where(xi_max > 0, xi_rest / np.maximum(xi_max, 1e-300), np.nan)
-        applicable = (rho < 1.0) & dirs.any(axis=1)
+        nonzero = dirs.T[0] != 0.0
+        for col in dirs.T[1:]:
+            nonzero |= col != 0.0
+        applicable = (rho < 1.0) & nonzero
         bound = np.where(applicable, 2.0 * rho / (1.0 - rho), np.inf)
-    actual = np.linalg.norm(dirs - np.asarray(spec.atoms, dtype=float)[atom_at_max], axis=1)
+    actual = row_norms(dirs - np.asarray(spec.atoms, dtype=float)[atom_at_max])
     return rho, bound, actual, applicable
 
 

@@ -734,6 +734,20 @@ def test_cli_plot_rose_of_projections_names_the_verdict(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, kind, missing", [
+    ("run0_trajectory.csv", "rose", "u_1, verdict"),
+    ("run0_hull.csv", "trajectory", "s_1"),
+    ("run0_directions.csv", "radius", "n, r"),
+])
+def test_cli_plot_names_the_missing_columns(name, kind, missing, tmp_path, capsys):
+    run_experiment(load_config(dict(MINIMAL, n_steps=64), out_dir=str(tmp_path)))
+    path, out = tmp_path / name, tmp_path / "no.svg"
+    assert main(["plot", str(path), "--kind", kind, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: a {kind} plot needs the column(s) "
+                                       f"{missing}, which {path} lacks\n")
+    assert not out.exists()
+
+
 def test_cli_plot_trajectory_vertices(tmp_path):
     csv_path = tmp_path / "traj.csv"
     csv_path.write_text("n,s_1,s_2,norm,shat_1,shat_2\n"

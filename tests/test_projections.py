@@ -11,7 +11,8 @@ from walkangles.projections import (MINUS, OSC, PLUS, PSI_OFFSET, UNDECIDED,
                                     scan_exceptional)
 from walkangles.samplers import (coordinate_product, constant, linear_combination,
                                  log_tail, radial_product, rademacher, s_two_sided)
-from walkangles.walk import NEG_INF, WalkBlock, dyadic_checkpoints, run_walk
+from walkangles.walk import (BLOCK, NEG_INF, ObserverBase, WalkBlock, dyadic_checkpoints,
+                             run_walk)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -340,16 +341,29 @@ def reference_psi(dots: np.ndarray, log_norms: np.ndarray) -> np.ndarray:
 
 
 class FixedDots:
-    """Stands in for a block's directions: its product with the tracker's grid
-    is ``dots``, so the test sets each projection, -0.0 included, which no
-    BLAS product gives."""
+    """Stands in for a block's (B x M) directions: the tracker's grid times
+    its transpose is ``dots.T``, so the test sets each projection, -0.0
+    included, which no BLAS product gives."""
 
     def __init__(self, dots: np.ndarray):
         self.dots = dots
 
-    def __matmul__(self, grid_t: np.ndarray) -> np.ndarray:
-        assert grid_t.shape[1] == self.dots.shape[1]
-        return self.dots.copy()
+    @property
+    def T(self) -> "FixedProduct":
+        return FixedProduct(self.dots.T)
+
+
+class FixedProduct:
+    """``grid @ FixedProduct(values)`` is a C-ordered copy of the (M x B) ``values``."""
+
+    __array_ufunc__ = None      # ndarray @ defers to __rmatmul__
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def __rmatmul__(self, grid: np.ndarray) -> np.ndarray:
+        assert grid.shape[0] == self.values.shape[0]
+        return self.values.copy()
 
 
 def psi_blocks(rng, m: int):
@@ -391,6 +405,49 @@ def test_log_scale_psi_matches_former_formula_bytewise():
     tr.finish()
     assert tr.stats.mins.tobytes() == np.array(ref_mins).tobytes()
     assert tr.stats.maxes.tobytes() == np.array(ref_maxes).tobytes()
+
+
+class PieceRecorder(ObserverBase):
+    def __init__(self):
+        self.pieces = []
+
+    def observe(self, block: WalkBlock) -> None:
+        self.pieces.append((block.positions, block.at_checkpoint))
+
+
+LADDER_SPECS = {
+    "lattice-2": coordinate_product([rademacher(), s_two_sided(0.5)]),
+    "lattice-3": coordinate_product([s_two_sided(1.5), s_two_sided(1.5), rademacher()]),
+    "lattice-4": coordinate_product([rademacher()] * 4),
+    "float-2": linear_combination([[0.5, 0.25], [-0.125, 1.0]], [rademacher(), s_two_sided(0.7)]),
+    "float-3": linear_combination([[1.0, 0.1, 0.0], [0.0, 0.3, -1.5], [0.7, 0.0, 0.2]],
+                                  [rademacher(), s_two_sided(1.2), s_two_sided(0.9)]),
+    "float-4": linear_combination(np.eye(4) * 0.3 + 0.1, [s_two_sided(1.5)] * 4),
+}
+
+
+@pytest.mark.parametrize("name", LADDER_SPECS)
+def test_tracker_ladder_is_the_column_extremes(name):
+    # the tracker's (M x B) values, reduced along each block, give the column
+    # extremes of project_series over the same pieces, byte for byte.  Each
+    # piece takes its own product: a 1-row product can differ in its last
+    # bit from the same row inside a larger one, in either layout
+    spec = LADDER_SPECS[name]
+    assert (spec.scale_mode, spec.dimension) == (name[:-2], int(name[-1]))
+    tr, rec = ProjectionTracker(grid_m=64), PieceRecorder()
+    run_walk(spec, 3 * BLOCK + 1000, seed=3, observers=[tr, rec])
+    lo = hi = np.zeros(len(tr.directions))
+    mins, maxes = [], []
+    for positions, at_checkpoint in rec.pieces:
+        ref = project_series(positions, tr.directions, [len(positions)])
+        lo, hi = np.minimum(lo, ref.mins[0]), np.maximum(hi, ref.maxes[0])
+        if at_checkpoint:
+            mins.append(lo)
+            maxes.append(hi)
+    assert len(mins) == len(tr.stats.checkpoints) > 10
+    assert tr.stats.mins.tobytes() == np.array(mins).tobytes()
+    assert tr.stats.maxes.tobytes() == np.array(maxes).tobytes()
+    assert tr.stats.final.tobytes() == ref.final.tobytes()
 
 
 @pytest.mark.parametrize("spec", [TRACKER_SPECS[1], TRACKER_SPECS[4]], ids=["float", "log"])

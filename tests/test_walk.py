@@ -421,6 +421,21 @@ def test_log_walk_halts_at_infinite_log_magnitude(seed):
     assert "nan" not in rec.to_csv()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_finite_prefix_reads_every_column(d, bad):
+    rows = np.arange(40.0 * d).reshape(40, d)
+    assert walk_module._finite_prefix(rows) == 40
+    assert walk_module._finite_prefix(rows[:, 0]) == 40
+    for col in range(d):
+        for at in (0, 17, 39):
+            cut = rows.copy()
+            cut[at, col] = bad
+            cut[at + 1:, (col + 1) % d] = bad      # later rows never count
+            assert walk_module._finite_prefix(cut) == at
+            assert walk_module._finite_prefix(cut[:, col]) == at
+
+
 def test_float_norms_past_square_overflow():
     # |S| near 1e200 squares to inf; directions, log-norms and norms stay
     # finite in the blocks, the final state and the CSV
