@@ -39,9 +39,10 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentConfig:
     """One experiment.  ``projection_grid_m`` and ``hull_tracked_m`` are grid
-    sizes, at most ``sphere.MAX_GRID_M`` (4096): every block is projected on
-    the whole grid in one (block x grid) float64 product, 512 MiB at the
-    bound."""
+    sizes, at most ``sphere.MAX_GRID_M`` (4096): a block of 2**14 steps is
+    projected on a whole grid in one (grid x block) float64 product, 512 MiB
+    at the bound (1.5 GiB on a log-scale walk, which holds three such arrays);
+    the hull takes one only when its grid does not nest in the projection grid."""
 
     spec: IncrementSpec
     n_steps: int
@@ -195,7 +196,7 @@ def _one_run(config: ExperimentConfig, index: int) -> RunResult:
     observers = [acc, proj]
     hull = None
     if config.track_hull:
-        hull = HullTracker(config.hull_tracked_m)
+        hull = HullTracker(config.hull_tracked_m, ladder=proj)
         observers.append(hull)
     record = run_walk(spec, config.n_steps, seed, observers=observers)
     hull_report = hull_growth_report(hull) if hull else None

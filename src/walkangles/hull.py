@@ -6,19 +6,18 @@ Each batch is first filtered against an inner polygon P, the exact hull of
 the current vertices and the batch's extreme points along 16 directions
 (Akl and Toussaint, IPL 7(5), 1978).  A point is dropped only when its float
 cross product with every edge of P exceeds a static error bound (in the
-style of Shewchuk, DCG 1997; stated in ``HullState._update_planar``) that
-also covers the rounding of int64 coordinates above 2**53, so a dropped
-point is certainly strictly inside P and the hull is exactly the one a
-single chain over every point gives.
-Higher dimensions keep a support-function sketch over a fixed direction
-grid: the running maximum of S_k . u per grid direction plus the points that
-achieved it; the inscribed radius derived from the sketch is an upper bound
-on the true one with grid-resolution error.
+style of Shewchuk, DCG 1997; stated in ``HullState.update``) that also
+covers the rounding of int64 coordinates above 2**53, so a dropped point is
+certainly strictly inside P and the hull is exactly the one a single chain
+over every point gives.
 
-The confinement ledger tracks inf_{k<=n} S_k . u over the same grid; a value
-that stops moving while the inscribed radius is frozen witnesses confinement
-to a half-space.  Each batch is multiplied by the grid once, and the sketch
-and the ledger read that one product.
+Over a fixed direction grid, max_{k<=n} S_k . u is the hull's support
+function (Schneider, *Convex Bodies*, 2nd ed., section 1.7), and a
+confinement value min_{k<=n} S_k . u that stops moving while the inscribed
+radius is frozen witnesses confinement to a half-space.  The hull reads both
+from a ``ProjectionTracker``.  Higher dimensions keep only the support sketch
+(the maxima and a point attaining each), whose inscribed radius is an upper
+bound on the true one with grid-resolution error.
 """
 from __future__ import annotations
 
@@ -27,17 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .projections import ProjectionTracker, stabilized
 from .sphere import direction_grid
 from .walk import ObserverBase, UnsupportedSpecError, WalkBlock, csv_text
 
-__all__ = [
-    "FULL_SPACE_TREND", "CONFINED", "NO_TREND",
-    "HullState",
-    "HullTracker",
-    "hull_growth_report",
-    "convex_hull_2d",
-    "point_in_convex_polygon",
-]
+__all__ = ["FULL_SPACE_TREND", "CONFINED", "NO_TREND", "HullState", "SupportSketch",
+           "HullTracker", "hull_growth_report", "convex_hull_2d", "point_in_convex_polygon"]
 
 FULL_SPACE_TREND = "FULL_SPACE_TREND"
 CONFINED = "CONFINED"
@@ -158,41 +152,12 @@ def _segment_distance(a, b) -> float:
 
 @dataclass
 class HullState:
-    """Hull of the points seen so far plus the confinement ledger."""
+    """Exact hull polygon of the planar points seen so far."""
 
-    dimension: int
-    vertices: list = field(default_factory=list)      # d=2: CCW tuples
-    tracked_dirs: np.ndarray | None = None            # the one direction grid
-    supports: np.ndarray | None = None                # d>=3: running max of p . u
-    support_points: np.ndarray | None = None
-    confinements: np.ndarray | None = None            # running min of p . u
-
-    @classmethod
-    def empty(cls, dimension: int, m: int = 16) -> "HullState":
-        st = cls(dimension=dimension, tracked_dirs=direction_grid(dimension, m))
-        if dimension >= 3:
-            st.supports = np.full(m, -np.inf)
-            st.support_points = np.zeros((m, dimension))
-        st.confinements = np.full(m, np.inf)
-        return st
+    vertices: list = field(default_factory=list)      # CCW tuples
 
     def update(self, batch) -> "HullState":
-        """Absorb a batch of points; hull(hull(A) | B) = hull(A | B)."""
-        if len(batch) == 0:
-            raise ValueError("a hull update needs a nonempty batch")
-        arr = np.atleast_2d(np.asarray(batch))
-        # the batch as (d, B) floats, so every reduction runs along the batch
-        ft = np.array(arr.T, dtype=float, order="C")
-        proj = self.tracked_dirs @ ft            # (M, B)
-        if self.dimension == 2:
-            self._update_planar(arr, ft)
-        else:
-            self._update_support(arr, proj)
-        np.minimum(self.confinements, proj.min(axis=1), out=self.confinements)
-        return self
-
-    def _update_planar(self, arr: np.ndarray, ft: np.ndarray) -> None:
-        """Exact hull of the vertices and ``arr``; ``ft`` is ``arr.T`` as float.
+        """Absorb a batch of planar points; hull(hull(A) | B) = hull(A | B).
 
         The batch's extreme points along ``_PROBE_DIRS`` (taken after scaling
         the batch to its bounding box, so sliver batches still give points
@@ -221,9 +186,15 @@ class HullState:
         Below M = 2**510 no product overflows; above it nothing is dropped.
         A batch of fewer points than there are probes goes to the chain whole.
         """
+        arr = np.atleast_2d(np.asarray(batch))
+        if len(arr) == 0 or arr.shape[1] != 2:
+            raise ValueError(f"a hull update needs a nonempty batch of points 2 coordinates "
+                             f"wide, got {len(arr)} points {arr.shape[1]} coordinates wide")
+        # the batch as (2, B) floats, so every reduction runs along the batch
+        ft = np.array(arr.T, dtype=float, order="C")
         if len(arr) < len(_PROBE_DIRS):
             self.vertices = convex_hull_2d(self.vertices + _tuples(arr))
-            return
+            return self
         lo, hi = ft.min(axis=1), ft.max(axis=1)
         # a batch spanning more than float range scales to inf and nan; any
         # probe is sound, as P only has to lie inside the hull
@@ -257,41 +228,20 @@ class HullState:
             self.vertices = convex_hull_2d(inner + _tuples(arr[keep]))
         else:
             self.vertices = inner
-
-    def _update_support(self, arr: np.ndarray, proj: np.ndarray) -> None:
-        """Absorb ``arr`` into the sketch; ``proj`` is ``tracked_dirs @ arr.T`` in float."""
-        best = proj.argmax(axis=1)
-        vals = proj[np.arange(len(proj)), best]
-        better = vals > self.supports
-        self.supports[better] = vals[better]
-        self.support_points[better] = arr[best[better]]
+        return self
 
     def vertex_count(self) -> int:
-        if self.dimension == 2:
-            return len(self.vertices)
-        # the rows are copies of walk positions, so a vertex that several
-        # directions share is one row repeated exactly.  Distinct rows are
-        # counted as np.unique(..., axis=0) counts them, without its import
-        # of numpy.ma: sorted, equal rows are adjacent
-        pts = self.support_points
-        pts = pts[np.lexsort(pts.T[::-1])]
-        return 1 + int(np.any(pts[1:] != pts[:-1], axis=1).sum())
+        return len(self.vertices)
 
     def inscribed_radius(self) -> float:
         """Largest r with the origin-centered r-ball inside the hull.
 
-        d = 2: 0 when the origin is outside or on the boundary (decided
-        exactly for integer vertices), else the least distance from the
-        origin to an edge, each taken in floats with one ``math.hypot``, on
-        float vertices scaled by a power of two from ``_BIG`` on.  So the
-        value may be off in its last bits; ``HullTracker`` clamps it with
-        ``max(r, r_prev)`` to keep the series non-decreasing.
-        d >= 3: grid upper bound max(0, min_u supports[u]).
+        0 when the origin is outside or on the boundary (decided exactly for
+        integer vertices), else the least distance from the origin to an edge,
+        each taken in floats with one ``math.hypot``, on float vertices scaled
+        by a power of two from ``_BIG`` on.  So the value may be off in its
+        last bits; ``HullTracker`` clamps it with ``max(r, r_prev)``.
         """
-        if self.dimension != 2:
-            if self.supports is None or not np.isfinite(self.supports).all():
-                return 0.0
-            return max(0.0, float(self.supports.min()))
         if len(self.vertices) < 3:
             return 0.0
         verts, k = _shrink(self.vertices)
@@ -301,17 +251,26 @@ class HullState:
                    for i in range(len(verts)))
         return best * 2.0 ** k
 
-    def confinement(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        match = np.flatnonzero(np.linalg.norm(self.tracked_dirs - u, axis=1) < 1e-9)
-        if len(match) == 0:
-            raise ValueError("direction is not tracked by this hull state")
-        return float(self.confinements[match[0]])
 
-    def contains(self, p) -> bool:
-        if self.dimension != 2:
-            raise UnsupportedSpecError("exact membership is planar-only")
-        return point_in_convex_polygon(self.vertices, tuple(p))
+@dataclass
+class SupportSketch:
+    """d >= 3: the hull's support function on its grid, max_{k<=n} S_k . u,
+    and for each grid direction the first S_k that attains it."""
+
+    supports: np.ndarray
+    support_points: np.ndarray
+
+    def vertex_count(self) -> int:
+        # the rows are copies of walk positions, so a shared vertex repeats
+        # exactly; sorted, equal rows are adjacent, and distinct rows are
+        # counted as np.unique(..., axis=0) counts them, without numpy.ma
+        pts = self.support_points
+        pts = pts[np.lexsort(pts.T[::-1])]
+        return 1 + int(np.any(pts[1:] != pts[:-1], axis=1).sum())
+
+    def inscribed_radius(self) -> float:
+        """Grid upper bound max(0, min_u supports[u]) on the inscribed radius."""
+        return max(0.0, float(self.supports.min())) if np.isfinite(self.supports).all() else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -326,37 +285,62 @@ class HullCheckpoint:
 
 
 class HullTracker(ObserverBase):
-    """Maintains the trajectory hull and snapshots r_n at checkpoints."""
+    """Maintains the trajectory hull and snapshots r_n at checkpoints.
 
-    def __init__(self, m: int = 16):
-        self._m = m
-        self.state: HullState | None = None
+    The confinements, and at d >= 3 the sketch (``state``, as of the last
+    checkpoint), are the columns ``tracked_dirs = direction_grid(d, m)`` of
+    ``ladder``, a ProjectionTracker that observes each block first.  Without
+    one, or where it lacks a grid row bitwise, the hull drives its own.
+    """
+
+    def __init__(self, m: int = 16, ladder: ProjectionTracker | None = None):
+        self._m, self._shared = m, ladder
+        self.state: HullState | SupportSketch | None = None
         self.series: list[HullCheckpoint] = []
 
     def begin(self, spec, n_steps):
         if spec.scale_mode == "log":
-            raise UnsupportedSpecError(
-                "hull tracking is not supported for log-scale walks")
-        self.state = HullState.empty(spec.dimension, self._m)
-        # S_0 = 0, as an int for lattice walks so the planar chain stays exact
-        dtype = np.int64 if spec.scale_mode == "lattice" else float
-        self.state.update(np.zeros((1, spec.dimension), dtype=dtype))
+            raise UnsupportedSpecError("hull tracking is not supported for log-scale walks")
+        d = spec.dimension
+        grid = self.tracked_dirs = direction_grid(d, self._m)
+        self.ladder = self._shared
+        self._cols = None if self.ladder is None else self.ladder.columns(grid, argmax=d > 2)
+        if self._cols is None:
+            self.ladder = ProjectionTracker(grid)
+            self.ladder.begin(spec, n_steps)
+            self._cols = self.ladder.columns(grid, argmax=d > 2)
+        if d == 2:
+            # S_0 = 0, as an int for lattice walks so the chain stays exact
+            dtype = np.int64 if spec.scale_mode == "lattice" else float
+            self.state = HullState().update(np.zeros((1, 2), dtype=dtype))
+        else:
+            self.state = SupportSketch(np.zeros(self._m), np.zeros((self._m, d)))
         self._r_prev = 0.0
 
     def observe(self, block: WalkBlock) -> None:
-        self.state.update(block.positions)
-        if block.at_checkpoint:
-            r = self.state.inscribed_radius()
-            # the true radius is monotone; the max() guards against last-ulp
-            # jitter when an edge is re-derived from new endpoints
-            r = max(r, self._r_prev)
-            self._r_prev = r
-            self.series.append(HullCheckpoint(
-                n=block.last_n, r=r, vertex_count=self.state.vertex_count(),
-                confinements=self.state.confinements.copy()))
+        ladder = self.ladder
+        if ladder is not self._shared:
+            ladder.observe(block)
+        if isinstance(self.state, HullState):
+            self.state.update(block.positions)
+        if not block.at_checkpoint:
+            return
+        if ladder.stats.checkpoints[-1:] != [block.last_n]:
+            raise ValueError(f"the projection ladder has not recorded checkpoint "
+                             f"{block.last_n}: it must observe before the hull")
+        if isinstance(self.state, SupportSketch):
+            self.state = SupportSketch(ladder.running_max[self._cols],
+                                       ladder.argmax_rows[self._cols])
+        # the true radius is monotone; the max() guards against last-ulp
+        # jitter when an edge is re-derived from new endpoints
+        r = max(self.state.inscribed_radius(), self._r_prev)
+        self._r_prev = r
+        self.series.append(HullCheckpoint(
+            n=block.last_n, r=r, vertex_count=self.state.vertex_count(),
+            confinements=ladder.stats.mins[-1][self._cols]))
 
     def to_csv(self) -> str:
-        m = len(self.state.tracked_dirs)
+        m = len(self.tracked_dirs)
         cols = ["n", "r", "vertex_count"] + [f"confinement_{i}" for i in range(m)]
         series = self.series
         confinements = np.array([cp.confinements for cp in series]).reshape(len(series), m)
@@ -385,19 +369,15 @@ def hull_growth_report(tracker: HullTracker) -> HullGrowthReport:
     """
     series = tracker.series
     flag = NO_TREND
-    stabilized: list[int] = []
+    frozen: list[int] = []
     if len(series) >= GROWTH_EVENTS + 1:
-        rs = [cp.r for cp in series]
-        growth_events = sum(b > a for a, b in zip(rs, rs[1:]))
-        half = (len(series) + 1) // 2
-        froze = all(r == rs[-half] for r in rs[-half:])
-        confs = np.stack([cp.confinements for cp in series[-half:]])
-        unchanged = np.all(confs == confs[0], axis=0)
-        if froze:
-            stabilized = list(np.flatnonzero(unchanged))
-        if froze and stabilized:
+        rs = np.array([cp.r for cp in series])
+        confs = np.stack([cp.confinements for cp in series])
+        if stabilized(rs):
+            frozen = list(np.flatnonzero(stabilized(confs)))
+        if frozen:
             flag = CONFINED
-        elif growth_events >= GROWTH_EVENTS:
+        elif (rs[1:] > rs[:-1]).sum() >= GROWTH_EVENTS:
             flag = FULL_SPACE_TREND
-    return HullGrowthReport(series=series, flag=flag, stabilized_dirs=stabilized,
-                            tracked_dirs=tracker.state.tracked_dirs)
+    return HullGrowthReport(series=series, flag=flag, stabilized_dirs=frozen,
+                            tracked_dirs=tracker.tracked_dirs)

@@ -79,31 +79,40 @@ class ProjectionStats:
 class ProjectionTracker(ObserverBase):
     """Per-step running min/max of the projections onto a direction grid.
 
-    After ``finish``, ``stats`` holds the ladder of every direction up to the
-    last checkpoint the walk reached.
+    ``running_min`` and ``running_max`` hold the extremes so far; after
+    ``finish``, ``stats`` holds the ladder of every direction up to the last
+    checkpoint the walk reached.
     """
 
     def __init__(self, directions: np.ndarray | None = None, grid_m: int = 64):
-        self._dirs = None if directions is None else np.atleast_2d(
+        self.directions = None if directions is None else np.atleast_2d(
             np.asarray(directions, dtype=float))
         self._grid_m = grid_m
         self.stats: ProjectionStats | None = None
 
     def begin(self, spec, n_steps):
-        if self._dirs is None:
-            self._dirs = direction_grid(spec.dimension, self._grid_m)
-        m = len(self._dirs)
+        if self.directions is None:
+            self.directions = direction_grid(spec.dimension, self._grid_m)
+        m = len(self.directions)
         # S_0 = 0 is part of every trajectory
-        self._cur_min = np.zeros(m)
-        self._cur_max = np.zeros(m)
+        self.running_min, self.running_max = np.zeros(m), np.zeros(m)
+        self._argmax_cols, self.argmax_rows = None, np.zeros((m, spec.dimension))
         # mins and maxes collect one row per checkpoint; finish stacks them
         self.stats = ProjectionStats(
-            directions=self._dirs, checkpoints=[], mins=[], maxes=[],
+            directions=self.directions, checkpoints=[], mins=[], maxes=[],
             final=np.zeros(m), n_steps=n_steps, log_scale=spec.scale_mode == "log")
 
-    @property
-    def directions(self) -> np.ndarray:
-        return self._dirs
+    def columns(self, directions: np.ndarray, argmax: bool = False) -> np.ndarray | None:
+        """The columns whose directions equal the rows of ``directions`` bitwise,
+        or None when one is absent.  With ``argmax``, row c of ``argmax_rows``
+        is from then on the first S_k at which column c reached its maximum."""
+        if self.stats is None:
+            raise ValueError("the projection ladder has not begun")
+        index = {row.tobytes(): i for i, row in enumerate(self.directions)}
+        cols = [index.get(row.tobytes()) for row in directions]
+        if argmax and None not in cols:
+            self._argmax_cols = np.array(cols)
+        return None if None in cols else np.array(cols)
 
     def observe(self, block: WalkBlock) -> None:
         st = self.stats
@@ -111,7 +120,7 @@ class ProjectionTracker(ObserverBase):
         if st.log_scale:
             # psi in place on one array: a zero dot's log is -inf, which the
             # clamp and offset take to 0, and np.sign(+-0.0) is +0.0
-            dots = self._dirs @ block.dirs.T
+            dots = self.directions @ block.dirs.T
             vals = np.abs(dots)
             with np.errstate(divide="ignore"):
                 np.log(vals, out=vals)
@@ -120,18 +129,23 @@ class ProjectionTracker(ObserverBase):
             vals += PSI_OFFSET
             vals *= np.sign(dots)
         else:
-            vals = self._dirs @ np.asarray(block.positions, dtype=float).T
-        self._cur_min = np.minimum(self._cur_min, vals.min(axis=1))
-        self._cur_max = np.maximum(self._cur_max, vals.max(axis=1))
+            vals = self.directions @ np.asarray(block.positions, dtype=float).T
+        top = vals.max(axis=1)
+        if self._argmax_cols is not None:
+            cols = self._argmax_cols
+            grew = cols[top[cols] > self.running_max[cols]]
+            self.argmax_rows[grew] = block.positions[vals[grew].argmax(axis=1)]
+        self.running_min = np.minimum(self.running_min, vals.min(axis=1))
+        self.running_max = np.maximum(self.running_max, top)
         st.final = vals[:, -1].copy()
         if block.at_checkpoint:
             st.checkpoints.append(block.last_n)
-            st.mins.append(self._cur_min)
-            st.maxes.append(self._cur_max)
+            st.mins.append(self.running_min)
+            st.maxes.append(self.running_max)
 
     def finish(self) -> None:
         st = self.stats
-        shape = (len(st.checkpoints), len(self._dirs))
+        shape = (len(st.checkpoints), len(self.directions))
         st.mins = np.array(st.mins).reshape(shape)
         st.maxes = np.array(st.maxes).reshape(shape)
 
@@ -160,6 +174,10 @@ def project_series(positions, u, checkpoints=None) -> ProjectionStats:
     n = len(proj) - 1
     if checkpoints is None:
         checkpoints = dyadic_checkpoints(n)
+    checkpoints = list(checkpoints)
+    if any(not isinstance(b, (int, np.integer)) or a >= b
+           for a, b in zip([0] + checkpoints, checkpoints)):
+        raise ValueError("checkpoints must be strictly increasing positive integers")
     checkpoints = [c for c in checkpoints if c <= n]
     return ProjectionStats(
         directions=dirs, checkpoints=checkpoints,
@@ -172,7 +190,7 @@ def project_series(positions, u, checkpoints=None) -> ProjectionStats:
 # classification: every helper maps (K x M) ladders or (M,) rows to one
 # boolean per direction, comparing element by element
 
-def _stabilized(values: np.ndarray) -> np.ndarray:
+def stabilized(values: np.ndarray) -> np.ndarray:
     """Exactly constant over the last half of the checkpoint ladder."""
     half = (len(values) + 1) // 2
     tail = values[-half:]
@@ -245,10 +263,10 @@ def classify(stats: ProjectionStats,
     final_far = _exceeds_scale(final, thresholds.final_scale * math.sqrt(stats.n_steps), ls)
     # PLUS: floor frozen, ceiling compounding, endpoint far out on + side,
     # and the negative side negligible next to the positive one.
-    plus = (_stabilized(mins) & (final > 0) & final_far
+    plus = (stabilized(mins) & (final > 0) & final_far
             & _side_dominates(maxes[-1], mins[-1], thresholds.side_ratio, ls))
     plus = _grew_each(maxes, cps, growth, ls, among=plus)
-    minus = (_stabilized(maxes) & (final < 0) & final_far
+    minus = (stabilized(maxes) & (final < 0) & final_far
              & _side_dominates(-mins[-1], -maxes[-1], thresholds.side_ratio, ls))
     minus = _grew_each(-mins, cps, growth, ls, among=minus)
     above, below = _past_floor(stats, thresholds)

@@ -45,7 +45,7 @@ def _report_example(num: int, label: str, report, pin: str) -> None:
 # ---------------------------------------------------------------------------
 
 def test_criterion_01_exact_geometry():
-    hull = HullState.empty(2)
+    hull = HullState()
     hull.update([(1, 0), (-1, 0), (0, 1), (0, -1)])
     r = hull.inscribed_radius()
     ok_r = abs(r - 1.0 / math.sqrt(2.0)) <= 1e-12

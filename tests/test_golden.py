@@ -1,7 +1,8 @@
 """Golden SHA-256 pins for the artifacts the engine, samplers and observers produce.
 
 ``golden.json`` holds the ``manifest.json`` digest of each committed config and
-of four small configs that reach the float and heavy-tail paths, the digest
+of seven small configs that reach the float and heavy-tail paths, the d = 4
+hull and the hull's own projection ladder, the digest
 of each worked-example report at its committed scale and of each example
 regime at a small scale, and the digest of the ``pruitt --csv`` table of
 four tails.  A manifest digest covers the config,
@@ -9,8 +10,9 @@ the spawned seeds and the SHA-256 of every artifact file, so any change to an
 artifact byte shows here.  Such a change needs a deliberate pin update, never
 a regeneration switch: a mismatch prints the actual digest.
 
-The benchmark's workloads are pinned in ``perfbench/pins.json``; they are the
-only pins that reach the d=3 hull, and they are checked here as well.
+The benchmark's workloads are pinned in ``perfbench/pins.json`` and checked
+here as well; with the extra configs they pin both wirings of the hull's
+projection ladder, the run's own tracker and one the hull drives itself.
 """
 import glob
 import hashlib
@@ -60,6 +62,22 @@ EXTRA_CONFIGS = {
         "dimension": 2, "form": "radial_product",
         "laws": [_law("s_one_sided", alpha=1.0)],
         "atoms": [{"vector": [1.0, 0.0], "p": 0.5}, {"vector": [0.0, 1.0], "p": 0.5}]}),
+    # the d >= 3 hull sketch at d = 4, read from the projection ladder
+    "d4-coordinate-product-hull": _small({
+        "dimension": 4, "form": "coordinate_product",
+        "laws": [_law("rademacher"), _law("s_two_sided", alpha=1.5),
+                 _law("constant", value=0.5), _law("s_two_sided", alpha=0.8)]}),
+    # a projection grid the hull's grid does not nest in: the hull drives a
+    # ladder of its own
+    "d2-hull-own-ladder": {**_small({
+        "dimension": 2, "form": "coordinate_product",
+        "laws": [_law("rademacher"), _law("s_two_sided", alpha=0.5)]}),
+        "projection_grid_m": 8},
+    "d3-hull-own-ladder": {**_small({
+        "dimension": 3, "form": "coordinate_product",
+        "laws": [_law("s_two_sided", alpha=1.5), _law("s_two_sided", alpha=1.5),
+                 _law("rademacher")]}),
+        "projection_grid_m": 8},
 }
 
 

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from walkangles import hull
-from walkangles.hull import (CONFINED, FULL_SPACE_TREND, HullState,
-                             HullTracker, convex_hull_2d, hull_growth_report,
+from walkangles.hull import (CONFINED, FULL_SPACE_TREND, HullState, HullTracker,
+                             SupportSketch, convex_hull_2d, hull_growth_report,
                              point_in_convex_polygon)
+from walkangles.projections import ProjectionTracker
 from walkangles.samplers import (coordinate_product, constant, rademacher,
                                  s_two_sided)
-from walkangles.walk import ObserverBase, UnsupportedSpecError, run_walk
+from walkangles.walk import ObserverBase, UnsupportedSpecError, WalkBlock, run_walk
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -22,9 +23,7 @@ E1 = np.array([1.0, 0.0])
 
 
 def planar(points=None):
-    # direction_grid(2, 4) is the four axes to within 2e-16, so the ledger
-    # answers confinement((1.0, 0.0)) and the other axes
-    st = HullState.empty(2, m=4)
+    st = HullState()
     if points is not None:
         st.update(points)
     return st
@@ -81,22 +80,28 @@ def test_inscribed_ball_really_inside():
         assert point_in_convex_polygon(st.vertices, p)
 
 
-def test_confinement_ledger():
-    st = planar()
-    st.update(np.zeros((1, 2)))              # S_0
-    st.update(np.arange(1, 11)[:, None] * E1)
-    assert st.confinement((1.0, 0.0)) == 0.0
-    assert st.confinement((-1.0, 0.0)) == -10.0
-    assert st.confinement((0.0, 1.0)) <= 0.0      # S_0 pins every direction
-    with pytest.raises(ValueError):
-        st.confinement((0.6, 0.8))
+def test_planar_update_rejects_other_widths():
+    # without the check, the third coordinate would be dropped silently
+    for batch in ([[1, 2, 3]], np.zeros((5, 3)), [[1], [2]]):
+        with pytest.raises(ValueError, match=f"{np.shape(batch)[1]} coordinates wide$"):
+            HullState().update(batch)
+    assert HullState().update([[1, 2]]).vertices == [(1, 2)]
+
+
+def sketch_of(points, m=16):
+    """The d >= 3 state of a HullTracker fed ``points`` as one block after S_0."""
+    points = np.asarray(points)
+    n, d = points.shape
+    tr = HullTracker(m)
+    tr.begin(coordinate_product([s_two_sided(1.5)] * d), n)
+    tr.observe(WalkBlock(first_n=1, dirs=np.zeros((n, d)), log_norms=np.zeros(n),
+                         positions=points, at_checkpoint=True))
+    return tr.state
 
 
 def test_support_sketch_d3():
-    st = HullState.empty(3, m=32)
     rng = np.random.default_rng(3)
-    st.update(np.zeros((1, 3)))
-    st.update(rng.standard_normal((500, 3)) * 10)
+    st = sketch_of(rng.standard_normal((500, 3)) * 10, m=32)
     r = st.inscribed_radius()
     assert r > 0
     # the sketch radius upper-bounds nothing smaller than any support value
@@ -104,26 +109,76 @@ def test_support_sketch_d3():
     assert st.vertex_count() >= 3
 
 
+def spec_of(d):
+    return coordinate_product([rademacher()] + [s_two_sided(1.2)] * (d - 1))
+
+
+@pytest.mark.parametrize("wiring", ["shared", "own"])
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_supports_and_confinements_read_one_product(d):
-    # each batch is multiplied by the one grid once: the sketch keeps the
-    # column maxima of that product (d >= 3) and the ledger its column minima
-    st = HullState.empty(d, m=24)
-    assert len(st.tracked_dirs) == 24
-    rng = np.random.default_rng(d)
-    batches = [np.zeros((1, d), dtype=np.int64), rng.integers(-50, 51, (1, d)),
-               rng.integers(-10**6, 10**6, (300, d)),
-               rng.standard_normal((2, d)) * 1e3, rng.standard_normal((5000, d)) * 1e5]
-    proj = [np.asarray(b, dtype=float) @ st.tracked_dirs.T for b in batches]
-    for k, batch in enumerate(batches, 1):
-        st.update(batch)
-        seen = np.vstack(proj[:k])
-        assert st.confinements.tobytes() == seen.min(axis=0).tobytes()
-        if d >= 3:
-            assert st.supports.tobytes() == seen.max(axis=0).tobytes()
-            points = np.vstack(batches[:k]).astype(float)
-            assert st.support_points.tobytes() == points[seen.argmax(axis=0)].tobytes()
-    assert np.all(np.isfinite(st.confinements))
+def test_hull_columns_equal_the_ladder_columns(d, wiring):
+    # the default hull grid nests in the default 64-direction ladder; an
+    # 8-direction ladder lacks it, so the hull drives a ladder of its own
+    ladder = ProjectionTracker(grid_m=64 if wiring == "shared" else 8)
+    tr = HullTracker(ladder=ladder)
+    run_walk(spec_of(d), 2**12, seed=d, observers=[ladder, tr])
+    assert (tr.ladder is ladder) == (wiring == "shared")
+    dirs = tr.ladder.directions
+    cols = [int(np.flatnonzero((dirs == u).all(axis=1))[0]) for u in tr.tracked_dirs]
+    assert dirs[cols].tobytes() == tr.tracked_dirs.tobytes()
+    mins = np.asarray(tr.ladder.stats.mins)
+    assert len(tr.series) == len(mins) == 13
+    for cp, row in zip(tr.series, mins):
+        assert cp.confinements.tobytes() == row[cols].tobytes()
+    if d >= 3:
+        assert tr.state.supports.tobytes() == tr.ladder.running_max[cols].tobytes()
+        assert tr.state.support_points.tobytes() == tr.ladder.argmax_rows[cols].tobytes()
+        assert np.all(tr.ladder.running_max[cols] > 0)
+    # both wirings read the same bytes
+    alone = HullTracker()
+    run_walk(spec_of(d), 2**12, seed=d, observers=[alone])
+    assert [cp.r for cp in alone.series] == [cp.r for cp in tr.series]
+    assert alone.to_csv() == tr.to_csv()
+    if d >= 3:
+        assert alone.state.support_points.tobytes() == tr.state.support_points.tobytes()
+
+
+def test_argmax_rows_are_the_first_strict_maxima():
+    # ties keep the earlier row, within a block and across blocks, and S_0 = 0
+    # stays until a position exceeds it
+    dirs = np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0]])
+    tr = ProjectionTracker(dirs)
+    tr.begin(coordinate_product([s_two_sided(1.5)] * 3), 4)
+    assert tr.columns(dirs[::-1], argmax=True).tolist() == [3, 2, 1, 0]
+    for first_n, rows in ((1, [[2, 0, 0], [2, 3, 0]]), (3, [[2, 5, 0], [0, 0, -1]])):
+        rows = np.array(rows)
+        tr.observe(WalkBlock(first_n=first_n, dirs=np.zeros((2, 3)), log_norms=np.zeros(2),
+                             positions=rows, at_checkpoint=True))
+    assert tr.argmax_rows.tolist() == [[2, 0, 0], [2, 5, 0], [0, 0, 0], [0, 0, 0]]
+    assert tr.columns(np.ones((1, 3))) is None
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_default_run_shares_the_projection_ladder(d, tmp_path):
+    from walkangles.experiment import load_config, run_experiment
+    laws = [{"name": "rademacher"}] * d
+    config = load_config({"spec": {"dimension": d, "form": "coordinate_product",
+                                   "laws": laws}, "n_steps": 256}, out_dir=str(tmp_path))
+    run = run_experiment(config).runs[0]
+    # the hull multiplies nothing itself: it reads the run's own ladder
+    assert run.hull.ladder is run.projections
+
+
+def test_misordered_observers_raise():
+    spec = spec_of(3)
+    ladder = ProjectionTracker()
+    with pytest.raises(ValueError, match="not begun"):
+        run_walk(spec, 64, seed=0, observers=[HullTracker(ladder=ladder), ladder])
+    tr = HullTracker(ladder=ladder)
+    run_walk(spec, 64, seed=0, observers=[ladder, tr])
+    # a ladder that has begun but observes after the hull: its extremes
+    # would be a block behind
+    with pytest.raises(ValueError, match="not recorded checkpoint 1"):
+        run_walk(spec, 64, seed=0, observers=[tr, ladder])
 
 
 def test_tracker_default_grid_is_the_simulate_grid(tmp_path):
@@ -136,8 +191,9 @@ def test_tracker_default_grid_is_the_simulate_grid(tmp_path):
                                    "laws": [{"name": "rademacher"}] * 3},
                           "n_steps": 64}, out_dir=str(tmp_path))
     result = run_experiment(config)
-    assert result.runs[0].hull.state.tracked_dirs is tr.state.tracked_dirs
-    assert len(tr.state.supports) == len(tr.state.tracked_dirs) == 16
+    assert result.runs[0].hull.tracked_dirs is tr.tracked_dirs
+    assert len(tr.state.supports) == len(tr.tracked_dirs) == 16
+    assert len(tr.state.support_points) == 16
 
 
 NAN = math.nan
@@ -152,23 +208,22 @@ NAN = math.nan
     [[7.0, 7.0, 7.0]],
 ], ids=["duplicates", "rounding", "signed-zeros", "nan", "one-row"])
 def test_vertex_count_matches_np_unique(rows):
-    st = HullState.empty(3)
-    st.support_points = np.asarray(rows, dtype=float)
+    st = SupportSketch(np.zeros(len(rows)), np.asarray(rows, dtype=float))
     assert st.vertex_count() == len(np.unique(st.support_points, axis=0))
 
 
 def test_vertex_count_past_rounding_range():
     # the rows are compared as they are, also far past 1e299
-    st = HullState.empty(3)
-    st.support_points = np.array([[1e300, 0.0, 0.0], [1.0000000000000002e300, 0.0, 0.0],
-                                  [0.0, 1e300, 0.0], [0.0, 0.0, -1e300]])
+    st = SupportSketch(np.zeros(4), np.array(
+        [[1e300, 0.0, 0.0], [1.0000000000000002e300, 0.0, 0.0],
+         [0.0, 1e300, 0.0], [0.0, 0.0, -1e300]]))
     assert st.vertex_count() == 4
 
 
 def test_planar_batch_spanning_past_float_range():
     # the batch's bounding box is wider than float range; scaling the probe
     # coordinates overflows by design and must not warn
-    st = HullState.empty(2)
+    st = HullState()
     st.update(np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, -1.0], [0.0, 0.0]]))
     assert sorted(st.vertices) == [(-1e308, 0.0), (0.0, -1.0), (1e308, 1.0)]
 
@@ -181,7 +236,8 @@ def test_float_hull_past_product_overflow():
     st = planar(pts)
     assert sorted(st.vertices) == sorted(pts[:4])
     assert st.inscribed_radius() == pytest.approx(1e200 / math.sqrt(2), rel=1e-15)
-    assert st.contains((1e199, 1e199)) and not st.contains((1e200, 1e200))
+    assert point_in_convex_polygon(st.vertices, (1e199, 1e199))
+    assert not point_in_convex_polygon(st.vertices, (1e200, 1e200))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -199,7 +255,8 @@ def test_float_hull_scales_by_a_power_of_two(seed):
     assert small.inscribed_radius() > 0
     assert big.inscribed_radius() == small.inscribed_radius() * scale
     inside = tuple(pts.mean(axis=0))
-    assert big.contains(scaled([inside])[0]) and small.contains(inside)
+    assert point_in_convex_polygon(big.vertices, scaled([inside])[0])
+    assert point_in_convex_polygon(small.vertices, inside)
 
 
 def test_d3_hull_run_leaves_numpy_ma_unimported():
@@ -286,7 +343,7 @@ def test_tracker_csv():
 # batched updates against the one-shot exact chain
 
 def batched_hull(batches):
-    st = HullState.empty(2)
+    st = HullState()
     for b in batches:
         st.update(np.asarray(b))
     return st.vertices
@@ -342,7 +399,7 @@ def test_near_collinear_points_take_the_exact_branch(monkeypatch):
         return convex_hull_2d(points)
 
     monkeypatch.setattr(hull, "convex_hull_2d", recording_chain)
-    st = HullState.empty(2).update(square)
+    st = HullState().update(square)
     calls.clear()
     st.update(inside)
     # the batch's extremes go to the first chain; ambiguous points to the last
@@ -371,7 +428,7 @@ def test_float_rounding_of_large_ints_is_covered():
     polygon = np.array([[t + 257, -t], [t - 383, t], [-t, t], [-t, -t]], dtype=np.int64)
     batch = np.array([[t - 100, 2**50], [t + 90, -2**60], [t - 5000, 0], [t, 0]],
                      dtype=np.int64)
-    st = HullState.empty(2).update(polygon).update(batch)
+    st = HullState().update(polygon).update(batch)
     assert st.vertices == one_shot([polygon, batch])
     assert (t, 0) in st.vertices
 
@@ -385,7 +442,7 @@ def filter_drops(monkeypatch, vertices, batch):
         return calls[-1][1]
 
     monkeypatch.setattr(hull, "convex_hull_2d", recording_chain)
-    st = HullState.empty(2)
+    st = HullState()
     st.vertices = list(vertices)
     st.update(batch)
     passed = set(calls[-1][0]) if len(calls) == 2 else set()

@@ -39,6 +39,15 @@ def test_project_series_hand_example():
     assert st.final[0] == 1.0
 
 
+@pytest.mark.parametrize("checkpoints", [[-1], [64, 32, 16, 8], [0, 1], [1, 1, 2], [1.5]])
+def test_project_series_rejects_unordered_checkpoints(checkpoints):
+    # [-1] read the last row under the label -1, and the unordered ladder
+    # classified OSC
+    pos = np.arange(1, 65)[:, None] * E1
+    with pytest.raises(ValueError, match="checkpoints"):
+        project_series(pos, E1, checkpoints=checkpoints)
+
+
 def test_classify_monotone_series():
     n = 2**14
     up = stats_from_series(np.arange(1, n + 1, dtype=float))

@@ -460,6 +460,16 @@ def test_grid_size_bounded(m):
     with pytest.raises(ValueError, match="grid size"):
         direction_grid(3, m)
 
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_grids_nest_bitwise(d):
+    # a hull reads its grid's columns from the projection ladder only where
+    # its rows are rows of the ladder's grid, byte for byte
+    big = direction_grid(d, 64)
+    for m, step in ((16, 4), (32, 2)):
+        rows = big[::step] if d == 2 else big[:m]
+        assert rows.tobytes() == direction_grid(d, m).tobytes()
+
 def test_functional_op_surface():
     h = s_hull([E1, E2])
     assert h.contains(unit([1, 1]))
