@@ -115,16 +115,41 @@ class ProjectionTracker(ObserverBase):
         return None if None in cols else np.array(cols)
 
     def observe(self, block: WalkBlock) -> None:
+        """Fold one block into the running extremes and ``final``.
+
+        On a log-scale walk psi is evaluated once per run of equal columns of
+        the (M, B) product: column i is fresh when its log-norm or any of its
+        dots differs (``!=``) from column i - 1's, and psi runs on the fresh
+        columns alone.  This is exact: psi is an elementwise function of
+        (dot, log_norm); a dropped column equals the fresh column before it
+        under ``==``; the only values equal under ``==`` but not in bits are
+        +-0.0, which psi both maps to +0.0; and every dot still comes from
+        the one product over the whole block.  The last fresh column has the
+        last row's inputs, so it gives ``final``.  Heavy-tailed walks, whose
+        later steps underflow beside one dominating jump, repeat whole rows.
+        ``argmax_rows`` is for linear walks: a log-scale block has no
+        positions.
+        """
         st = self.stats
         # (M, B) values, so the extremes reduce along the block
         if st.log_scale:
+            dots = self.directions @ block.dirs.T
+            log_norms = block.log_norms
+            fresh = np.empty(len(log_norms), dtype=bool)
+            fresh[0] = True
+            np.not_equal(log_norms[1:], log_norms[:-1], out=fresh[1:])
+            step = np.empty(len(log_norms) - 1, dtype=bool)
+            for row in dots:
+                np.not_equal(row[1:], row[:-1], out=step)
+                fresh[1:] |= step
+            if not fresh.all():
+                dots, log_norms = dots[:, fresh], log_norms[fresh]
             # psi in place on one array: a zero dot's log is -inf, which the
             # clamp and offset take to 0, and np.sign(+-0.0) is +0.0
-            dots = self.directions @ block.dirs.T
             vals = np.abs(dots)
             with np.errstate(divide="ignore"):
                 np.log(vals, out=vals)
-            vals += block.log_norms
+            vals += log_norms
             np.maximum(vals, -PSI_OFFSET, out=vals)
             vals += PSI_OFFSET
             vals *= np.sign(dots)

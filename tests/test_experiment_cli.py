@@ -782,8 +782,8 @@ def test_plot_empty_data_raises():
 
 
 def test_entry_point_subprocess():
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
     proc = subprocess.run([sys.executable, "-m", "walkangles", "pruitt", "poly:0.5"],
-                          capture_output=True, text=True,
-                          cwd=REPO)
+                          capture_output=True, text=True, cwd=REPO, env=env)
     assert proc.returncode == 0
     assert "DIVERGENT_TREND" in proc.stdout

@@ -375,23 +375,64 @@ class FixedProduct:
         return self.values.copy()
 
 
+def random_rows(rng, b: int, m: int):
+    """(B x M) projections with +0.0 and -0.0 entries, subnormals and
+    |v| below e**-2048, and log-norms from 1e4 to 1e300 apart."""
+    dots = rng.uniform(-1, 1, (b, m))
+    pick = rng.random((b, m))
+    dots[pick < 0.1] = 0.0
+    dots[(pick >= 0.1) & (pick < 0.2)] = -0.0
+    dots[(pick >= 0.2) & (pick < 0.25)] *= 1e-310
+    log_norms = rng.choice([-1e300, -1e4, -3000.0, -2048.0, -5.0, 0.0, 3.0,
+                            700.0, 1e4, 1e300], b)
+    log_norms += rng.uniform(-1, 1, b) * (np.abs(log_norms) < 1e5)
+    return dots, log_norms
+
+
+def plateau_block(rng, m: int):
+    """Runs of equal rows, as a heavy-tailed walk makes once one jump
+    dominates.  Each run starts with a new row, or with the row before it
+    under a new log-norm, or with the row before it with one grid row's dot
+    changed; the signs of the zeros inside a run flip at random."""
+    runs = []
+    for _ in range(int(rng.integers(1, 8))):
+        dots, log_norms = random_rows(rng, 1, m)
+        if runs and rng.random() < 2 / 3:
+            dots, log_norms = runs[-1][0].copy(), runs[-1][1].copy()
+            if rng.random() < 0.5:
+                log_norms += 1.0
+            else:
+                dots[0, rng.integers(m)] = rng.choice([1.5, -1.5, 0.0, -0.0])
+        runs.append((dots, log_norms))
+    lengths = rng.integers(1, 12, len(runs))
+    dots = np.concatenate([np.repeat(d, k, axis=0) for (d, _), k in zip(runs, lengths)])
+    log_norms = np.concatenate([np.repeat(ln, k) for (_, ln), k in zip(runs, lengths)])
+    zero = dots == 0
+    dots[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    return dots, log_norms
+
+
 def psi_blocks(rng, m: int):
-    """(B x M) projections with +0.0 and -0.0 entries, zero rows (S = 0),
-    subnormals, |v| below e**-2048, and log-norms from 1e4 to 1e300 apart."""
+    """Random blocks with zero rows (S = 0), then blocks of runs of equal
+    rows (see ``plateau_block``), one block of a single row repeated and one
+    whose every row differs from the row before it."""
     for _ in range(300):
-        b = int(rng.integers(1, 40))
-        dots = rng.uniform(-1, 1, (b, m))
-        pick = rng.random((b, m))
-        dots[pick < 0.1] = 0.0
-        dots[(pick >= 0.1) & (pick < 0.2)] = -0.0
-        dots[(pick >= 0.2) & (pick < 0.25)] *= 1e-310
-        log_norms = rng.choice([-1e300, -1e4, -3000.0, -2048.0, -5.0, 0.0, 3.0,
-                                700.0, 1e4, 1e300], b)
-        log_norms += rng.uniform(-1, 1, b) * (np.abs(log_norms) < 1e5)
-        zero = rng.random(b) < 0.15
+        dots, log_norms = random_rows(rng, int(rng.integers(1, 40)), m)
+        zero = rng.random(len(log_norms)) < 0.15
         dots[zero] = np.where(rng.random((int(zero.sum()), m)) < 0.5, 0.0, -0.0)
         log_norms[zero] = NEG_INF
         yield dots, log_norms
+    for _ in range(300):
+        yield plateau_block(rng, m)
+    dots, log_norms = random_rows(rng, 1, m)
+    yield np.repeat(dots, 50, axis=0), np.repeat(log_norms, 50)
+    yield random_rows(rng, 50, m)
+
+
+def fresh_rows(dots: np.ndarray, log_norms: np.ndarray) -> np.ndarray:
+    """Rows that differ under != from the row before them; row 0 always."""
+    return np.concatenate([[True], (log_norms[1:] != log_norms[:-1])
+                           | (dots[1:] != dots[:-1]).any(axis=1)])
 
 
 def test_log_scale_psi_matches_former_formula_bytewise():
@@ -401,6 +442,7 @@ def test_log_scale_psi_matches_former_formula_bytewise():
     ref_min = ref_max = np.zeros(m)
     ref_mins, ref_maxes = [], []
     n = 1
+    fresh_shares = set()
     for dots, log_norms in psi_blocks(np.random.default_rng(18), m):
         tr.observe(WalkBlock(first_n=n, dirs=FixedDots(dots), log_norms=log_norms,
                              positions=None, at_checkpoint=True))
@@ -411,17 +453,21 @@ def test_log_scale_psi_matches_former_formula_bytewise():
         ref_max = np.maximum(ref_max, ref.max(axis=0))
         ref_mins.append(ref_min)
         ref_maxes.append(ref_max)
+        fresh = fresh_rows(dots, log_norms)
+        if len(fresh) > 1:
+            fresh_shares.add("all" if fresh.all() else "one" if fresh.sum() == 1 else "some")
     tr.finish()
     assert tr.stats.mins.tobytes() == np.array(ref_mins).tobytes()
     assert tr.stats.maxes.tobytes() == np.array(ref_maxes).tobytes()
+    assert fresh_shares == {"all", "one", "some"}
 
 
 class PieceRecorder(ObserverBase):
     def __init__(self):
-        self.pieces = []
+        self.blocks = []
 
     def observe(self, block: WalkBlock) -> None:
-        self.pieces.append((block.positions, block.at_checkpoint))
+        self.blocks.append(block)
 
 
 LADDER_SPECS = {
@@ -447,16 +493,39 @@ def test_tracker_ladder_is_the_column_extremes(name):
     run_walk(spec, 3 * BLOCK + 1000, seed=3, observers=[tr, rec])
     lo = hi = np.zeros(len(tr.directions))
     mins, maxes = [], []
-    for positions, at_checkpoint in rec.pieces:
-        ref = project_series(positions, tr.directions, [len(positions)])
+    for block in rec.blocks:
+        ref = project_series(block.positions, tr.directions, [len(block)])
         lo, hi = np.minimum(lo, ref.mins[0]), np.maximum(hi, ref.maxes[0])
-        if at_checkpoint:
+        if block.at_checkpoint:
             mins.append(lo)
             maxes.append(hi)
     assert len(mins) == len(tr.stats.checkpoints) > 10
     assert tr.stats.mins.tobytes() == np.array(mins).tobytes()
     assert tr.stats.maxes.tobytes() == np.array(maxes).tobytes()
     assert tr.stats.final.tobytes() == ref.final.tobytes()
+
+
+def test_log_tail_walk_psi_matches_former_formula_bytewise():
+    # the heavy-tailed walk of the benchmark's logradial workload: after a
+    # jump that dwarfs the scale, later steps underflow and rows repeat
+    tr, rec = ProjectionTracker(grid_m=64), PieceRecorder()
+    run_walk(TRACKER_SPECS[4], 2 * BLOCK, seed=0, observers=[tr, rec])
+    lo = hi = np.zeros(len(tr.directions))
+    mins, maxes, sparse = [], [], []
+    for block in rec.blocks:
+        dots = (tr.directions @ block.dirs.T).T
+        ref = reference_psi(dots, block.log_norms)
+        lo, hi = np.minimum(lo, ref.min(axis=0)), np.maximum(hi, ref.max(axis=0))
+        if block.at_checkpoint:
+            mins.append(lo)
+            maxes.append(hi)
+        if len(block) >= 4096:
+            sparse.append(fresh_rows(dots, block.log_norms).mean() < 0.01)
+    assert len(mins) == len(tr.stats.checkpoints) > 10
+    assert tr.stats.mins.tobytes() == np.array(mins).tobytes()
+    assert tr.stats.maxes.tobytes() == np.array(maxes).tobytes()
+    assert tr.stats.final.tobytes() == ref[-1].tobytes()
+    assert any(sparse)
 
 
 @pytest.mark.parametrize("spec", [TRACKER_SPECS[1], TRACKER_SPECS[4]], ids=["float", "log"])
