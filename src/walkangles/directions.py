@@ -373,6 +373,8 @@ class CapVisitAccumulator(ObserverBase):
         if in_lv.any():
             first = cols[in_lv] * n_lv + run_bucket[in_lv]
             if span == 1:
+                # kept: on two 2^16-step caps3d walks the difference array
+                # below took observe from 0.075-0.079 s to 0.095-0.103 s
                 by_bucket = np.bincount(first, minlength=m * n_lv).reshape(m, n_lv)
             else:
                 # +1 at a run's first column, -1 past its last, summed over columns
@@ -399,26 +401,22 @@ class CapVisitAccumulator(ObserverBase):
         windows = np.floor(np.log2(steps)).astype(np.int8)                      # 0..62
         qual_window = np.where(stat > math.log(cfg.kappa), windows[rows], np.int8(-1))
         top = np.maximum.reduceat(qual_window, seg_starts, axis=1).T
+        # spread each group over its columns: flat indices for maximum.at
         seg_key = key[seg_starts]
-        if span == 1:
-            seg_cols = seg_key
-        else:
-            # spread each group over its columns: flat indices for maximum.at
-            n_a = len(self._alphas)
-            seg_lens = seg_key // m + 1
-            ends = seg_lens.cumsum()
-            spread = np.repeat(seg_key % m + seg_lens - ends, seg_lens)
-            spread += np.arange(ends[-1])
-            flat = (spread[:, None] * n_a + np.arange(n_a)).ravel()
-            col_max = np.full((m, n_a), NEG_INF)
-            np.maximum.at(col_max.reshape(-1), flat, np.repeat(seg_max, seg_lens, axis=0).ravel())
-            col_top = np.full((m, n_a), -1, dtype=np.int8)
-            np.maximum.at(col_top.reshape(-1), flat, np.repeat(top, seg_lens, axis=0).ravel())
-            seg_cols, seg_max, top = slice(None), col_max, col_top
-        self.graded_max[seg_cols] = np.maximum(self.graded_max[seg_cols], seg_max)
-        bits = np.zeros(top.shape, dtype=np.int64)
-        np.left_shift(np.int64(1), top, out=bits, where=top >= 0)
-        self.graded_windows[seg_cols] |= bits
+        n_a = len(self._alphas)
+        seg_lens = seg_key // m + 1
+        ends = seg_lens.cumsum()
+        spread = np.repeat(seg_key % m + seg_lens - ends, seg_lens)
+        spread += np.arange(ends[-1])
+        flat = (spread[:, None] * n_a + np.arange(n_a)).ravel()
+        col_max = np.full((m, n_a), NEG_INF)
+        np.maximum.at(col_max.reshape(-1), flat, np.repeat(seg_max, seg_lens, axis=0).ravel())
+        col_top = np.full((m, n_a), -1, dtype=np.int8)
+        np.maximum.at(col_top.reshape(-1), flat, np.repeat(top, seg_lens, axis=0).ravel())
+        np.maximum(self.graded_max, col_max, out=self.graded_max)
+        bits = np.zeros(col_top.shape, dtype=np.int64)
+        np.left_shift(np.int64(1), col_top, out=bits, where=col_top >= 0)
+        self.graded_windows |= bits
 
     # -- summaries ----------------------------------------------------------
 

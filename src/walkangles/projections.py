@@ -143,6 +143,8 @@ class ProjectionTracker(ObserverBase):
                 np.not_equal(row[1:], row[:-1], out=step)
                 fresh[1:] |= step
             if not fresh.all():
+                # kept: always gathering took one plateau-free 16,384-row,
+                # 64-direction block from 15.8-17.3 ms to 25.5-30.4 ms
                 dots, log_norms = dots[:, fresh], log_norms[fresh]
             # psi in place on one array: a zero dot's log is -inf, which the
             # clamp and offset take to 0, and np.sign(+-0.0) is +0.0

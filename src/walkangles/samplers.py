@@ -155,12 +155,9 @@ class ScalarLaw:
             # exp(log magnitude), clipped at SATURATION_CAP with the counter
             # incremented; sample_log gives the unclipped log magnitude
             log_mag = self.sample_log(rng, size)
-            over = log_mag > _LOG_SATURATION_CAP
-            if np.any(over):
-                if counter is not None:
-                    counter.count += int(np.count_nonzero(over))
-                log_mag = np.where(over, _LOG_SATURATION_CAP, log_mag)
-            return np.exp(log_mag)
+            if counter is not None:
+                counter.count += int(np.count_nonzero(log_mag > _LOG_SATURATION_CAP))
+            return np.exp(np.minimum(log_mag, _LOG_SATURATION_CAP))
         return np.full(size, self.param)
 
     def sample_log(self, rng, size: int) -> np.ndarray:
@@ -205,12 +202,9 @@ def _magnitude_from_uniform(u, alpha: float, counter: Saturations | None):
     # for small alpha the power can pass float range; inf saturates below
     with np.errstate(over="ignore"):
         raw = np.floor(np.asarray(u, dtype=np.float64) ** (-1.0 / alpha))
-    over = raw >= SATURATION_CAP
-    if np.any(over):
-        if counter is not None:
-            counter.count += int(np.count_nonzero(over))
-        raw = np.where(over, float(SATURATION_CAP), raw)
-    return raw.astype(np.int64)
+    if counter is not None:
+        counter.count += int(np.count_nonzero(raw >= SATURATION_CAP))
+    return np.minimum(raw, float(SATURATION_CAP)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +432,7 @@ class IncrementSampler:
                 for z, entries in zip(draws, self._entries):
                     z = np.asarray(z, dtype=self._dtype)
                     for i, c in entries:
-                        vec[:, i] += z if c == 1 else z * c
+                        vec[:, i] += z * c
                 if self._drift is not None:
                     vec += self._drift
             return SampleBlock(vectors=vec)

@@ -265,10 +265,10 @@ class SHull:
             return any(e - s >= TWO_PI - 1e-12 for s, e in self.arcs)
         return self._span.shape[1] == self.dimension and self._normals.shape[0] == 0
 
-    def contains(self, w, tol: float = MEMBERSHIP_TOL) -> bool:
-        return bool(self.contains_many(np.asarray(w, dtype=float)[None, :], tol)[0])
+    def contains(self, w) -> bool:
+        return bool(self.contains_many(np.asarray(w, dtype=float)[None, :])[0])
 
-    def contains_many(self, points, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    def contains_many(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.arcs is not None:
             ang = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), TWO_PI)
@@ -276,13 +276,13 @@ class SHull:
             for s, e in self.arcs:
                 rel = np.mod(ang - s, TWO_PI)
                 length = e - s
-                out |= (rel <= length + tol) | (rel >= TWO_PI - tol)
+                out |= (rel <= length + MEMBERSHIP_TOL) | (rel >= TWO_PI - MEMBERSHIP_TOL)
             return out
         proj = pts @ self._span
         resid = np.linalg.norm(pts - proj @ self._span.T, axis=1)
-        ok = resid <= tol
+        ok = resid <= MEMBERSHIP_TOL
         if self._normals.shape[0]:
-            ok &= np.all(proj @ self._normals.T <= tol, axis=1)
+            ok &= np.all(proj @ self._normals.T <= MEMBERSHIP_TOL, axis=1)
         return ok
 
     def boundary(self):

@@ -192,11 +192,10 @@ def _format_log_value(log_abs: float, sign: float = 1.0) -> str:
         return repr(math.copysign(math.exp(log_abs), sign))
     log10_value = log_abs * _LOG10_E
     expo = math.floor(log10_value)
-    mant = 10.0 ** (log10_value - expo)
-    if mant >= 10.0:           # rounding pushed the mantissa over
-        mant /= 10.0
-        expo += 1
-    return f"{'' if sign > 0 else '-'}{mant:.12g}e{expo:+d}"
+    mant = f"{10.0 ** (log10_value - expo):.12g}"
+    if mant == "10":           # rounding pushed the mantissa over
+        mant, expo = "1", expo + 1
+    return f"{'' if sign > 0 else '-'}{mant}e{expo:+d}"
 
 
 @dataclass
@@ -419,7 +418,7 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
                        if first_n <= n < first_n + b} | {b})
         start = 0
         for cut in cuts:
-            sub = _slice_block(block, start, cut) if (start, cut) != (0, b) else block
+            sub = _slice_block(block, start, cut)
             sub.at_checkpoint = first_n + cut - 1 in cp_set
             for obs in observers:
                 obs.observe(sub)

@@ -18,28 +18,32 @@ from walkangles.experiment import load_config, run_experiment
 
 tracer = Tracer()
 tracer.install()
-config = {"spec": json.loads(sys.argv[1]), "n_steps": 64, "n_runs": 2, "base_seed": 0}
+config = {"spec": json.loads(sys.argv[1]), "n_steps": 64, "n_runs": 2, "base_seed": 0,
+          **json.loads(sys.argv[2])}
 with tempfile.TemporaryDirectory() as out:
     run_experiment(load_config(config, out_dir=out))
 json.dump({"layers": tracer.layer_metrics(), "work": tracer.work_counts()}, sys.stdout)
 """
 
 
-def traced(spec: dict) -> tuple[dict, dict]:
-    """Layer metrics and work counts of a traced 2-run x 64-step experiment."""
+def traced(spec: dict, **extra) -> tuple[dict, dict]:
+    """Layer metrics and work counts of a traced 2-run x 64-step experiment,
+    with ``extra`` config keys."""
     paths = [os.path.join(REPO, "perfbench"), os.path.join(REPO, "src")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(spec)],
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(spec), json.dumps(extra)],
                           capture_output=True, text=True, cwd=REPO, env=env)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     return out["layers"], out["work"]
 
 
+D2_SPEC = {"dimension": 2, "form": "coordinate_product",
+           "laws": [{"name": "rademacher"}, {"name": "s_two_sided", "alpha": 0.5}]}
+
+
 def test_tracer_installs_and_counts():
-    layers, work = traced({"dimension": 2, "form": "coordinate_product",
-                           "laws": [{"name": "rademacher"},
-                                    {"name": "s_two_sided", "alpha": 0.5}]})
+    layers, work = traced(D2_SPEC)
     assert layers["samplers.sample_block_calls"] == 2       # one block per run
     assert layers["walk.observe_calls"] > 0
     assert layers["sphere.direction_grid_calls"] > 0
@@ -61,3 +65,12 @@ def test_tracer_counts_through_the_d3_sketch():
     assert layers["directions.finalize_s"] > 0
     assert work["directions.cap_tests"] > 0
     assert work["hull.points_in"] == 2 * 64
+
+
+def test_tracer_counts_through_the_hulls_own_ladder():
+    # an 8-direction ladder lacks the hull's 16 directions, so the hull
+    # drives a ladder of its own and finishes it
+    layers, work = traced(D2_SPEC, projection_grid_m=8)
+    assert work["hull.points_in"] == 2 * 64
+    assert work["hull.final_vertices"] > 0
+    assert work["projections.dot_products"] == 2 * 64 * (8 + 16)

@@ -104,6 +104,14 @@ def test_multi_run_aggregation(tmp_path):
     assert "estimator" in summary["thresholds"]
 
 
+def test_run_seeds_and_band_axis_reach_the_summary(tmp_path):
+    cfg = dict(MINIMAL, n_runs=2, run_seeds=[11, 5], estimator={"band_axis": [1, 0]})
+    run_experiment(load_config(cfg, out_dir=str(tmp_path)))
+    summary = json.loads(read(tmp_path / "summary.json"))
+    assert summary["seeds"] == [run["seed"] for run in summary["runs"]] == [11, 5]
+    assert all(0 <= run["band_fraction_top"] <= 1 for run in summary["runs"])
+
+
 def test_config_errors_name_fields():
     with pytest.raises(ConfigError, match="n_steps"):
         load_config({"spec": MINIMAL["spec"]})
@@ -550,6 +558,14 @@ def test_cli_pruitt(tmp_path, capsys):
     assert "DIVERGENT_TREND" in capsys.readouterr().out
     assert main(["pruitt", "nonsense"]) == 2
     assert main(["pruitt", "stretched:0.3", "--K", "1022"]) == 0
+    # a table halving at every power of two: u_k = 1/2 throughout
+    table = tmp_path / "tail.json"
+    table.write_text(json.dumps([[2**k, 2.0**-k] for k in range(18)]))
+    capsys.readouterr()
+    assert main(["pruitt", str(table), "--K", "16", "--csv", str(tmp_path / "t.csv")]) == 0
+    assert "DIVERGENT_TREND" in capsys.readouterr().out
+    rows = list(csv.DictReader(io.StringIO(read(tmp_path / "t.csv").decode())))
+    assert [float(row["u_k"]) for row in rows] == [0.5] * 17
 
 
 @pytest.mark.parametrize("table", [None, [[float("nan"), 0.5]]], ids=["poly", "table"])
@@ -571,6 +587,18 @@ def test_cli_shull(tmp_path, capsys):
     arcs = json.loads(read(tmp_path / "arcs.json"))
     assert len(arcs) == 1
     assert arcs[0][0] == 0.0
+    # d >= 3: the cone's generators and whether it is the whole sphere
+    octant = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    axes = [[1, 0, 0], [-1, 0, 0], [0, 2, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+    for points, full in ((octant, False), (axes, True)):
+        pts.write_text(json.dumps(points))
+        capsys.readouterr()
+        assert main(["shull", str(pts)]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert shown == {"dimension": 3, "full_sphere": full,
+                         "generators": np.sign(points).tolist()}
+        assert main(["shull", str(pts), "--out", str(tmp_path / "cone.json")]) == 0
+        assert json.loads(read(tmp_path / "cone.json")) == shown
 
 
 @pytest.mark.parametrize("points", [

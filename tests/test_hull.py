@@ -57,6 +57,19 @@ def test_all_points_inside_hull():
         assert point_in_convex_polygon(st.vertices, p)
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_point_in_polygons_of_fewer_than_three_vertices(strict):
+    # an empty polygon holds nothing; a point or a segment has no interior
+    assert not point_in_convex_polygon([], (0, 0), strict=strict)
+    assert point_in_convex_polygon([(1, 2)], (1, 2), strict=strict) is not strict
+    assert not point_in_convex_polygon([(1, 2)], (1, 3), strict=strict)
+    segment = [(0, 0), (4, 2)]
+    for p in ((0, 0), (2, 1), (4, 2)):
+        assert point_in_convex_polygon(segment, p, strict=strict) is not strict
+    for p in ((6, 3), (-2, -1), (2, 2)):       # on the line past an end, off the line
+        assert not point_in_convex_polygon(segment, p, strict=strict)
+
+
 def test_inscribed_radius_diamond():
     st = planar([(1, 0), (-1, 0), (0, 1), (0, -1)])
     assert abs(st.inscribed_radius() - 1 / math.sqrt(2)) < 1e-12
@@ -119,13 +132,17 @@ def test_hull_columns_equal_the_ladder_columns(d, wiring):
     # the default hull grid nests in the default 64-direction ladder; an
     # 8-direction ladder lacks it, so the hull drives a ladder of its own
     ladder = ProjectionTracker(grid_m=64 if wiring == "shared" else 8)
+    finished = []
+    ladder.finish = lambda finish=ladder.finish: finished.append(finish())
     tr = HullTracker(ladder=ladder)
     run_walk(spec_of(d), 2**12, seed=d, observers=[ladder, tr])
     assert (tr.ladder is ladder) == (wiring == "shared")
+    assert len(finished) == 1               # the hull never finishes a shared ladder
     dirs = tr.ladder.directions
     cols = [int(np.flatnonzero((dirs == u).all(axis=1))[0]) for u in tr.tracked_dirs]
     assert dirs[cols].tobytes() == tr.tracked_dirs.tobytes()
-    mins = np.asarray(tr.ladder.stats.mins)
+    mins = tr.ladder.stats.mins
+    assert isinstance(mins, np.ndarray)
     assert len(tr.series) == len(mins) == 13
     for cp, row in zip(tr.series, mins):
         assert cp.confinements.tobytes() == row[cols].tobytes()
@@ -136,6 +153,11 @@ def test_hull_columns_equal_the_ladder_columns(d, wiring):
     # both wirings read the same bytes
     alone = HullTracker()
     run_walk(spec_of(d), 2**12, seed=d, observers=[alone])
+    # the ladder the hull built is finished: (K x M) arrays, the hull's columns
+    own = alone.ladder.stats
+    assert isinstance(own.mins, np.ndarray) and isinstance(own.maxes, np.ndarray)
+    assert own.mins.tobytes() == mins[:, cols].tobytes()
+    assert own.maxes.tobytes() == tr.ladder.stats.maxes[:, cols].tobytes()
     assert [cp.r for cp in alone.series] == [cp.r for cp in tr.series]
     assert alone.to_csv() == tr.to_csv()
     if d >= 3:

@@ -16,7 +16,7 @@ from walkangles.samplers import (RADIAL_PRODUCT, IncrementSampler, SampleBlock,
                                  s_two_sided, stretched_exp)
 from walkangles.hull import HullTracker
 from walkangles.projections import ProjectionTracker
-from walkangles.walk import (BLOCK, INT_SAT_LIMIT, BoundCheckObserver,
+from walkangles.walk import (BLOCK, BOUND_TOL, INT_SAT_LIMIT, BoundCheckObserver,
                              ObserverBase, TrajectoryRecord, UnsupportedSpecError, WalkState,
                              biggest_jump_bound_check, csv_text, dyadic_checkpoints,
                              run_walk)
@@ -230,6 +230,7 @@ def test_bound_holds_along_log_tail_run():
     assert obs.checked == 10**4
     assert obs.violations == 0
     assert obs.applicable > 0
+    assert math.isfinite(obs.worst_margin) and obs.worst_margin <= BOUND_TOL
 
 
 class LastRow(ObserverBase):
@@ -613,3 +614,13 @@ def test_log_mode_csv_extended_notation():
     text = rec.to_csv()
     # magnitudes beyond float range must appear in mantissa-e-exponent form
     assert "e+" in text.split("\n")[-2]
+
+
+@pytest.mark.parametrize("log10_value, sign, text", [
+    (801 - 1e-13, 1.0, "1e+801"),       # :.12g rounds a mantissa of 9.9999999999974 to 10
+    (801 - 1e-13, -1.0, "-1e+801"),
+    (801 - 1e-11, 1.0, "9.99999999977e+800"),
+    (800.5, -1.0, "-3.16227766017e+800"),
+])
+def test_log_value_mantissa_below_ten(log10_value, sign, text):
+    assert walk_module._format_log_value(log10_value / walk_module._LOG10_E, sign) == text
