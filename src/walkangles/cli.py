@@ -116,6 +116,12 @@ def _cmd_pruitt(args) -> int:
     if args.csv:
         _write(args.csv, diag.to_csv(tail))
         print(f"wrote {args.csv}")
+    if tail.kind == "custom" and 2.0 ** args.K >= tail.table[-1][0]:
+        # right-continuous: the last value p > 0 holds for every r >= R
+        r, p = tail.table[-1]
+        k = next(k for k in range(args.K + 1) if 2.0 ** k >= r)
+        print(f"note: the table keeps p = {p:.6g} past its last radius R = {r:.6g} "
+              f"(mass at infinity), so u_k = 0 for every k >= {k}")
     print(f"verdict: {diag.verdict} (fitted slope {diag.fitted_slope:.3f}, "
           f"partial sum {diag.partial_sums[-1]:.6g})")
     return 0

@@ -283,7 +283,6 @@ class HullCheckpoint:
     n: int
     r: float
     vertex_count: int
-    confinements: np.ndarray
 
 
 class HullTracker(ObserverBase):
@@ -292,8 +291,7 @@ class HullTracker(ObserverBase):
     The confinements, and at d >= 3 the sketch (``state``, as of the last
     checkpoint), are the columns ``tracked_dirs = direction_grid(d, m)`` of
     ``ladder``, a ProjectionTracker that observes each block first.  Without
-    one, or where it lacks a grid row bitwise, the hull drives its own and
-    finishes it.
+    one, or where it lacks a grid row bitwise, the hull drives its own.
     """
 
     def __init__(self, m: int = 16, ladder: ProjectionTracker | None = None):
@@ -318,7 +316,6 @@ class HullTracker(ObserverBase):
             self.state = HullState().update(np.zeros((1, 2), dtype=dtype))
         else:
             self.state = SupportSketch(np.zeros(self._m), np.zeros((self._m, d)))
-        self._r_prev = 0.0
 
     def observe(self, block: WalkBlock) -> None:
         ladder = self.ladder
@@ -336,24 +333,21 @@ class HullTracker(ObserverBase):
                                        ladder.argmax_rows[self._cols])
         # the true radius is monotone; the max() guards against last-ulp
         # jitter when an edge is re-derived from new endpoints
-        r = max(self.state.inscribed_radius(), self._r_prev)
-        self._r_prev = r
+        r = max(self.state.inscribed_radius(), self.series[-1].r if self.series else 0.0)
         self.series.append(HullCheckpoint(
-            n=block.last_n, r=r, vertex_count=self.state.vertex_count(),
-            confinements=ladder.stats.mins[-1][self._cols]))
+            n=block.last_n, r=r, vertex_count=self.state.vertex_count()))
 
-    def finish(self) -> None:
-        # a shared ladder is the run's observer and finishes itself
-        if self.ladder is not self._shared:
-            self.ladder.finish()
+    @property
+    def confinements(self) -> np.ndarray:
+        """(K x m): row k holds min_{j<=n} S_j . u of every tracked direction
+        u at ``series[k].n``, read from the ladder."""
+        return self.ladder.stats.mins[:, self._cols]
 
     def to_csv(self) -> str:
-        m = len(self.tracked_dirs)
-        cols = ["n", "r", "vertex_count"] + [f"confinement_{i}" for i in range(m)]
+        cols = ["n", "r", "vertex_count"] + [f"confinement_{i}" for i in range(self._m)]
         series = self.series
-        confinements = np.array([cp.confinements for cp in series]).reshape(len(series), m)
         return csv_text(cols, [[cp.n for cp in series], [cp.r for cp in series],
-                               [cp.vertex_count for cp in series], *confinements.T])
+                               [cp.vertex_count for cp in series], *self.confinements.T])
 
 
 @dataclass
@@ -380,9 +374,8 @@ def hull_growth_report(tracker: HullTracker) -> HullGrowthReport:
     frozen: list[int] = []
     if len(series) >= GROWTH_EVENTS + 1:
         rs = np.array([cp.r for cp in series])
-        confs = np.stack([cp.confinements for cp in series])
         if stabilized(rs):
-            frozen = list(np.flatnonzero(stabilized(confs)))
+            frozen = list(np.flatnonzero(stabilized(tracker.confinements)))
         if frozen:
             flag = CONFINED
         elif (rs[1:] > rs[:-1]).sum() >= GROWTH_EVENTS:

@@ -79,9 +79,8 @@ class ProjectionStats:
 class ProjectionTracker(ObserverBase):
     """Per-step running min/max of the projections onto a direction grid.
 
-    ``running_min`` and ``running_max`` hold the extremes so far; after
-    ``finish``, ``stats`` holds the ladder of every direction up to the last
-    checkpoint the walk reached.
+    ``running_min`` and ``running_max`` hold the extremes so far; after the
+    k-th checkpoint, ``stats`` holds the (k x M) ladder of every direction.
     """
 
     def __init__(self, directions: np.ndarray | None = None, grid_m: int = 64):
@@ -97,10 +96,10 @@ class ProjectionTracker(ObserverBase):
         # S_0 = 0 is part of every trajectory
         self.running_min, self.running_max = np.zeros(m), np.zeros(m)
         self._argmax_cols, self.argmax_rows = None, np.zeros((m, spec.dimension))
-        # mins and maxes collect one row per checkpoint; finish stacks them
         self.stats = ProjectionStats(
-            directions=self.directions, checkpoints=[], mins=[], maxes=[],
-            final=np.zeros(m), n_steps=n_steps, log_scale=spec.scale_mode == "log")
+            directions=self.directions, checkpoints=[], mins=np.zeros((0, m)),
+            maxes=np.zeros((0, m)), final=np.zeros(m), n_steps=n_steps,
+            log_scale=spec.scale_mode == "log")
 
     def columns(self, directions: np.ndarray, argmax: bool = False) -> np.ndarray | None:
         """The columns whose directions equal the rows of ``directions`` bitwise,
@@ -167,14 +166,8 @@ class ProjectionTracker(ObserverBase):
         st.final = vals[:, -1].copy()
         if block.at_checkpoint:
             st.checkpoints.append(block.last_n)
-            st.mins.append(self.running_min)
-            st.maxes.append(self.running_max)
-
-    def finish(self) -> None:
-        st = self.stats
-        shape = (len(st.checkpoints), len(self.directions))
-        st.mins = np.array(st.mins).reshape(shape)
-        st.maxes = np.array(st.maxes).reshape(shape)
+            st.mins = np.vstack((st.mins, self.running_min))
+            st.maxes = np.vstack((st.maxes, self.running_max))
 
     def to_csv(self, verdicts: list[str]) -> str:
         """One row per direction; ``verdicts[i]`` is direction i's classification."""

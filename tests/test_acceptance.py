@@ -216,7 +216,7 @@ def test_criterion_10_hull_behaviour():
         run_walk(drift, 10**5, seed=seed, observers=[ht])
         rep = hull_growth_report(ht)
         e1_idx = int(np.argmin(np.linalg.norm(rep.tracked_dirs - E1, axis=1)))
-        last = [cp.confinements[e1_idx] for cp in rep.series[-4:]]
+        last = ht.confinements[-4:, e1_idx]
         confined += int(rep.flag == CONFINED and len(set(last)) == 1)
     heavy = symmetric_axis_spec(0.5)
     full_heavy = 0

@@ -563,9 +563,17 @@ def test_cli_pruitt(tmp_path, capsys):
     table.write_text(json.dumps([[2**k, 2.0**-k] for k in range(18)]))
     capsys.readouterr()
     assert main(["pruitt", str(table), "--K", "16", "--csv", str(tmp_path / "t.csv")]) == 0
-    assert "DIVERGENT_TREND" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "DIVERGENT_TREND" in out and "note:" not in out      # R = 2**17 > 2**16
     rows = list(csv.DictReader(io.StringIO(read(tmp_path / "t.csv").decode())))
     assert [float(row["u_k"]) for row in rows] == [0.5] * 17
+    # a table ending at R = 8 keeps its last value past it: u_k = 0 from k = 3
+    table.write_text(json.dumps([[1, 0.5], [2, 0.25], [4, 0.125], [8, 0.0625]]))
+    assert main(["pruitt", str(table), "--K", "16"]) == 0
+    assert capsys.readouterr().out.split("\n") == [
+        "note: the table keeps p = 0.0625 past its last radius R = 8 (mass at infinity), "
+        "so u_k = 0 for every k >= 3",
+        "verdict: CONVERGENT_TREND (fitted slope nan, partial sum 0.75)", ""]
 
 
 @pytest.mark.parametrize("table", [None, [[float("nan"), 0.5]]], ids=["poly", "table"])

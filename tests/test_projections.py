@@ -456,10 +456,37 @@ def test_log_scale_psi_matches_former_formula_bytewise():
         fresh = fresh_rows(dots, log_norms)
         if len(fresh) > 1:
             fresh_shares.add("all" if fresh.all() else "one" if fresh.sum() == 1 else "some")
-    tr.finish()
     assert tr.stats.mins.tobytes() == np.array(ref_mins).tobytes()
     assert tr.stats.maxes.tobytes() == np.array(ref_maxes).tobytes()
     assert fresh_shares == {"all", "one", "some"}
+
+
+def test_ladder_is_complete_after_every_checkpoint():
+    # nothing finishes the ladder: after the k-th checkpoint, mins and maxes
+    # are (k x M) arrays whose rows are the running extremes at each one
+    tr = ProjectionTracker(grid_m=8)
+    tr.begin(SimpleNamespace(dimension=2, scale_mode="float"), 10**6)
+    assert tr.stats.mins.shape == tr.stats.maxes.shape == (0, 8)
+    rng = np.random.default_rng(25)
+    lo = hi = np.zeros(8)
+    mins, maxes, n = [], [], 1
+    for k in range(1, 25):
+        positions = rng.normal(size=(int(rng.integers(1, 30)), 2)) * k
+        vals = tr.directions @ positions.T
+        lo, hi = np.minimum(lo, vals.min(axis=1)), np.maximum(hi, vals.max(axis=1))
+        at_checkpoint = k % 3 != 0
+        tr.observe(WalkBlock(first_n=n, dirs=positions, log_norms=np.zeros(len(positions)),
+                             positions=positions, at_checkpoint=at_checkpoint))
+        n += len(positions)
+        if at_checkpoint:
+            mins.append(lo)
+            maxes.append(hi)
+        st = tr.stats
+        assert isinstance(st.mins, np.ndarray) and isinstance(st.maxes, np.ndarray)
+        assert st.mins.shape == st.maxes.shape == (len(mins), 8) == (len(st.checkpoints), 8)
+        assert st.mins.tobytes() == np.array(mins).tobytes()
+        assert st.maxes.tobytes() == np.array(maxes).tobytes()
+    assert len(mins) == 16
 
 
 class PieceRecorder(ObserverBase):

@@ -567,6 +567,7 @@ def test_one_checkpoint_ladder(spec, n_steps, reached):
     assert pieces.marked == [row.n for row in rec.checkpoints] == proj.stats.checkpoints \
         == [cp.n for cp in hull.series] == reached
     assert proj.stats.mins.shape == proj.stats.maxes.shape == (len(reached), 8)
+    assert hull.confinements.shape == (len(reached), 16)
 
 
 def test_cut_structure():
