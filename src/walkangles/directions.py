@@ -219,6 +219,23 @@ def _table_for(grid: np.ndarray, dot_min: float) -> "_CellTable | None":
     return _TABLES[key]
 
 
+def _group_edges(dirs: np.ndarray, log_norms: np.ndarray) -> np.ndarray | None:
+    """The first row of each maximal run of consecutive rows equal under
+    ``==`` in log-norm and every coordinate, then the row count; None when
+    every row is its own run (one ``!=`` pass over the log-norms decides most
+    linear-walk blocks)."""
+    same = log_norms[1:] == log_norms[:-1]
+    if not same.any():
+        return None
+    for i in range(dirs.shape[1]):
+        same &= dirs[1:, i] == dirs[:-1, i]
+    if not same.any():
+        return None
+    new = np.ones(len(dirs) + 1, dtype=bool)
+    np.logical_not(same, out=new[1:-1])
+    return new.nonzero()[0]
+
+
 class CapVisitAccumulator(ObserverBase):
     """Observer collecting per-(grid point, escape level) visit evidence."""
 
@@ -235,7 +252,8 @@ class CapVisitAccumulator(ObserverBase):
         self.level_totals = np.zeros(n_lv, dtype=np.int64)
         self.level_band_hits = np.zeros(n_lv, dtype=np.int64)
         self.n_steps_seen = 0
-        self.fallback_blocks = 0        # blocks decided by the dense expression
+        self.fallback_blocks = 0        # blocks whose cheaper decision was disputed
+        self.repeated_rows = 0          # live rows whose hits came from the row before
         self._dot_min = 1.0 - config.cap_radius ** 2 / 2.0  # chord < r as a dot bound
         self._log_r0 = math.log(config.escape_r0)
         self._alphas = np.asarray(config.alphas, dtype=float)
@@ -247,6 +265,9 @@ class CapVisitAccumulator(ObserverBase):
         self._clear_below = self._dot_min - margin
         self._clear_above = self._dot_min + margin
         self._table = _table_for(self.grid, self._dot_min)
+        # the margin covers pairs with |g|^2 <= 1 + s alone
+        norm2 = np.einsum("ij,ij->i", self.grid, self.grid)
+        self._short_grid = bool(np.all(norm2 <= 1.0 + _UNIT_SLACK / 2))
 
     # level index of each norm: largest l with norm > r0 * 2**l, or -1
     def _levels_of(self, log_norms: np.ndarray) -> np.ndarray:
@@ -281,16 +302,26 @@ class CapVisitAccumulator(ObserverBase):
             return None
         return rows, cand[rows, k].astype(np.intp)
 
-    def _dense_runs(self, dirs: np.ndarray):
+    def _dense_runs(self, dirs: np.ndarray, margin: bool = False):
         """(rows, first columns, lengths) of the runs of consecutive hit
         columns in each row of ``(dirs @ grid.T) > dot_min``.  The mask is
         padded with a False column at both ends, so every run has a rising
         and a falling edge in its row, and the edges of all rows, read in
         row-major order, alternate start, end.  A row whose hits wrap from
-        column M - 1 to column 0 gives two runs."""
+        column M - 1 to column 0 gives two runs.  With ``margin``, None
+        instead when a row or grid point is longer than ``sqrt(1 + s)`` or a
+        pair's dot lies within the margin of ``dot_min`` (see :meth:`observe`)."""
         m = len(self.grid)
+        dots = dirs @ self.grid.T
+        if margin and not (
+                self._short_grid
+                and np.all(np.einsum("ij,ij->i", dirs, dirs) <= 1.0 + _UNIT_SLACK / 2)
+                and np.count_nonzero(dots > self._clear_below)
+                == np.count_nonzero(dots > self._clear_above)):
+            return None
         edge = np.zeros((len(dirs), m + 2), dtype=bool)
-        np.greater(dirs @ self.grid.T, self._dot_min, out=edge[:, 1:-1])
+        np.greater(dots, self._dot_min, out=edge[:, 1:-1])
+        del dots                        # the edges are built after the product is freed
         ends = np.not_equal(edge[:, 1:], edge[:, :-1]).ravel().nonzero()[0]
         first, stop = ends[0::2], ends[1::2]
         rows = first // (m + 1)
@@ -303,24 +334,42 @@ class CapVisitAccumulator(ObserverBase):
         point g when the float expression ``(dirs @ grid.T) > dot_min``, as
         BLAS evaluates it on the block's live rows, is true.
 
-        Where a cell table is in use, only the pairs it lists are tested, by
-        an elementwise dot E: a pair is a hit when ``E > dot_min + 2b`` and
-        not one when ``E <= dot_min - 2b``, with ``b = 2 gamma_d (1 + s)``.
-        For any summation order, with or without fused multiply-adds, E and
-        BLAS's value each differ from the exact dot by at most
-        ``gamma_d sum|u_i g_i| <= gamma_d |u| |g| <= gamma_d (1 + s)``, so
-        they differ by at most b, and rounding ``dot_min +- 2b`` to a float
-        moves it by far less than b: both values lie on the same side of
-        ``dot_min``.  If any listed pair has E in between, or any row is not
-        unit to within the slack, the whole block takes the dense expression
-        instead (``fallback_blocks`` counts these blocks).  Either way the
-        hit set is that of the dense expression.
+        Cheaper decisions are trusted only with a margin.  An elementwise dot
+        E, or BLAS's value of the same pair in a product of another shape, is
+        a hit when it is ``> dot_min + 2b`` and not one when it is
+        ``<= dot_min - 2b``, with ``b = 2 gamma_d (1 + s)``.  For any
+        summation order, with or without fused multiply-adds, each such value
+        and the block's BLAS value differ from the exact dot by at most
+        ``gamma_d sum|u_i g_i| <= gamma_d |u| |g| <= gamma_d (1 + s)`` where
+        ``|u|^2, |g|^2 <= 1 + s``, so they differ by at most b, and rounding
+        ``dot_min +- 2b`` to a float moves it by far less than b: both values
+        lie on the same side of ``dot_min``.
 
-        The table is used when its mean list holds at most
-        ``M / _PRUNE_FACTOR`` grid points.  On the default grids with cap
-        0.3 that is d = 3, M = 256 (about 8.3 of 256 listed) but not d = 2,
-        M = 64 (about 7.8 of 64, where the dense product is faster); the
-        dense expression then decides every block.
+        Where a cell table is in use, only the pairs it lists are tested, by
+        E.  If any listed pair has E inside the margin, or any row is not
+        unit to within the slack, the whole block takes the dense expression
+        instead (``fallback_blocks`` counts these blocks).  The table is used
+        when its mean list holds at most ``M / _PRUNE_FACTOR`` grid points.
+        On the default grids with cap 0.3 that is d = 3, M = 256 (about 8.3
+        of 256 listed) but not d = 2, M = 64 (about 7.8 of 64, where the
+        dense product is faster); the dense expression then decides every
+        block.
+
+        Repeated rows are decided once.  When some live row has the log-norm
+        of the one before it, the live rows are grouped into maximal runs
+        equal under ``==`` in log-norm and every coordinate (dead rows and
+        ``burn_in`` between them do not split a group), and only each
+        group's first row is tested: rows with equal coordinates have equal
+        exact dots, so the margin makes the first row's decision every row's
+        (``repeated_rows`` counts the others).  The table's E already carries
+        the margin.  Without a table the first rows get a product of their
+        own, whose BLAS value can differ in its last bit from the same row's
+        inside the block's product, so it needs the margin too: if any of its
+        pairs lies inside it, or a row or grid point is longer than
+        ``sqrt(1 + s)``, the whole block takes the dense expression, row by
+        row (counted in ``fallback_blocks``).  Either way the hit set is that
+        of the dense expression.  The band test ``|dirs @ band_axis| >
+        band_threshold`` has no margin and stays per row.
 
         Evidence is accumulated per run of hit columns (row, first column,
         length), not per hit.  The dense expression gives the runs of each
@@ -329,14 +378,17 @@ class CapVisitAccumulator(ObserverBase):
         table's hits enter as runs of length 1.  Every hit of a run carries
         its row's level, statistic and window, so a run adds to each of its
         columns exactly what its hits would add one by one.  Visits go
-        through a difference array over columns.  The runs are grouped by
-        (length, first column); each group's maximum statistic and highest
-        qualifying window are spread over its columns with ``maximum.at``.
-        Integer counts and maxima do not depend on the order they are taken
-        in, so the records are those of the per-hit update.  Graded
-        windows: per call, each (grid point, alpha) gains the bit of only
-        the highest dyadic window ``floor(log2 n)`` among its hits in this
-        block with ``log||S_n|| - a log n > log kappa``.
+        through a difference array over columns; the runs of a group's first
+        row add the group's row count.  A group's rows share a level but not
+        a step, so its statistic and highest qualifying window are the
+        maxima over its rows.  The runs are keyed by (length, first column);
+        each key's maximum statistic and highest qualifying window are spread
+        over its columns with ``maximum.at``.  Integer counts and maxima do
+        not depend on the order or grouping they are taken in, so the
+        records are those of the per-hit update.  Graded windows: per call, each (grid point,
+        alpha) gains the bit of only the highest dyadic window
+        ``floor(log2 n)`` among its hits in this block with
+        ``log||S_n|| - a log n > log kappa``.
         """
         cfg = self.config
         n_lv = cfg.escape_levels + 1
@@ -357,31 +409,48 @@ class CapVisitAccumulator(ObserverBase):
                 sel = above & band
                 if sel.any():
                     self.level_band_hits += np.bincount(bucket[sel], minlength=n_lv)
-        hits = None if self._table is None else self._table_hits(dirs)
-        if hits is None:
-            if self._table is not None:
+        edges = _group_edges(dirs, log_norms)
+        starts = None if edges is None else edges[:-1]
+        runs = None
+        if starts is not None or self._table is not None:
+            tested = dirs if starts is None else dirs[starts]
+            if self._table is None:
+                runs = self._dense_runs(tested, margin=True)
+            else:
+                hits = self._table_hits(tested)
+                runs = None if hits is None else (*hits, None)
+            if runs is None:
                 self.fallback_blocks += 1
-            rows, cols, lens = self._dense_runs(dirs)
-        else:
-            (rows, cols), lens = hits, None
+                starts = None
+            elif starts is not None:
+                self.repeated_rows += len(dirs) - len(starts)
+        if runs is None:
+            runs = self._dense_runs(dirs)
+        rows, cols, lens = runs
         if len(rows) == 0:
             return
+        if starts is not None:
+            bucket = bucket[starts]             # rows index groups from here on
         span = 1 if lens is None else int(lens.max())
         m = len(self.grid)
         run_bucket = bucket[rows]
         in_lv = run_bucket >= 0
         if in_lv.any():
             first = cols[in_lv] * n_lv + run_bucket[in_lv]
+            weights = None if starts is None else np.diff(edges)[rows[in_lv]]
             if span == 1:
                 # kept: on two 2^16-step caps3d walks the difference array
                 # below took observe from 0.075-0.079 s to 0.095-0.103 s
-                by_bucket = np.bincount(first, minlength=m * n_lv).reshape(m, n_lv)
+                by_bucket = np.bincount(first, weights, minlength=m * n_lv).reshape(m, n_lv)
             else:
                 # +1 at a run's first column, -1 past its last, summed over columns
                 size = (m + 1) * n_lv
-                by_bucket = np.bincount(first, minlength=size) - np.bincount(
-                    first + lens[in_lv] * n_lv, minlength=size)
+                by_bucket = np.bincount(first, weights, minlength=size) - np.bincount(
+                    first + lens[in_lv] * n_lv, weights, minlength=size)
                 by_bucket = by_bucket.reshape(m + 1, n_lv)[:m].cumsum(axis=0)
+            if weights is not None:
+                # float64 sums of whole row counts, exact below 2**53
+                by_bucket = by_bucket.astype(np.int64)
             # visits at level l count every step beyond it: suffix sums
             self.visits += by_bucket[:, ::-1].cumsum(axis=1)[:, ::-1]
         # graded records, all alphas at once, from runs grouped by (length,
@@ -395,12 +464,19 @@ class CapVisitAccumulator(ObserverBase):
         np.not_equal(key[1:], key[:-1], out=new[1:])
         seg_starts = new.nonzero()[0]
         steps = steps.astype(float)
-        # (A, R), so both reductions run along the runs; the results are (S, A)
-        stat = (log_norms - self._alphas[:, None] * np.log(steps)).take(rows, axis=1)
-        seg_max = np.maximum.reduceat(stat, seg_starts, axis=1).T
+        # (A, rows), so every reduction runs along the rows; the results are (S, A)
+        stat = log_norms - self._alphas[:, None] * np.log(steps)
         windows = np.floor(np.log2(steps)).astype(np.int8)                      # 0..62
-        qual_window = np.where(stat > math.log(cfg.kappa), windows[rows], np.int8(-1))
-        top = np.maximum.reduceat(qual_window, seg_starts, axis=1).T
+        if starts is None:
+            stat = stat.take(rows, axis=1)
+            top = np.where(stat > math.log(cfg.kappa), windows[rows], np.int8(-1))
+        else:
+            # each group's maxima over its rows, then taken per run like a row's
+            top = np.where(stat > math.log(cfg.kappa), windows, np.int8(-1))
+            stat = np.maximum.reduceat(stat, starts, axis=1).take(rows, axis=1)
+            top = np.maximum.reduceat(top, starts, axis=1).take(rows, axis=1)
+        seg_max = np.maximum.reduceat(stat, seg_starts, axis=1).T
+        top = np.maximum.reduceat(top, seg_starts, axis=1).T
         # spread each group over its columns: flat indices for maximum.at
         seg_key = key[seg_starts]
         n_a = len(self._alphas)

@@ -6,6 +6,7 @@ import pytest
 
 from walkangles.directions import (IN, OUT, UNDECIDED, CapVisitAccumulator,
                                    EstimatorConfig, _CellTable, _TABLES, combine_runs)
+from walkangles.examples import triangle_log_tail_spec
 from walkangles.samplers import (coordinate_product, constant, rademacher,
                                  s_two_sided)
 from walkangles.sphere import direction_grid
@@ -386,6 +387,39 @@ def zero_rows_block(rng, acc: CapVisitAccumulator, first_n: int, rows: int = 102
                      log_norms=_spread_log_norms(rng, acc, rows), positions=None)
 
 
+def repeat_rows(block: WalkBlock, lens: np.ndarray) -> WalkBlock:
+    """Row i of ``block`` repeated ``lens[i]`` times."""
+    run = np.repeat(np.arange(len(lens)), lens)
+    return WalkBlock(first_n=block.first_n, dirs=block.dirs[run],
+                     log_norms=block.log_norms[run], positions=None)
+
+
+def plateau_block(rng, acc: CapVisitAccumulator, first_n: int) -> WalkBlock:
+    """Random rows in runs of equal rows: first a run of 64, then one of each
+    length 2^0 .. 2^12 among 500 runs of 1-8 rows.  Each shorter run is one
+    of four kinds: equal rows; equal directions with log-norms that differ
+    row by row; equal log-norms with directions that differ; or equal rows
+    whose coordinate 0 is +0.0 and -0.0 by turns.  A dead row splits every
+    run of 64 rows or more in the middle."""
+    d = acc.grid.shape[1]
+    lens = np.concatenate([[64], rng.permutation(np.concatenate(
+        [2 ** np.arange(13), rng.integers(1, 9, 500)]))])
+    kind = np.where(lens >= 64, 0, rng.integers(0, 4, len(lens)))
+    block = repeat_rows(random_block(rng, acc, first_n), lens)
+    kind = np.repeat(kind, lens)
+    moved = kind == 1
+    block.log_norms[moved] += rng.uniform(0.0, 1e-3, moved.sum())
+    moved = kind == 2
+    block.dirs[moved] += 1e-3 * rng.standard_normal((moved.sum(), d))
+    signed = kind == 3
+    block.dirs[signed, 0] = np.where(np.arange(signed.sum()) % 2, -0.0, 0.0)
+    for rows in (moved, signed):
+        block.dirs[rows] /= np.linalg.norm(block.dirs[rows], axis=1, keepdims=True)
+    starts = np.concatenate([[0], lens.cumsum()[:-1]])
+    block.log_norms[(starts + lens // 2)[lens >= 64]] = NEG_INF
+    return block
+
+
 def head(block: WalkBlock, rows: int, first_n: int) -> WalkBlock:
     """The first ``rows`` steps of ``block``, renumbered from ``first_n``."""
     return WalkBlock(first_n=first_n, dirs=block.dirs[:rows],
@@ -403,8 +437,8 @@ VARIANTS = {
 }
 
 
-def _accumulators(d: int, variant: str, force_table: bool):
-    kw = dict(VARIANTS[variant])
+def _accumulators(d: int, variant: str, force_table: bool, **extra):
+    kw = dict(VARIANTS[variant], **extra)
     if kw.get("band_axis") == "last":
         kw["band_axis"] = tuple([0.0] * (d - 1) + [1.0])
     permuted = kw.pop("grid", None) == "permuted"
@@ -464,6 +498,31 @@ def test_blocks_match_dense_reference(d, variant, force_table):
         assert np.any(np.bincount(rows) > 2)       # rows split into several runs
     if acc._dot_min >= 0:
         assert not runs_of(acc, blocks[6])[2].any()                        # no hits
+    # runs of equal rows, decided once per run: a plateau, and its first rows
+    # split by burn_in and with no alphas; cap 2 puts the antipode of every
+    # grid point on the cap's edge, and on the d = 2 grid the plateau's rows
+    # (+-0, +-1) are such antipodes
+    plateau = plateau_block(rng, acc, 1 + 8 * BLOCK)
+    start = head(plateau, 2048, plateau.first_n)
+    disputed = d == 2 and acc._dot_min == -1.0
+    for a, r, block in [(acc, ref, plateau),
+                        (*_accumulators(d, variant, force_table, burn_in=16 + 8 * BLOCK), start),
+                        (*_accumulators(d, variant, force_table, alphas=()), start)]:
+        seen, fallbacks = a.repeated_rows, a.fallback_blocks
+        a.observe(block)
+        r.observe(block)
+        assert_same_records(a, r)
+        assert (a.repeated_rows > seen) != disputed
+        assert a.fallback_blocks == fallbacks + disputed
+    # a plateau of cap-edge rows disputes the first rows' decision, so the
+    # block takes the dense expression row by row
+    seen, fallbacks = acc.repeated_rows, acc.fallback_blocks
+    edge = cap_edge_block(rng, acc, 1 + 10 * BLOCK)
+    edge = repeat_rows(edge, rng.integers(1, 4, BLOCK // 4))
+    acc.observe(edge)
+    ref.observe(edge)
+    assert_same_records(acc, ref)
+    assert acc.repeated_rows == seen and acc.fallback_blocks == fallbacks + 1
 
 
 def test_padded_slots_never_pass():
@@ -516,6 +575,8 @@ WALKS = {
            {"band_axis": (0.0, 0.0, 0.0, 1.0)}),
     "d2-huge-float": (coordinate_product([constant(1e200), rademacher()]),
                       {"escape_r0": 1e200}),
+    # heavytails-demo's log-tailed radial walk: whole runs of repeated rows
+    "d2-log-radial": (triangle_log_tail_spec(), {"escape_r0": 1e3}),
 }
 
 
@@ -529,6 +590,8 @@ def test_walks_match_dense_reference(name):
     assert_same_records(acc, ref)
     assert acc.fallback_blocks == 0
     assert acc.visits.sum() > 0
+    if spec.scale_mode == "log":
+        assert acc.repeated_rows > 0
 
 
 @pytest.mark.xfail(strict=True, reason="observe keeps only the highest "
