@@ -327,6 +327,31 @@ class CapVisitAccumulator(ObserverBase):
         rows = first // (m + 1)
         return rows, first - rows * (m + 1), stop - first
 
+    def _group_graded(self, log_norms, log_n, windows, starts, sizes):
+        """The graded statistic's maximum and the highest qualifying window of
+        each group of equal rows, (alphas, groups) each, without the per-row
+        statistic where a group's rows all qualify or none does (see
+        :meth:`observe`)."""
+        alphas = self._alphas[:, None]
+        log_kappa = math.log(self.config.kappa)
+        lo, hi = np.minimum.reduceat(log_n, starts), np.maximum.reduceat(log_n, starts)
+        log_norm = log_norms[starts]
+        neg = alphas < 0                        # -0.0 goes with the a >= 0 side
+        stat = log_norm - alphas * np.where(neg, hi, lo)              # the best row's
+        every = log_norm - alphas * np.where(neg, lo, hi) > log_kappa   # the worst row's
+        top = np.where(every, np.maximum.reduceat(windows, starts), np.int8(-1))
+        # mixed groups take the per-row expression on their own rows, and so
+        # do groups of log-norm +-0.0, whose zero statistics may differ in sign
+        odd = ((stat > log_kappa) & ~every).any(axis=0) | (log_norm == 0.0)
+        if odd.any():
+            rows = np.repeat(odd, sizes)
+            row_stat = log_norms[rows] - alphas * log_n[rows]
+            row_top = np.where(row_stat > log_kappa, windows[rows], np.int8(-1))
+            heads = np.concatenate(([0], sizes[odd].cumsum()[:-1]))
+            stat[:, odd] = np.maximum.reduceat(row_stat, heads, axis=1)
+            top[:, odd] = np.maximum.reduceat(row_top, heads, axis=1)
+        return stat, top
+
     def observe(self, block: WalkBlock) -> None:
         """Add a block of steps to the visit and graded records.
 
@@ -371,6 +396,21 @@ class CapVisitAccumulator(ObserverBase):
         of the dense expression.  The band test ``|dirs @ band_axis| >
         band_threshold`` has no margin and stays per row.
 
+        A group's records are taken once, not row by row.  Its rows share
+        the log-norm L, so the level of its first row, which ``level_totals``
+        counts with the group's row count.  They do not share a step n: the
+        graded statistic ``L - a x`` with ``x = log n`` is a rounded product
+        and a rounded difference, and IEEE rounding is monotone, so it is
+        non-increasing in x for ``a >= 0`` (and -0.0) and non-decreasing for
+        ``a < 0``.  Its maximum over the group is therefore ``L - a min x`` or
+        ``L - a max x``, bit for bit, with the extremes of x taken by
+        ``reduceat`` (no monotony of ``log`` in n is assumed).  If the group's
+        worst value clears ``log kappa``, every row qualifies and its highest
+        qualifying window is the maximum ``floor(log2 n)`` of its rows; if its
+        best does not, no row does.  A group between the two (mixed), or one
+        of log-norm +-0.0 (whose zero statistics can differ in sign), takes
+        the per-row expression on its own rows.
+
         Evidence is accumulated per run of hit columns (row, first column,
         length), not per hit.  The dense expression gives the runs of each
         row of its mask (on the equally spaced d = 2 grid one run per row,
@@ -379,38 +419,48 @@ class CapVisitAccumulator(ObserverBase):
         its row's level, statistic and window, so a run adds to each of its
         columns exactly what its hits would add one by one.  Visits go
         through a difference array over columns; the runs of a group's first
-        row add the group's row count.  A group's rows share a level but not
-        a step, so its statistic and highest qualifying window are the
-        maxima over its rows.  The runs are keyed by (length, first column);
-        each key's maximum statistic and highest qualifying window are spread
-        over its columns with ``maximum.at``.  Integer counts and maxima do
-        not depend on the order or grouping they are taken in, so the
-        records are those of the per-hit update.  Graded windows: per call, each (grid point,
-        alpha) gains the bit of only the highest dyadic window
+        row add the group's row count, and its statistic and highest
+        qualifying window are the maxima over its rows (below).  The runs
+        are keyed by (length, first column); each key's maximum statistic and
+        highest qualifying window are spread over its columns with
+        ``maximum.at``.  Integer counts and maxima do not depend on the order
+        or grouping they are taken in, so the records are those of the
+        per-hit update.  Graded windows: per call, each (grid point, alpha)
+        gains the bit of only the highest dyadic window
         ``floor(log2 n)`` among its hits in this block with
         ``log||S_n|| - a log n > log kappa``.
         """
         cfg = self.config
         n_lv = cfg.escape_levels + 1
-        steps = np.arange(block.first_n, block.first_n + len(block))
-        live = (block.log_norms > NEG_INF) & (steps > cfg.burn_in)
         self.n_steps_seen += len(block)
-        if not live.any():
+        # burn_in is a prefix: past it the live rows are views of the block's
+        # when every log-norm is finite, else gathered
+        cut = min(max(cfg.burn_in - block.first_n + 1, 0), len(block))
+        dirs, log_norms = block.dirs[cut:], block.log_norms[cut:]
+        steps = np.arange(block.first_n + cut, block.first_n + len(block))
+        live = log_norms > NEG_INF
+        if not live.all():
+            dirs, log_norms, steps = dirs[live], log_norms[live], steps[live]
+        if len(steps) == 0:
             return
-        dirs = block.dirs[live]
-        log_norms = block.log_norms[live]
-        steps = steps[live]
-        bucket = self._levels_of(log_norms)
+        edges = _group_edges(dirs, log_norms)
+        starts = sizes = None
+        if edges is None:
+            bucket = self._levels_of(log_norms)
+        else:
+            starts, sizes = edges[:-1], np.diff(edges)
+            bucket = self._levels_of(log_norms[starts])         # one level per group
         above = bucket >= 0
         if above.any():
-            self.level_totals += np.bincount(bucket[above], minlength=n_lv)
+            weights = None if sizes is None else sizes[above]
+            # float64 sums of whole row counts, exact below 2**53
+            self.level_totals += np.bincount(
+                bucket[above], weights, minlength=n_lv).astype(np.int64)
             if self._band_axis is not None:
-                band = np.abs(dirs @ self._band_axis) > cfg.band_threshold
-                sel = above & band
+                row_bucket = bucket if sizes is None else np.repeat(bucket, sizes)
+                sel = (row_bucket >= 0) & (np.abs(dirs @ self._band_axis) > cfg.band_threshold)
                 if sel.any():
-                    self.level_band_hits += np.bincount(bucket[sel], minlength=n_lv)
-        edges = _group_edges(dirs, log_norms)
-        starts = None if edges is None else edges[:-1]
+                    self.level_band_hits += np.bincount(row_bucket[sel], minlength=n_lv)
         runs = None
         if starts is not None or self._table is not None:
             tested = dirs if starts is None else dirs[starts]
@@ -421,23 +471,23 @@ class CapVisitAccumulator(ObserverBase):
                 runs = None if hits is None else (*hits, None)
             if runs is None:
                 self.fallback_blocks += 1
-                starts = None
+                if starts is not None:
+                    bucket = np.repeat(bucket, sizes)          # rows index rows again
+                starts = sizes = None
             elif starts is not None:
                 self.repeated_rows += len(dirs) - len(starts)
         if runs is None:
             runs = self._dense_runs(dirs)
-        rows, cols, lens = runs
+        rows, cols, lens = runs                 # rows index groups when grouped
         if len(rows) == 0:
             return
-        if starts is not None:
-            bucket = bucket[starts]             # rows index groups from here on
         span = 1 if lens is None else int(lens.max())
         m = len(self.grid)
         run_bucket = bucket[rows]
         in_lv = run_bucket >= 0
         if in_lv.any():
             first = cols[in_lv] * n_lv + run_bucket[in_lv]
-            weights = None if starts is None else np.diff(edges)[rows[in_lv]]
+            weights = None if sizes is None else sizes[rows[in_lv]]
             if span == 1:
                 # kept: on two 2^16-step caps3d walks the difference array
                 # below took observe from 0.075-0.079 s to 0.095-0.103 s
@@ -449,8 +499,7 @@ class CapVisitAccumulator(ObserverBase):
                     first + lens[in_lv] * n_lv, weights, minlength=size)
                 by_bucket = by_bucket.reshape(m + 1, n_lv)[:m].cumsum(axis=0)
             if weights is not None:
-                # float64 sums of whole row counts, exact below 2**53
-                by_bucket = by_bucket.astype(np.int64)
+                by_bucket = by_bucket.astype(np.int64)      # exact, as above
             # visits at level l count every step beyond it: suffix sums
             self.visits += by_bucket[:, ::-1].cumsum(axis=1)[:, ::-1]
         # graded records, all alphas at once, from runs grouped by (length,
@@ -464,17 +513,16 @@ class CapVisitAccumulator(ObserverBase):
         np.not_equal(key[1:], key[:-1], out=new[1:])
         seg_starts = new.nonzero()[0]
         steps = steps.astype(float)
-        # (A, rows), so every reduction runs along the rows; the results are (S, A)
-        stat = log_norms - self._alphas[:, None] * np.log(steps)
+        log_n = np.log(steps)
         windows = np.floor(np.log2(steps)).astype(np.int8)                      # 0..62
         if starts is None:
-            stat = stat.take(rows, axis=1)
+            # (A, rows), so every reduction runs along the rows; the results are (S, A)
+            stat = (log_norms - self._alphas[:, None] * log_n).take(rows, axis=1)
             top = np.where(stat > math.log(cfg.kappa), windows[rows], np.int8(-1))
         else:
             # each group's maxima over its rows, then taken per run like a row's
-            top = np.where(stat > math.log(cfg.kappa), windows, np.int8(-1))
-            stat = np.maximum.reduceat(stat, starts, axis=1).take(rows, axis=1)
-            top = np.maximum.reduceat(top, starts, axis=1).take(rows, axis=1)
+            stat, top = self._group_graded(log_norms, log_n, windows, starts, sizes)
+            stat, top = stat.take(rows, axis=1), top.take(rows, axis=1)
         seg_max = np.maximum.reduceat(stat, seg_starts, axis=1).T
         top = np.maximum.reduceat(top, seg_starts, axis=1).T
         # spread each group over its columns: flat indices for maximum.at

@@ -72,7 +72,8 @@ class WalkState:
     Linear modes use ``position``; log mode uses ``mantissa`` (unit length
     once the walk is nonzero) and ``scale`` with position = mantissa*e**scale.
     Radial statistics are linear values in linear modes and natural logs in
-    log mode (log of 0 is -inf).
+    log mode (log of 0 is -inf).  ``xi_total`` is kept in linear modes only,
+    where the rest is the total less the maximum; in log mode it stays -inf.
     """
 
     spec: IncrementSpec
@@ -248,9 +249,9 @@ class TrajectoryRecord:
 
 def _advance_radial(state: WalkState, xi: np.ndarray, atom_idx: np.ndarray,
                     first_n: int) -> dict:
-    """Carry ``state``'s radial statistics (total, max, rest, max index, atom)
-    across one block of magnitudes (logs in log mode).  Returns the per-step
-    running values as ``WalkBlock`` fields.
+    """Carry ``state``'s radial statistics (max, rest, max index, atom, and
+    in linear modes the total) across one block of magnitudes (logs in log
+    mode).  Returns the per-step running values as ``WalkBlock`` fields.
 
     In log mode the rest is one ``logaddexp`` prefix scan in step order: a
     step that sets a new maximum adds the old maximum, any other step itself.
@@ -262,8 +263,6 @@ def _advance_radial(state: WalkState, xi: np.ndarray, atom_idx: np.ndarray,
     prev_max[1:] = running[:-1]
     newmax = xi > prev_max
     if state.mode == "log":
-        state.xi_total = float(np.logaddexp.accumulate(
-            np.concatenate(([state.xi_total], xi)))[-1])
         rest = np.logaddexp.accumulate(
             np.concatenate(([state.xi_rest], np.where(newmax, prev_max, xi))))[1:]
     else:

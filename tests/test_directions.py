@@ -1,5 +1,6 @@
 """Cap-visit accounting, verdicts, and multi-run consensus."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -420,6 +421,59 @@ def plateau_block(rng, acc: CapVisitAccumulator, first_n: int) -> WalkBlock:
     return block
 
 
+# alphas of both signs and both zeros: the maximum of a group's statistic
+# sits at its last row for a < 0 and at its first for a > 0
+SIGNED_ALPHAS = (-0.5, -0.0, 0.0, 0.25, 2.0)
+
+
+def straddle_block(rng, acc: CapVisitAccumulator) -> WalkBlock:
+    """20 runs of 200 equal rows near grid points, at steps 2**17 - 3900 to
+    2**17 + 99.  Each run's log-norm puts one alpha's statistic ``log-norm -
+    a log n`` at ``log kappa`` at a step inside the run, so its rows qualify
+    on one side of that step only.  The last run, the only one that reaches
+    window 17, crosses 10 steps before 2**17 for a = 0.25: its qualifying
+    rows are all in window 16.  For a <= 0 every row of it qualifies, and its
+    top window is 17.  A dead row sits in the middle of every run."""
+    d = acc.grid.shape[1]
+    n_runs, size = 20, 200
+    first_n = 2**17 + 100 - n_runs * size
+    heads = np.arange(n_runs) * size
+    alpha = rng.choice([-0.5, 0.25, 2.0], n_runs)
+    crossing = first_n + heads + rng.integers(1, size - 1, n_runs)
+    alpha[-1], crossing[-1] = 0.25, 2**17 - 10
+    dirs = acc.grid[rng.integers(len(acc.grid), size=n_runs)] \
+        + 0.05 * rng.standard_normal((n_runs, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    log_norms = math.log(acc.config.kappa) + alpha * np.log(crossing.astype(float))
+    block = repeat_rows(WalkBlock(first_n=first_n, dirs=dirs, log_norms=log_norms,
+                                  positions=None), np.full(n_runs, size))
+    block.log_norms[heads + size // 2] = NEG_INF
+    return block
+
+
+def one_run_block(rng, acc: CapVisitAccumulator, first_n: int,
+                  log_norms: np.ndarray) -> WalkBlock:
+    """A run of equal rows near grid point 0 with the given log-norms."""
+    u = acc.grid[0] + 0.05 * rng.standard_normal(acc.grid.shape[1])
+    return WalkBlock(first_n=first_n, dirs=np.tile(u / np.linalg.norm(u), (len(log_norms), 1)),
+                     log_norms=log_norms, positions=None)
+
+
+def mixed_groups(acc: CapVisitAccumulator, block: WalkBlock) -> int:
+    """How many (alpha, run of equal live rows) pairs have rows on both sides
+    of ``log kappa`` in the graded statistic."""
+    steps = np.arange(block.first_n, block.first_n + len(block))
+    live = (block.log_norms > NEG_INF) & (steps > acc.config.burn_in)
+    dirs, log_norms, steps = block.dirs[live], block.log_norms[live], steps[live]
+    new = np.ones(len(steps), dtype=bool)
+    new[1:] = (log_norms[1:] != log_norms[:-1]) | (dirs[1:] != dirs[:-1]).any(axis=1)
+    group = np.cumsum(new) - 1
+    alphas = np.asarray(acc.config.alphas)[:, None]
+    qual = log_norms - alphas * np.log(steps.astype(float)) > math.log(acc.config.kappa)
+    hits = np.array([np.bincount(group, q, minlength=group[-1] + 1) for q in qual])
+    return int(np.count_nonzero((hits > 0) & (hits < np.bincount(group))))
+
+
 def head(block: WalkBlock, rows: int, first_n: int) -> WalkBlock:
     """The first ``rows`` steps of ``block``, renumbered from ``first_n``."""
     return WalkBlock(first_n=first_n, dirs=block.dirs[:rows],
@@ -505,15 +559,30 @@ def test_blocks_match_dense_reference(d, variant, force_table):
     plateau = plateau_block(rng, acc, 1 + 8 * BLOCK)
     start = head(plateau, 2048, plateau.first_n)
     disputed = d == 2 and acc._dot_min == -1.0
-    for a, r, block in [(acc, ref, plateau),
-                        (*_accumulators(d, variant, force_table, burn_in=16 + 8 * BLOCK), start),
-                        (*_accumulators(d, variant, force_table, alphas=()), start)]:
+    # runs whose rows straddle log kappa (and step 2**17) take the per-row
+    # statistic on their own rows; the others take it from the row extremes
+    # of log n, which a < 0 reads at the run's last row
+    straddle = straddle_block(rng, acc)
+    signed = _accumulators(d, variant, force_table, alphas=SIGNED_ALPHAS)
+    assert mixed_groups(signed[0], straddle) > 0
+    for a, r, block, dispute in [
+            (acc, ref, plateau, disputed),
+            (*_accumulators(d, variant, force_table, burn_in=16 + 8 * BLOCK), start, disputed),
+            (*_accumulators(d, variant, force_table, alphas=()), start, disputed),
+            (*_accumulators(d, variant, force_table, alphas=SIGNED_ALPHAS), plateau, disputed),
+            (*signed, straddle, False),
+            # every row qualifies for a <= 0.25, and the top window is 18
+            (*_accumulators(d, variant, force_table, alphas=SIGNED_ALPHAS),
+             one_run_block(rng, acc, 2**18 - 100, np.full(200, 5.0)), False),
+            # for a = +-0.0 the statistics are zeros of both signs
+            (*_accumulators(d, variant, force_table, alphas=SIGNED_ALPHAS),
+             one_run_block(rng, acc, 1 + 11 * BLOCK, np.array([-0.0] + [0.0] * 199)), False)]:
         seen, fallbacks = a.repeated_rows, a.fallback_blocks
         a.observe(block)
         r.observe(block)
         assert_same_records(a, r)
-        assert (a.repeated_rows > seen) != disputed
-        assert a.fallback_blocks == fallbacks + disputed
+        assert (a.repeated_rows > seen) != dispute
+        assert a.fallback_blocks == fallbacks + dispute
     # a plateau of cap-edge rows disputes the first rows' decision, so the
     # block takes the dense expression row by row
     seen, fallbacks = acc.repeated_rows, acc.fallback_blocks
@@ -592,6 +661,19 @@ def test_walks_match_dense_reference(name):
     assert acc.visits.sum() > 0
     if spec.scale_mode == "log":
         assert acc.repeated_rows > 0
+
+
+def test_log_tail_walk_caps_match_dense_reference_bytewise():
+    # the benchmark's logradial walk: after a jump that dwarfs the scale, later
+    # steps underflow and whole runs of rows repeat, so records come per group
+    spec = triangle_log_tail_spec()
+    for alphas in (EstimatorConfig().alphas, SIGNED_ALPHAS):
+        cfg = replace(EstimatorConfig.defaults_for(spec), alphas=alphas)
+        acc, ref = CapVisitAccumulator(cfg, 2), DenseAccumulator(cfg, 2)
+        run_walk(spec, 2 * BLOCK, seed=0, observers=[acc, ref])
+        assert_same_records(acc, ref)
+        assert acc.n_steps_seen == ref.n_steps_seen == 2 * BLOCK
+        assert acc.fallback_blocks == 0 and acc.repeated_rows > 0
 
 
 @pytest.mark.xfail(strict=True, reason="observe keeps only the highest "
