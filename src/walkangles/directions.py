@@ -50,9 +50,10 @@ class EstimatorConfig:
     Size fields are bounded so that a config cannot ask for arrays numpy
     cannot allocate.  ``grid_m`` is at most ``MAX_GRID_M`` (4096): every
     block is tested against the whole grid in one (block x grid) float64
-    product, 512 MiB at the bound.  Its hit mask and the mask's column edges
-    hold one byte per (row, column) each, 64 MiB at the bound, and the edges
-    are built after the product is freed.  ``escape_levels`` is at most
+    product, 512 MiB at the bound.  Its hit mask, the mask of pairs near the
+    cap's edge and the hit mask's column edges hold one byte per (row,
+    column) each, 64 MiB at the bound, and the edges are built after the
+    product and the near mask are freed.  ``escape_levels`` is at most
     ``MAX_ESCAPE_LEVELS`` (1024): the visit table holds
     ``grid_m x (escape_levels + 1)`` int64 counts that every block rebuilds
     (32 MiB at both bounds), and 1024 doublings of an ``escape_r0`` of at
@@ -79,6 +80,8 @@ class EstimatorConfig:
             raise ValueError(f"estimator.grid_m must be in 1..{MAX_GRID_M}")
         if self.grid_seed < 0:
             raise ValueError("estimator.grid_seed must be >= 0")
+        if self.burn_in < 0:
+            raise ValueError("estimator.burn_in must be >= 0")
         if not (0 < self.cap_radius <= 2):
             raise ValueError("estimator.cap_radius must be in (0, 2]")
         if self.escape_r0 <= 0:
@@ -114,6 +117,17 @@ _MAX_CELLS = 1 << 16
 _PRUNE_FACTOR = 16
 
 
+def _fixed_dots(dirs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """E = ``((u0*g0 + u1*g1) + u2*g2) ...`` of each row u of ``dirs`` with the
+    same row g of ``vecs``, or with ``vecs`` itself when it is one vector:
+    unfused multiplies and adds in coordinate order, which IEEE rounds the
+    same way on every host.  E is the dot of the cap and band tests."""
+    dots = dirs[:, 0] * vecs[..., 0]
+    for i in range(1, dirs.shape[1]):
+        dots += dirs[:, i] * vecs[..., i]
+    return dots
+
+
 class _CellTable:
     """Grid points that can share a cap with a direction, per cube cell.
 
@@ -138,7 +152,7 @@ class _CellTable:
 
     Lists are padded to the longest with index M, a NaN row of the extended
     grid: a padded slot's dot is NaN, which is never above ``dot_min`` (even
-    at ``dot_min = -1``) and never within the margin of it.
+    at ``dot_min = -1``).
     """
 
     def __init__(self, grid: np.ndarray, dot_min: float):
@@ -252,7 +266,6 @@ class CapVisitAccumulator(ObserverBase):
         self.level_totals = np.zeros(n_lv, dtype=np.int64)
         self.level_band_hits = np.zeros(n_lv, dtype=np.int64)
         self.n_steps_seen = 0
-        self.fallback_blocks = 0        # blocks whose cheaper decision was disputed
         self.repeated_rows = 0          # live rows whose hits came from the row before
         self._dot_min = 1.0 - config.cap_radius ** 2 / 2.0  # chord < r as a dot bound
         self._log_r0 = math.log(config.escape_r0)
@@ -261,13 +274,9 @@ class CapVisitAccumulator(ObserverBase):
             else np.asarray(config.band_axis, dtype=float)
         d = self.grid.shape[1]
         gamma = d * _ROUNDING / (1.0 - d * _ROUNDING)
-        margin = 2.0 * (2.0 * gamma * (1.0 + _UNIT_SLACK))     # 2b, see observe
-        self._clear_below = self._dot_min - margin
-        self._clear_above = self._dot_min + margin
+        self._width = 2.0 * (2.0 * gamma * (1.0 + _UNIT_SLACK))    # 2b per unit of P, see observe
+        self._grid_l1 = float(np.fmax.reduce(np.abs(self.grid).sum(axis=1), initial=0.0))
         self._table = _table_for(self.grid, self._dot_min)
-        # the margin covers pairs with |g|^2 <= 1 + s alone
-        norm2 = np.einsum("ij,ij->i", self.grid, self.grid)
-        self._short_grid = bool(np.all(norm2 <= 1.0 + _UNIT_SLACK / 2))
 
     # level index of each norm: largest l with norm > r0 * 2**l, or -1
     def _levels_of(self, log_norms: np.ndarray) -> np.ndarray:
@@ -282,14 +291,14 @@ class CapVisitAccumulator(ObserverBase):
         return lvl.astype(np.int64)
 
     def _table_hits(self, dirs: np.ndarray):
-        """(rows, grid columns) of the block's hits from the cell table, or
-        None when a row is not covered by it or a listed pair's dot lies
-        within the margin of ``dot_min`` (see :meth:`observe`)."""
+        """(rows, grid columns) of the block's hits, ``E > dot_min`` on the
+        pairs the cell table lists, or None when a row is not covered by it."""
         table = self._table
         slot = table.cell_of(dirs)
         if len(slot) and slot.min() < 0:
             return None
         cand = table.table[slot]                                 # (B, K)
+        # E, term by term as _fixed_dots takes it, into two (B, K) buffers
         dots = table.ext[0].take(cand)
         dots *= dirs[:, :1]
         term = np.empty_like(dots)
@@ -297,31 +306,32 @@ class CapVisitAccumulator(ObserverBase):
             table.ext[i].take(cand, out=term)
             term *= dirs[:, i:i + 1]
             dots += term
-        rows, k = np.nonzero(dots > self._clear_above)
-        if np.count_nonzero(dots > self._clear_below) != len(rows):
-            return None
+        rows, k = np.nonzero(dots > self._dot_min)
         return rows, cand[rows, k].astype(np.intp)
 
-    def _dense_runs(self, dirs: np.ndarray, margin: bool = False):
+    def _dense_runs(self, dirs: np.ndarray):
         """(rows, first columns, lengths) of the runs of consecutive hit
-        columns in each row of ``(dirs @ grid.T) > dot_min``.  The mask is
-        padded with a False column at both ends, so every run has a rising
-        and a falling edge in its row, and the edges of all rows, read in
-        row-major order, alternate start, end.  A row whose hits wrap from
-        column M - 1 to column 0 gives two runs.  With ``margin``, None
-        instead when a row or grid point is longer than ``sqrt(1 + s)`` or a
-        pair's dot lies within the margin of ``dot_min`` (see :meth:`observe`)."""
+        columns in each row of ``E > dot_min`` over the whole grid.  BLAS's
+        ``dirs @ grid.T`` decides every pair whose value lies outside
+        ``dot_min +- 2b`` (see :meth:`observe`); the pairs inside take E.  The
+        mask is padded with a False column at both ends, so every run has a
+        rising and a falling edge in its row, and the edges of all rows, read
+        in row-major order, alternate start, end.  A row whose hits wrap from
+        column M - 1 to column 0 gives two runs."""
         m = len(self.grid)
         dots = dirs @ self.grid.T
-        if margin and not (
-                self._short_grid
-                and np.all(np.einsum("ij,ij->i", dirs, dirs) <= 1.0 + _UNIT_SLACK / 2)
-                and np.count_nonzero(dots > self._clear_below)
-                == np.count_nonzero(dots > self._clear_above)):
-            return None
+        # P, see observe; fmax skips nan coordinates, whose dots are never hits
+        peak = float(np.fmax.reduce(np.abs(dirs), axis=None, initial=0.0))
+        width = self._width * max(1.0, peak * self._grid_l1)
         edge = np.zeros((len(dirs), m + 2), dtype=bool)
-        np.greater(dots, self._dot_min, out=edge[:, 1:-1])
+        hits = edge[:, 1:-1]
+        np.greater(dots, self._dot_min + width, out=hits)
+        near = dots > self._dot_min - width
         del dots                        # the edges are built after the product is freed
+        if np.count_nonzero(near) != np.count_nonzero(edge):
+            rows, cols = np.nonzero(near & ~hits)
+            hits[rows, cols] = _fixed_dots(dirs[rows], self.grid[cols]) > self._dot_min
+        del near
         ends = np.not_equal(edge[:, 1:], edge[:, :-1]).ravel().nonzero()[0]
         first, stop = ends[0::2], ends[1::2]
         rows = first // (m + 1)
@@ -356,45 +366,44 @@ class CapVisitAccumulator(ObserverBase):
         """Add a block of steps to the visit and graded records.
 
         A live step (nonzero, past ``burn_in``) with direction u hits grid
-        point g when the float expression ``(dirs @ grid.T) > dot_min``, as
-        BLAS evaluates it on the block's live rows, is true.
+        point g when ``E > dot_min``, where E is the fixed-order dot
+        ``((u0*g0 + u1*g1) + u2*g2) ...`` of unfused multiplies and adds
+        (:func:`_fixed_dots`).  E is a function of u and g alone, so a hit
+        does not depend on the block's shape, on where blocks are cut or on
+        the host's BLAS kernel.  The band test is ``|E(u, band_axis)| >
+        band_threshold``.
 
-        Cheaper decisions are trusted only with a margin.  An elementwise dot
-        E, or BLAS's value of the same pair in a product of another shape, is
-        a hit when it is ``> dot_min + 2b`` and not one when it is
-        ``<= dot_min - 2b``, with ``b = 2 gamma_d (1 + s)``.  For any
-        summation order, with or without fused multiply-adds, each such value
-        and the block's BLAS value differ from the exact dot by at most
-        ``gamma_d sum|u_i g_i| <= gamma_d |u| |g| <= gamma_d (1 + s)`` where
-        ``|u|^2, |g|^2 <= 1 + s``, so they differ by at most b, and rounding
-        ``dot_min +- 2b`` to a float moves it by far less than b: both values
-        lie on the same side of ``dot_min``.
+        BLAS only filters.  Without a cell table, the block's ``dirs @
+        grid.T`` decides each pair whose value is ``> dot_min + 2b`` (a hit)
+        or ``<= dot_min - 2b`` (not one); the pairs between take E.  Here
+        ``b = 2 gamma_d P`` with ``gamma_d = d u / (1 - d u)`` (u = 2^-53)
+        and ``P = (1 + s) max(1, max|u_i| max sum|g_i|)``, the largest
+        coordinate of the block's rows times the largest 1-norm of a grid
+        point (s = ``_UNIT_SLACK``; the factor covers the rounding of P
+        itself).  For any summation order, with or without fused
+        multiply-adds, BLAS's value and E each differ from the exact dot by
+        at most ``gamma_d sum|u_i g_i| <= gamma_d P``, so by at most b from
+        each other, and rounding ``dot_min +- 2b`` to a float moves it by at
+        most 2^-53, less than b: both lie on the same side of ``dot_min``.
+        One count of the pairs above ``dot_min - 2b`` tells whether any pair
+        lies between; on random blocks none does.
 
         Where a cell table is in use, only the pairs it lists are tested, by
-        E.  If any listed pair has E inside the margin, or any row is not
-        unit to within the slack, the whole block takes the dense expression
-        instead (``fallback_blocks`` counts these blocks).  The table is used
-        when its mean list holds at most ``M / _PRUNE_FACTOR`` grid points.
-        On the default grids with cap 0.3 that is d = 3, M = 256 (about 8.3
-        of 256 listed) but not d = 2, M = 64 (about 7.8 of 64, where the
-        dense product is faster); the dense expression then decides every
-        block.
+        E itself: its proof bounds the E of every other pair below
+        ``dot_min``.  A row that is not unit to within the slack is not
+        covered, and its block takes the dense path, which gives the same
+        hits.  The table is used when its mean list holds at most
+        ``M / _PRUNE_FACTOR`` grid points.  On the default grids with cap 0.3
+        that is d = 3, M = 256 (about 8.3 of 256 listed) but not d = 2,
+        M = 64 (about 7.8 of 64, where the dense product is faster).
 
         Repeated rows are decided once.  When some live row has the log-norm
         of the one before it, the live rows are grouped into maximal runs
         equal under ``==`` in log-norm and every coordinate (dead rows and
-        ``burn_in`` between them do not split a group), and only each
-        group's first row is tested: rows with equal coordinates have equal
-        exact dots, so the margin makes the first row's decision every row's
-        (``repeated_rows`` counts the others).  The table's E already carries
-        the margin.  Without a table the first rows get a product of their
-        own, whose BLAS value can differ in its last bit from the same row's
-        inside the block's product, so it needs the margin too: if any of its
-        pairs lies inside it, or a row or grid point is longer than
-        ``sqrt(1 + s)``, the whole block takes the dense expression, row by
-        row (counted in ``fallback_blocks``).  Either way the hit set is that
-        of the dense expression.  The band test ``|dirs @ band_axis| >
-        band_threshold`` has no margin and stays per row.
+        ``burn_in`` between them do not split a group), and the cap and band
+        tests take each group's first row only: coordinates equal under
+        ``==`` give E values that differ at most in the sign of a zero, which
+        no test sees (``repeated_rows`` counts the other rows).
 
         A group's records are taken once, not row by row.  Its rows share
         the log-norm L, so the level of its first row, which ``level_totals``
@@ -444,41 +453,29 @@ class CapVisitAccumulator(ObserverBase):
         if len(steps) == 0:
             return
         edges = _group_edges(dirs, log_norms)
-        starts = sizes = None
         if edges is None:
-            bucket = self._levels_of(log_norms)
+            starts = sizes = None
+            tested, bucket = dirs, self._levels_of(log_norms)
         else:
             starts, sizes = edges[:-1], np.diff(edges)
+            tested = dirs[starts]
             bucket = self._levels_of(log_norms[starts])         # one level per group
+            self.repeated_rows += len(dirs) - len(starts)
         above = bucket >= 0
         if above.any():
-            weights = None if sizes is None else sizes[above]
             # float64 sums of whole row counts, exact below 2**53
             self.level_totals += np.bincount(
-                bucket[above], weights, minlength=n_lv).astype(np.int64)
+                bucket[above], None if sizes is None else sizes[above],
+                minlength=n_lv).astype(np.int64)
             if self._band_axis is not None:
-                row_bucket = bucket if sizes is None else np.repeat(bucket, sizes)
-                sel = (row_bucket >= 0) & (np.abs(dirs @ self._band_axis) > cfg.band_threshold)
+                sel = above & (np.abs(_fixed_dots(tested, self._band_axis)) > cfg.band_threshold)
                 if sel.any():
-                    self.level_band_hits += np.bincount(row_bucket[sel], minlength=n_lv)
-        runs = None
-        if starts is not None or self._table is not None:
-            tested = dirs if starts is None else dirs[starts]
-            if self._table is None:
-                runs = self._dense_runs(tested, margin=True)
-            else:
-                hits = self._table_hits(tested)
-                runs = None if hits is None else (*hits, None)
-            if runs is None:
-                self.fallback_blocks += 1
-                if starts is not None:
-                    bucket = np.repeat(bucket, sizes)          # rows index rows again
-                starts = sizes = None
-            elif starts is not None:
-                self.repeated_rows += len(dirs) - len(starts)
-        if runs is None:
-            runs = self._dense_runs(dirs)
-        rows, cols, lens = runs                 # rows index groups when grouped
+                    self.level_band_hits += np.bincount(
+                        bucket[sel], None if sizes is None else sizes[sel],
+                        minlength=n_lv).astype(np.int64)
+        # the hits of the tested rows: rows index groups when grouped
+        hits = None if self._table is None else self._table_hits(tested)
+        rows, cols, lens = self._dense_runs(tested) if hits is None else (*hits, None)
         if len(rows) == 0:
             return
         span = 1 if lens is None else int(lens.max())

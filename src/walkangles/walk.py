@@ -161,6 +161,8 @@ class ObserverBase:
 
 def dyadic_checkpoints(n_steps: int) -> list[int]:
     """1, 2, 4, ... up to n_steps, plus n_steps itself."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
     pts = []
     k = 1
     while k <= n_steps:
@@ -360,12 +362,10 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
     checkpoint of ``dyadic_checkpoints(n_steps)`` ends one, marked
     ``at_checkpoint``; a halted walk reaches the checkpoints up to its halt.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    cp_set = set(dyadic_checkpoints(n_steps))           # raises for n_steps < 1
     sampler = IncrementSampler(spec)
     rng = stream(seed)
     mode = spec.scale_mode
-    cp_set = set(dyadic_checkpoints(n_steps))
     record = TrajectoryRecord(spec=spec)
     for obs in observers:
         obs.begin(spec, n_steps)

@@ -11,7 +11,7 @@ from walkangles.examples import triangle_log_tail_spec
 from walkangles.samplers import (coordinate_product, constant, rademacher,
                                  s_two_sided)
 from walkangles.sphere import direction_grid
-from walkangles.walk import BLOCK, NEG_INF, WalkBlock, run_walk
+from walkangles.walk import BLOCK, NEG_INF, ObserverBase, WalkBlock, run_walk
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -29,10 +29,19 @@ def reference_levels(acc: CapVisitAccumulator, log_norms: np.ndarray) -> np.ndar
     return np.clip(lvl, -1, acc.config.escape_levels).astype(np.int64)
 
 
+def fixed_order_dots(dirs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """E = ``((u0*g0 + u1*g1) + u2*g2) ...`` of every row u of ``dirs`` with
+    every row g of ``vecs``, (B x M), one coordinate at a time."""
+    dots = dirs[:, :1] * vecs[:, 0]
+    for i in range(1, dirs.shape[1]):
+        dots = dots + dirs[:, i:i + 1] * vecs[:, i]
+    return dots
+
+
 def reference_observe(acc: CapVisitAccumulator, block: WalkBlock) -> None:
     """The per-hit update that ``CapVisitAccumulator.observe`` replaced, kept
-    as its oracle: a (B x M) dot-and-compare mask, its ``nonzero``, a stable
-    argsort into grid order and one pass per alpha."""
+    as its oracle: a (B x M) mask of ``E > dot_min`` over every pair, its
+    ``nonzero``, a stable argsort into grid order and one pass per alpha."""
     cfg = acc.config
     n_lv = cfg.escape_levels + 1
     steps = np.arange(block.first_n, block.first_n + len(block))
@@ -48,11 +57,12 @@ def reference_observe(acc: CapVisitAccumulator, block: WalkBlock) -> None:
     if np.any(above):
         acc.level_totals += np.bincount(bucket[above], minlength=n_lv)
         if acc._band_axis is not None:
-            band = np.abs(dirs @ acc._band_axis) > cfg.band_threshold
+            band = np.abs(fixed_order_dots(dirs, acc._band_axis[None, :])[:, 0]) \
+                > cfg.band_threshold
             sel = above & band
             if np.any(sel):
                 acc.level_band_hits += np.bincount(bucket[sel], minlength=n_lv)
-    mask = (dirs @ acc.grid.T) > acc._dot_min      # (B', M)
+    mask = fixed_order_dots(dirs, acc.grid) > acc._dot_min      # (B', M)
     rows, cols = np.nonzero(mask)
     if len(rows) == 0:
         return
@@ -348,15 +358,24 @@ def cap_edge_block(rng, acc: CapVisitAccumulator, first_n: int) -> WalkBlock:
 
 
 def disputed_rows(rng, acc: CapVisitAccumulator) -> np.ndarray:
-    """Cap-edge directions on which BLAS and a coordinate-order elementwise
-    dot, never equal to ``dot_min``, disagree about the cap (none where the
-    two always agree)."""
+    """Cap-edge directions on which the block's BLAS product and E disagree
+    about the cap (none where the two always agree)."""
     dirs = cap_edge_block(rng, acc, 1).dirs
-    blas = dirs @ acc.grid.T
-    elementwise = sum(dirs[:, i:i + 1] * acc.grid[:, i] for i in range(acc.grid.shape[1]))
-    split = (blas > acc._dot_min) != (elementwise > acc._dot_min)
-    tie = elementwise == acc._dot_min
-    return dirs[split.any(axis=1) & ~tie.any(axis=1)][:BLOCK // 2]
+    split = (dirs @ acc.grid.T > acc._dot_min) != (fixed_order_dots(dirs, acc.grid) > acc._dot_min)
+    return dirs[split.any(axis=1)][:BLOCK // 2]
+
+
+def _product_fuses() -> bool:
+    """Whether the BLAS kernel of a (BLOCK x 2) @ (2 x 64) product fuses a
+    multiply and an add.  With x = 1 + 2**-30, the exact ``x*x - (1 +
+    2**-29)`` is 2**-60 but 0 once ``x*x`` is rounded, and
+    ``x*(1 + 2**-29) - x`` loses 2**-59 the same way; the rows take both
+    products first and last, so a kernel that fuses either one differs from
+    E somewhere.  Without fusion a 2-term dot has one rounding order."""
+    x, y = 1.0 + 2.0 ** -30, 1.0 + 2.0 ** -29
+    u = np.tile([[x, -1.0], [-1.0, x]], (BLOCK // 2, 1))
+    g = np.tile([[x, y], [y, x]], (32, 1))
+    return not np.array_equal(u @ g.T, fixed_order_dots(u, g))
 
 
 def odd_rows_block(rng, acc: CapVisitAccumulator, first_n: int) -> WalkBlock:
@@ -509,8 +528,8 @@ def _accumulators(d: int, variant: str, force_table: bool, **extra):
 
 
 def runs_of(acc: CapVisitAccumulator, block: WalkBlock):
-    """Rows and lengths of the dense expression's runs, and its hit mask."""
-    mask = (block.dirs @ acc.grid.T) > acc._dot_min
+    """Rows and lengths of the dense path's runs, and the hit mask of E."""
+    mask = fixed_order_dots(block.dirs, acc.grid) > acc._dot_min
     rows, _, lens = acc._dense_runs(block.dirs)
     return rows, lens, mask
 
@@ -521,7 +540,13 @@ def runs_of(acc: CapVisitAccumulator, block: WalkBlock):
 def test_blocks_match_dense_reference(d, variant, force_table):
     acc, ref = _accumulators(d, variant, force_table)
     rng = np.random.default_rng(100 * d + len(variant))
+    # rows on which the block's BLAS product and E disagree, and the records
+    # follow E: there are such rows where the kernel fuses (x86-64 SkylakeX and
+    # Haswell kernels; not Nehalem's), except on the d = 2 one-point grid,
+    # (1, 0), where every dot is exact
     disputed = disputed_rows(rng, acc)
+    if (d > 2 or variant != "grid-1") and _product_fuses():
+        assert len(disputed) > 0
     mixed = random_block(rng, acc, 1 + 2 * BLOCK)
     mixed.dirs[:len(disputed)] = disputed
     tiny = random_block(rng, acc, 1)
@@ -530,17 +555,10 @@ def test_blocks_match_dense_reference(d, variant, force_table):
               seam_block(rng, acc, 1 + 6 * BLOCK), zero_rows_block(rng, acc, 1 + 7 * BLOCK),
               # the first checkpoint cuts of a run: steps 1, 2-3 and 4-7
               head(tiny, 1, 1), head(tiny, 2, 2), head(tiny, 4, 4)]
-    # cap-edge rows and zero rows go to the dense expression
-    falls_back = [False, True, len(disputed) > 0, True, False, False, True,
-                  False, False, False]
-    fallbacks = 0
-    for block, expect in zip(blocks, falls_back):
-        fallbacks += expect
+    for block in blocks:
         acc.observe(block)
         ref.observe(block)
         assert_same_records(acc, ref)
-        if acc._table is not None:
-            assert acc.fallback_blocks == fallbacks
     assert acc.visits.sum() > 0 and np.any(acc.graded_windows)
     # the blocks reach the cases the run accounting has to get right
     m = len(acc.grid)
@@ -553,45 +571,37 @@ def test_blocks_match_dense_reference(d, variant, force_table):
     if acc._dot_min >= 0:
         assert not runs_of(acc, blocks[6])[2].any()                        # no hits
     # runs of equal rows, decided once per run: a plateau, and its first rows
-    # split by burn_in and with no alphas; cap 2 puts the antipode of every
-    # grid point on the cap's edge, and on the d = 2 grid the plateau's rows
-    # (+-0, +-1) are such antipodes
+    # split by burn_in and with no alphas
     plateau = plateau_block(rng, acc, 1 + 8 * BLOCK)
     start = head(plateau, 2048, plateau.first_n)
-    disputed = d == 2 and acc._dot_min == -1.0
     # runs whose rows straddle log kappa (and step 2**17) take the per-row
     # statistic on their own rows; the others take it from the row extremes
     # of log n, which a < 0 reads at the run's last row
     straddle = straddle_block(rng, acc)
     signed = _accumulators(d, variant, force_table, alphas=SIGNED_ALPHAS)
     assert mixed_groups(signed[0], straddle) > 0
-    for a, r, block, dispute in [
-            (acc, ref, plateau, disputed),
-            (*_accumulators(d, variant, force_table, burn_in=16 + 8 * BLOCK), start, disputed),
-            (*_accumulators(d, variant, force_table, alphas=()), start, disputed),
-            (*_accumulators(d, variant, force_table, alphas=SIGNED_ALPHAS), plateau, disputed),
-            (*signed, straddle, False),
+    # a plateau of cap-edge rows, some of them disputed
+    edge = cap_edge_block(rng, acc, 1 + 10 * BLOCK)
+    edge.dirs[:len(disputed)] = disputed
+    edge = repeat_rows(edge, rng.integers(1, 4, BLOCK // 4))
+    for a, r, block in [
+            (acc, ref, plateau),
+            (*_accumulators(d, variant, force_table, burn_in=16 + 8 * BLOCK), start),
+            (*_accumulators(d, variant, force_table, alphas=()), start),
+            (*_accumulators(d, variant, force_table, alphas=SIGNED_ALPHAS), plateau),
+            (*signed, straddle),
             # every row qualifies for a <= 0.25, and the top window is 18
             (*_accumulators(d, variant, force_table, alphas=SIGNED_ALPHAS),
-             one_run_block(rng, acc, 2**18 - 100, np.full(200, 5.0)), False),
+             one_run_block(rng, acc, 2**18 - 100, np.full(200, 5.0))),
             # for a = +-0.0 the statistics are zeros of both signs
             (*_accumulators(d, variant, force_table, alphas=SIGNED_ALPHAS),
-             one_run_block(rng, acc, 1 + 11 * BLOCK, np.array([-0.0] + [0.0] * 199)), False)]:
-        seen, fallbacks = a.repeated_rows, a.fallback_blocks
+             one_run_block(rng, acc, 1 + 11 * BLOCK, np.array([-0.0] + [0.0] * 199))),
+            (acc, ref, edge)]:
+        seen = a.repeated_rows
         a.observe(block)
         r.observe(block)
         assert_same_records(a, r)
-        assert (a.repeated_rows > seen) != dispute
-        assert a.fallback_blocks == fallbacks + dispute
-    # a plateau of cap-edge rows disputes the first rows' decision, so the
-    # block takes the dense expression row by row
-    seen, fallbacks = acc.repeated_rows, acc.fallback_blocks
-    edge = cap_edge_block(rng, acc, 1 + 10 * BLOCK)
-    edge = repeat_rows(edge, rng.integers(1, 4, BLOCK // 4))
-    acc.observe(edge)
-    ref.observe(edge)
-    assert_same_records(acc, ref)
-    assert acc.repeated_rows == seen and acc.fallback_blocks == fallbacks + 1
+        assert a.repeated_rows > seen
 
 
 def test_padded_slots_never_pass():
@@ -657,7 +667,6 @@ def test_walks_match_dense_reference(name):
     ref = DenseAccumulator(cfg, spec.dimension)
     run_walk(spec, 3 * BLOCK, seed=11, observers=[acc, ref])
     assert_same_records(acc, ref)
-    assert acc.fallback_blocks == 0
     assert acc.visits.sum() > 0
     if spec.scale_mode == "log":
         assert acc.repeated_rows > 0
@@ -673,7 +682,55 @@ def test_log_tail_walk_caps_match_dense_reference_bytewise():
         run_walk(spec, 2 * BLOCK, seed=0, observers=[acc, ref])
         assert_same_records(acc, ref)
         assert acc.n_steps_seen == ref.n_steps_seen == 2 * BLOCK
-        assert acc.fallback_blocks == 0 and acc.repeated_rows > 0
+        assert acc.repeated_rows > 0
+
+
+class BlockLog(ObserverBase):
+    """The directions and log-norms of every step a walk hands its observers."""
+
+    def __init__(self):
+        self.dirs, self.log_norms = [], []
+
+    def observe(self, block: WalkBlock) -> None:
+        self.dirs.append(block.dirs.copy())
+        self.log_norms.append(block.log_norms.copy())
+
+
+# the benchmark's hull2d, caps3d (with the cell table) and logradial walks
+CUT_WALKS = {
+    "hull2d": coordinate_product([rademacher(), s_two_sided(0.5)]),
+    "caps3d": coordinate_product([s_two_sided(1.5), s_two_sided(1.5), rademacher()]),
+    "logradial": triangle_log_tail_spec(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUT_WALKS))
+def test_records_do_not_depend_on_block_cuts(name):
+    # one walk, fed in whole engine blocks and cut at random rows; graded
+    # windows depend on the cuts (see the xfail below)
+    spec = CUT_WALKS[name]
+    d = spec.dimension
+    cfg = replace(EstimatorConfig.defaults_for(spec), band_axis=(0.0,) * (d - 1) + (1.0,))
+    log = BlockLog()
+    run_walk(spec, 2 * BLOCK, seed=3, observers=[log])
+    dirs, log_norms = np.concatenate(log.dirs), np.concatenate(log.log_norms)
+    rng = np.random.default_rng(len(name))
+    cuts = rng.integers(1, 2 * BLOCK, 40)
+    accs = []
+    for edges in ([0, BLOCK, 2 * BLOCK],
+                  np.unique(np.concatenate([[0, 2 * BLOCK], cuts, cuts + 1]))):
+        acc = CapVisitAccumulator(cfg, d)
+        for a, b in zip(edges[:-1], edges[1:]):
+            acc.observe(WalkBlock(first_n=a + 1, dirs=dirs[a:b], log_norms=log_norms[a:b],
+                                  positions=None))
+        accs.append(acc)
+    whole, cut = accs
+    assert (whole._table is not None) == (d == 3)
+    for record in ("visits", "level_totals", "level_band_hits", "graded_max"):
+        assert getattr(whole, record).tobytes() == getattr(cut, record).tobytes(), record
+    assert whole.visits.sum() > 0 and whole.level_band_hits.sum() > 0
+    if spec.scale_mode == "log":
+        assert whole.repeated_rows > 0
 
 
 @pytest.mark.xfail(strict=True, reason="observe keeps only the highest "

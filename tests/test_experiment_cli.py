@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -176,6 +177,8 @@ BAD_FIELDS = [
     ("base_seed", -1, r"config\.base_seed must be >= 0"),
     ("run_seeds", [-1], r"config\.run_seeds must be non-negative"),
     ("estimator", {"grid_seed": -1}), ("estimator", {"kappa": 0}),
+    # a negative burn_in would act as 0
+    ("estimator", {"burn_in": -5}, r"config\.estimator\.burn_in must be >= 0"),
     # finalize reads the visits above out_level; below -1 the slice would wrap
     ("estimator", {"out_level": -2}),
     # spec, law and atom objects are checked like every other config object
@@ -823,3 +826,37 @@ def test_entry_point_subprocess():
                           capture_output=True, text=True, cwd=REPO, env=env)
     assert proc.returncode == 0
     assert "DIVERGENT_TREND" in proc.stdout
+
+
+# small d = 2 configs, lattice and log-radial: no BLAS value reaches their
+# directions.csv, whose cap hits are fixed-order dots
+HOST_CONFIGS = {
+    "lattice": {"spec": BENCH["WORKLOADS"]["hull2d"]["spec"],
+                "n_steps": 4096, "n_runs": 2, "base_seed": 5},
+    "logradial": {"spec": BENCH["WORKLOADS"]["logradial"]["spec"],
+                  "n_steps": 4096, "n_runs": 2, "base_seed": 5},
+}
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS core types are named for x86-64")
+@pytest.mark.parametrize("name", sorted(HOST_CONFIGS))
+def test_directions_csv_same_under_every_blas_kernel(name, tmp_path):
+    # each variable acts on its child process only
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(HOST_CONFIGS[name]))
+    texts = []
+    for core in (None, "Haswell", "Nehalem"):
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        out = tmp_path / f"out-{core}"
+        proc = subprocess.run([sys.executable, "-m", "walkangles", "simulate", str(cfg_path),
+                               "--out", str(out)], capture_output=True, text=True, cwd=REPO,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        paths = sorted(out.glob("run*_directions.csv"))
+        assert len(paths) == 2
+        texts.append([p.read_bytes() for p in paths])
+    assert texts[1] == texts[0] and texts[2] == texts[0]

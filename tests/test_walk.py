@@ -543,6 +543,11 @@ def test_dyadic_checkpoints():
     assert dyadic_checkpoints(10) == [1, 2, 4, 8, 10]
     assert dyadic_checkpoints(8) == [1, 2, 4, 8]
     assert dyadic_checkpoints(1) == [1]
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=r"n_steps must be >= 1"):
+            dyadic_checkpoints(n)
+        with pytest.raises(ValueError, match=r"n_steps must be >= 1"):
+            run_walk(coordinate_product([rademacher(), rademacher()]), n, seed=0)
 
 
 class Pieces(ObserverBase):
