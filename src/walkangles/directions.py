@@ -115,6 +115,10 @@ _ROUNDING = 2.0 ** -53              # unit roundoff of float64
 _MAX_CELLS = 1 << 16
 # a cell table is used when its mean candidate list holds at most M/16 points
 _PRUNE_FACTOR = 16
+# a cell table has about this many cells per sqrt(d) / r along each axis;
+# measured on the caps3d walks (d = 3, cap 0.3), 32 or 40 cells (factors
+# 5.5 and 6.8) cut observe by 5-12% but took 10-20 ms more to build
+_CELLS_PER_RADIUS = 4.0
 
 
 def _fixed_dots(dirs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -133,32 +137,42 @@ class _CellTable:
 
     A direction u lies in the cube cell with coordinates
     ``floor((u_i + 1) * C / 2)`` (clipped to 0..C-1).  Only cells that meet
-    the shell ``1 - s <= |x|^2 <= 1 + s`` (s = ``_UNIT_SLACK``) are tabled;
-    each lists every grid point g whose Euclidean distance to the cell's box,
-    widened by s on every side, is below ``sqrt(r^2 + 4s)`` with
-    ``r^2 = 2 - 2 * dot_min``.  C is about ``4 * sqrt(d) / r``, so a cell's
-    diagonal is about r/2, capped so that ``C**d <= _MAX_CELLS``.
+    the shell ``1 - s <= |x|^2 <= 1 + s`` (s = ``_UNIT_SLACK``) are tabled.
+    With ``r^2 = 2 - 2 * dot_min``, each lists every grid point g whose
+    squared Euclidean distance to the cell's box, widened by s on every side,
+    is below ``r^2 + 4s`` (the *nearest* point of the box), and splits the
+    list in two: the *sure* points, whose squared distance to the *farthest*
+    point of the widened box is below ``r^2 - 4s``, and the *edge* points,
+    the others.  C is about ``_CELLS_PER_RADIUS * sqrt(d) / r``, capped so
+    that ``C**d <= _MAX_CELLS``.
 
-    Why a grid point left out of u's list is never a hit: u lies in its
-    cell's widened box (the widening covers the rounding of the cell
-    coordinate and coordinates up to ``sqrt(1 + s)``), so ``|u - g|`` is at
-    least the listed distance.  With ``|u|^2, |g|^2 <= 1 + s`` and
-    ``|u - g|^2 >= r^2 + 4s``, the exact dot is
-    ``(|u|^2 + |g|^2 - |u - g|^2) / 2 <= dot_min - s``, and any float
-    evaluation of a d-term dot of such vectors errs by at most
-    ``gamma_d * |u| |g| <= gamma_d (1 + s)`` with ``gamma_d = d u / (1 - d u)``
-    (u = 2^-53).  That error, and the rounding of the listed distances and
-    of r^2, are far below s.
+    u lies in its cell's widened box (the widening covers the rounding of
+    the cell coordinate and coordinates up to ``sqrt(1 + s)``), so ``|u -
+    g|^2`` lies between the squared distances to the box's nearest and
+    farthest points.  Rows and grid points are unit to within the slack,
+    ``1 - s/2 <= |x|^2 <= 1 + s/2``, and the exact dot is ``(|u|^2 + |g|^2 -
+    |u - g|^2) / 2``.  Any float evaluation of a d-term dot of such vectors
+    errs by at most ``gamma_d * |u| |g| <= gamma_d (1 + s)`` with ``gamma_d =
+    d u / (1 - d u)`` (u = 2^-53).  That error, and the rounding of the
+    distances and of r^2, are far below s.  So:
 
-    Lists are padded to the longest with index M, a NaN row of the extended
-    grid: a padded slot's dot is NaN, which is never above ``dot_min`` (even
-    at ``dot_min = -1``).
+    - a point left out of u's list is never a hit: ``|u - g|^2 >= r^2 +
+      4s`` gives an exact dot ``<= dot_min - s``, and E is below dot_min;
+    - a sure point is a hit of every row of the cell: ``|u - g|^2 < r^2 -
+      4s`` gives an exact dot ``>= dot_min + s``, and E is above dot_min.
+
+    Only the edge points need E.  Their lists are padded to the longest with
+    index M, whose coordinates are NaN: a padded slot's dot is NaN, which is
+    never above ``dot_min`` (even at ``dot_min = -1``).  Each coordinate of
+    the edge points is stored cell-major, ``coords[i]`` of shape (cells, K),
+    so a row gathers one contiguous row of each.  The sure points of cell c
+    are ``sure[sure_ptr[c]:sure_ptr[c + 1]]``.
     """
 
     def __init__(self, grid: np.ndarray, dot_min: float):
         m, d = grid.shape
         r2 = 2.0 - 2.0 * dot_min
-        per_axis = math.ceil(4.0 * math.sqrt(d / r2)) if r2 > 0 else _MAX_CELLS
+        per_axis = math.ceil(_CELLS_PER_RADIUS * math.sqrt(d / r2)) if r2 > 0 else _MAX_CELLS
         c = max(2, min(per_axis, int(round(_MAX_CELLS ** (1.0 / d)))))
         while c ** d > _MAX_CELLS:
             c -= 1
@@ -173,43 +187,73 @@ class _CellTable:
             near_tot = near_tot[..., None] + near2
             far_tot = far_tot[..., None] + far2
         shell = np.flatnonzero((near_tot.ravel() <= 1.0 + s) & (far_tot.ravel() >= 1.0 - s))
+        n_cells = len(shell)
         self.slot = np.full(c ** d, -1, dtype=np.int64)
-        self.slot[shell] = np.arange(len(shell))
-        # squared gap from each grid coordinate to each cell's interval: (C, M, d)
-        gap = np.maximum(np.maximum(lo[:, None, None] - grid, grid - hi[:, None, None]), 0.0)
+        self.slot[shell] = np.arange(n_cells)
+        # squared gap from each grid coordinate to each cell's interval: (d, C, M)
+        gap = np.maximum(np.maximum(lo[:, None] - grid.T[:, None, :],
+                                    grid.T[:, None, :] - hi[:, None]), 0.0)
         gap2 = gap * gap
-        coords = np.unravel_index(shell, (c,) * d)
+        cell = np.unravel_index(shell, (c,) * d)
         step = max(1, (1 << 20) // m)                  # (cells x M) temporaries of 8 MiB
         pairs = []
-        for a in range(0, len(shell), step):
-            dist2 = sum(gap2[coords[i][a:a + step], :, i] for i in range(d))
+        for a in range(0, n_cells, step):
+            dist2 = gap2[0].take(cell[0][a:a + step], axis=0)
+            for i in range(1, d):
+                dist2 += gap2[i].take(cell[i][a:a + step], axis=0)
             rows, cols = np.nonzero(dist2 < r2 + 4.0 * s)
             pairs.append((rows + a, cols))
         rows = np.concatenate([p[0] for p in pairs])
         cols = np.concatenate([p[1] for p in pairs])
-        counts = np.bincount(rows, minlength=len(shell))
-        self.mean_candidates = float(counts.mean())
+        self.mean_candidates = len(rows) / n_cells
+        # squared distance from each listed point to the farthest point of
+        # its cell's widened box
+        far2 = 0.0
+        for i in range(d):
+            g, k = grid[cols, i], cell[i][rows]
+            far2 = far2 + np.maximum(g - lo[k], hi[k] - g) ** 2
+        sure = far2 < r2 - 4.0 * s
         idx_type = np.int16 if m < _INT16_MAX else np.int64
-        self.table = np.full((len(shell), counts.max()), m, dtype=idx_type)
+        self.sure = cols[sure].astype(idx_type)
+        self.sure_ptr = np.concatenate([[0], np.bincount(rows[sure], minlength=n_cells).cumsum()])
+        rows, cols = rows[~sure], cols[~sure]
+        counts = np.bincount(rows, minlength=n_cells)
+        self.table = np.full((n_cells, max(1, counts.max())), m, dtype=idx_type)
         first = np.concatenate([[0], np.cumsum(counts)[:-1]])
         self.table[rows, np.arange(len(rows)) - first[rows]] = cols
-        self.ext = np.vstack([grid, np.full(d, np.nan)]).T.copy()   # (d, M + 1)
-        for arr in (self.slot, self.table, self.ext):   # shared, see _table_for
-            arr.setflags(write=False)
+        ext = np.vstack([grid, np.full(d, np.nan)])      # row M is NaN
+        self.coords = np.ascontiguousarray(np.moveaxis(ext[self.table], 2, 0))  # (d, cells, K)
+        for arr in (self.slot, self.table, self.coords, self.sure, self.sure_ptr):
+            arr.setflags(write=False)               # shared, see _table_for
+
+    def sure_of(self, slots: np.ndarray):
+        """(index into ``slots``, grid column) of every sure point of each
+        slot's cell."""
+        first = self.sure_ptr[slots]
+        lens = self.sure_ptr[slots + 1] - first
+        return (np.repeat(np.arange(len(slots)), lens),
+                self.sure.take(_ranges(first, lens)).astype(np.intp))
 
     def cell_of(self, dirs: np.ndarray) -> np.ndarray:
         """Table row of each direction, -1 where a row is not unit to within
-        the slack (so the table does not cover it)."""
+        the slack (so the table does not cover it), rows with a NaN or an
+        infinite coordinate included."""
         c = self.cells
-        idx = np.floor((dirs + 1.0) * (c / 2.0))
-        np.clip(idx, 0, c - 1, out=idx)
-        idx = idx.astype(np.int64)
-        flat = idx[:, 0]
-        for i in range(1, dirs.shape[1]):
-            flat = flat * c + idx[:, i]
         norm2 = np.einsum("ij,ij->i", dirs, dirs)
         unit = np.abs(norm2 - 1.0) <= _UNIT_SLACK / 2
-        return np.where(unit, self.slot[flat], -1)
+        idx = dirs + 1.0
+        idx *= c / 2.0
+        np.floor(idx, out=idx)
+        if not unit.all():
+            idx[~unit] = 0.0                # a NaN does not cast to an index
+        np.clip(idx, 0, c - 1, out=idx)
+        flat = idx[:, 0].copy()             # whole numbers below 2**16: exact
+        for i in range(1, dirs.shape[1]):
+            flat *= c
+            flat += idx[:, i]
+        slots = self.slot.take(flat.astype(np.int64))
+        slots[~unit] = -1
+        return slots
 
 
 # (grid shape, grid bytes, dot_min) -> the grid's cell table, or None where
@@ -231,6 +275,14 @@ def _table_for(grid: np.ndarray, dot_min: float) -> "_CellTable | None":
                 table = None
         _TABLES[key] = table
     return _TABLES[key]
+
+
+def _ranges(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``arange(first[i], first[i] + lens[i])`` for each i, concatenated."""
+    ends = lens.cumsum()
+    out = np.repeat(first + lens - ends, lens)
+    out += np.arange(ends[-1] if len(ends) else 0)
+    return out
 
 
 def _group_edges(dirs: np.ndarray, log_norms: np.ndarray) -> np.ndarray | None:
@@ -291,23 +343,27 @@ class CapVisitAccumulator(ObserverBase):
         return lvl.astype(np.int64)
 
     def _table_hits(self, dirs: np.ndarray):
-        """(rows, grid columns) of the block's hits, ``E > dot_min`` on the
-        pairs the cell table lists, or None when a row is not covered by it."""
+        """(rows, grid columns) of the block's hits among the edge points of
+        the cell table, ``E > dot_min``, and each row's table slot; None when
+        a row is not covered by the table."""
         table = self._table
         slot = table.cell_of(dirs)
         if len(slot) and slot.min() < 0:
             return None
-        cand = table.table[slot]                                 # (B, K)
         # E, term by term as _fixed_dots takes it, into two (B, K) buffers
-        dots = table.ext[0].take(cand)
+        coords = table.coords
+        dots = coords[0].take(slot, axis=0)
         dots *= dirs[:, :1]
         term = np.empty_like(dots)
         for i in range(1, dirs.shape[1]):
-            table.ext[i].take(cand, out=term)
+            coords[i].take(slot, axis=0, out=term)
             term *= dirs[:, i:i + 1]
             dots += term
-        rows, k = np.nonzero(dots > self._dot_min)
-        return rows, cand[rows, k].astype(np.intp)
+        k = dots.shape[1]
+        flat = np.flatnonzero(dots > self._dot_min)
+        rows = flat // k
+        cols = table.table.take(flat + (slot[rows] - rows) * k).astype(np.intp)
+        return rows, cols, slot
 
     def _dense_runs(self, dirs: np.ndarray):
         """(rows, first columns, lengths) of the runs of consecutive hit
@@ -388,14 +444,16 @@ class CapVisitAccumulator(ObserverBase):
         One count of the pairs above ``dot_min - 2b`` tells whether any pair
         lies between; on random blocks none does.
 
-        Where a cell table is in use, only the pairs it lists are tested, by
-        E itself: its proof bounds the E of every other pair below
-        ``dot_min``.  A row that is not unit to within the slack is not
-        covered, and its block takes the dense path, which gives the same
-        hits.  The table is used when its mean list holds at most
-        ``M / _PRUNE_FACTOR`` grid points.  On the default grids with cap 0.3
-        that is d = 3, M = 256 (about 8.3 of 256 listed) but not d = 2,
-        M = 64 (about 7.8 of 64, where the dense product is faster).
+        Where a cell table is in use, the pairs it leaves out are never hits
+        and its sure points are always hits (its proof bounds their E below
+        and above ``dot_min``), so only its edge points are tested, by E
+        itself.  A row that is not unit to within the slack (a NaN row
+        included) is not covered, and its block takes the dense path, which
+        gives the same hits.  The table is used when its mean list holds at
+        most ``M / _PRUNE_FACTOR`` grid points.  On the default grids with
+        cap 0.3 that is d = 3, M = 256 (about 8.3 of 256 listed, 3.5 of them
+        sure) but not d = 2, M = 64 (about 7.8 of 64, where the dense product
+        is faster).
 
         Repeated rows are decided once.  When some live row has the log-norm
         of the one before it, the live rows are grouped into maximal runs
@@ -424,18 +482,27 @@ class CapVisitAccumulator(ObserverBase):
         length), not per hit.  The dense expression gives the runs of each
         row of its mask (on the equally spaced d = 2 grid one run per row,
         two where the cap wraps past column M - 1, about 7 hits each); the
-        table's hits enter as runs of length 1.  Every hit of a run carries
-        its row's level, statistic and window, so a run adds to each of its
-        columns exactly what its hits would add one by one.  Visits go
+        table's edge hits enter as runs of length 1.  Every hit of a run
+        carries its row's level, statistic and window, so a run adds to each
+        of its columns exactly what its hits would add one by one.  Visits go
         through a difference array over columns; the runs of a group's first
         row add the group's row count, and its statistic and highest
-        qualifying window are the maxima over its rows (below).  The runs
-        are keyed by (length, first column); each key's maximum statistic and
-        highest qualifying window are spread over its columns with
-        ``maximum.at``.  Integer counts and maxima do not depend on the order
-        or grouping they are taken in, so the records are those of the
-        per-hit update.  Graded windows: per call, each (grid point, alpha)
-        gains the bit of only the highest dyadic window
+        qualifying window are the maxima over its rows (below).  A table's
+        sure hits are taken once per cell run, a maximal run of consecutive
+        tested rows (groups, when grouped) in one cell and at one level,
+        every row of which hits every sure point of the cell: the run adds
+        its row count (its groups' sizes) at its level to each sure column,
+        and its statistic and highest qualifying window are the
+        ``maximum.reduceat`` of its rows' (or groups'), entered as one more
+        length-1 run per sure column.  On the ``caps3d`` walks a cell run
+        holds about 27 rows, and a row has 3.5 sure and 4.7 edge points (at
+        most 9) of the 8.3 its cell lists.  The runs are keyed by (length,
+        first column); each key's maximum statistic and highest qualifying
+        window are spread over its columns with ``maximum.at``.  Integer
+        counts and maxima do not depend on the order or grouping they are
+        taken in, and the hit set is the per-row one, so the records are
+        those of the per-hit update.  Graded windows: per call, each (grid
+        point, alpha) gains the bit of only the highest dyadic window
         ``floor(log2 n)`` among its hits in this block with
         ``log||S_n|| - a log n > log kappa``.
         """
@@ -475,11 +542,24 @@ class CapVisitAccumulator(ObserverBase):
                         minlength=n_lv).astype(np.int64)
         # the hits of the tested rows: rows index groups when grouped
         hits = None if self._table is None else self._table_hits(tested)
-        rows, cols, lens = self._dense_runs(tested) if hits is None else (*hits, None)
-        if len(rows) == 0:
+        if hits is None:
+            rows, cols, lens = self._dense_runs(tested)
+            sure_runs = ()
+        else:
+            rows, cols, slot = hits
+            lens = None
+            # cell runs: maximal runs of tested rows in one cell at one level
+            new = np.empty(len(slot), dtype=bool)
+            new[:1] = True
+            np.not_equal(slot[1:], slot[:-1], out=new[1:])
+            new[1:] |= bucket[1:] != bucket[:-1]
+            run_starts = new.nonzero()[0]
+            sure_runs, sure_cols = self._table.sure_of(slot[run_starts])
+        if len(rows) == 0 and len(sure_runs) == 0:
             return
         span = 1 if lens is None else int(lens.max())
         m = len(self.grid)
+        by_bucket = np.zeros(m * n_lv, dtype=np.int64)
         run_bucket = bucket[rows]
         in_lv = run_bucket >= 0
         if in_lv.any():
@@ -488,17 +568,44 @@ class CapVisitAccumulator(ObserverBase):
             if span == 1:
                 # kept: on two 2^16-step caps3d walks the difference array
                 # below took observe from 0.075-0.079 s to 0.095-0.103 s
-                by_bucket = np.bincount(first, weights, minlength=m * n_lv).reshape(m, n_lv)
+                by_bucket += np.bincount(first, weights, minlength=m * n_lv) \
+                    .astype(np.int64, copy=False)
             else:
                 # +1 at a run's first column, -1 past its last, summed over columns
                 size = (m + 1) * n_lv
-                by_bucket = np.bincount(first, weights, minlength=size) - np.bincount(
+                diff = np.bincount(first, weights, minlength=size) - np.bincount(
                     first + lens[in_lv] * n_lv, weights, minlength=size)
-                by_bucket = by_bucket.reshape(m + 1, n_lv)[:m].cumsum(axis=0)
-            if weights is not None:
-                by_bucket = by_bucket.astype(np.int64)      # exact, as above
-            # visits at level l count every step beyond it: suffix sums
-            self.visits += by_bucket[:, ::-1].cumsum(axis=1)[:, ::-1]
+                by_bucket += diff.reshape(m + 1, n_lv)[:m].cumsum(axis=0) \
+                    .astype(np.int64, copy=False).ravel()
+        if len(sure_runs):
+            # a cell run adds its row count to each of its sure columns
+            run_level = bucket[run_starts][sure_runs]
+            sel = run_level >= 0
+            run_rows = np.diff(run_starts, append=len(tested)) if sizes is None \
+                else np.add.reduceat(sizes, run_starts)
+            by_bucket += np.bincount(sure_cols[sel] * n_lv + run_level[sel],
+                                     run_rows[sure_runs[sel]], minlength=m * n_lv).astype(np.int64)
+        # visits at level l count every step beyond it: suffix sums (the
+        # float64 sums above are of whole row counts, exact below 2**53)
+        by_bucket = by_bucket.reshape(m, n_lv)
+        self.visits += by_bucket[:, ::-1].cumsum(axis=1)[:, ::-1]
+        steps = steps.astype(float)
+        log_n = np.log(steps)
+        windows = np.floor(np.log2(steps)).astype(np.int8)                      # 0..62
+        # (A, rows), so every reduction runs along the rows; the results are (S, A)
+        if starts is None:
+            stat = log_norms - self._alphas[:, None] * log_n
+            top = np.where(stat > math.log(cfg.kappa), windows, np.int8(-1))
+        else:
+            # each group's maxima over its rows, then taken like a row's
+            stat, top = self._group_graded(log_norms, log_n, windows, starts, sizes)
+        if len(sure_runs):
+            # a cell run's maxima over its rows follow the rows' columns, and
+            # its sure hits index them
+            stat = np.concatenate([stat, np.maximum.reduceat(stat, run_starts, axis=1)], axis=1)
+            top = np.concatenate([top, np.maximum.reduceat(top, run_starts, axis=1)], axis=1)
+            rows = np.concatenate([rows, len(tested) + sure_runs])
+            cols = np.concatenate([cols, sure_cols])
         # graded records, all alphas at once, from runs grouped by (length,
         # first column); with every length 1 the key is the column
         key = cols if span == 1 else cols + m * (lens - 1)
@@ -509,31 +616,17 @@ class CapVisitAccumulator(ObserverBase):
         new[0] = True
         np.not_equal(key[1:], key[:-1], out=new[1:])
         seg_starts = new.nonzero()[0]
-        steps = steps.astype(float)
-        log_n = np.log(steps)
-        windows = np.floor(np.log2(steps)).astype(np.int8)                      # 0..62
-        if starts is None:
-            # (A, rows), so every reduction runs along the rows; the results are (S, A)
-            stat = (log_norms - self._alphas[:, None] * log_n).take(rows, axis=1)
-            top = np.where(stat > math.log(cfg.kappa), windows[rows], np.int8(-1))
-        else:
-            # each group's maxima over its rows, then taken per run like a row's
-            stat, top = self._group_graded(log_norms, log_n, windows, starts, sizes)
-            stat, top = stat.take(rows, axis=1), top.take(rows, axis=1)
-        seg_max = np.maximum.reduceat(stat, seg_starts, axis=1).T
-        top = np.maximum.reduceat(top, seg_starts, axis=1).T
+        seg_max = np.maximum.reduceat(stat.take(rows, axis=1), seg_starts, axis=1).T
+        seg_top = np.maximum.reduceat(top.take(rows, axis=1), seg_starts, axis=1).T
         # spread each group over its columns: flat indices for maximum.at
         seg_key = key[seg_starts]
         n_a = len(self._alphas)
         seg_lens = seg_key // m + 1
-        ends = seg_lens.cumsum()
-        spread = np.repeat(seg_key % m + seg_lens - ends, seg_lens)
-        spread += np.arange(ends[-1])
-        flat = (spread[:, None] * n_a + np.arange(n_a)).ravel()
+        flat = (_ranges(seg_key % m, seg_lens)[:, None] * n_a + np.arange(n_a)).ravel()
         col_max = np.full((m, n_a), NEG_INF)
         np.maximum.at(col_max.reshape(-1), flat, np.repeat(seg_max, seg_lens, axis=0).ravel())
         col_top = np.full((m, n_a), -1, dtype=np.int8)
-        np.maximum.at(col_top.reshape(-1), flat, np.repeat(top, seg_lens, axis=0).ravel())
+        np.maximum.at(col_top.reshape(-1), flat, np.repeat(seg_top, seg_lens, axis=0).ravel())
         np.maximum(self.graded_max, col_max, out=self.graded_max)
         bits = np.zeros(col_top.shape, dtype=np.int64)
         np.left_shift(np.int64(1), col_top, out=bits, where=col_top >= 0)

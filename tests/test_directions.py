@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from walkangles.directions import (IN, OUT, UNDECIDED, CapVisitAccumulator,
-                                   EstimatorConfig, _CellTable, _TABLES, combine_runs)
+                                   EstimatorConfig, _CellTable, _TABLES, _UNIT_SLACK,
+                                   combine_runs)
 from walkangles.examples import triangle_log_tail_spec
 from walkangles.samplers import (coordinate_product, constant, rademacher,
                                  s_two_sided)
@@ -605,16 +606,117 @@ def test_blocks_match_dense_reference(d, variant, force_table):
 
 
 def test_padded_slots_never_pass():
-    # the padded lists of a 0.3 cap, read with cap_radius = 2 (dot_min = -1),
-    # under which every listed pair is a hit
+    # the padded edge lists of a 0.3 cap, read with cap_radius = 2 (dot_min =
+    # -1), under which every listed pair is a hit
     acc = CapVisitAccumulator(EstimatorConfig(cap_radius=2.0), 3)
     acc._table = table = _CellTable(acc.grid, 1.0 - 0.3 ** 2 / 2.0)
     m = len(acc.grid)
     assert np.any(table.table == m)                # the lists are padded with M
     dirs = _unit_rows(np.random.default_rng(5), BLOCK, 3)
-    rows, cols = acc._table_hits(dirs)
-    listed = table.table[table.cell_of(dirs)]
+    rows, cols, slot = acc._table_hits(dirs)
+    listed = table.table[slot]
     assert cols.max() < m and len(cols) == np.count_nonzero(listed < m)
+    assert np.array_equal(slot, table.cell_of(dirs))
+
+
+def listing_rule(table: _CellTable, grid: np.ndarray, dot_min: float) -> np.ndarray:
+    """(tabled cells x M) mask of the grid points whose squared distance to
+    the cell's box, widened by the slack s, is below ``r^2 + 4s``."""
+    s, c = _UNIT_SLACK, table.cells
+    m, d = grid.shape
+    shell = np.flatnonzero(table.slot >= 0)
+    assert np.array_equal(table.slot[shell], np.arange(len(shell)))
+    edges = -1.0 + 2.0 * np.arange(c + 1) / c
+    lo, hi = edges[:-1] - s, edges[1:] + s
+    cell = np.unravel_index(shell, (c,) * d)
+    listed = np.zeros((len(shell), m), dtype=bool)
+    for a in range(0, len(shell), 2048):
+        dist2 = 0.0
+        for i in range(d):
+            k = cell[i][a:a + 2048, None]
+            gap = np.maximum(np.maximum(lo[k] - grid[:, i], grid[:, i] - hi[k]), 0.0)
+            dist2 = dist2 + gap * gap
+        listed[a:a + 2048] = dist2 < 2.0 - 2.0 * dot_min + 4.0 * s
+    return listed
+
+
+def rows_in_every_cell(table: _CellTable, rng, per_cell: int = 4) -> np.ndarray:
+    """Unit rows in the boxes of the tabled cells: on the sphere between the
+    box's nearest and farthest corners, near each corner, at random points
+    of the box, and on a cell edge (one coordinate exactly -1 + 2k/C, the
+    others rescaled)."""
+    c = table.cells
+    d = table.coords.shape[0]
+    cell = np.stack(np.unravel_index(np.flatnonzero(table.slot >= 0), (c,) * d), axis=1)
+    lo, hi = -1.0 + 2.0 * cell / c, -1.0 + 2.0 * (cell + 1) / c
+    near = np.clip(0.0, lo, hi)
+    far = np.where(np.abs(lo) > np.abs(hi), lo, hi)
+    # |near + t (far - near)| = 1 on the segment, which lies in the box
+    step = far - near
+    qa, qb, qc = (step * step).sum(1), 2 * (near * step).sum(1), (near * near).sum(1) - 1.0
+    t = np.clip((-qb + np.sqrt(np.maximum(qb * qb - 4 * qa * qc, 0.0))) / (2 * qa), 0.0, 1.0)
+    pieces = [near + t[:, None] * step]
+    corners = np.array(np.meshgrid(*[[0, 1]] * d, indexing="ij")).reshape(d, -1).T
+    for corner in corners:
+        box = np.where(corner, hi, lo)
+        pieces.append(box + 1e-9 * rng.standard_normal(box.shape))
+    for _ in range(per_cell):
+        pieces.append(lo + (hi - lo) * rng.random(lo.shape))
+    rows = np.concatenate(pieces)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    # on a cell edge: coordinate i set to the nearest edge, the others rescaled
+    pick = rows[rng.random(len(rows)) < 0.5]
+    i = rng.integers(d, size=len(pick))
+    at = np.arange(len(pick))
+    edge = np.clip(np.round((pick[at, i] + 1.0) * c / 2.0), 1, c - 1)
+    edge = -1.0 + 2.0 * edge / c
+    rest = np.delete(pick.reshape(-1), at * d + i).reshape(len(pick), d - 1)
+    rest *= np.sqrt((1.0 - edge * edge) / np.maximum((rest * rest).sum(1), 1e-300))[:, None]
+    for j in range(d - 1):
+        pick[at, j + (j >= i)] = rest[:, j]
+    pick[at, i] = edge
+    return np.concatenate([rows, pick])
+
+
+@pytest.mark.parametrize("cap", [0.1, 0.3, 2.0])
+@pytest.mark.parametrize("d", [3, 4])
+def test_sure_points_are_hits_of_every_row_of_their_cell(d, cap):
+    grid = direction_grid(d, 256, 0)
+    dot_min = 1.0 - cap ** 2 / 2.0
+    table = _CellTable(grid, dot_min)
+    m = len(grid)
+    # sure and edge points split the listing rule's lists
+    listed = listing_rule(table, grid, dot_min)
+    split = np.zeros_like(listed)
+    sure_cells, sure_cols = table.sure_of(np.arange(len(listed)))
+    split[sure_cells, sure_cols] = True
+    edge_cells, k = np.nonzero(table.table < m)
+    assert not split[edge_cells, table.table[edge_cells, k]].any()
+    split[edge_cells, table.table[edge_cells, k]] = True
+    assert np.array_equal(split, listed)
+    assert np.array_equal(table.coords, np.moveaxis(
+        np.vstack([grid, np.full(d, np.nan)])[table.table], 2, 0), equal_nan=True)
+    # every sure point is a hit of every unit row its cell holds
+    rows = rows_in_every_cell(table, np.random.default_rng(d + int(10 * cap)))
+    slot = table.cell_of(rows)
+    assert (slot >= 0).all()
+    # rows reach every cell the sphere passes through (the others meet it
+    # at a point or only within the slack)
+    covered = np.zeros(len(listed), dtype=bool)
+    covered[slot] = True
+    c = table.cells
+    cell = np.stack(np.unravel_index(np.flatnonzero(table.slot >= 0), (c,) * d), axis=1)
+    lo, hi = -1.0 + 2.0 * cell / c, -1.0 + 2.0 * (cell + 1) / c
+    near2 = (np.clip(0.0, lo, hi) ** 2).sum(axis=1)
+    far2 = np.maximum(lo * lo, hi * hi).sum(axis=1)
+    assert covered[(near2 < 1.0 - 1e-9) & (far2 > 1.0 + 1e-9)].all()
+    which, cols = table.sure_of(slot)
+    assert len(cols) > 0 or len(table.sure) == 0    # d = 4 cells are too wide for cap 0.1
+    u, g = rows[which], grid[cols]
+    dots = u[:, 0] * g[:, 0]
+    for i in range(1, d):
+        dots = dots + u[:, i] * g[:, i]
+    assert (dots > dot_min).all()
 
 
 def test_default_d3_grid_uses_the_table():
@@ -633,8 +735,85 @@ def test_accumulators_share_grid_and_table():
     assert CapVisitAccumulator(EstimatorConfig(grid_m=256), 3)._table is a._table
     assert CapVisitAccumulator(EstimatorConfig(grid_m=256, cap_radius=0.2), 3)._table \
         is not a._table
-    for arr in (a.grid, a._table.slot, a._table.table, a._table.ext):
+    table = a._table
+    for arr in (a.grid, table.slot, table.table, table.coords, table.sure, table.sure_ptr):
         assert not arr.flags.writeable
+
+
+def test_nan_row_takes_the_dense_path():
+    # a NaN direction is not covered by the table: no cast warning, and the
+    # records are the dense path's, where a NaN row never hits
+    acc, ref = _accumulators(3, "band", False)
+    assert acc._table is not None
+    ref._table = None
+    block = random_block(np.random.default_rng(9), acc, 1)
+    block.dirs[7] = np.nan
+    block.dirs[8, 1] = np.nan
+    assert (acc._table.cell_of(block.dirs[6:9]) == [acc._table.cell_of(block.dirs[6:7])[0],
+                                                    -1, -1]).all()
+    acc.observe(block)
+    ref.observe(block)
+    assert_same_records(acc, ref)
+    assert acc.visits.sum() > 0
+
+
+def sweep_block(rng, acc: CapVisitAccumulator, first_n: int, rows: int = 3 * BLOCK // 2) -> WalkBlock:
+    """A slow great-circle sweep, as a walk turns once |S| is large: about
+    100 rows per cell of the table.  Every 64th row has one coordinate
+    exactly on a cell edge (the others rescaled), rows 5000-5999 repeat one
+    row, and the log-norms climb through the escape levels with a little
+    noise, so cell runs are cut by level changes too."""
+    d = acc.grid.shape[1]
+    a, b = np.linalg.qr(rng.standard_normal((d, 2)))[0].T
+    t = np.linspace(0.0, 2.0 * math.pi, rows)
+    dirs = np.cos(t)[:, None] * a + np.sin(t)[:, None] * b
+    c = acc._table.cells
+    for r in range(0, rows, 64):
+        i = rng.integers(d)
+        edge = -1.0 + 2.0 * np.round((dirs[r, i] + 1.0) * c / 2.0) / c
+        if abs(edge) < 1.0:
+            rest = np.delete(dirs[r], i)
+            dirs[r] = np.insert(rest * math.sqrt((1.0 - edge * edge) / (rest @ rest)), i, edge)
+    dirs[5000:6000] = dirs[5000]
+    cfg = acc.config
+    log_norms = np.linspace(math.log(cfg.escape_r0) - 1.0,
+                            math.log(cfg.escape_r0) + (cfg.escape_levels + 1) * _LN2, rows)
+    log_norms += 0.01 * rng.standard_normal(rows)
+    log_norms[5000:6000] = log_norms[5000]
+    log_norms[rng.random(rows) < 0.002] = NEG_INF
+    return WalkBlock(first_n=first_n, dirs=dirs, log_norms=log_norms, positions=None)
+
+
+@pytest.mark.parametrize("alphas", [EstimatorConfig().alphas, SIGNED_ALPHAS], ids=["default", "signed"])
+@pytest.mark.parametrize("d", [3, 4])
+def test_walk_like_blocks_match_dense_reference(d, alphas):
+    rng = np.random.default_rng(40 + d)
+    acc, _ = _accumulators(d, "band", False, alphas=alphas)
+    block = sweep_block(rng, acc, 1 + BLOCK)
+    table = acc._table
+    slot = table.cell_of(block.dirs)
+    assert table is not None and (slot >= 0).all()
+    # long cell runs, some with sure points, and rows exactly on cell edges
+    runs = 1 + np.count_nonzero(slot[1:] != slot[:-1])
+    assert len(slot) / runs > 10
+    assert len(table.sure_of(slot)[0]) > 0
+    c = table.cells
+    assert np.any((block.dirs + 1.0) * (c / 2.0) % 1.0 == 0.0)
+    # burn_in past the plateau's first rows cuts a run
+    for burn_in in (0, BLOCK + 5500):
+        acc, ref = _accumulators(d, "band", False, alphas=alphas, burn_in=burn_in)
+        acc.observe(block)
+        ref.observe(block)
+        assert_same_records(acc, ref)
+        assert acc.repeated_rows > 0 and acc.visits.sum() > 0
+    # the same walk cut into checkpoint-like pieces
+    acc, ref = _accumulators(d, "band", False, alphas=alphas)
+    for a, b in [(0, 1), (1, 3), (3, 700), (700, 5500), (5500, len(block))]:
+        piece = WalkBlock(first_n=block.first_n + a, dirs=block.dirs[a:b],
+                          log_norms=block.log_norms[a:b], positions=None)
+        acc.observe(piece)
+        ref.observe(piece)
+        assert_same_records(acc, ref)
 
 
 def test_d2_decision_cached_as_no_table():
