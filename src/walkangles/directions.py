@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .samplers import check_finite
-from .sphere import MAX_GRID_M, direction_grid
+from .sphere import MAX_GRID_M, direction_grid, normalize
 from .walk import NEG_INF, ObserverBase, WalkBlock, csv_text
 
 __all__ = [
@@ -121,14 +121,28 @@ _PRUNE_FACTOR = 16
 _CELLS_PER_RADIUS = 4.0
 
 
-def _fixed_dots(dirs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """E = ``((u0*g0 + u1*g1) + u2*g2) ...`` of each row u of ``dirs`` with the
-    same row g of ``vecs``, or with ``vecs`` itself when it is one vector:
-    unfused multiplies and adds in coordinate order, which IEEE rounds the
-    same way on every host.  E is the dot of the cap and band tests."""
-    dots = dirs[:, 0] * vecs[..., 0]
+def _fixed_dots(dirs: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """E = ``((u0*g0 + u1*g1) + u2*g2) ...`` of each row u of ``dirs`` with
+    the vector g: unfused multiplies and adds in coordinate order, which IEEE
+    rounds the same way on every host.  E is the dot of the cap and band
+    tests."""
+    dots = dirs[:, 0] * vec[0]
     for i in range(1, dirs.shape[1]):
-        dots += dirs[:, i] * vecs[..., i]
+        dots += dirs[:, i] * vec[i]
+    return dots
+
+
+def _pair_dots(dirs: np.ndarray, vecs_t: np.ndarray, rows: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+    """E of row ``rows[j]`` of ``dirs`` with column ``cols[j]`` of the
+    coordinate-major ``vecs_t``, for each j, in the order of
+    :func:`_fixed_dots`, from one 1-D ``take`` per coordinate."""
+    dots = dirs[:, 0].take(rows)
+    dots *= vecs_t[0].take(cols)
+    for i in range(1, dirs.shape[1]):
+        term = dirs[:, i].take(rows)
+        term *= vecs_t[i].take(cols)
+        dots += term
     return dots
 
 
@@ -161,12 +175,18 @@ class _CellTable:
     - a sure point is a hit of every row of the cell: ``|u - g|^2 < r^2 -
       4s`` gives an exact dot ``>= dot_min + s``, and E is above dot_min.
 
-    Only the edge points need E.  Their lists are padded to the longest with
-    index M, whose coordinates are NaN: a padded slot's dot is NaN, which is
-    never above ``dot_min`` (even at ``dot_min = -1``).  Each coordinate of
-    the edge points is stored cell-major, ``coords[i]`` of shape (cells, K),
-    so a row gathers one contiguous row of each.  The sure points of cell c
-    are ``sure[sure_ptr[c]:sure_ptr[c + 1]]``.
+    The proof asks only that u lie in the box, so it holds on any box that
+    holds the rows.  :meth:`split_runs` sorts a cell's edge points again by
+    a smaller box, the coordinate minima and maxima of a run of rows in the
+    cell, widened by s, with the same rule (:meth:`_split`): the points
+    sure for every row of the run, the points no row of it hits, and the
+    points between, which alone need E.  The edge lists are padded to the
+    longest with index M, whose coordinates are NaN: a NaN fails both
+    comparisons, so on any box a padded slot is neither sure nor between,
+    and E never reads it.  Each coordinate of the edge points is stored
+    cell-major, ``coords[i]`` of shape (cells, K), so a run gathers one
+    contiguous row of each.  The sure points of cell c are
+    ``sure[sure_ptr[c]:sure_ptr[c + 1]]``.
     """
 
     def __init__(self, grid: np.ndarray, dot_min: float):
@@ -206,13 +226,9 @@ class _CellTable:
         rows = np.concatenate([p[0] for p in pairs])
         cols = np.concatenate([p[1] for p in pairs])
         self.mean_candidates = len(rows) / n_cells
-        # squared distance from each listed point to the farthest point of
-        # its cell's widened box
-        far2 = 0.0
-        for i in range(d):
-            g, k = grid[cols, i], cell[i][rows]
-            far2 = far2 + np.maximum(g - lo[k], hi[k] - g) ** 2
-        sure = far2 < r2 - 4.0 * s
+        self.r2 = r2
+        sure = self._split(grid[cols].T, [lo[k[rows]] for k in cell],
+                           [hi[k[rows]] for k in cell])[0]
         idx_type = np.int16 if m < _INT16_MAX else np.int64
         self.sure = cols[sure].astype(idx_type)
         self.sure_ptr = np.concatenate([[0], np.bincount(rows[sure], minlength=n_cells).cumsum()])
@@ -225,6 +241,38 @@ class _CellTable:
         self.coords = np.ascontiguousarray(np.moveaxis(ext[self.table], 2, 0))  # (d, cells, K)
         for arr in (self.slot, self.table, self.coords, self.sure, self.sure_ptr):
             arr.setflags(write=False)               # shared, see _table_for
+
+    def _split(self, coords, lo, hi):
+        """(sure, edge) masks of points against boxes, coordinate by
+        coordinate: ``coords[i]``, ``lo[i]`` and ``hi[i]`` broadcast to the
+        shape of the masks.  A point is sure when its squared distance to the
+        box's farthest point is below ``r^2 - 4s``, and edge when it is not
+        sure and its squared distance to the box's nearest point is below
+        ``r^2 + 4s``.  ``minimum`` and ``maximum`` carry a NaN coordinate
+        into both distances, so a NaN point is neither.  The farthest
+        point's gap ``max(g - lo, hi - g)`` is taken as ``-min(lo - g, g -
+        hi)``, the same float: IEEE negation commutes with rounding."""
+        s = _UNIT_SLACK
+        near2 = far2 = 0.0
+        for g, a, b in zip(coords, lo, hi):
+            below, above = a - g, g - b
+            far = np.minimum(below, above)
+            far *= far
+            far2 = far2 + far
+            gap = np.maximum(below, above, out=below)
+            np.maximum(gap, 0.0, out=gap)
+            gap *= gap
+            near2 = near2 + gap
+        sure = far2 < self.r2 - 4.0 * s
+        return sure, (near2 < self.r2 + 4.0 * s) & ~sure
+
+    def split_runs(self, slots: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        """(sure, edge) masks, (R, K) each, over the edge lists
+        ``table[slots]`` of R runs whose rows lie in the boxes ``lo .. hi``,
+        (R, d) each, which are widened by s."""
+        s = _UNIT_SLACK
+        lo, hi = (lo - s).T[:, :, None], (hi + s).T[:, :, None]
+        return self._split([g.take(slots, axis=0) for g in self.coords], lo, hi)
 
     def sure_of(self, slots: np.ndarray):
         """(index into ``slots``, grid column) of every sure point of each
@@ -322,12 +370,13 @@ class CapVisitAccumulator(ObserverBase):
         self._dot_min = 1.0 - config.cap_radius ** 2 / 2.0  # chord < r as a dot bound
         self._log_r0 = math.log(config.escape_r0)
         self._alphas = np.asarray(config.alphas, dtype=float)
-        self._band_axis = None if config.band_axis is None \
-            else np.asarray(config.band_axis, dtype=float)
+        # the band test reads the axis's direction only
+        self._band_axis = None if config.band_axis is None else normalize(config.band_axis)[0]
         d = self.grid.shape[1]
         gamma = d * _ROUNDING / (1.0 - d * _ROUNDING)
         self._width = 2.0 * (2.0 * gamma * (1.0 + _UNIT_SLACK))    # 2b per unit of P, see observe
         self._grid_l1 = float(np.fmax.reduce(np.abs(self.grid).sum(axis=1), initial=0.0))
+        self._grid_t = np.ascontiguousarray(self.grid.T)
         self._table = _table_for(self.grid, self._dot_min)
 
     # level index of each norm: largest l with norm > r0 * 2**l, or -1
@@ -342,28 +391,37 @@ class CapVisitAccumulator(ObserverBase):
         np.minimum(lvl, self.config.escape_levels, out=lvl)
         return lvl.astype(np.int64)
 
-    def _table_hits(self, dirs: np.ndarray):
-        """(rows, grid columns) of the block's hits among the edge points of
-        the cell table, ``E > dot_min``, and each row's table slot; None when
-        a row is not covered by the table."""
+    def _table_hits(self, dirs: np.ndarray, bucket: np.ndarray):
+        """The block's hits through the cell table (see :meth:`observe`):
+        the first row of each cell run, (run, grid column) of every point
+        that is sure for a whole run, and (row, grid column) of every other
+        hit, ``E > dot_min``; None when a row is not covered by the table."""
         table = self._table
         slot = table.cell_of(dirs)
-        if len(slot) and slot.min() < 0:
+        if slot.min() < 0:
             return None
-        # E, term by term as _fixed_dots takes it, into two (B, K) buffers
-        coords = table.coords
-        dots = coords[0].take(slot, axis=0)
-        dots *= dirs[:, :1]
-        term = np.empty_like(dots)
-        for i in range(1, dirs.shape[1]):
-            coords[i].take(slot, axis=0, out=term)
-            term *= dirs[:, i:i + 1]
-            dots += term
-        k = dots.shape[1]
-        flat = np.flatnonzero(dots > self._dot_min)
-        rows = flat // k
-        cols = table.table.take(flat + (slot[rows] - rows) * k).astype(np.intp)
-        return rows, cols, slot
+        # cell runs: maximal runs of rows in one cell at one level
+        new = np.empty(len(slot), dtype=bool)
+        new[0] = True
+        np.not_equal(slot[1:], slot[:-1], out=new[1:])
+        new[1:] |= bucket[1:] != bucket[:-1]
+        run_starts = new.nonzero()[0]
+        run_slot = slot[run_starts]
+        # each run's edge points, sorted by the box of its own rows
+        sure, edge = table.split_runs(run_slot, np.minimum.reduceat(dirs, run_starts),
+                                      np.maximum.reduceat(dirs, run_starts))
+        listed = table.table.take(run_slot, axis=0)
+        sure_runs, sure_cols = table.sure_of(run_slot)
+        runs, k = sure.nonzero()
+        sure_runs = np.concatenate([sure_runs, runs])
+        sure_cols = np.concatenate([sure_cols, listed[runs, k]])
+        # the points left between take E on every row of their run
+        runs, k = edge.nonzero()
+        size = np.diff(run_starts, append=len(slot))[runs]
+        rows = _ranges(run_starts[runs], size)
+        cols = np.repeat(listed[runs, k].astype(np.intp), size)
+        hit = _pair_dots(dirs, self._grid_t, rows, cols) > self._dot_min
+        return run_starts, sure_runs, sure_cols, rows[hit], cols[hit]
 
     def _dense_runs(self, dirs: np.ndarray):
         """(rows, first columns, lengths) of the runs of consecutive hit
@@ -386,7 +444,7 @@ class CapVisitAccumulator(ObserverBase):
         del dots                        # the edges are built after the product is freed
         if np.count_nonzero(near) != np.count_nonzero(edge):
             rows, cols = np.nonzero(near & ~hits)
-            hits[rows, cols] = _fixed_dots(dirs[rows], self.grid[cols]) > self._dot_min
+            hits[rows, cols] = _pair_dots(dirs, self._grid_t, rows, cols) > self._dot_min
         del near
         ends = np.not_equal(edge[:, 1:], edge[:, :-1]).ravel().nonzero()[0]
         first, stop = ends[0::2], ends[1::2]
@@ -446,14 +504,23 @@ class CapVisitAccumulator(ObserverBase):
 
         Where a cell table is in use, the pairs it leaves out are never hits
         and its sure points are always hits (its proof bounds their E below
-        and above ``dot_min``), so only its edge points are tested, by E
-        itself.  A row that is not unit to within the slack (a NaN row
-        included) is not covered, and its block takes the dense path, which
-        gives the same hits.  The table is used when its mean list holds at
-        most ``M / _PRUNE_FACTOR`` grid points.  On the default grids with
-        cap 0.3 that is d = 3, M = 256 (about 8.3 of 256 listed, 3.5 of them
-        sure) but not d = 2, M = 64 (about 7.8 of 64, where the dense product
-        is faster).
+        and above ``dot_min``), so only its edge points can need E.  The
+        tested rows are first cut into cell runs, maximal runs of
+        consecutive tested rows (groups, when grouped) in one cell and at
+        one level.  Each run's edge points are sorted again by the box of
+        the run's own rows, with the same proof
+        (:meth:`_CellTable.split_runs`): the points sure on that box join the
+        cell's sure points as sure hits of every row of the run, the points
+        no row in the box can hit drop out, and only the points between take
+        E, on every row of the run.  A row that is not unit to within the
+        slack (a NaN row included) is not covered, and its block takes the
+        dense path, which gives the same hits.  The table is used when its
+        mean list holds at most ``M / _PRUNE_FACTOR`` grid points.  On the
+        default grids with cap 0.3 that is d = 3, M = 256 (about 8.3 of 256
+        listed, 3.5 of them sure) but not d = 2, M = 64 (about 7.8 of 64,
+        where the dense product is faster).  On the seed-0 ``caps3d`` walks a
+        cell run holds about 27 rows, and a row takes E on 1.31 pairs where
+        its cell lists 4.71 edge points (at most 9).
 
         Repeated rows are decided once.  When some live row has the log-norm
         of the one before it, the live rows are grouped into maximal runs
@@ -488,15 +555,12 @@ class CapVisitAccumulator(ObserverBase):
         through a difference array over columns; the runs of a group's first
         row add the group's row count, and its statistic and highest
         qualifying window are the maxima over its rows (below).  A table's
-        sure hits are taken once per cell run, a maximal run of consecutive
-        tested rows (groups, when grouped) in one cell and at one level,
-        every row of which hits every sure point of the cell: the run adds
-        its row count (its groups' sizes) at its level to each sure column,
-        and its statistic and highest qualifying window are the
-        ``maximum.reduceat`` of its rows' (or groups'), entered as one more
-        length-1 run per sure column.  On the ``caps3d`` walks a cell run
-        holds about 27 rows, and a row has 3.5 sure and 4.7 edge points (at
-        most 9) of the 8.3 its cell lists.  The runs are keyed by (length,
+        sure hits, of its cell and of its own box, are taken once per cell
+        run, every row of which hits each of them: the run adds its row
+        count (its groups' sizes) at its level to each sure column, and its
+        statistic and highest qualifying window are the ``maximum.reduceat``
+        of its rows' (or groups'), entered as one more length-1 run per sure
+        column.  The runs are keyed by (length,
         first column); each key's maximum statistic and highest qualifying
         window are spread over its columns with ``maximum.at``.  Integer
         counts and maxima do not depend on the order or grouping they are
@@ -541,20 +605,13 @@ class CapVisitAccumulator(ObserverBase):
                         bucket[sel], None if sizes is None else sizes[sel],
                         minlength=n_lv).astype(np.int64)
         # the hits of the tested rows: rows index groups when grouped
-        hits = None if self._table is None else self._table_hits(tested)
+        hits = None if self._table is None else self._table_hits(tested, bucket)
         if hits is None:
             rows, cols, lens = self._dense_runs(tested)
             sure_runs = ()
         else:
-            rows, cols, slot = hits
+            run_starts, sure_runs, sure_cols, rows, cols = hits
             lens = None
-            # cell runs: maximal runs of tested rows in one cell at one level
-            new = np.empty(len(slot), dtype=bool)
-            new[:1] = True
-            np.not_equal(slot[1:], slot[:-1], out=new[1:])
-            new[1:] |= bucket[1:] != bucket[:-1]
-            run_starts = new.nonzero()[0]
-            sure_runs, sure_cols = self._table.sure_of(slot[run_starts])
         if len(rows) == 0 and len(sure_runs) == 0:
             return
         span = 1 if lens is None else int(lens.max())

@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from walkangles import directions
 from walkangles.directions import (IN, OUT, UNDECIDED, CapVisitAccumulator,
                                    EstimatorConfig, _CellTable, _TABLES, _UNIT_SLACK,
-                                   combine_runs)
+                                   _group_edges, combine_runs)
 from walkangles.examples import triangle_log_tail_spec
 from walkangles.samplers import (coordinate_product, constant, rademacher,
                                  s_two_sided)
@@ -607,16 +608,30 @@ def test_blocks_match_dense_reference(d, variant, force_table):
 
 def test_padded_slots_never_pass():
     # the padded edge lists of a 0.3 cap, read with cap_radius = 2 (dot_min =
-    # -1), under which every listed pair is a hit
+    # -1), under which every pair left to E is a hit
     acc = CapVisitAccumulator(EstimatorConfig(cap_radius=2.0), 3)
     acc._table = table = _CellTable(acc.grid, 1.0 - 0.3 ** 2 / 2.0)
     m = len(acc.grid)
     assert np.any(table.table == m)                # the lists are padded with M
+    # a padded slot is neither sure nor left to E, on a cell's own box ...
+    c = table.cells
+    slots = np.arange(table.table.shape[0])
+    cell = np.stack(np.unravel_index(np.flatnonzero(table.slot >= 0), (c,) * 3), axis=1)
+    sure, edge = table.split_runs(slots, -1.0 + 2.0 * cell / c, -1.0 + 2.0 * (cell + 1) / c)
+    assert not sure.any() and np.array_equal(edge, table.table < m)
+    # ... or on the box of any run of rows
     dirs = _unit_rows(np.random.default_rng(5), BLOCK, 3)
-    rows, cols, slot = acc._table_hits(dirs)
-    listed = table.table[slot]
-    assert cols.max() < m and len(cols) == np.count_nonzero(listed < m)
-    assert np.array_equal(slot, table.cell_of(dirs))
+    dirs = dirs[np.argsort(table.cell_of(dirs), kind="stable")]
+    bucket = np.arange(BLOCK) // 7 % 2                  # runs of at most 7 rows
+    run_starts, sure_runs, sure_cols, rows, cols = acc._table_hits(dirs, bucket)
+    slot = table.cell_of(dirs)
+    lo, hi = np.minimum.reduceat(dirs, run_starts), np.maximum.reduceat(dirs, run_starts)
+    sure, edge = table.split_runs(slot[run_starts], lo, hi)
+    padded = table.table[slot[run_starts]] == m
+    assert padded.any() and not (sure | edge)[padded].any()
+    assert cols.max() < m and sure_cols.max() < m
+    sizes = np.diff(run_starts, append=BLOCK)
+    assert len(cols) == (edge.sum(axis=1) * sizes).sum()
 
 
 def listing_rule(table: _CellTable, grid: np.ndarray, dot_min: float) -> np.ndarray:
@@ -814,6 +829,97 @@ def test_walk_like_blocks_match_dense_reference(d, alphas):
         acc.observe(piece)
         ref.observe(piece)
         assert_same_records(acc, ref)
+
+
+def crossing_block(rng, acc: CapVisitAccumulator, first_n: int, rows: int = 4096) -> WalkBlock:
+    """A slow sweep across the cap boundary of one grid point: rows at 0.9
+    to 1.1 times the cap's angle from it along one great circle, at one
+    level, so that a cell run holds both hits and misses of it."""
+    d = acc.grid.shape[1]
+    g = acc.grid[rng.integers(len(acc.grid))]
+    w = rng.standard_normal(d)
+    w -= (w @ g) * g
+    w /= np.linalg.norm(w)
+    t = np.linspace(0.9, 1.1, rows) * math.acos(acc._dot_min)
+    dirs = np.cos(t)[:, None] * g + np.sin(t)[:, None] * w
+    log_norms = np.full(rows, math.log(acc.config.escape_r0) + 1.5 * _LN2)
+    return WalkBlock(first_n=first_n, dirs=dirs, log_norms=log_norms, positions=None)
+
+
+def cell_runs(acc: CapVisitAccumulator, block: WalkBlock):
+    """The rows ``observe`` tests (live, past burn_in, first of each group of
+    equal rows), their table slots and the first row of each cell run."""
+    steps = np.arange(block.first_n, block.first_n + len(block))
+    live = (block.log_norms > NEG_INF) & (steps > acc.config.burn_in)
+    dirs, log_norms = block.dirs[live], block.log_norms[live]
+    edges = _group_edges(dirs, log_norms)
+    if edges is not None:
+        dirs, log_norms = dirs[edges[:-1]], log_norms[edges[:-1]]
+    slot, level = acc._table.cell_of(dirs), acc._levels_of(log_norms)
+    new = np.ones(len(slot), dtype=bool)
+    new[1:] = (slot[1:] != slot[:-1]) | (level[1:] != level[:-1])
+    return dirs, slot, level, new.nonzero()[0]
+
+
+@pytest.mark.parametrize("cap", [0.1, 0.3])
+@pytest.mark.parametrize("d", [3, 4])
+def test_run_boxes_are_sound_and_used(d, cap, monkeypatch):
+    variant = {0.1: "small-cap", 0.3: "default"}[cap]
+    axis = (0.0,) * (d - 1) + (1.0,)
+    probe = _accumulators(d, variant, True, band_axis=axis)[0]
+    table, m = probe._table, len(probe.grid)
+    if d == 4 and cap == 0.1:
+        assert len(table.sure) == 0             # no cell has a sure point
+    rng = np.random.default_rng(60 + d + int(10 * cap))
+    sweep = sweep_block(rng, probe, 1 + BLOCK)
+    cross = crossing_block(rng, probe, 1 + 3 * BLOCK)
+    # the sweep's runs are cut by level changes and hold a plateau; one run
+    # of the crossing holds hits and misses of one grid point
+    _, slot, level, _ = cell_runs(probe, sweep)
+    assert np.any((slot[1:] == slot[:-1]) & (level[1:] != level[:-1]))
+    dirs, _, _, starts = cell_runs(probe, cross)
+    hits = np.add.reduceat(fixed_order_dots(dirs, probe.grid) > probe._dot_min, starts)
+    assert np.any((hits > 0) & (hits < np.diff(starts, append=len(dirs))[:, None]))
+    # E pairs taken, and the points the runs' boxes made sure
+    seen = {"E": 0, "sure": 0}
+    pair_dots, split_runs = directions._pair_dots, _CellTable.split_runs
+
+    def counted_dots(dirs, vecs_t, rows, cols):
+        seen["E"] += len(rows)
+        return pair_dots(dirs, vecs_t, rows, cols)
+
+    def counted_split(self, slots, lo, hi):
+        sure, edge = split_runs(self, slots, lo, hi)
+        seen["sure"] += np.count_nonzero(sure)
+        return sure, edge
+
+    monkeypatch.setattr(directions, "_pair_dots", counted_dots)
+    monkeypatch.setattr(_CellTable, "split_runs", counted_split)
+    listed = 0
+    for burn_in, blocks in ((0, [sweep, cross]), (BLOCK + 5500, [sweep])):
+        acc, ref = _accumulators(d, variant, True, band_axis=axis, burn_in=burn_in)
+        assert acc._table is table
+        for block in blocks:
+            acc.observe(block)
+            ref.observe(block)
+            assert_same_records(acc, ref)
+            slot = cell_runs(acc, block)[1]
+            listed += np.count_nonzero(table.table[slot] < m)
+        assert acc.repeated_rows > 0 and acc.visits.sum() > 0
+    assert 0 < seen["E"] < listed / 2 and seen["sure"] > 0
+
+
+def test_band_axis_is_normalized():
+    # the band test reads the axis's direction: a scaled axis gives the same
+    # records, byte for byte, and a unit axis is kept as given
+    spec = coordinate_product([s_two_sided(1.5), s_two_sided(1.5), rademacher()])
+    accs = [CapVisitAccumulator(EstimatorConfig(grid_m=256, band_axis=axis), 3)
+            for axis in ((0.0, 0.0, 1.0), (0.0, 0.0, 2.0), (0, 0, 1e300))]
+    run_walk(spec, 2 * BLOCK, seed=4, observers=accs)
+    assert accs[0]._band_axis.tobytes() == np.array([0.0, 0.0, 1.0]).tobytes()
+    assert accs[0].level_band_hits.sum() > 0
+    for acc in accs[1:]:
+        assert_same_records(acc, accs[0])
 
 
 def test_d2_decision_cached_as_no_table():

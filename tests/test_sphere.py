@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walkangles.sphere import (MAX_GRID_M, Cap, cap_contains, chord, direction_grid,
-                               hat, interpolate, normalize, normalize_rows, s_hull)
+from walkangles.rng import stream
+from walkangles.sphere import (MAX_GRID_M, Cap, _build_grid, cap_contains, chord,
+                               direction_grid, hat, interpolate, normalize, normalize_rows,
+                               s_hull)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -459,6 +461,37 @@ def test_grid_size_bounded(m):
     # rejected before anything is allocated
     with pytest.raises(ValueError, match="grid size"):
         direction_grid(3, m)
+
+
+def reference_grid(d: int, m: int, seed: int) -> np.ndarray:
+    """The d >= 3 best-candidate build that the running squared minimum
+    replaced: per slot, 32 fresh candidates and their distances to every
+    point chosen so far."""
+    rng = stream(seed)
+    n_cand = 32
+    points = np.empty((m, d))
+    first = rng.standard_normal(d)
+    points[0] = normalize(first)[0]
+    for i in range(1, m):
+        cand = normalize_rows(rng.standard_normal((n_cand, d)))[0]
+        dists = np.linalg.norm(cand[:, None, :] - points[None, :i, :], axis=2)
+        points[i] = cand[np.argmax(dists.min(axis=1))]
+    return points
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_grid_is_the_former_build(d):
+    for seed in (0, 1, 7):
+        for m in (1, 2, 3, 16, 32, 33, 64, 256):
+            got = _build_grid(d, m, seed)
+            assert got.shape == (m, d)
+            assert got.tobytes() == reference_grid(d, m, seed).tobytes(), (m, seed)
+        # m = 1 is the first point alone, and the first 16 and 32 points of
+        # a grid are the smaller grids (the hull's ladder reads them there)
+        assert _build_grid(d, 1, seed).tobytes() == normalize(stream(seed).standard_normal(d))[0].tobytes()
+        big = _build_grid(d, 64, seed)
+        for m in (16, 32):
+            assert big[:m].tobytes() == _build_grid(d, m, seed).tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
