@@ -848,7 +848,8 @@ def crossing_block(rng, acc: CapVisitAccumulator, first_n: int, rows: int = 4096
 
 def cell_runs(acc: CapVisitAccumulator, block: WalkBlock):
     """The rows ``observe`` tests (live, past burn_in, first of each group of
-    equal rows), their table slots and the first row of each cell run."""
+    equal rows), their table slots and levels, and the first row of each
+    cell run."""
     steps = np.arange(block.first_n, block.first_n + len(block))
     live = (block.log_norms > NEG_INF) & (steps > acc.config.burn_in)
     dirs, log_norms = block.dirs[live], block.log_norms[live]
