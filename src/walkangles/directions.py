@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,12 +49,13 @@ class EstimatorConfig:
     """Knobs of the cap-visit estimator.
 
     Size fields are bounded so that a config cannot ask for arrays numpy
-    cannot allocate.  ``grid_m`` is at most ``MAX_GRID_M`` (4096): every
-    block is tested against the whole grid in one (block x grid) float64
-    product, 512 MiB at the bound.  Its hit mask, the mask of pairs near the
-    cap's edge and the hit mask's column edges hold one byte per (row,
-    column) each, 64 MiB at the bound, and the edges are built after the
-    product and the near mask are freed.  ``escape_levels`` is at most
+    cannot allocate.  ``grid_m`` is at most ``MAX_GRID_M`` (4096): where a
+    block is tested against the whole grid, it is taken in slices of at
+    most ``2**20 // grid_m`` rows, so each slice's (grid x rows) float64
+    product takes at most 8 MiB and its hit mask and mask of pairs near the
+    cap's edge 1 MiB each, at any ``grid_m``.  A slice has at most 2**20
+    hits, each taken with an int64 row and column and, per alpha, its
+    statistic and window.  ``escape_levels`` is at most
     ``MAX_ESCAPE_LEVELS`` (1024): the visit table holds
     ``grid_m x (escape_levels + 1)`` int64 counts that every block rebuilds
     (32 MiB at both bounds), and 1024 doublings of an ``escape_r0`` of at
@@ -113,8 +115,13 @@ _UNIT_SLACK = 2.0 ** -20
 _ROUNDING = 2.0 ** -53              # unit roundoff of float64
 # the cube grid of a cell table has at most this many cells
 _MAX_CELLS = 1 << 16
-# a cell table is used when its mean candidate list holds at most M/16 points
+# a cell table is used when its mean edge list holds at most M/16 points
 _PRUNE_FACTOR = 16
+# calls of fewer tested rows take the product: on the seed-0 workloads'
+# blocks (2-core Xeon) the cap layer of manyruns, whose 512-row pieces make
+# short cell runs, took 0.099 s at 512 and 0.085-0.092 s at 1024; hull2d
+# and caps3d took the same at 256, 512 and 1024 (0.051-0.053, 0.101-0.107 s)
+_TABLE_ROWS = 1024
 # a cell table has about this many cells per sqrt(d) / r along each axis;
 # measured on the caps3d walks (d = 3, cap 0.3), 32 or 40 cells (factors
 # 5.5 and 6.8) cut observe by 5-12% but took 10-20 ms more to build
@@ -186,7 +193,8 @@ class _CellTable:
     and E never reads it.  Each coordinate of the edge points is stored
     cell-major, ``coords[i]`` of shape (cells, K), so a run gathers one
     contiguous row of each.  The sure points of cell c are
-    ``sure[sure_ptr[c]:sure_ptr[c + 1]]``.
+    ``sure[sure_ptr[c]:sure_ptr[c + 1]]``, and ``mean_edges`` is the mean
+    length of the unpadded edge lists.
     """
 
     def __init__(self, grid: np.ndarray, dot_min: float):
@@ -215,6 +223,7 @@ class _CellTable:
                                     grid.T[:, None, :] - hi[:, None]), 0.0)
         gap2 = gap * gap
         cell = np.unravel_index(shell, (c,) * d)
+        self.r2 = r2
         step = max(1, (1 << 20) // m)                  # (cells x M) temporaries of 8 MiB
         pairs = []
         for a in range(0, n_cells, step):
@@ -222,25 +231,37 @@ class _CellTable:
             for i in range(1, d):
                 dist2 += gap2[i].take(cell[i][a:a + step], axis=0)
             rows, cols = np.nonzero(dist2 < r2 + 4.0 * s)
-            pairs.append((rows + a, cols))
-        rows = np.concatenate([p[0] for p in pairs])
-        cols = np.concatenate([p[1] for p in pairs])
-        self.mean_candidates = len(rows) / n_cells
-        self.r2 = r2
-        sure = self._split(grid[cols].T, [lo[k[rows]] for k in cell],
-                           [hi[k[rows]] for k in cell])[0]
-        idx_type = np.int16 if m < _INT16_MAX else np.int64
-        self.sure = cols[sure].astype(idx_type)
+            rows += a
+            sure = self._split(grid[cols].T, [lo[k[rows]] for k in cell],
+                               [hi[k[rows]] for k in cell])[0]
+            pairs.append((rows, cols, sure))
+        rows, cols, sure = (np.concatenate(p) for p in zip(*pairs))
+        self.sure = cols[sure].astype(np.int16 if m < _INT16_MAX else np.int64)
         self.sure_ptr = np.concatenate([[0], np.bincount(rows[sure], minlength=n_cells).cumsum()])
-        rows, cols = rows[~sure], cols[~sure]
-        counts = np.bincount(rows, minlength=n_cells)
-        self.table = np.full((n_cells, max(1, counts.max())), m, dtype=idx_type)
-        first = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        self.table[rows, np.arange(len(rows)) - first[rows]] = cols
-        ext = np.vstack([grid, np.full(d, np.nan)])      # row M is NaN
-        self.coords = np.ascontiguousarray(np.moveaxis(ext[self.table], 2, 0))  # (d, cells, K)
-        for arr in (self.slot, self.table, self.coords, self.sure, self.sure_ptr):
+        self._edge_pairs = rows[~sure], cols[~sure]
+        self.mean_edges = len(self._edge_pairs[0]) / n_cells
+        self._grid = grid
+        for arr in (self.slot, self.sure, self.sure_ptr):
             arr.setflags(write=False)               # shared, see _table_for
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The padded edge lists, (cells, K); built on first use."""
+        rows, cols = self._edge_pairs
+        counts = np.bincount(rows, minlength=len(self.sure_ptr) - 1)
+        table = np.full((len(counts), max(1, counts.max())), len(self._grid), dtype=self.sure.dtype)
+        first = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        table[rows, np.arange(len(rows)) - first[rows]] = cols
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """The edge points' coordinates, (d, cells, K); built on first use."""
+        ext = np.vstack([self._grid, np.full(self._grid.shape[1], np.nan)])      # row M is NaN
+        coords = np.ascontiguousarray(np.moveaxis(ext[self.table], 2, 0))
+        coords.setflags(write=False)
+        return coords
 
     def _split(self, coords, lo, hi):
         """(sure, edge) masks of points against boxes, coordinate by
@@ -311,15 +332,16 @@ _TABLES: dict[tuple, "_CellTable | None"] = {}
 
 def _table_for(grid: np.ndarray, dot_min: float) -> "_CellTable | None":
     """The cell table of ``grid`` and ``dot_min`` when every grid point is unit
-    to within the slack and its mean list holds at most ``M / _PRUNE_FACTOR``
-    points, else None."""
+    to within the slack and its mean edge list holds at most ``M /
+    _PRUNE_FACTOR`` points, else None.  The rule is read before the padded
+    edge table is built, so a rejected pair never builds it."""
     key = (grid.shape, grid.tobytes(), dot_min)
     if key not in _TABLES:
         table = None
         norm2 = np.einsum("ij,ij->i", grid, grid)
         if np.all(np.abs(norm2 - 1.0) <= _UNIT_SLACK / 2):
             table = _CellTable(grid, dot_min)
-            if table.mean_candidates * _PRUNE_FACTOR > len(grid):
+            if table.mean_edges * _PRUNE_FACTOR > len(grid):
                 table = None
         _TABLES[key] = table
     return _TABLES[key]
@@ -392,10 +414,10 @@ class CapVisitAccumulator(ObserverBase):
         return lvl.astype(np.int64)
 
     def _table_hits(self, dirs: np.ndarray, bucket: np.ndarray):
-        """The block's hits through the cell table (see :meth:`observe`):
-        the first row of each cell run, (run, grid column) of every point
-        that is sure for a whole run, and (row, grid column) of every other
-        hit, ``E > dot_min``; None when a row is not covered by the table."""
+        """The first row of each cell run, then (row, grid column) of every
+        hit by column, then row (see :meth:`observe`); row ``len(dirs) + j``
+        is cell run j, with its sure points.  None when a row is not covered
+        by the table."""
         table = self._table
         slot = table.cell_of(dirs)
         if slot.min() < 0:
@@ -411,45 +433,42 @@ class CapVisitAccumulator(ObserverBase):
         sure, edge = table.split_runs(run_slot, np.minimum.reduceat(dirs, run_starts),
                                       np.maximum.reduceat(dirs, run_starts))
         listed = table.table.take(run_slot, axis=0)
-        sure_runs, sure_cols = table.sure_of(run_slot)
-        runs, k = sure.nonzero()
-        sure_runs = np.concatenate([sure_runs, runs])
-        sure_cols = np.concatenate([sure_cols, listed[runs, k]])
+        cell_runs, cell_cols = table.sure_of(run_slot)
+        box_runs, k = sure.nonzero()
         # the points left between take E on every row of their run
-        runs, k = edge.nonzero()
+        runs, j = edge.nonzero()
         size = np.diff(run_starts, append=len(slot))[runs]
         rows = _ranges(run_starts[runs], size)
-        cols = np.repeat(listed[runs, k].astype(np.intp), size)
+        cols = np.repeat(listed[runs, j].astype(np.intp), size)
         hit = _pair_dots(dirs, self._grid_t, rows, cols) > self._dot_min
-        return run_starts, sure_runs, sure_cols, rows[hit], cols[hit]
+        n = len(dirs)
+        rows = np.concatenate([rows[hit], n + cell_runs, n + box_runs])
+        cols = np.concatenate([cols[hit], cell_cols, listed[box_runs, k]])
+        order = np.argsort(cols.astype(np.int16) if len(self.grid) < _INT16_MAX else cols,
+                           kind="stable")
+        return run_starts, rows[order], cols[order]
 
-    def _dense_runs(self, dirs: np.ndarray):
-        """(rows, first columns, lengths) of the runs of consecutive hit
-        columns in each row of ``E > dot_min`` over the whole grid.  BLAS's
-        ``dirs @ grid.T`` decides every pair whose value lies outside
-        ``dot_min +- 2b`` (see :meth:`observe`); the pairs inside take E.  The
-        mask is padded with a False column at both ends, so every run has a
-        rising and a falling edge in its row, and the edges of all rows, read
-        in row-major order, alternate start, end.  A row whose hits wrap from
-        column M - 1 to column 0 gives two runs."""
-        m = len(self.grid)
-        dots = dirs @ self.grid.T
-        # P, see observe; fmax skips nan coordinates, whose dots are never hits
-        peak = float(np.fmax.reduce(np.abs(dirs), axis=None, initial=0.0))
-        width = self._width * max(1.0, peak * self._grid_l1)
-        edge = np.zeros((len(dirs), m + 2), dtype=bool)
-        hits = edge[:, 1:-1]
-        np.greater(dots, self._dot_min + width, out=hits)
-        near = dots > self._dot_min - width
-        del dots                        # the edges are built after the product is freed
-        if np.count_nonzero(near) != np.count_nonzero(edge):
-            rows, cols = np.nonzero(near & ~hits)
-            hits[rows, cols] = _pair_dots(dirs, self._grid_t, rows, cols) > self._dot_min
-        del near
-        ends = np.not_equal(edge[:, 1:], edge[:, :-1]).ravel().nonzero()[0]
-        first, stop = ends[0::2], ends[1::2]
-        rows = first // (m + 1)
-        return rows, first - rows * (m + 1), stop - first
+    def _dense_hits(self, dirs: np.ndarray):
+        """(rows, cols) of ``E > dot_min`` by column, then row, in slices of
+        at most ``2**20 // M`` rows (temporaries of 8 MiB).  BLAS's ``grid @
+        dirs.T`` decides every pair outside ``dot_min +- 2b`` (see
+        :meth:`observe`); the pairs inside take E."""
+        step = max(1, (1 << 20) // len(self.grid))
+        for a in range(0, len(dirs), step):
+            part = dirs[a:a + step]
+            dots = self.grid @ part.T
+            # P, see observe; fmax skips nan coordinates, whose dots are never hits
+            peak = float(np.fmax.reduce(np.abs(part), axis=None, initial=0.0))
+            width = self._width * max(1.0, peak * self._grid_l1)
+            hits = dots > self._dot_min + width
+            near = dots > self._dot_min - width
+            del dots
+            if np.count_nonzero(near) != np.count_nonzero(hits):
+                cols, rows = np.nonzero(near & ~hits)
+                hits[cols, rows] = _pair_dots(part, self._grid_t, rows, cols) > self._dot_min
+            cols, rows = hits.nonzero()
+            rows += a
+            yield rows, cols
 
     def _group_graded(self, log_norms, log_n, windows, starts, sizes):
         """The graded statistic's maximum and the highest qualifying window of
@@ -476,6 +495,53 @@ class CapVisitAccumulator(ObserverBase):
             top[:, odd] = np.maximum.reduceat(row_top, heads, axis=1)
         return stat, top
 
+    def _row_records(self, log_norms, steps, bucket, starts, sizes, run_starts):
+        """Each tested row's (group's) level, row count (None for all ones),
+        graded statistic and highest qualifying window, (A, rows) each; with
+        ``run_starts``, the cell runs follow as more rows (see :meth:`observe`)."""
+        steps = steps.astype(float)
+        log_n = np.log(steps)
+        windows = np.floor(np.log2(steps)).astype(np.int8)                      # 0..62
+        # (A, rows), so every reduction runs along the rows
+        if starts is None:
+            stat = log_norms - self._alphas[:, None] * log_n
+            top = np.where(stat > math.log(self.config.kappa), windows, np.int8(-1))
+        else:
+            # each group's maxima over its rows, then taken like a row's
+            stat, top = self._group_graded(log_norms, log_n, windows, starts, sizes)
+        if run_starts is None:
+            return bucket, sizes, stat, top
+        n = len(bucket)
+        run_rows = np.diff(run_starts, append=n) if sizes is None \
+            else np.add.reduceat(sizes, run_starts)
+        return (np.concatenate([bucket, bucket[run_starts]]),
+                np.concatenate([np.ones(n, dtype=np.int64) if sizes is None else sizes, run_rows]),
+                np.concatenate([stat, np.maximum.reduceat(stat, run_starts, axis=1)], axis=1),
+                np.concatenate([top, np.maximum.reduceat(top, run_starts, axis=1)], axis=1))
+
+    def _add_hits(self, rows, cols, records, by_bucket, col_top):
+        """Add hits (row, grid column), by column, to the visit counts
+        ``by_bucket``, (M, levels), to ``graded_max`` and to the call's
+        highest qualifying windows ``col_top``, (M, A)."""
+        level, weight, stat, top = records
+        hit_level = level.take(rows)
+        in_lv = hit_level >= 0
+        if in_lv.any():
+            # float64 sums of whole row counts, exact below 2**53
+            by_bucket += np.bincount(
+                cols[in_lv] * by_bucket.shape[1] + hit_level[in_lv],
+                None if weight is None else weight.take(rows[in_lv]),
+                minlength=by_bucket.size).astype(np.int64, copy=False).reshape(by_bucket.shape)
+        new = np.empty(len(cols), dtype=bool)
+        new[0] = True
+        np.not_equal(cols[1:], cols[:-1], out=new[1:])
+        starts = new.nonzero()[0]
+        at = cols[starts]
+        self.graded_max[at] = np.maximum(
+            self.graded_max[at], np.maximum.reduceat(stat.take(rows, axis=1), starts, axis=1).T)
+        col_top[at] = np.maximum(
+            col_top[at], np.maximum.reduceat(top.take(rows, axis=1), starts, axis=1).T)
+
     def observe(self, block: WalkBlock) -> None:
         """Add a block of steps to the visit and graded records.
 
@@ -487,12 +553,12 @@ class CapVisitAccumulator(ObserverBase):
         the host's BLAS kernel.  The band test is ``|E(u, band_axis)| >
         band_threshold``.
 
-        BLAS only filters.  Without a cell table, the block's ``dirs @
-        grid.T`` decides each pair whose value is ``> dot_min + 2b`` (a hit)
-        or ``<= dot_min - 2b`` (not one); the pairs between take E.  Here
-        ``b = 2 gamma_d P`` with ``gamma_d = d u / (1 - d u)`` (u = 2^-53)
-        and ``P = (1 + s) max(1, max|u_i| max sum|g_i|)``, the largest
-        coordinate of the block's rows times the largest 1-norm of a grid
+        BLAS only filters.  Without a cell table, each slice of rows'
+        ``dirs @ grid.T`` decides each pair whose value is ``> dot_min + 2b``
+        (a hit) or ``<= dot_min - 2b`` (not one); the pairs between take E.
+        Here ``b = 2 gamma_d P`` with ``gamma_d = d u / (1 - d u)`` (u =
+        2^-53) and ``P = (1 + s) max(1, max|u_i| max sum|g_i|)``, the largest
+        coordinate of the slice's rows times the largest 1-norm of a grid
         point (s = ``_UNIT_SLACK``; the factor covers the rounding of P
         itself).  For any summation order, with or without fused
         multiply-adds, BLAS's value and E each differ from the exact dot by
@@ -512,15 +578,16 @@ class CapVisitAccumulator(ObserverBase):
         (:meth:`_CellTable.split_runs`): the points sure on that box join the
         cell's sure points as sure hits of every row of the run, the points
         no row in the box can hit drop out, and only the points between take
-        E, on every row of the run.  A row that is not unit to within the
-        slack (a NaN row included) is not covered, and its block takes the
-        dense path, which gives the same hits.  The table is used when its
-        mean list holds at most ``M / _PRUNE_FACTOR`` grid points.  On the
-        default grids with cap 0.3 that is d = 3, M = 256 (about 8.3 of 256
-        listed, 3.5 of them sure) but not d = 2, M = 64 (about 7.8 of 64,
-        where the dense product is faster).  On the seed-0 ``caps3d`` walks a
-        cell run holds about 27 rows, and a row takes E on 1.31 pairs where
-        its cell lists 4.71 edge points (at most 9).
+        E, on every row of the run.  The table is used when its mean edge
+        list holds at most ``M / _PRUNE_FACTOR`` grid points (on the default
+        grids with cap 0.3, 2.9 of 64 at d = 2 and 4.8 of 256 at d = 3), on
+        calls of at least ``_TABLE_ROWS`` tested rows: a shorter call costs
+        less as one small product than the table's fixed cost per call.  A
+        row that is not unit to within the slack (a NaN row included) is not
+        covered, and its block takes the dense path, which gives the same
+        hits.  On the seed-0 ``caps3d`` walks a cell run holds about 27
+        rows, and a row takes E on 1.31 pairs where its cell lists 4.71 edge
+        points (at most 9).
 
         Repeated rows are decided once.  When some live row has the log-norm
         of the one before it, the live rows are grouped into maximal runs
@@ -545,30 +612,21 @@ class CapVisitAccumulator(ObserverBase):
         of log-norm +-0.0 (whose zero statistics can differ in sign), takes
         the per-row expression on its own rows.
 
-        Evidence is accumulated per run of hit columns (row, first column,
-        length), not per hit.  The dense expression gives the runs of each
-        row of its mask (on the equally spaced d = 2 grid one run per row,
-        two where the cap wraps past column M - 1, about 7 hits each); the
-        table's edge hits enter as runs of length 1.  Every hit of a run
-        carries its row's level, statistic and window, so a run adds to each
-        of its columns exactly what its hits would add one by one.  Visits go
-        through a difference array over columns; the runs of a group's first
-        row add the group's row count, and its statistic and highest
-        qualifying window are the maxima over its rows (below).  A table's
-        sure hits, of its cell and of its own box, are taken once per cell
-        run, every row of which hits each of them: the run adds its row
-        count (its groups' sizes) at its level to each sure column, and its
-        statistic and highest qualifying window are the ``maximum.reduceat``
-        of its rows' (or groups'), entered as one more length-1 run per sure
-        column.  The runs are keyed by (length,
-        first column); each key's maximum statistic and highest qualifying
-        window are spread over its columns with ``maximum.at``.  Integer
-        counts and maxima do not depend on the order or grouping they are
-        taken in, and the hit set is the per-row one, so the records are
-        those of the per-hit update.  Graded windows: per call, each (grid
-        point, alpha) gains the bit of only the highest dyadic window
-        ``floor(log2 n)`` among its hits in this block with
-        ``log||S_n|| - a log n > log kappa``.
+        Every hit is one (row, grid column) pair and carries its row's level,
+        row count (a group's size), statistic and highest qualifying window.
+        A table's sure hits, of its cell and of its own box, are taken once
+        per cell run, every row of which hits each of them: the run enters as
+        one more row, with its rows' level and count and the
+        ``maximum.reduceat`` of their statistics and windows.  Visits are one
+        ``bincount`` of the hits' (column, level) pairs, weighted by row
+        counts, and each graded record one ``maximum.reduceat`` over each
+        column's hits, per dense slice (:meth:`_add_hits`).  Integer counts
+        and maxima do not depend on the order or grouping they are taken in,
+        and the hit set is the per-row one, so the records are those of the
+        per-hit update.
+        Graded windows: per call, each (grid point, alpha) gains the bit of
+        only the highest dyadic window ``floor(log2 n)`` among its hits in
+        this block with ``log||S_n|| - a log n > log kappa``.
         """
         cfg = self.config
         n_lv = cfg.escape_levels + 1
@@ -605,86 +663,23 @@ class CapVisitAccumulator(ObserverBase):
                         bucket[sel], None if sizes is None else sizes[sel],
                         minlength=n_lv).astype(np.int64)
         # the hits of the tested rows: rows index groups when grouped
-        hits = None if self._table is None else self._table_hits(tested, bucket)
-        if hits is None:
-            rows, cols, lens = self._dense_runs(tested)
-            sure_runs = ()
-        else:
-            run_starts, sure_runs, sure_cols, rows, cols = hits
-            lens = None
-        if len(rows) == 0 and len(sure_runs) == 0:
+        hits = None
+        if self._table is not None and len(tested) >= _TABLE_ROWS:
+            hits = self._table_hits(tested, bucket)
+        run_starts = None if hits is None else hits[0]
+        records = None
+        for rows, cols in (self._dense_hits(tested) if hits is None else [hits[1:]]):
+            if len(rows) == 0:
+                continue
+            if records is None:             # taken once, and only for a call with hits
+                records = self._row_records(log_norms, steps, bucket, starts, sizes, run_starts)
+                by_bucket = np.zeros(self.visits.shape, dtype=np.int64)
+                col_top = np.full(self.graded_windows.shape, -1, dtype=np.int8)
+            self._add_hits(rows, cols, records, by_bucket, col_top)
+        if records is None:
             return
-        span = 1 if lens is None else int(lens.max())
-        m = len(self.grid)
-        by_bucket = np.zeros(m * n_lv, dtype=np.int64)
-        run_bucket = bucket[rows]
-        in_lv = run_bucket >= 0
-        if in_lv.any():
-            first = cols[in_lv] * n_lv + run_bucket[in_lv]
-            weights = None if sizes is None else sizes[rows[in_lv]]
-            if span == 1:
-                # kept: on two 2^16-step caps3d walks the difference array
-                # below took observe from 0.075-0.079 s to 0.095-0.103 s
-                by_bucket += np.bincount(first, weights, minlength=m * n_lv) \
-                    .astype(np.int64, copy=False)
-            else:
-                # +1 at a run's first column, -1 past its last, summed over columns
-                size = (m + 1) * n_lv
-                diff = np.bincount(first, weights, minlength=size) - np.bincount(
-                    first + lens[in_lv] * n_lv, weights, minlength=size)
-                by_bucket += diff.reshape(m + 1, n_lv)[:m].cumsum(axis=0) \
-                    .astype(np.int64, copy=False).ravel()
-        if len(sure_runs):
-            # a cell run adds its row count to each of its sure columns
-            run_level = bucket[run_starts][sure_runs]
-            sel = run_level >= 0
-            run_rows = np.diff(run_starts, append=len(tested)) if sizes is None \
-                else np.add.reduceat(sizes, run_starts)
-            by_bucket += np.bincount(sure_cols[sel] * n_lv + run_level[sel],
-                                     run_rows[sure_runs[sel]], minlength=m * n_lv).astype(np.int64)
-        # visits at level l count every step beyond it: suffix sums (the
-        # float64 sums above are of whole row counts, exact below 2**53)
-        by_bucket = by_bucket.reshape(m, n_lv)
+        # visits at level l count every step beyond it: suffix sums
         self.visits += by_bucket[:, ::-1].cumsum(axis=1)[:, ::-1]
-        steps = steps.astype(float)
-        log_n = np.log(steps)
-        windows = np.floor(np.log2(steps)).astype(np.int8)                      # 0..62
-        # (A, rows), so every reduction runs along the rows; the results are (S, A)
-        if starts is None:
-            stat = log_norms - self._alphas[:, None] * log_n
-            top = np.where(stat > math.log(cfg.kappa), windows, np.int8(-1))
-        else:
-            # each group's maxima over its rows, then taken like a row's
-            stat, top = self._group_graded(log_norms, log_n, windows, starts, sizes)
-        if len(sure_runs):
-            # a cell run's maxima over its rows follow the rows' columns, and
-            # its sure hits index them
-            stat = np.concatenate([stat, np.maximum.reduceat(stat, run_starts, axis=1)], axis=1)
-            top = np.concatenate([top, np.maximum.reduceat(top, run_starts, axis=1)], axis=1)
-            rows = np.concatenate([rows, len(tested) + sure_runs])
-            cols = np.concatenate([cols, sure_cols])
-        # graded records, all alphas at once, from runs grouped by (length,
-        # first column); with every length 1 the key is the column
-        key = cols if span == 1 else cols + m * (lens - 1)
-        order = np.argsort(key.astype(np.int16) if m * span <= _INT16_MAX else key,
-                           kind="stable")
-        key, rows = key[order], rows[order]
-        new = np.empty(len(key), dtype=bool)
-        new[0] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
-        seg_starts = new.nonzero()[0]
-        seg_max = np.maximum.reduceat(stat.take(rows, axis=1), seg_starts, axis=1).T
-        seg_top = np.maximum.reduceat(top.take(rows, axis=1), seg_starts, axis=1).T
-        # spread each group over its columns: flat indices for maximum.at
-        seg_key = key[seg_starts]
-        n_a = len(self._alphas)
-        seg_lens = seg_key // m + 1
-        flat = (_ranges(seg_key % m, seg_lens)[:, None] * n_a + np.arange(n_a)).ravel()
-        col_max = np.full((m, n_a), NEG_INF)
-        np.maximum.at(col_max.reshape(-1), flat, np.repeat(seg_max, seg_lens, axis=0).ravel())
-        col_top = np.full((m, n_a), -1, dtype=np.int8)
-        np.maximum.at(col_top.reshape(-1), flat, np.repeat(seg_top, seg_lens, axis=0).ravel())
-        np.maximum(self.graded_max, col_max, out=self.graded_max)
         bits = np.zeros(col_top.shape, dtype=np.int64)
         np.left_shift(np.int64(1), col_top, out=bits, where=col_top >= 0)
         self.graded_windows |= bits

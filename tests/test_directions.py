@@ -1,5 +1,6 @@
 """Cap-visit accounting, verdicts, and multi-run consensus."""
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from walkangles import directions
 from walkangles.directions import (IN, OUT, UNDECIDED, CapVisitAccumulator,
-                                   EstimatorConfig, _CellTable, _TABLES, _UNIT_SLACK,
-                                   _group_edges, combine_runs)
+                                   EstimatorConfig, _CellTable, _TABLE_ROWS, _TABLES,
+                                   _UNIT_SLACK, _group_edges, combine_runs)
 from walkangles.examples import triangle_log_tail_spec
 from walkangles.samplers import (coordinate_product, constant, rademacher,
                                  s_two_sided)
@@ -508,7 +509,7 @@ VARIANTS = {
     "wide-cap": {"cap_radius": 1.9},      # dot_min < 0
     "grid-1": {"grid_m": 1},
     "band": {"band_axis": "last"},
-    "permuted": {"grid": "permuted"},     # grid rows shuffled: hits split into runs
+    "permuted": {"grid": "permuted"},     # grid rows shuffled
 }
 
 
@@ -529,11 +530,23 @@ def _accumulators(d: int, variant: str, force_table: bool, **extra):
     return acc, ref
 
 
-def runs_of(acc: CapVisitAccumulator, block: WalkBlock):
-    """Rows and lengths of the dense path's runs, and the hit mask of E."""
-    mask = fixed_order_dots(block.dirs, acc.grid) > acc._dot_min
-    rows, _, lens = acc._dense_runs(block.dirs)
-    return rows, lens, mask
+@pytest.fixture
+def tabled(monkeypatch):
+    """The tested-row counts of the ``observe`` calls that take the table."""
+    calls = []
+    table_hits = CapVisitAccumulator._table_hits
+
+    def counted_hits(self, dirs, bucket):
+        calls.append(len(dirs))
+        return table_hits(self, dirs, bucket)
+
+    monkeypatch.setattr(CapVisitAccumulator, "_table_hits", counted_hits)
+    return calls
+
+
+def hit_mask(acc: CapVisitAccumulator, block: WalkBlock) -> np.ndarray:
+    """The (rows x M) mask of ``E > dot_min``."""
+    return fixed_order_dots(block.dirs, acc.grid) > acc._dot_min
 
 
 @pytest.mark.parametrize("force_table", [False, True], ids=["chosen", "table"])
@@ -562,16 +575,11 @@ def test_blocks_match_dense_reference(d, variant, force_table):
         ref.observe(block)
         assert_same_records(acc, ref)
     assert acc.visits.sum() > 0 and np.any(acc.graded_windows)
-    # the blocks reach the cases the run accounting has to get right
-    m = len(acc.grid)
-    rows, lens, mask = runs_of(acc, blocks[5])
-    assert lens.sum() == mask.sum()
-    if d == 2 and variant != "permuted" and m > 1 and acc._dot_min > -1:
-        assert np.any(mask[:, 0] & mask[:, -1] & ~mask.all(axis=1))     # a wrap: two runs
-    if variant == "permuted" and d == 2:
-        assert np.any(np.bincount(rows) > 2)       # rows split into several runs
+    # the seam block's hits wrap past column M - 1 on the d = 2 grid
+    if d == 2 and variant != "permuted" and len(acc.grid) > 1:
+        assert np.any(hit_mask(acc, blocks[5])[:, [0, -1]].all(axis=1))
     if acc._dot_min >= 0:
-        assert not runs_of(acc, blocks[6])[2].any()                        # no hits
+        assert not hit_mask(acc, blocks[6]).any()                        # no hits
     # runs of equal rows, decided once per run: a plateau, and its first rows
     # split by burn_in and with no alphas
     plateau = plateau_block(rng, acc, 1 + 8 * BLOCK)
@@ -623,15 +631,15 @@ def test_padded_slots_never_pass():
     dirs = _unit_rows(np.random.default_rng(5), BLOCK, 3)
     dirs = dirs[np.argsort(table.cell_of(dirs), kind="stable")]
     bucket = np.arange(BLOCK) // 7 % 2                  # runs of at most 7 rows
-    run_starts, sure_runs, sure_cols, rows, cols = acc._table_hits(dirs, bucket)
+    run_starts, rows, cols = acc._table_hits(dirs, bucket)
     slot = table.cell_of(dirs)
     lo, hi = np.minimum.reduceat(dirs, run_starts), np.maximum.reduceat(dirs, run_starts)
     sure, edge = table.split_runs(slot[run_starts], lo, hi)
     padded = table.table[slot[run_starts]] == m
     assert padded.any() and not (sure | edge)[padded].any()
-    assert cols.max() < m and sure_cols.max() < m
+    assert cols.max() < m and rows.max() < BLOCK + len(run_starts)
     sizes = np.diff(run_starts, append=BLOCK)
-    assert len(cols) == (edge.sum(axis=1) * sizes).sum()
+    assert np.count_nonzero(rows < BLOCK) == (edge.sum(axis=1) * sizes).sum()
 
 
 def listing_rule(table: _CellTable, grid: np.ndarray, dot_min: float) -> np.ndarray:
@@ -694,9 +702,9 @@ def rows_in_every_cell(table: _CellTable, rng, per_cell: int = 4) -> np.ndarray:
 
 
 @pytest.mark.parametrize("cap", [0.1, 0.3, 2.0])
-@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_sure_points_are_hits_of_every_row_of_their_cell(d, cap):
-    grid = direction_grid(d, 256, 0)
+    grid = direction_grid(d, 64 if d == 2 else 256, 0)
     dot_min = 1.0 - cap ** 2 / 2.0
     table = _CellTable(grid, dot_min)
     m = len(grid)
@@ -709,6 +717,8 @@ def test_sure_points_are_hits_of_every_row_of_their_cell(d, cap):
     assert not split[edge_cells, table.table[edge_cells, k]].any()
     split[edge_cells, table.table[edge_cells, k]] = True
     assert np.array_equal(split, listed)
+    if d == 2:
+        assert np.any(listed[:, 0] & listed[:, -1])     # caps that wrap past column M - 1
     assert np.array_equal(table.coords, np.moveaxis(
         np.vstack([grid, np.full(d, np.nan)])[table.table], 2, 0), equal_nan=True)
     # every sure point is a hit of every unit row its cell holds
@@ -734,10 +744,13 @@ def test_sure_points_are_hits_of_every_row_of_their_cell(d, cap):
     assert (dots > dot_min).all()
 
 
-def test_default_d3_grid_uses_the_table():
+def test_default_grids_use_the_table():
+    # the rule reads the mean edge list: d = 2, M = 64 lists about 2.9 edge
+    # points of 64 (7.8 with the sure ones) at cap 0.3, d = 3, M = 256 about
+    # 4.8 of 256
     cfg = EstimatorConfig()
-    assert CapVisitAccumulator(cfg, 3)._table is not None
-    assert CapVisitAccumulator(cfg, 2)._table is None
+    for d, m in ((2, 64), (3, 256)):
+        assert CapVisitAccumulator(replace(cfg, grid_m=m), d)._table is not None
 
 
 def test_accumulators_share_grid_and_table():
@@ -772,6 +785,24 @@ def test_nan_row_takes_the_dense_path():
     assert acc.visits.sum() > 0
 
 
+def test_dense_call_memory_is_bounded():
+    # one call of 16,384 random rows on a 1024-point d = 2 grid with cap 1.0,
+    # which takes the product (its cells list about 163 edge points, more
+    # than M / 16): slices of 2**20 // M rows keep its peak under 30 MiB,
+    # where a whole-block product alone takes 128 MiB
+    acc = CapVisitAccumulator(EstimatorConfig(grid_m=1024, cap_radius=1.0, escape_levels=4), 2)
+    assert acc._table is None
+    block = random_block(np.random.default_rng(12), acc, 1)
+    tracemalloc.start()
+    try:
+        acc.observe(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert acc.visits.sum() > 0
+
+
 def sweep_block(rng, acc: CapVisitAccumulator, first_n: int, rows: int = 3 * BLOCK // 2) -> WalkBlock:
     """A slow great-circle sweep, as a walk turns once |S| is large: about
     100 rows per cell of the table.  Every 64th row has one coordinate
@@ -800,8 +831,8 @@ def sweep_block(rng, acc: CapVisitAccumulator, first_n: int, rows: int = 3 * BLO
 
 
 @pytest.mark.parametrize("alphas", [EstimatorConfig().alphas, SIGNED_ALPHAS], ids=["default", "signed"])
-@pytest.mark.parametrize("d", [3, 4])
-def test_walk_like_blocks_match_dense_reference(d, alphas):
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_walk_like_blocks_match_dense_reference(d, alphas, tabled):
     rng = np.random.default_rng(40 + d)
     acc, _ = _accumulators(d, "band", False, alphas=alphas)
     block = sweep_block(rng, acc, 1 + BLOCK)
@@ -821,14 +852,24 @@ def test_walk_like_blocks_match_dense_reference(d, alphas):
         ref.observe(block)
         assert_same_records(acc, ref)
         assert acc.repeated_rows > 0 and acc.visits.sum() > 0
-    # the same walk cut into checkpoint-like pieces
+    # the same walk cut into checkpoint-like pieces, two of them past the
+    # plateau with one row fewer than the table's threshold and exactly
+    # that many live rows
+    live = np.cumsum(block.log_norms[6000:] > NEG_INF)
+    under = 6001 + int(np.searchsorted(live, _TABLE_ROWS - 1))
+    at = 6001 + int(np.searchsorted(live, 2 * _TABLE_ROWS - 1))
     acc, ref = _accumulators(d, "band", False, alphas=alphas)
-    for a, b in [(0, 1), (1, 3), (3, 700), (700, 5500), (5500, len(block))]:
+    tabled.clear()
+    for a, b in [(0, 1), (1, 3), (3, 700), (700, 5500), (5500, 6000), (6000, under),
+                 (under, at), (at, len(block))]:
         piece = WalkBlock(first_n=block.first_n + a, dirs=block.dirs[a:b],
                           log_norms=block.log_norms[a:b], positions=None)
         acc.observe(piece)
         ref.observe(piece)
         assert_same_records(acc, ref)
+    # the piece at the threshold takes the table and the one under it the
+    # product, and so do the first pieces and the plateau (one group)
+    assert tabled.count(_TABLE_ROWS) == 1 and min(tabled) == _TABLE_ROWS
 
 
 def crossing_block(rng, acc: CapVisitAccumulator, first_n: int, rows: int = 4096) -> WalkBlock:
@@ -923,12 +964,22 @@ def test_band_axis_is_normalized():
         assert_same_records(acc, accs[0])
 
 
-def test_d2_decision_cached_as_no_table():
-    cfg = EstimatorConfig()
+def test_d2_decision_cached_as_no_table(monkeypatch):
+    # a pair the rule rejects (d = 2, cap 1.0: about 10 edge points of 64)
+    # and a grid that is not unit are cached as None; a rejected pair never
+    # builds its padded edge table
+    def unbuilt(self):
+        raise AssertionError("a rejected table built its padded edge table")
+
+    monkeypatch.setattr(_CellTable, "table", property(unbuilt))
+    cfg = EstimatorConfig(grid_m=64, grid_seed=5, cap_radius=1.0)
     a, b = CapVisitAccumulator(cfg, 2), CapVisitAccumulator(cfg, 2)
     assert a.grid is b.grid
     assert a._table is None and b._table is None
     assert _TABLES[(a.grid.shape, a.grid.tobytes(), a._dot_min)] is None
+    wide = CapVisitAccumulator(EstimatorConfig(), 2, grid=2.0 * a.grid)
+    assert wide._table is None
+    assert _TABLES[(wide.grid.shape, wide.grid.tobytes(), wide._dot_min)] is None
 
 
 WALKS = {
@@ -991,9 +1042,10 @@ CUT_WALKS = {
 
 
 @pytest.mark.parametrize("name", sorted(CUT_WALKS))
-def test_records_do_not_depend_on_block_cuts(name):
-    # one walk, fed in whole engine blocks and cut at random rows; graded
-    # windows depend on the cuts (see the xfail below)
+def test_records_do_not_depend_on_block_cuts(name, tabled):
+    # one walk, fed in whole engine blocks and cut at random rows, so that
+    # some pieces take the table and some the product; graded windows depend
+    # on the cuts (see the xfail below)
     spec = CUT_WALKS[name]
     d = spec.dimension
     cfg = replace(EstimatorConfig.defaults_for(spec), band_axis=(0.0,) * (d - 1) + (1.0,))
@@ -1006,12 +1058,17 @@ def test_records_do_not_depend_on_block_cuts(name):
     for edges in ([0, BLOCK, 2 * BLOCK],
                   np.unique(np.concatenate([[0, 2 * BLOCK], cuts, cuts + 1]))):
         acc = CapVisitAccumulator(cfg, d)
+        tabled.clear()
         for a, b in zip(edges[:-1], edges[1:]):
             acc.observe(WalkBlock(first_n=a + 1, dirs=dirs[a:b], log_norms=log_norms[a:b],
                                   positions=None))
         accs.append(acc)
     whole, cut = accs
-    assert (whole._table is not None) == (d == 3)
+    assert whole._table is not None
+    # the cut pieces lie on both sides of the threshold, except on the log
+    # walk, whose blocks hold at most a few dozen groups of repeated rows
+    if spec.scale_mode != "log":
+        assert 0 < len(tabled) < len(edges) - 1
     for record in ("visits", "level_totals", "level_band_hits", "graded_max"):
         assert getattr(whole, record).tobytes() == getattr(cut, record).tobytes(), record
     assert whole.visits.sum() > 0 and whole.level_band_hits.sum() > 0
