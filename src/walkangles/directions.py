@@ -117,10 +117,11 @@ _ROUNDING = 2.0 ** -53              # unit roundoff of float64
 _MAX_CELLS = 1 << 16
 # a cell table is used when its mean edge list holds at most M/16 points
 _PRUNE_FACTOR = 16
-# calls of fewer tested rows take the product: on the seed-0 workloads'
-# blocks (2-core Xeon) the cap layer of manyruns, whose 512-row pieces make
-# short cell runs, took 0.099 s at 512 and 0.085-0.092 s at 1024; hull2d
-# and caps3d took the same at 256, 512 and 1024 (0.051-0.053, 0.101-0.107 s)
+# passes of fewer tested rows take the product: on the seed-0 workloads'
+# blocks, measured with one pass per checkpoint piece (2-core Xeon), the cap
+# layer of manyruns, whose 512-row pieces make short cell runs, took 0.099 s
+# at 512 and 0.085-0.092 s at 1024; hull2d and caps3d took the same at 256,
+# 512 and 1024 (0.051-0.053, 0.101-0.107 s)
 _TABLE_ROWS = 1024
 # a cell table has about this many cells per sqrt(d) / r along each axis;
 # measured on the caps3d walks (d = 3, cap 0.3), 32 or 40 cells (factors
@@ -355,14 +356,16 @@ def _ranges(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return out
 
 
-def _group_edges(dirs: np.ndarray, log_norms: np.ndarray) -> np.ndarray | None:
-    """The first row of each maximal run of consecutive rows equal under
-    ``==`` in log-norm and every coordinate, then the row count; None when
-    every row is its own run (one ``!=`` pass over the log-norms decides most
-    linear-walk blocks)."""
+def _group_edges(dirs: np.ndarray, log_norms: np.ndarray,
+                 piece: np.ndarray) -> np.ndarray | None:
+    """The first row of each maximal run of consecutive rows of one piece
+    equal under ``==`` in log-norm and every coordinate, then the row count;
+    None when every row is its own run (one ``!=`` pass over the log-norms
+    decides most linear-walk blocks)."""
     same = log_norms[1:] == log_norms[:-1]
     if not same.any():
         return None
+    same &= piece[1:] == piece[:-1]
     for i in range(dirs.shape[1]):
         same &= dirs[1:, i] == dirs[:-1, i]
     if not same.any():
@@ -389,6 +392,7 @@ class CapVisitAccumulator(ObserverBase):
         self.level_band_hits = np.zeros(n_lv, dtype=np.int64)
         self.n_steps_seen = 0
         self.repeated_rows = 0          # live rows whose hits came from the row before
+        self._held: list[WalkBlock] = []    # pieces of an engine block, see observe
         self._dot_min = 1.0 - config.cap_radius ** 2 / 2.0  # chord < r as a dot bound
         self._log_r0 = math.log(config.escape_r0)
         self._alphas = np.asarray(config.alphas, dtype=float)
@@ -413,11 +417,11 @@ class CapVisitAccumulator(ObserverBase):
         np.minimum(lvl, self.config.escape_levels, out=lvl)
         return lvl.astype(np.int64)
 
-    def _table_hits(self, dirs: np.ndarray, bucket: np.ndarray):
+    def _table_hits(self, dirs: np.ndarray, bucket: np.ndarray, piece: np.ndarray):
         """The first row of each cell run, then (row, grid column) of every
-        hit by column, then row (see :meth:`observe`); row ``len(dirs) + j``
-        is cell run j, with its sure points.  None when a row is not covered
-        by the table."""
+        hit by column and then piece (see :meth:`observe`); row ``len(dirs) +
+        j`` is cell run j, with its sure points.  None when a row is not
+        covered by the table."""
         table = self._table
         slot = table.cell_of(dirs)
         if slot.min() < 0:
@@ -427,6 +431,7 @@ class CapVisitAccumulator(ObserverBase):
         new[0] = True
         np.not_equal(slot[1:], slot[:-1], out=new[1:])
         new[1:] |= bucket[1:] != bucket[:-1]
+        new[1:] |= piece[1:] != piece[:-1]
         run_starts = new.nonzero()[0]
         run_slot = slot[run_starts]
         # each run's edge points, sorted by the box of its own rows
@@ -444,7 +449,11 @@ class CapVisitAccumulator(ObserverBase):
         n = len(dirs)
         rows = np.concatenate([rows[hit], n + cell_runs, n + box_runs])
         cols = np.concatenate([cols[hit], cell_cols, listed[box_runs, k]])
-        order = np.argsort(cols.astype(np.int16) if len(self.grid) < _INT16_MAX else cols,
+        # a column's E hits, cell hits and box hits are each in piece order,
+        # but not together: sort by (column, piece)
+        pieces = int(piece[-1]) + 1
+        key = cols * pieces + np.concatenate([piece, piece[run_starts]]).take(rows)
+        order = np.argsort(key.astype(np.uint16) if len(self.grid) * pieces <= 1 << 16 else key,
                            kind="stable")
         return run_starts, rows[order], cols[order]
 
@@ -495,10 +504,11 @@ class CapVisitAccumulator(ObserverBase):
             top[:, odd] = np.maximum.reduceat(row_top, heads, axis=1)
         return stat, top
 
-    def _row_records(self, log_norms, steps, bucket, starts, sizes, run_starts):
+    def _row_records(self, log_norms, steps, bucket, piece, starts, sizes, run_starts):
         """Each tested row's (group's) level, row count (None for all ones),
-        graded statistic and highest qualifying window, (A, rows) each; with
-        ``run_starts``, the cell runs follow as more rows (see :meth:`observe`)."""
+        graded statistic and highest qualifying window, (A, rows) each, and
+        piece; with ``run_starts``, the cell runs follow as more rows (see
+        :meth:`observe`)."""
         steps = steps.astype(float)
         log_n = np.log(steps)
         windows = np.floor(np.log2(steps)).astype(np.int8)                      # 0..62
@@ -510,20 +520,22 @@ class CapVisitAccumulator(ObserverBase):
             # each group's maxima over its rows, then taken like a row's
             stat, top = self._group_graded(log_norms, log_n, windows, starts, sizes)
         if run_starts is None:
-            return bucket, sizes, stat, top
+            return bucket, sizes, stat, top, piece
         n = len(bucket)
         run_rows = np.diff(run_starts, append=n) if sizes is None \
             else np.add.reduceat(sizes, run_starts)
         return (np.concatenate([bucket, bucket[run_starts]]),
                 np.concatenate([np.ones(n, dtype=np.int64) if sizes is None else sizes, run_rows]),
                 np.concatenate([stat, np.maximum.reduceat(stat, run_starts, axis=1)], axis=1),
-                np.concatenate([top, np.maximum.reduceat(top, run_starts, axis=1)], axis=1))
+                np.concatenate([top, np.maximum.reduceat(top, run_starts, axis=1)], axis=1),
+                np.concatenate([piece, piece[run_starts]]))
 
-    def _add_hits(self, rows, cols, records, by_bucket, col_top):
-        """Add hits (row, grid column), by column, to the visit counts
-        ``by_bucket``, (M, levels), to ``graded_max`` and to the call's
-        highest qualifying windows ``col_top``, (M, A)."""
-        level, weight, stat, top = records
+    def _add_hits(self, rows, cols, records, by_bucket, col_max, col_top):
+        """Add hits (row, grid column), by column and then piece, to the visit
+        counts ``by_bucket``, (M, levels), and to each checkpoint piece's
+        graded maxima ``col_max`` and highest qualifying windows ``col_top``,
+        (pieces, M, A)."""
+        level, weight, stat, top, piece = records
         hit_level = level.take(rows)
         in_lv = hit_level >= 0
         if in_lv.any():
@@ -532,18 +544,26 @@ class CapVisitAccumulator(ObserverBase):
                 cols[in_lv] * by_bucket.shape[1] + hit_level[in_lv],
                 None if weight is None else weight.take(rows[in_lv]),
                 minlength=by_bucket.size).astype(np.int64, copy=False).reshape(by_bucket.shape)
+        hit_piece = piece.take(rows)
         new = np.empty(len(cols), dtype=bool)
         new[0] = True
         np.not_equal(cols[1:], cols[:-1], out=new[1:])
+        new[1:] |= hit_piece[1:] != hit_piece[:-1]
         starts = new.nonzero()[0]
-        at = cols[starts]
-        self.graded_max[at] = np.maximum(
-            self.graded_max[at], np.maximum.reduceat(stat.take(rows, axis=1), starts, axis=1).T)
+        at = hit_piece[starts], cols[starts]            # each (piece, column) once
+        col_max[at] = np.maximum(
+            col_max[at], np.maximum.reduceat(stat.take(rows, axis=1), starts, axis=1).T)
         col_top[at] = np.maximum(
             col_top[at], np.maximum.reduceat(top.take(rows, axis=1), starts, axis=1).T)
 
     def observe(self, block: WalkBlock) -> None:
         """Add a block of steps to the visit and graded records.
+
+        The pieces that ``run_walk`` cuts from one engine block at its
+        checkpoints are held until the piece marked ``block_end`` and then
+        decided in one pass over their rows, so the layer's fixed cost is
+        paid once per engine block.  A block built by hand keeps the default
+        mark and is decided at once, as a pass of one piece.
 
         A live step (nonzero, past ``burn_in``) with direction u hits grid
         point g when ``E > dot_min``, where E is the fixed-order dot
@@ -581,10 +601,10 @@ class CapVisitAccumulator(ObserverBase):
         E, on every row of the run.  The table is used when its mean edge
         list holds at most ``M / _PRUNE_FACTOR`` grid points (on the default
         grids with cap 0.3, 2.9 of 64 at d = 2 and 4.8 of 256 at d = 3), on
-        calls of at least ``_TABLE_ROWS`` tested rows: a shorter call costs
-        less as one small product than the table's fixed cost per call.  A
+        passes of at least ``_TABLE_ROWS`` tested rows: a shorter pass costs
+        less as one small product than the table's fixed cost per pass.  A
         row that is not unit to within the slack (a NaN row included) is not
-        covered, and its block takes the dense path, which gives the same
+        covered, and its pass takes the dense path, which gives the same
         hits.  On the seed-0 ``caps3d`` walks a cell run holds about 27
         rows, and a row takes E on 1.31 pairs where its cell lists 4.71 edge
         points (at most 9).
@@ -619,35 +639,41 @@ class CapVisitAccumulator(ObserverBase):
         one more row, with its rows' level and count and the
         ``maximum.reduceat`` of their statistics and windows.  Visits are one
         ``bincount`` of the hits' (column, level) pairs, weighted by row
-        counts, and each graded record one ``maximum.reduceat`` over each
-        column's hits, per dense slice (:meth:`_add_hits`).  Integer counts
-        and maxima do not depend on the order or grouping they are taken in,
-        and the hit set is the per-row one, so the records are those of the
-        per-hit update.
-        Graded windows: per call, each (grid point, alpha) gains the bit of
-        only the highest dyadic window ``floor(log2 n)`` among its hits in
-        this block with ``log||S_n|| - a log n > log kappa``.
+        counts, and each graded record one ``maximum.reduceat`` over the hits
+        of each (column, piece), per dense slice (:meth:`_add_hits`).
+        Integer counts and maxima do not depend on the order or grouping they
+        are taken in, and the hit set is the per-row one, so the records are
+        those of the per-hit update.
+        Graded windows: per checkpoint piece, each (grid point, alpha) gains
+        the bit of only the highest dyadic window ``floor(log2 n)`` among its
+        hits in that piece with ``log||S_n|| - a log n > log kappa``.  So
+        groups of equal rows and cell runs also end where a piece does, and
+        the graded records are taken per (piece, grid point, alpha), then
+        folded into the accumulator once per pass.
         """
+        self.n_steps_seen += len(block)
+        self._held.append(block)
+        if not block.block_end:
+            return
+        pieces, self._held = self._held, []
         cfg = self.config
         n_lv = cfg.escape_levels + 1
-        self.n_steps_seen += len(block)
-        # burn_in is a prefix: past it the live rows are views of the block's
-        # when every log-norm is finite, else gathered
-        cut = min(max(cfg.burn_in - block.first_n + 1, 0), len(block))
-        dirs, log_norms = block.dirs[cut:], block.log_norms[cut:]
-        steps = np.arange(block.first_n + cut, block.first_n + len(block))
-        live = log_norms > NEG_INF
+        steps = np.concatenate([np.arange(p.first_n, p.first_n + len(p)) for p in pieces])
+        dirs = np.concatenate([p.dirs for p in pieces])
+        log_norms = np.concatenate([p.log_norms for p in pieces])
+        piece = np.repeat(np.arange(len(pieces)), [len(p) for p in pieces])
+        live = (log_norms > NEG_INF) & (steps > cfg.burn_in)
         if not live.all():
-            dirs, log_norms, steps = dirs[live], log_norms[live], steps[live]
+            dirs, log_norms, steps, piece = dirs[live], log_norms[live], steps[live], piece[live]
         if len(steps) == 0:
             return
-        edges = _group_edges(dirs, log_norms)
+        edges = _group_edges(dirs, log_norms, piece)
         if edges is None:
             starts = sizes = None
-            tested, bucket = dirs, self._levels_of(log_norms)
+            tested, bucket, tested_piece = dirs, self._levels_of(log_norms), piece
         else:
             starts, sizes = edges[:-1], np.diff(edges)
-            tested = dirs[starts]
+            tested, tested_piece = dirs[starts], piece[starts]
             bucket = self._levels_of(log_norms[starts])         # one level per group
             self.repeated_rows += len(dirs) - len(starts)
         above = bucket >= 0
@@ -665,24 +691,27 @@ class CapVisitAccumulator(ObserverBase):
         # the hits of the tested rows: rows index groups when grouped
         hits = None
         if self._table is not None and len(tested) >= _TABLE_ROWS:
-            hits = self._table_hits(tested, bucket)
+            hits = self._table_hits(tested, bucket, tested_piece)
         run_starts = None if hits is None else hits[0]
         records = None
         for rows, cols in (self._dense_hits(tested) if hits is None else [hits[1:]]):
             if len(rows) == 0:
                 continue
-            if records is None:             # taken once, and only for a call with hits
-                records = self._row_records(log_norms, steps, bucket, starts, sizes, run_starts)
+            if records is None:             # taken once, and only for a pass with hits
+                records = self._row_records(log_norms, steps, bucket, tested_piece, starts,
+                                            sizes, run_starts)
                 by_bucket = np.zeros(self.visits.shape, dtype=np.int64)
-                col_top = np.full(self.graded_windows.shape, -1, dtype=np.int8)
-            self._add_hits(rows, cols, records, by_bucket, col_top)
+                col_max = np.full((len(pieces),) + self.graded_max.shape, NEG_INF)
+                col_top = np.full(col_max.shape, -1, dtype=np.int8)
+            self._add_hits(rows, cols, records, by_bucket, col_max, col_top)
         if records is None:
             return
         # visits at level l count every step beyond it: suffix sums
         self.visits += by_bucket[:, ::-1].cumsum(axis=1)[:, ::-1]
+        np.maximum(self.graded_max, col_max.max(axis=0), out=self.graded_max)
         bits = np.zeros(col_top.shape, dtype=np.int64)
         np.left_shift(np.int64(1), col_top, out=bits, where=col_top >= 0)
-        self.graded_windows |= bits
+        self.graded_windows |= np.bitwise_or.reduce(bits, axis=0)
 
     # -- summaries ----------------------------------------------------------
 
@@ -699,6 +728,8 @@ class CapVisitAccumulator(ObserverBase):
     def finalize(self) -> "DirectionSetEstimate":
         if self.n_steps_seen == 0:
             raise ValueError("cannot finalize an empty accumulator")
+        if self._held:
+            raise ValueError("cannot finalize before the piece that ends the held block")
         cfg = self.config
         top = self.top_reached_level()
         verdicts = np.zeros(len(self.grid), dtype=np.int8)

@@ -134,6 +134,10 @@ class WalkBlock:
     atom_at_max: np.ndarray | None = None
     # the block's last step is on the checkpoint ladder of ``run_walk``
     at_checkpoint: bool = False
+    # the last piece of an engine block, or of a halted walk (``run_walk``);
+    # an observer may hold a block's pieces until this one, so a block built
+    # by hand, which keeps the default, is taken at once
+    block_end: bool = True
 
     def __len__(self) -> int:
         return len(self.log_norms)
@@ -361,6 +365,8 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
     Every observer sees every step, in vectorized blocks split so that each
     checkpoint of ``dyadic_checkpoints(n_steps)`` ends one, marked
     ``at_checkpoint``; a halted walk reaches the checkpoints up to its halt.
+    Only the last piece of each engine block of ``BLOCK`` steps (or of the
+    halted walk) keeps ``block_end`` set.
     """
     cp_set = set(dyadic_checkpoints(n_steps))           # raises for n_steps < 1
     sampler = IncrementSampler(spec)
@@ -419,6 +425,7 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
         for cut in cuts:
             sub = _slice_block(block, start, cut)
             sub.at_checkpoint = first_n + cut - 1 in cp_set
+            sub.block_end = cut == b
             for obs in observers:
                 obs.observe(sub)
             if sub.at_checkpoint:

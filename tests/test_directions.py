@@ -42,9 +42,12 @@ def fixed_order_dots(dirs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 def reference_observe(acc: CapVisitAccumulator, block: WalkBlock) -> None:
-    """The per-hit update that ``CapVisitAccumulator.observe`` replaced, kept
-    as its oracle: a (B x M) mask of ``E > dot_min`` over every pair, its
-    ``nonzero``, a stable argsort into grid order and one pass per alpha."""
+    """The per-pair update that ``CapVisitAccumulator.observe`` replaced, kept
+    as its oracle: a (B x M) mask of ``E > dot_min`` over every pair, a
+    ``bincount`` of its (column, level) pairs, and per alpha the masked
+    maximum of each column's statistics and of its qualifying windows.  The
+    whole block is one piece: each (grid point, alpha) gains the bit of its
+    highest qualifying window only."""
     cfg = acc.config
     n_lv = cfg.escape_levels + 1
     steps = np.arange(block.first_n, block.first_n + len(block))
@@ -76,24 +79,16 @@ def reference_observe(acc: CapVisitAccumulator, block: WalkBlock) -> None:
         by_bucket = np.bincount(flat, minlength=len(acc.grid) * n_lv)
         by_bucket = by_bucket.reshape(len(acc.grid), n_lv)
         acc.visits += by_bucket[:, ::-1].cumsum(axis=1)[:, ::-1]
-    order = np.argsort(cols, kind="stable")
-    o_rows, o_cols = rows[order], cols[order]
-    seg_starts = np.flatnonzero(np.diff(o_cols)) + 1
-    seg_starts = np.concatenate([[0], seg_starts])
-    seg_cols = o_cols[seg_starts]
     log_n = np.log(steps.astype(float))
     windows = np.floor(np.log2(steps.astype(float))).astype(np.int64)
     log_kappa = math.log(cfg.kappa)
     for j, a in enumerate(cfg.alphas):
         stat = log_norms - a * log_n
-        seg_max = np.maximum.reduceat(stat[o_rows], seg_starts)
-        np.maximum.at(acc.graded_max[:, j], seg_cols, seg_max)
-        qual = stat[o_rows] > log_kappa
-        if np.any(qual):
-            keys = o_cols[qual] * 64 + windows[o_rows[qual]]
-            present = np.flatnonzero(np.bincount(keys, minlength=len(acc.grid) * 64))
-            acc.graded_windows[present // 64, j] |= (
-                np.int64(1) << (present % 64).astype(np.int64))
+        top_stat = np.where(mask, stat[:, None], NEG_INF).max(axis=0)
+        np.maximum(acc.graded_max[:, j], top_stat, out=acc.graded_max[:, j])
+        qual = mask & (stat > log_kappa)[:, None]
+        top = np.where(qual, windows[:, None], -1).max(axis=0)
+        acc.graded_windows[top >= 0, j] |= np.int64(1) << top[top >= 0]
 
 
 class DenseAccumulator(CapVisitAccumulator):
@@ -186,6 +181,22 @@ def test_finalize_requires_data():
     acc = CapVisitAccumulator(small_config(), 2)
     with pytest.raises(ValueError):
         acc.finalize()
+
+
+def test_finalize_refuses_held_pieces():
+    # a piece that does not end its engine block is held, and finalize does
+    # not drop it: it raises until the piece that ends the block arrives
+    acc = record_visit(CapVisitAccumulator(small_config(), 2), 40.0 * E1, 1)
+    for n in (2, 3):
+        acc.observe(WalkBlock(first_n=n, dirs=E1[None, :], log_norms=np.array([math.log(50.0)]),
+                              positions=None, block_end=False))
+    assert acc.n_steps_seen == 3 and acc.visits.sum() > 0
+    seen = acc.visits.copy()
+    with pytest.raises(ValueError, match="held block"):
+        acc.finalize()
+    record_visit(acc, 60.0 * E1, 4)
+    e1_idx = int(np.argmin(np.linalg.norm(acc.grid - E1, axis=1)))
+    assert acc.finalize().visits[e1_idx, 0] == seen[e1_idx, 0] + 3
 
 
 def test_no_in_without_escape():
@@ -536,9 +547,9 @@ def tabled(monkeypatch):
     calls = []
     table_hits = CapVisitAccumulator._table_hits
 
-    def counted_hits(self, dirs, bucket):
+    def counted_hits(self, dirs, bucket, piece):
         calls.append(len(dirs))
-        return table_hits(self, dirs, bucket)
+        return table_hits(self, dirs, bucket, piece)
 
     monkeypatch.setattr(CapVisitAccumulator, "_table_hits", counted_hits)
     return calls
@@ -631,7 +642,7 @@ def test_padded_slots_never_pass():
     dirs = _unit_rows(np.random.default_rng(5), BLOCK, 3)
     dirs = dirs[np.argsort(table.cell_of(dirs), kind="stable")]
     bucket = np.arange(BLOCK) // 7 % 2                  # runs of at most 7 rows
-    run_starts, rows, cols = acc._table_hits(dirs, bucket)
+    run_starts, rows, cols = acc._table_hits(dirs, bucket, np.zeros(BLOCK, dtype=np.int64))
     slot = table.cell_of(dirs)
     lo, hi = np.minimum.reduceat(dirs, run_starts), np.maximum.reduceat(dirs, run_starts)
     sure, edge = table.split_runs(slot[run_starts], lo, hi)
@@ -894,7 +905,7 @@ def cell_runs(acc: CapVisitAccumulator, block: WalkBlock):
     steps = np.arange(block.first_n, block.first_n + len(block))
     live = (block.log_norms > NEG_INF) & (steps > acc.config.burn_in)
     dirs, log_norms = block.dirs[live], block.log_norms[live]
-    edges = _group_edges(dirs, log_norms)
+    edges = _group_edges(dirs, log_norms, np.zeros(len(dirs), dtype=np.int64))
     if edges is not None:
         dirs, log_norms = dirs[edges[:-1]], log_norms[edges[:-1]]
     slot, level = acc._table.cell_of(dirs), acc._levels_of(log_norms)
@@ -1076,8 +1087,58 @@ def test_records_do_not_depend_on_block_cuts(name, tabled):
         assert whole.repeated_rows > 0
 
 
+class PieceByPiece(ObserverBase):
+    """Hands every piece of a walk to ``acc`` as a block of its own, and
+    counts the pieces that do not end their engine block."""
+
+    def __init__(self, acc: CapVisitAccumulator):
+        self.acc, self.held = acc, 0
+
+    def observe(self, block: WalkBlock) -> None:
+        self.held += not block.block_end
+        self.acc.observe(replace(block, block_end=True))
+
+
+# (spec, estimator knobs): the benchmark's walks, a burn_in that ends inside
+# the first block, a walk along (1, 0) that leaves int64 range at step 10,001
+# (in its first block, after 14 checkpoints) and a cap that no table takes
+DEFERRED = {
+    **{name: (spec, {}) for name, spec in CUT_WALKS.items()},
+    "burn-in": (CUT_WALKS["hull2d"], {"burn_in": 3000}),
+    "halted": (coordinate_product([constant(2**63 // 10000), rademacher()]),
+               {"band_axis": (1.0, 0.0)}),
+    "no-table": (CUT_WALKS["caps3d"], {"cap_radius": 1.9}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFERRED))
+def test_held_pieces_give_the_records_of_each_piece(name):
+    # run_walk's pieces, held until the end of their engine block and decided
+    # in one pass, give every record of the same pieces taken one by one:
+    # graded windows per checkpoint piece, and groups cut where a piece ends
+    spec, kw = DEFERRED[name]
+    d = spec.dimension
+    cfg = replace(EstimatorConfig.defaults_for(spec),
+                  **{"band_axis": (0.0,) * (d - 1) + (1.0,), **kw})
+    acc = CapVisitAccumulator(cfg, d)
+    one_by_one = PieceByPiece(CapVisitAccumulator(cfg, d))
+    rec = run_walk(spec, 2 * BLOCK, seed=5, observers=[acc, one_by_one])
+    ref = one_by_one.acc
+    assert_same_records(acc, ref)
+    assert acc.repeated_rows == ref.repeated_rows and acc.n_steps_seen == ref.n_steps_seen
+    assert one_by_one.held >= 10 and acc.visits.sum() > 0 and acc.level_band_hits.sum() > 0
+    w = acc.graded_windows
+    assert np.any((w & (w - 1)) != 0)                   # two windows met somewhere
+    assert (acc._table is None) == (name == "no-table")
+    assert rec.overflowed == (name == "halted")
+    if name == "logradial":
+        assert acc.repeated_rows > 0
+    if name == "burn-in":
+        assert acc.level_totals.sum() <= 2 * BLOCK - 3000
+
+
 @pytest.mark.xfail(strict=True, reason="observe keeps only the highest "
-                   "qualifying window per grid point and alpha in each call")
+                   "qualifying window per grid point and alpha in each checkpoint piece")
 def test_graded_windows_of_one_block_all_count():
     cfg = small_config(alphas=(0.5,), kappa=0.1)
     acc = CapVisitAccumulator(cfg, 2)

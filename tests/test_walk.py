@@ -551,15 +551,18 @@ def test_dyadic_checkpoints():
 
 
 class Pieces(ObserverBase):
-    """Records the last step, and the checkpoint mark, of every piece seen."""
+    """Records the last step, the checkpoint mark and the block-end mark of
+    every piece seen."""
 
     def __init__(self):
-        self.ends, self.marked = [], []
+        self.ends, self.marked, self.block_ends = [], [], []
 
     def observe(self, block):
         self.ends.append(block.last_n)
         if block.at_checkpoint:
             self.marked.append(block.last_n)
+        if block.block_end:
+            self.block_ends.append(block.last_n)
 
 
 @pytest.mark.parametrize("spec, n_steps, reached", [
@@ -586,10 +589,21 @@ def test_cut_structure():
     pieces = Pieces()
     run_walk(spec, 2**10, seed=0, observers=[pieces])
     assert pieces.ends == pieces.marked == [2**k for k in range(11)]
+    assert pieces.block_ends == [2**10]
     pieces = Pieces()
     run_walk(spec, 4 * BLOCK + 3, seed=0, observers=[pieces])
     assert pieces.ends == [2**k for k in range(16)] + [3 * BLOCK, 4 * BLOCK, 4 * BLOCK + 3]
     assert pieces.marked == [2**k for k in range(16)] + [4 * BLOCK, 4 * BLOCK + 3]
+    # only the last piece of each engine block is marked as its end
+    assert pieces.block_ends == [BLOCK, 2 * BLOCK, 3 * BLOCK, 4 * BLOCK, 4 * BLOCK + 3]
+    # a halted walk marks its last piece, in the first block and in a later one
+    for step, n_steps, ends, block_ends in [
+            (2**59, 64, [1, 2, 4, 8, 15], [15]),
+            (2**63 // 20000, 3 * BLOCK, [2**k for k in range(15)] + [20000], [BLOCK, 20000])]:
+        pieces = Pieces()
+        assert run_walk(coordinate_product([constant(step), rademacher()]), n_steps, seed=0,
+                        observers=[pieces]).overflowed
+        assert pieces.ends == ends and pieces.block_ends == block_ends
 
 
 def test_csv_header_and_rows():
