@@ -195,10 +195,12 @@ class _CellTable:
     cell-major, ``coords[i]`` of shape (cells, K), so a run gathers one
     contiguous row of each.  The sure points of cell c are
     ``sure[sure_ptr[c]:sure_ptr[c + 1]]``, and ``mean_edges`` is the mean
-    length of the unpadded edge lists.
+    length of the unpadded edge lists.  With ``prune``, the constructor
+    raises ``_Pruned`` as soon as the edge lists split so far pass the rule
+    of :func:`_table_for`.
     """
 
-    def __init__(self, grid: np.ndarray, dot_min: float):
+    def __init__(self, grid: np.ndarray, dot_min: float, prune: bool = False):
         m, d = grid.shape
         r2 = 2.0 - 2.0 * dot_min
         per_axis = math.ceil(_CELLS_PER_RADIUS * math.sqrt(d / r2)) if r2 > 0 else _MAX_CELLS
@@ -226,7 +228,7 @@ class _CellTable:
         cell = np.unravel_index(shell, (c,) * d)
         self.r2 = r2
         step = max(1, (1 << 20) // m)                  # (cells x M) temporaries of 8 MiB
-        pairs = []
+        pairs, n_edges = [], 0
         for a in range(0, n_cells, step):
             dist2 = gap2[0].take(cell[0][a:a + step], axis=0)
             for i in range(1, d):
@@ -236,11 +238,15 @@ class _CellTable:
             sure = self._split(grid[cols].T, [lo[k[rows]] for k in cell],
                                [hi[k[rows]] for k in cell])[0]
             pairs.append((rows, cols, sure))
+            # the count only grows, so a chunk that passes the rule decides it
+            n_edges += len(rows) - np.count_nonzero(sure)
+            if prune and n_edges / n_cells * _PRUNE_FACTOR > m:
+                raise _Pruned
         rows, cols, sure = (np.concatenate(p) for p in zip(*pairs))
         self.sure = cols[sure].astype(np.int16 if m < _INT16_MAX else np.int64)
         self.sure_ptr = np.concatenate([[0], np.bincount(rows[sure], minlength=n_cells).cumsum()])
         self._edge_pairs = rows[~sure], cols[~sure]
-        self.mean_edges = len(self._edge_pairs[0]) / n_cells
+        self.mean_edges = n_edges / n_cells
         self._grid = grid
         for arr in (self.slot, self.sure, self.sure_ptr):
             arr.setflags(write=False)               # shared, see _table_for
@@ -326,6 +332,10 @@ class _CellTable:
         return slots
 
 
+class _Pruned(Exception):
+    """A cell table's mean edge list passed ``M / _PRUNE_FACTOR`` points."""
+
+
 # (grid shape, grid bytes, dot_min) -> the grid's cell table, or None where
 # the dense expression decides every block; each is decided once per process
 _TABLES: dict[tuple, "_CellTable | None"] = {}
@@ -334,16 +344,18 @@ _TABLES: dict[tuple, "_CellTable | None"] = {}
 def _table_for(grid: np.ndarray, dot_min: float) -> "_CellTable | None":
     """The cell table of ``grid`` and ``dot_min`` when every grid point is unit
     to within the slack and its mean edge list holds at most ``M /
-    _PRUNE_FACTOR`` points, else None.  The rule is read before the padded
-    edge table is built, so a rejected pair never builds it."""
+    _PRUNE_FACTOR`` points, else None.  The rule is read on the edge count
+    as the split of the cells goes, chunk by chunk, so a rejected pair stops
+    at the first chunk that passes it and never builds the padded table."""
     key = (grid.shape, grid.tobytes(), dot_min)
     if key not in _TABLES:
         table = None
         norm2 = np.einsum("ij,ij->i", grid, grid)
         if np.all(np.abs(norm2 - 1.0) <= _UNIT_SLACK / 2):
-            table = _CellTable(grid, dot_min)
-            if table.mean_edges * _PRUNE_FACTOR > len(grid):
-                table = None
+            try:
+                table = _CellTable(grid, dot_min, prune=True)
+            except _Pruned:
+                pass
         _TABLES[key] = table
     return _TABLES[key]
 

@@ -25,6 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -337,7 +338,9 @@ class IncrementSpec:
                 points.append(base + (s - reps[0]) * vecs[j])
         return np.vstack(points)
 
-    @property
+    # cached on the instance: the spec is frozen, and dataclasses.replace
+    # builds a new instance; equality, hash and repr read the fields only
+    @cached_property
     def is_lattice(self) -> bool:
         """True when every increment coordinate is an integer that int64 holds.
 
@@ -353,7 +356,7 @@ class IncrementSpec:
         return max(abs(int(drift[i])) + sum(m * abs(int(v[i])) for m, v in zip(bounds, vectors))
                    for i in range(self.dimension)) <= _INT64_MAX
 
-    @property
+    @cached_property
     def scale_mode(self) -> str:
         """Position arithmetic: 'lattice' (int64), 'float', or 'log' (mantissa+scale)."""
         if self.form == RADIAL_PRODUCT and self.laws[0].is_heavy_real:

@@ -183,12 +183,46 @@ def csv_text(header: Sequence[str], columns: Sequence) -> str:
     Each column is a 1-d array or a list; arrays become Python values with
     ``tolist()``.  Every cell is ``str()`` of its value, so a float64 is its
     shortest round-trip ``repr`` and an int64 its decimal digits.  Columns of
-    unequal length raise ``ValueError``.
+    unequal length raise ``ValueError``.  A float64 or int64 array is
+    formatted once per distinct bit pattern (:func:`_format_cells`).
     """
-    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    cols = [_format_cells(c) if isinstance(c, np.ndarray) and c.dtype in _CELL_MEMO
+            else list(map(str, c.tolist() if isinstance(c, np.ndarray) else c))
+            for c in columns]
     lines = [",".join(header)]
-    lines += [",".join(map(str, row)) for row in zip(*cols, strict=True)]
+    lines += [",".join(row) for row in zip(*cols, strict=True)]
     return "\n".join(lines) + "\n"
+
+
+# bit pattern -> str() of the value, one memo per dtype so that the patterns
+# the two share (int 0 and 0.0) cannot collide; emptied once it passes
+# _CELL_MEMO_CAP entries (2**15 random floats take 4.5 MiB by tracemalloc)
+_CELL_MEMO: dict[np.dtype, dict[int, str]] = {np.dtype(np.float64): {}, np.dtype(np.int64): {}}
+_CELL_MEMO_CAP = 1 << 15
+
+
+def _format_cells(col: np.ndarray) -> list[str]:
+    """``str()`` of each value of the 1-d float64 or int64 array ``col``.
+
+    ``str()`` of such a value depends only on its 64 bits (bits tell +0.0
+    from -0.0, and every NaN prints ``nan``), so the memo of the dtype
+    serves each bit pattern that an earlier cell of the process formatted,
+    and only the others call ``str()``.
+    """
+    memo = _CELL_MEMO[col.dtype]
+    keys = col.view(np.int64).tolist()
+    cells = list(map(memo.get, keys))
+    if None in cells:
+        values = col.tolist()
+        for i, cell in enumerate(cells):
+            if cell is None:
+                cell = memo.get(keys[i])
+                if cell is None:
+                    cell = memo[keys[i]] = str(values[i])
+                cells[i] = cell
+        if len(memo) > _CELL_MEMO_CAP:
+            memo.clear()
+    return cells
 
 
 def _format_log_value(log_abs: float, sign: float = 1.0) -> str:

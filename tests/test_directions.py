@@ -8,8 +8,8 @@ import pytest
 
 from walkangles import directions
 from walkangles.directions import (IN, OUT, UNDECIDED, CapVisitAccumulator,
-                                   EstimatorConfig, _CellTable, _TABLE_ROWS, _TABLES,
-                                   _UNIT_SLACK, _group_edges, combine_runs)
+                                   EstimatorConfig, _CellTable, _PRUNE_FACTOR, _TABLE_ROWS,
+                                   _TABLES, _UNIT_SLACK, _group_edges, combine_runs)
 from walkangles.examples import triangle_log_tail_spec
 from walkangles.samplers import (coordinate_product, constant, rademacher,
                                  s_two_sided)
@@ -991,6 +991,25 @@ def test_d2_decision_cached_as_no_table(monkeypatch):
     wide = CapVisitAccumulator(EstimatorConfig(), 2, grid=2.0 * a.grid)
     assert wide._table is None
     assert _TABLES[(wide.grid.shape, wide.grid.tobytes(), wide._dot_min)] is None
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_table_decision_read_while_splitting(monkeypatch, d):
+    # the rule read on the edge count chunk by chunk decides as the rule read
+    # on the whole split: caps up to 0.3 take a table, wider ones do not
+    monkeypatch.setattr(directions, "_TABLES", {})
+    for m in (64, 256):
+        grid = direction_grid(d, m, 0)
+        for cap in (0.1, 0.3, 1.0, 1.9, 2.0):
+            dot_min = 1.0 - cap ** 2 / 2.0
+            whole = _CellTable(grid, dot_min)
+            rejected = whole.mean_edges * _PRUNE_FACTOR > m
+            assert (directions._table_for(grid, dot_min) is None) == rejected == (cap > 0.3)
+            if not rejected:
+                kept = directions._table_for(grid, dot_min)
+                assert kept.mean_edges == whole.mean_edges
+                assert np.array_equal(kept.table, whole.table)
+                assert np.array_equal(kept.sure_ptr, whole.sure_ptr)
 
 
 WALKS = {

@@ -488,6 +488,76 @@ def test_float_filter_drops_only_strictly_interior_points(monkeypatch, seed):
             assert all(hull._cross(poly[i - 1], poly[i], q) > 0 for i in range(len(poly)))
 
 
+def per_edge_drops(inner, batch):
+    """The batch points that the filter's bound drops when it is taken one
+    edge of P at a time in Python floats, the written-out form of the
+    broadcast in ``HullState.update``."""
+    ft = np.array(batch.T, dtype=float)
+    (lx, ly), (hx, hy) = ft.min(axis=1).tolist(), ft.max(axis=1).tolist()
+    v = np.asarray(inner, dtype=float)
+    m = max(float(np.abs(v).max()), -min(lx, ly), max(hx, hy))
+    if len(inner) < 3 or m >= hull._BIG:
+        return set()
+    u, k = hull._U, hull._U * m if m > 2.0 ** 53 else 0.0
+    sure = np.ones(len(batch), dtype=bool)
+    for (ax, ay), (bx, by) in zip(v.tolist(), np.roll(v, -1, axis=0).tolist()):
+        ex, ey = abs(bx - ax), abs(by - ay)
+        rx, ry = max(abs(hx - ax), abs(lx - ax)), max(abs(hy - ay), abs(ly - ay))
+        bound = 8 * u * (ex * ry + ey * rx) + 4 * k * (ex + ey + rx + ry) + 16 * k * k + hull._TINY
+        sure &= (bx - ax) * (ft[1] - ay) - (by - ay) * (ft[0] - ax) > bound
+    return set(map(tuple, batch[sure].tolist()))
+
+
+# (center, radius, dtype): int64 past 2**53, floats just below and past _BIG
+SCALES = {"int-small": (0, 10**4, np.int64),
+          "int-past-2**53": (2**60, 2**58, np.int64),
+          "float": (0.5, 1e3, float),
+          "float-below-big": (2.0 ** 508, 2.0 ** 509, float),
+          "float-past-big": (-(2.0 ** 516), 2.0 ** 515, float)}
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("n_edges", [3, 300])
+@pytest.mark.parametrize("size", [16, 511, 512, 513, 1025])
+def test_filter_over_all_edges_at_once(monkeypatch, scale, n_edges, size):
+    """Batches across the filter's chunks of 512 points, against a P of 3
+    edges (a triangle around the batch) and of about 300 (a 300-gon whose
+    circumcircle holds the batch, with points near and outside its edges):
+    the filter drops the points the per-edge bound drops, and the hull is
+    the one-shot hull."""
+    center, radius, dtype = SCALES[scale]
+    rng = np.random.default_rng(size + n_edges)
+    t = 2 * np.pi * (np.arange(n_edges) + 0.25) / n_edges
+    ring = np.column_stack([np.cos(t), np.sin(t)])
+    if n_edges == 3:
+        w = rng.uniform(0.02, 1.0, size=(size, 3))
+        unit = (w / w.sum(axis=1, keepdims=True)) @ ring
+    else:
+        # an eighth of the points between the edges and the circumcircle,
+        # and an eighth within 1e-5 to 1e-17 of the polygon's edges, on
+        # both sides, where the bound decides
+        a, r2 = rng.uniform(0, 2 * np.pi, size), rng.uniform(0, 1.0, size)
+        r2[::8] = rng.uniform(np.cos(np.pi / n_edges) ** 2, 1.0, size=len(r2[::8]))
+        unit = np.sqrt(r2)[:, None] * np.column_stack([np.cos(a), np.sin(a)])
+        i, t = rng.integers(n_edges, size=len(unit[4::8])), rng.random((len(unit[4::8]), 1))
+        shift = rng.choice([-1.0, 1.0], size=t.shape) * 10.0 ** -rng.uniform(5, 17, size=t.shape)
+        unit[4::8] = (ring[i] + t * (ring[(i + 1) % n_edges] - ring[i])) * (1.0 - shift)
+    polygon = (center + radius * ring).astype(dtype)
+    batch = (center + radius * unit).astype(dtype)
+    vertices = convex_hull_2d(polygon.tolist())
+    dropped, inner = filter_drops(monkeypatch, vertices, batch)
+    assert set(dropped) == per_edge_drops(inner, batch)
+    assert (len(inner) == 3) if n_edges == 3 else (len(inner) >= 280)
+    assert (len(dropped) == 0) == (scale == "float-past-big")
+    monkeypatch.undo()
+    st = HullState(list(vertices)).update(batch)
+    assert st.vertices == convex_hull_2d(vertices + batch.tolist())
+    if n_edges == 3:
+        assert st.vertices == vertices
+    elif size > 16:
+        assert len(st.vertices) > len(vertices)     # points outside the edges joined
+
+
 class _Positions(ObserverBase):
     def __init__(self):
         self.points = [(0, 0)]

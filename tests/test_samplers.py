@@ -1,5 +1,6 @@
 """Sampler tail identities, spec invariants, and JSON round trips."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,6 +219,25 @@ def test_json_round_trip_identity(spec):
     again = spec_from_json(text)
     assert again == spec
     assert spec_to_json(again) == text
+
+
+def test_cached_modes_leave_equality_hash_replace_and_json_alone():
+    spec = coordinate_product([rademacher(), s_two_sided(0.5)])
+    twin = coordinate_product([rademacher(), s_two_sided(0.5)])
+    text, key = spec_to_json(spec), hash(spec)
+    assert (spec.is_lattice, spec.scale_mode) == (True, "lattice")
+    assert spec.is_lattice is spec.is_lattice and spec.scale_mode is spec.scale_mode
+    # a spec with its modes cached equals, hashes and serializes as one without
+    assert "scale_mode" in vars(spec) and "scale_mode" not in vars(twin)
+    assert spec == twin and hash(spec) == hash(twin) == key and {spec, twin} == {spec}
+    assert spec_to_json(spec) == spec_to_json(twin) == text and repr(spec) == repr(twin)
+    # replace builds a new instance whose modes are its own
+    floaty = replace(spec, laws=(constant(1.5), rademacher()))
+    assert (floaty.is_lattice, floaty.scale_mode) == (False, "float")
+    assert "scale_mode" not in vars(replace(spec)) and replace(spec) == spec
+    assert (spec.is_lattice, spec.scale_mode) == (True, "lattice")
+    with pytest.raises(AttributeError):
+        spec.dimension = 3
 
 
 def test_json_error_names_field():

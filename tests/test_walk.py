@@ -633,6 +633,69 @@ def test_csv_text_cells_are_str_of_python_values():
         csv_text(["i", "f"], [ints, floats[:-1]])
 
 
+def fresh_cell_memo(monkeypatch, cap=None):
+    memo = {np.dtype(np.float64): {}, np.dtype(np.int64): {}}
+    monkeypatch.setattr(walk_module, "_CELL_MEMO", memo)
+    if cap is not None:
+        monkeypatch.setattr(walk_module, "_CELL_MEMO_CAP", cap)
+    return memo
+
+
+def csv_cells(columns):
+    """The cells of ``csv_text`` over ``columns``, column by column."""
+    rows = csv_text([str(i) for i in range(len(columns))], columns).split("\n")[1:-1]
+    return [list(col) for col in zip(*(row.split(",") for row in rows))]
+
+
+def str_cells(columns):
+    return [[str(x) for x in c.tolist()] for c in columns]
+
+
+def test_csv_cells_of_shared_bit_patterns(monkeypatch):
+    # 0 and 0.0, and 4607182418800017408 and 1.0, have the same 64 bits
+    memo = fresh_cell_memo(monkeypatch)
+    ints = np.array([0, 4607182418800017408, 0, -1], dtype=np.int64)
+    floats = np.array([0.0, 1.0, -0.0, 1.0])
+    assert floats.view(np.int64)[:2].tolist() == ints[:2].tolist()
+    for columns in ([ints, floats], [floats, ints], [floats], [ints], [ints, floats]):
+        assert csv_cells(columns) == str_cells(columns)
+    assert csv_cells([ints])[0] == ["0", "4607182418800017408", "0", "-1"]
+    assert csv_cells([floats])[0] == ["0.0", "1.0", "-0.0", "1.0"]
+    assert memo[np.dtype(np.int64)][0] == "0" and memo[np.dtype(np.float64)][0] == "0.0"
+
+
+def test_csv_cells_of_signed_zeros_and_nan_payloads(monkeypatch):
+    fresh_cell_memo(monkeypatch)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0x7FF8000000000ABC], dtype=np.uint64).view(np.float64)
+    assert np.isnan(nans).all() and len(set(nans.view(np.int64).tolist())) == 4
+    floats = np.concatenate([nans, [-0.0, 0.0, -0.0, math.inf, -math.inf, 5e-324]])
+    strided = np.stack([floats, -floats], axis=1)[::-1, 0]   # a view with a stride
+    for columns in ([floats], [floats, strided], [strided[::2]]):
+        assert csv_cells(columns) == str_cells(columns)
+    assert csv_cells([floats])[0][:6] == ["nan"] * 4 + ["-0.0", "0.0"]
+
+
+@pytest.mark.parametrize("cap", [5, 1 << 15])
+def test_csv_cell_memo_is_emptied_past_its_cap(monkeypatch, cap):
+    memo = fresh_cell_memo(monkeypatch, cap if cap < 1 << 15 else None)
+    assert walk_module._CELL_MEMO_CAP == cap
+    rng = np.random.default_rng(3)
+    seen = []
+    for size in (3, 2, 4, cap + 1, 1, cap, 7):
+        col = rng.standard_normal(size)
+        ints = rng.integers(-2**63, 2**63 - 1, size=size, dtype=np.int64)
+        again = np.concatenate([col, *seen[-2:]])       # values formatted before
+        seen.append(col)
+        for columns in ([col, ints], [again]):
+            assert csv_cells(columns) == str_cells(columns)
+            assert all(len(m) <= cap for m in memo.values())
+    # every kept entry is str() of the value its bits hold
+    for dtype, m in memo.items():
+        keys = np.array(list(m), dtype=np.int64)
+        assert list(m.values()) == [str(x) for x in keys.view(dtype).tolist()]
+
+
 def test_log_mode_csv_extended_notation():
     rec = run_walk(TRIANGLE, 10**4, seed=3)
     text = rec.to_csv()
