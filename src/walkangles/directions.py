@@ -195,12 +195,12 @@ class _CellTable:
     cell-major, ``coords[i]`` of shape (cells, K), so a run gathers one
     contiguous row of each.  The sure points of cell c are
     ``sure[sure_ptr[c]:sure_ptr[c + 1]]``, and ``mean_edges`` is the mean
-    length of the unpadded edge lists.  With ``prune``, the constructor
-    raises ``_Pruned`` as soon as the edge lists split so far pass the rule
-    of :func:`_table_for`.
+    length of the unpadded edge lists.  The constructor raises ``_Pruned``
+    as soon as the edge lists split so far pass the rule of
+    :func:`_table_for`.
     """
 
-    def __init__(self, grid: np.ndarray, dot_min: float, prune: bool = False):
+    def __init__(self, grid: np.ndarray, dot_min: float):
         m, d = grid.shape
         r2 = 2.0 - 2.0 * dot_min
         per_axis = math.ceil(_CELLS_PER_RADIUS * math.sqrt(d / r2)) if r2 > 0 else _MAX_CELLS
@@ -240,7 +240,7 @@ class _CellTable:
             pairs.append((rows, cols, sure))
             # the count only grows, so a chunk that passes the rule decides it
             n_edges += len(rows) - np.count_nonzero(sure)
-            if prune and n_edges / n_cells * _PRUNE_FACTOR > m:
+            if n_edges / n_cells * _PRUNE_FACTOR > m:
                 raise _Pruned
         rows, cols, sure = (np.concatenate(p) for p in zip(*pairs))
         self.sure = cols[sure].astype(np.int16 if m < _INT16_MAX else np.int64)
@@ -353,7 +353,7 @@ def _table_for(grid: np.ndarray, dot_min: float) -> "_CellTable | None":
         norm2 = np.einsum("ij,ij->i", grid, grid)
         if np.all(np.abs(norm2 - 1.0) <= _UNIT_SLACK / 2):
             try:
-                table = _CellTable(grid, dot_min, prune=True)
+                table = _CellTable(grid, dot_min)
             except _Pruned:
                 pass
         _TABLES[key] = table

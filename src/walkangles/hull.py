@@ -50,8 +50,8 @@ _TINY = float(np.finfo(float).tiny)
 # every distance is the one the unscaled arithmetic would give without
 # overflow.
 _BIG = 2.0 ** 510
-# batch points per broadcast of the filter: (edges x 512) temporaries
-_FILTER_CHUNK = 512
+# (edges x points) per broadcast of the filter: temporaries of 128 KiB
+_FILTER_CELLS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -98,25 +98,16 @@ def convex_hull_2d(points) -> list[tuple]:
 
 
 def _chain(pts: list) -> list:
-    """Andrew's monotone chain over sorted points; ``_cross`` is written out
-    in the loops, the same expression, to save a call per test."""
+    """Andrew's monotone chain over sorted points."""
     lower: list = []
     for p in pts:
-        while len(lower) >= 2:
-            (ox, oy), (ax, ay) = lower[-2], lower[-1]
-            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0:
-                lower.pop()
-            else:
-                break
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
         lower.append(p)
     upper: list = []
     for p in reversed(pts):
-        while len(upper) >= 2:
-            (ox, oy), (ax, ay) = upper[-2], upper[-1]
-            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0:
-                upper.pop()
-            else:
-                break
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]
 
@@ -196,9 +187,9 @@ class HullState:
         that is when its exact cross product is positive on every edge.
         Below M = 2**510 no product overflows; above it nothing is dropped.
         The bound is evaluated for all edges of P at once, as (edges x 1)
-        columns, and the cross products of each chunk of ``_FILTER_CHUNK``
-        points against every edge in one broadcast, with the same operations
-        in the same order as for one edge.
+        columns, and the cross products of the whole batch against a group
+        of ``_FILTER_CELLS // B`` edges (at least one) in one broadcast, with
+        the same operations in the same order as for one edge.
         A batch of fewer points than there are probes goes to the chain whole.
         """
         arr = np.atleast_2d(np.asarray(batch))
@@ -207,8 +198,8 @@ class HullState:
                              f"wide, got {len(arr)} points {arr.shape[1]} coordinates wide")
         if len(arr) < len(_PROBE_DIRS):
             # kept: sending these batches through the filter took the 768
-            # hull updates of 64 manyruns walks from 0.047-0.049 s to
-            # 0.064-0.073 s (best of 25 replays each, 2-core Xeon)
+            # hull updates of 64 manyruns walks from 0.042-0.043 s to
+            # 0.058-0.060 s (best of 25 replays each, 2-core Xeon)
             self.vertices = convex_hull_2d(self.vertices + _tuples(arr))
             return self
         # the batch as (2, B) floats, so every reduction runs along the batch
@@ -237,9 +228,16 @@ class HullState:
             ry_max = np.maximum(np.abs(hy - ay), np.abs(ly - ay))
             bound = (8 * _U * (ex * ry_max + ey * rx_max)
                      + 4 * k * (ex + ey + rx_max + ry_max) + 16 * k * k + _TINY)
-            for a in range(0, len(arr), _FILTER_CHUNK):
-                x, y = ft[0, a:a + _FILTER_CHUNK], ft[1, a:a + _FILTER_CHUNK]
-                keep[a:a + _FILTER_CHUNK] = ~(dx * (y - ay) - dy * (x - ax) > bound).all(axis=0)
+            # a small batch meets every edge in one broadcast; a large one
+            # meets one edge at a time, as broadcasting over the edges costs
+            # more per product than a scalar edge does
+            x, y = ft
+            group = max(1, _FILTER_CELLS // len(arr))
+            inside = np.ones(len(arr), dtype=bool)
+            for e in range(0, len(v), group):
+                g = slice(e, e + group)
+                inside &= (dx[g] * (y - ay[g]) - dy[g] * (x - ax[g]) > bound[g]).all(axis=0)
+            keep = ~inside
         if keep.any():
             self.vertices = convex_hull_2d(inner + _tuples(arr[keep]))
         else:

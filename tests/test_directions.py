@@ -2,6 +2,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -524,6 +525,13 @@ VARIANTS = {
 }
 
 
+def whole_table(grid: np.ndarray, dot_min: float) -> _CellTable:
+    """The cell table of ``grid`` and ``dot_min``, built to the end even
+    where the table rule rejects it."""
+    with mock.patch.object(directions, "_PRUNE_FACTOR", 0):
+        return _CellTable(grid, dot_min)
+
+
 def _accumulators(d: int, variant: str, force_table: bool, **extra):
     kw = dict(VARIANTS[variant], **extra)
     if kw.get("band_axis") == "last":
@@ -537,7 +545,7 @@ def _accumulators(d: int, variant: str, force_table: bool, **extra):
         grid = grid[np.random.default_rng(d).permutation(len(grid))]
     acc, ref = CapVisitAccumulator(cfg, d, grid=grid), DenseAccumulator(cfg, d, grid=grid)
     if force_table and acc._table is None:
-        acc._table = _CellTable(acc.grid, acc._dot_min)
+        acc._table = whole_table(acc.grid, acc._dot_min)
     return acc, ref
 
 
@@ -717,7 +725,7 @@ def rows_in_every_cell(table: _CellTable, rng, per_cell: int = 4) -> np.ndarray:
 def test_sure_points_are_hits_of_every_row_of_their_cell(d, cap):
     grid = direction_grid(d, 64 if d == 2 else 256, 0)
     dot_min = 1.0 - cap ** 2 / 2.0
-    table = _CellTable(grid, dot_min)
+    table = whole_table(grid, dot_min)
     m = len(grid)
     # sure and edge points split the listing rule's lists
     listed = listing_rule(table, grid, dot_min)
@@ -996,15 +1004,20 @@ def test_d2_decision_cached_as_no_table(monkeypatch):
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
 def test_table_decision_read_while_splitting(monkeypatch, d):
     # the rule read on the edge count chunk by chunk decides as the rule read
-    # on the whole split: caps up to 0.3 take a table, wider ones do not
+    # on the whole split; caps up to 0.3 take a table and 1.0 and wider do
+    # not, and cap 0.7 is rejected at 1.3 to 1.7 times the rule's threshold
     monkeypatch.setattr(directions, "_TABLES", {})
     for m in (64, 256):
         grid = direction_grid(d, m, 0)
-        for cap in (0.1, 0.3, 1.0, 1.9, 2.0):
+        for cap in (0.1, 0.3, 0.6, 0.7, 1.0, 1.9, 2.0):
             dot_min = 1.0 - cap ** 2 / 2.0
-            whole = _CellTable(grid, dot_min)
+            whole = whole_table(grid, dot_min)
             rejected = whole.mean_edges * _PRUNE_FACTOR > m
-            assert (directions._table_for(grid, dot_min) is None) == rejected == (cap > 0.3)
+            assert (directions._table_for(grid, dot_min) is None) == rejected
+            if cap == 0.7:
+                assert rejected and whole.mean_edges * _PRUNE_FACTOR < 2 * m
+            elif cap != 0.6:
+                assert rejected == (cap > 0.3)
             if not rejected:
                 kept = directions._table_for(grid, dot_min)
                 assert kept.mean_edges == whole.mean_edges

@@ -491,7 +491,7 @@ def test_float_filter_drops_only_strictly_interior_points(monkeypatch, seed):
 def per_edge_drops(inner, batch):
     """The batch points that the filter's bound drops when it is taken one
     edge of P at a time in Python floats, the written-out form of the
-    broadcast in ``HullState.update``."""
+    broadcasts in ``HullState.update``."""
     ft = np.array(batch.T, dtype=float)
     (lx, ly), (hx, hy) = ft.min(axis=1).tolist(), ft.max(axis=1).tolist()
     v = np.asarray(inner, dtype=float)
@@ -518,13 +518,15 @@ SCALES = {"int-small": (0, 10**4, np.int64),
 
 @pytest.mark.parametrize("scale", SCALES)
 @pytest.mark.parametrize("n_edges", [3, 300])
-@pytest.mark.parametrize("size", [16, 511, 512, 513, 1025])
-def test_filter_over_all_edges_at_once(monkeypatch, scale, n_edges, size):
-    """Batches across the filter's chunks of 512 points, against a P of 3
-    edges (a triangle around the batch) and of about 300 (a 300-gon whose
-    circumcircle holds the batch, with points near and outside its edges):
-    the filter drops the points the per-edge bound drops, and the hull is
-    the one-shot hull."""
+@pytest.mark.parametrize("size", [16, 511, 512, 513, 1025, 8193])
+def test_filter_by_edge_groups(monkeypatch, scale, n_edges, size):
+    """Batches across the filter's groups of ``_FILTER_CELLS // size``
+    edges (every edge at 16 points, 15 to 32 edges, the last group short,
+    at 511 to 1,025, one edge at 8,193), against a P of 3 edges (a triangle
+    around the batch) and of about 300 (a 300-gon whose circumcircle holds
+    the batch, with points near and outside its edges): the filter drops
+    the points the per-edge bound drops, and the hull is the one-shot
+    hull."""
     center, radius, dtype = SCALES[scale]
     rng = np.random.default_rng(size + n_edges)
     t = 2 * np.pi * (np.arange(n_edges) + 0.25) / n_edges
