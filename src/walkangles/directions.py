@@ -227,7 +227,7 @@ class _CellTable:
         gap2 = gap * gap
         cell = np.unravel_index(shell, (c,) * d)
         self.r2 = r2
-        step = max(1, (1 << 20) // m)                  # (cells x M) temporaries of 8 MiB
+        step = max(1, (1 << 20) // (m * d))        # the split's (d x pairs) temporaries: 8 MiB
         pairs, n_edges = [], 0
         for a in range(0, n_cells, step):
             dist2 = gap2[0].take(cell[0][a:a + step], axis=0)
@@ -404,7 +404,6 @@ class CapVisitAccumulator(ObserverBase):
         self.level_band_hits = np.zeros(n_lv, dtype=np.int64)
         self.n_steps_seen = 0
         self.repeated_rows = 0          # live rows whose hits came from the row before
-        self._held: list[WalkBlock] = []    # pieces of an engine block, see observe
         self._dot_min = 1.0 - config.cap_radius ** 2 / 2.0  # chord < r as a dot bound
         self._log_r0 = math.log(config.escape_r0)
         self._alphas = np.asarray(config.alphas, dtype=float)
@@ -571,11 +570,10 @@ class CapVisitAccumulator(ObserverBase):
     def observe(self, block: WalkBlock) -> None:
         """Add a block of steps to the visit and graded records.
 
-        The pieces that ``run_walk`` cuts from one engine block at its
-        checkpoints are held until the piece marked ``block_end`` and then
-        decided in one pass over their rows, so the layer's fixed cost is
-        paid once per engine block.  A block built by hand keeps the default
-        mark and is decided at once, as a pass of one piece.
+        The block is decided in one pass over its rows, so the layer's fixed
+        cost is paid once per engine block; its checkpoint pieces
+        (:meth:`WalkBlock.pieces`) matter only to the graded windows, below.
+        A block with no checkpoint row is one piece.
 
         A live step (nonzero, past ``burn_in``) with direction u hits grid
         point g when ``E > dot_min``, where E is the fixed-order dot
@@ -664,16 +662,12 @@ class CapVisitAccumulator(ObserverBase):
         folded into the accumulator once per pass.
         """
         self.n_steps_seen += len(block)
-        self._held.append(block)
-        if not block.block_end:
-            return
-        pieces, self._held = self._held, []
         cfg = self.config
         n_lv = cfg.escape_levels + 1
-        steps = np.concatenate([np.arange(p.first_n, p.first_n + len(p)) for p in pieces])
-        dirs = np.concatenate([p.dirs for p in pieces])
-        log_norms = np.concatenate([p.log_norms for p in pieces])
-        piece = np.repeat(np.arange(len(pieces)), [len(p) for p in pieces])
+        steps = np.arange(block.first_n, block.first_n + len(block))
+        dirs, log_norms = block.dirs, block.log_norms
+        pieces = block.pieces()
+        piece = np.repeat(np.arange(len(pieces)), [b - a for a, b in pieces])
         live = (log_norms > NEG_INF) & (steps > cfg.burn_in)
         if not live.all():
             dirs, log_norms, steps, piece = dirs[live], log_norms[live], steps[live], piece[live]
@@ -740,8 +734,6 @@ class CapVisitAccumulator(ObserverBase):
     def finalize(self) -> "DirectionSetEstimate":
         if self.n_steps_seen == 0:
             raise ValueError("cannot finalize an empty accumulator")
-        if self._held:
-            raise ValueError("cannot finalize before the piece that ends the held block")
         cfg = self.config
         top = self.top_reached_level()
         verdicts = np.zeros(len(self.grid), dtype=np.int8)

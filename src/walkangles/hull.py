@@ -330,24 +330,33 @@ class HullTracker(ObserverBase):
             self.state = SupportSketch(np.zeros(self._m), np.zeros((self._m, d)))
 
     def observe(self, block: WalkBlock) -> None:
+        """Update the planar hull piece by piece (:meth:`WalkBlock.pieces`)
+        and add a series row at the end of each checkpoint piece.  The
+        ladder has observed the whole block by then, so a d >= 3 sketch
+        reads checkpoint k's ladder row and its ``argmax_at`` copy, not the
+        running extremes, which are already past the block's inner
+        checkpoints."""
         ladder = self.ladder
         if ladder is not self._shared:
             ladder.observe(block)
-        if isinstance(self.state, HullState):
-            self.state.update(block.positions)
-        if not block.at_checkpoint:
-            return
-        if ladder.stats.checkpoints[-1:] != [block.last_n]:
+        ns = [block.first_n + row for row in block.checkpoints]
+        first = len(ladder.stats.checkpoints) - len(ns)
+        if ladder.stats.checkpoints[first:] != ns:
             raise ValueError(f"the projection ladder has not recorded checkpoint "
-                             f"{block.last_n}: it must observe before the hull")
-        if isinstance(self.state, SupportSketch):
-            self.state = SupportSketch(ladder.running_max[self._cols],
-                                       ladder.argmax_rows[self._cols])
-        # the true radius is monotone; the max() guards against last-ulp
-        # jitter when an edge is re-derived from new endpoints
-        r = max(self.state.inscribed_radius(), self.series[-1].r if self.series else 0.0)
-        self.series.append(HullCheckpoint(
-            n=block.last_n, r=r, vertex_count=self.state.vertex_count()))
+                             f"{ns[0]}: it must observe before the hull")
+        for k, (a, b) in enumerate(block.pieces()):
+            if isinstance(self.state, HullState):
+                self.state.update(block.positions[a:b])
+            if k == len(ns):            # the last piece ends on no checkpoint
+                break
+            if isinstance(self.state, SupportSketch):
+                self.state = SupportSketch(ladder.stats.maxes[first + k, self._cols],
+                                           ladder.argmax_at[first + k])
+            # the true radius is monotone; the max() guards against last-ulp
+            # jitter when an edge is re-derived from new endpoints
+            r = max(self.state.inscribed_radius(), self.series[-1].r if self.series else 0.0)
+            self.series.append(HullCheckpoint(
+                n=ns[k], r=r, vertex_count=self.state.vertex_count()))
 
     @property
     def confinements(self) -> np.ndarray:

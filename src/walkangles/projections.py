@@ -96,6 +96,7 @@ class ProjectionTracker(ObserverBase):
         # S_0 = 0 is part of every trajectory
         self.running_min, self.running_max = np.zeros(m), np.zeros(m)
         self._argmax_cols, self.argmax_rows = None, np.zeros((m, spec.dimension))
+        self.argmax_at: list[np.ndarray] = []
         self.stats = ProjectionStats(
             directions=self.directions, checkpoints=[], mins=np.zeros((0, m)),
             maxes=np.zeros((0, m)), final=np.zeros(m), n_steps=n_steps,
@@ -114,57 +115,66 @@ class ProjectionTracker(ObserverBase):
         return None if None in cols else np.array(cols)
 
     def observe(self, block: WalkBlock) -> None:
-        """Fold one block into the running extremes and ``final``.
+        """Fold one block into the running extremes and ``final``, one piece
+        (:meth:`WalkBlock.pieces`) at a time.  Each checkpoint piece ends
+        with a ladder row and a copy of ``argmax_rows[cols]`` in
+        ``argmax_at``, for the ``cols`` named by ``columns(...,
+        argmax=True)``.  Each piece takes its own product: BLAS may round a
+        dot differently with the product's shape (a 1-row product can
+        differ in its last bit from the same row inside a larger one).
+        ``argmax_rows`` is for linear walks: a log-scale block has no
+        positions.
 
         On a log-scale walk psi is evaluated once per run of equal columns of
-        the (M, B) product: column i is fresh when its log-norm or any of its
+        a piece's product: column i is fresh when its log-norm or any of its
         dots differs (``!=``) from column i - 1's, and psi runs on the fresh
         columns alone.  This is exact: psi is an elementwise function of
         (dot, log_norm); a dropped column equals the fresh column before it
         under ``==``; the only values equal under ``==`` but not in bits are
         +-0.0, which psi both maps to +0.0; and every dot still comes from
-        the one product over the whole block.  The last fresh column has the
-        last row's inputs, so it gives ``final``.  Heavy-tailed walks, whose
-        later steps underflow beside one dominating jump, repeat whole rows.
-        ``argmax_rows`` is for linear walks: a log-scale block has no
-        positions.
+        the piece's one product.  The last fresh column has the last row's
+        inputs, so it gives ``final``.  Heavy-tailed walks, whose later steps
+        underflow beside one dominating jump, repeat whole rows.
         """
         st = self.stats
-        # (M, B) values, so the extremes reduce along the block
-        if st.log_scale:
-            dots = self.directions @ block.dirs.T
-            log_norms = block.log_norms
-            fresh = np.empty(len(log_norms), dtype=bool)
-            fresh[0] = True
-            np.not_equal(dots[:, 1:], dots[:, :-1]).any(axis=0, out=fresh[1:])
-            fresh[1:] |= log_norms[1:] != log_norms[:-1]
-            if not fresh.all():
-                # kept: always gathering took one plateau-free 16,384-row,
-                # 64-direction block from 15.8-17.3 ms to 25.5-30.4 ms
-                dots, log_norms = dots[:, fresh], log_norms[fresh]
-            # psi in place on one array: a zero dot's log is -inf, which the
-            # clamp and offset take to 0, and np.sign(+-0.0) is +0.0
-            vals = np.abs(dots)
-            with np.errstate(divide="ignore"):
-                np.log(vals, out=vals)
-            vals += log_norms
-            np.maximum(vals, -PSI_OFFSET, out=vals)
-            vals += PSI_OFFSET
-            vals *= np.sign(dots)
-        else:
-            vals = self.directions @ np.asarray(block.positions, dtype=float).T
-        top = vals.max(axis=1)
-        if self._argmax_cols is not None:
+        for k, (a, b) in enumerate(block.pieces()):
+            # (M, rows) values, so the extremes reduce along the piece
+            if st.log_scale:
+                dots = self.directions @ block.dirs[a:b].T
+                log_norms = block.log_norms[a:b]
+                fresh = np.empty(len(log_norms), dtype=bool)
+                fresh[0] = True
+                np.not_equal(dots[:, 1:], dots[:, :-1]).any(axis=0, out=fresh[1:])
+                fresh[1:] |= log_norms[1:] != log_norms[:-1]
+                if not fresh.all():
+                    # kept: always gathering took one plateau-free 16,384-row,
+                    # 64-direction block from 15.8-17.3 ms to 25.5-30.4 ms
+                    dots, log_norms = dots[:, fresh], log_norms[fresh]
+                # psi in place on one array: a zero dot's log is -inf, which the
+                # clamp and offset take to 0, and np.sign(+-0.0) is +0.0
+                vals = np.abs(dots)
+                with np.errstate(divide="ignore"):
+                    np.log(vals, out=vals)
+                vals += log_norms
+                np.maximum(vals, -PSI_OFFSET, out=vals)
+                vals += PSI_OFFSET
+                vals *= np.sign(dots)
+            else:
+                vals = self.directions @ np.asarray(block.positions[a:b], dtype=float).T
+            top = vals.max(axis=1)
             cols = self._argmax_cols
-            grew = cols[top[cols] > self.running_max[cols]]
-            self.argmax_rows[grew] = block.positions[vals[grew].argmax(axis=1)]
-        self.running_min = np.minimum(self.running_min, vals.min(axis=1))
-        self.running_max = np.maximum(self.running_max, top)
+            if cols is not None:
+                grew = cols[top[cols] > self.running_max[cols]]
+                self.argmax_rows[grew] = block.positions[a + vals[grew].argmax(axis=1)]
+            self.running_min = np.minimum(self.running_min, vals.min(axis=1))
+            self.running_max = np.maximum(self.running_max, top)
+            if k < len(block.checkpoints):
+                st.checkpoints.append(block.first_n + b - 1)
+                st.mins = np.vstack((st.mins, self.running_min))
+                st.maxes = np.vstack((st.maxes, self.running_max))
+                if cols is not None:
+                    self.argmax_at.append(self.argmax_rows[cols])
         st.final = vals[:, -1].copy()
-        if block.at_checkpoint:
-            st.checkpoints.append(block.last_n)
-            st.mins = np.vstack((st.mins, self.running_min))
-            st.maxes = np.vstack((st.maxes, self.running_max))
 
     def to_csv(self, verdicts: list[str]) -> str:
         """One row per direction; ``verdicts[i]`` is direction i's classification."""

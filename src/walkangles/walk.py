@@ -121,7 +121,9 @@ class WalkState:
 
 @dataclass
 class WalkBlock:
-    """Per-step arrays for steps first_n .. first_n + len - 1 (inclusive)."""
+    """Per-step arrays for steps first_n .. first_n + len - 1 (inclusive),
+    with the rows whose steps are checkpoints, which :meth:`pieces` cuts
+    after."""
 
     first_n: int
     dirs: np.ndarray                 # (B, d) unit directions, zero rows where S=0
@@ -132,19 +134,20 @@ class WalkBlock:
     xi_rest: np.ndarray | None = None
     max_index: np.ndarray | None = None
     atom_at_max: np.ndarray | None = None
-    # the block's last step is on the checkpoint ladder of ``run_walk``
-    at_checkpoint: bool = False
-    # the last piece of an engine block, or of a halted walk (``run_walk``);
-    # an observer may hold a block's pieces until this one, so a block built
-    # by hand, which keeps the default, is taken at once
-    block_end: bool = True
+    # ascending rows whose steps are on the checkpoint ladder of ``run_walk``
+    checkpoints: tuple[int, ...] = ()
 
     def __len__(self) -> int:
         return len(self.log_norms)
 
-    @property
-    def last_n(self) -> int:
-        return self.first_n + len(self) - 1
+    def pieces(self) -> list[tuple[int, int]]:
+        """(start, stop) row ranges that cover the block, cut after each
+        checkpoint row: piece k ends on ``checkpoints[k]``, and a last piece
+        past the final checkpoint row ends on no checkpoint."""
+        stops = [row + 1 for row in self.checkpoints]
+        if stops[-1:] != [len(self)]:
+            stops.append(len(self))
+        return list(zip([0] + stops[:-1], stops))
 
 
 class ObserverBase:
@@ -396,13 +399,13 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
              observers: Sequence[ObserverBase] = ()) -> TrajectoryRecord:
     """Drive a walk for ``n_steps``; deterministic given (spec, n_steps, seed).
 
-    Every observer sees every step, in vectorized blocks split so that each
-    checkpoint of ``dyadic_checkpoints(n_steps)`` ends one, marked
-    ``at_checkpoint``; a halted walk reaches the checkpoints up to its halt.
-    Only the last piece of each engine block of ``BLOCK`` steps (or of the
-    halted walk) keeps ``block_end`` set.
+    Every observer sees every step, once per engine block of ``BLOCK`` steps
+    (the last one, or a halted walk's, may be shorter), in one ``observe``
+    call.  Each block lists as ``checkpoints`` its rows whose steps are on
+    ``dyadic_checkpoints(n_steps)``; a halted walk reaches the checkpoints
+    up to its halt.  The record's checkpoint rows are read from those rows.
     """
-    cp_set = set(dyadic_checkpoints(n_steps))           # raises for n_steps < 1
+    cps = dyadic_checkpoints(n_steps)                   # raises for n_steps < 1
     sampler = IncrementSampler(spec)
     rng = stream(seed)
     mode = spec.scale_mode
@@ -451,20 +454,11 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
         state.n = n_done + b
 
         block = WalkBlock(first_n=first_n, dirs=dirs, log_norms=log_norms,
-                          positions=positions, **radial)
-        # split so each checkpoint ends a sub-block
-        cuts = sorted({n - first_n + 1 for n in cp_set
-                       if first_n <= n < first_n + b} | {b})
-        start = 0
-        for cut in cuts:
-            sub = _slice_block(block, start, cut)
-            sub.at_checkpoint = first_n + cut - 1 in cp_set
-            sub.block_end = cut == b
-            for obs in observers:
-                obs.observe(sub)
-            if sub.at_checkpoint:
-                record.checkpoints.append(_checkpoint_from_block(sub, spec))
-            start = cut
+                          positions=positions, **radial,
+                          checkpoints=tuple(n - first_n for n in cps if first_n <= n < first_n + b))
+        for obs in observers:
+            obs.observe(block)
+        record.checkpoints += [_checkpoint_row(block, row, spec) for row in block.checkpoints]
         n_done += b
 
     record.saturations = sampler.saturations.count
@@ -474,28 +468,19 @@ def run_walk(spec: IncrementSpec, n_steps: int, seed: int,
     return record
 
 
-def _slice_block(block: WalkBlock, a: int, b: int) -> WalkBlock:
-    pick = lambda arr: None if arr is None else arr[a:b]
-    return WalkBlock(first_n=block.first_n + a, dirs=block.dirs[a:b],
-                     log_norms=block.log_norms[a:b],
-                     positions=pick(block.positions), xi_max=pick(block.xi_max),
-                     xi_rest=pick(block.xi_rest), max_index=pick(block.max_index),
-                     atom_at_max=pick(block.atom_at_max))
-
-
-def _checkpoint_from_block(block: WalkBlock, spec: IncrementSpec) -> CheckpointRow:
-    """The row for the block's last step."""
-    row = CheckpointRow(
-        n=block.last_n,
-        position=None if block.positions is None else block.positions[-1].copy(),
-        direction=block.dirs[-1].copy(),
-        log_norm=float(block.log_norms[-1]),
+def _checkpoint_row(block: WalkBlock, row: int, spec: IncrementSpec) -> CheckpointRow:
+    """The record's row for step ``block.first_n + row``."""
+    cp = CheckpointRow(
+        n=block.first_n + row,
+        position=None if block.positions is None else block.positions[row].copy(),
+        direction=block.dirs[row].copy(),
+        log_norm=float(block.log_norms[row]),
     )
     if spec.form == RADIAL_PRODUCT:
-        row.xi_max = float(block.xi_max[-1])
-        row.xi_rest = float(block.xi_rest[-1])
-        row.max_index = int(block.max_index[-1])
-    return row
+        cp.xi_max = float(block.xi_max[row])
+        cp.xi_rest = float(block.xi_rest[row])
+        cp.max_index = int(block.max_index[row])
+    return cp
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,8 @@ D2_SPEC = {"dimension": 2, "form": "coordinate_product",
 def test_tracer_installs_and_counts():
     layers, work = traced(D2_SPEC)
     assert layers["samplers.sample_block_calls"] == 2       # one block per run
-    assert layers["walk.observe_calls"] > 0
+    # one call per engine block for each of the three observers
+    assert layers["walk.observe_calls"] == 2 * 3
     assert layers["sphere.direction_grid_calls"] > 0
     assert layers["experiment.to_csv_s"] > 0
     assert layers["projections.classify_s"] > 0
@@ -73,6 +74,7 @@ def test_tracer_counts_through_the_d3_sketch():
                            "laws": [{"name": "s_two_sided", "alpha": 1.5}] * 2
                            + [{"name": "rademacher"}]})
     assert layers["samplers.sample_block_calls"] == 2
+    assert layers["walk.observe_calls"] == 2 * 3
     assert work["hull.final_vertices"] > 0
     assert layers["sphere.direction_grid_calls"] > 0
     assert layers["directions.finalize_s"] > 0
@@ -84,6 +86,8 @@ def test_tracer_counts_through_the_hulls_own_ladder():
     # an 8-direction ladder lacks the hull's 16 directions, so the hull
     # drives a ladder of its own, whose products the tracer counts too
     layers, work = traced(D2_SPEC, projection_grid_m=8)
+    # the hull's call to its own ladder is one more per block
+    assert layers["walk.observe_calls"] == 2 * 4
     assert work["hull.points_in"] == 2 * 64
     assert work["hull.final_vertices"] > 0
     assert work["projections.dot_products"] == 2 * 64 * (8 + 16)

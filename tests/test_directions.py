@@ -92,9 +92,21 @@ def reference_observe(acc: CapVisitAccumulator, block: WalkBlock) -> None:
         acc.graded_windows[top >= 0, j] |= np.int64(1) << top[top >= 0]
 
 
+def piece_blocks(block: WalkBlock) -> list[WalkBlock]:
+    """Each checkpoint piece of ``block`` (:meth:`WalkBlock.pieces`) as a
+    block of its own."""
+    return [WalkBlock(first_n=block.first_n + a, dirs=block.dirs[a:b],
+                      log_norms=block.log_norms[a:b], positions=None)
+            for a, b in block.pieces()]
+
+
 class DenseAccumulator(CapVisitAccumulator):
+    """The oracle, one checkpoint piece at a time: graded windows are
+    highest per piece."""
+
     def observe(self, block: WalkBlock) -> None:
-        reference_observe(self, block)
+        for piece in piece_blocks(block):
+            reference_observe(self, piece)
 
 
 def assert_same_records(acc: CapVisitAccumulator, ref: CapVisitAccumulator) -> None:
@@ -182,22 +194,6 @@ def test_finalize_requires_data():
     acc = CapVisitAccumulator(small_config(), 2)
     with pytest.raises(ValueError):
         acc.finalize()
-
-
-def test_finalize_refuses_held_pieces():
-    # a piece that does not end its engine block is held, and finalize does
-    # not drop it: it raises until the piece that ends the block arrives
-    acc = record_visit(CapVisitAccumulator(small_config(), 2), 40.0 * E1, 1)
-    for n in (2, 3):
-        acc.observe(WalkBlock(first_n=n, dirs=E1[None, :], log_norms=np.array([math.log(50.0)]),
-                              positions=None, block_end=False))
-    assert acc.n_steps_seen == 3 and acc.visits.sum() > 0
-    seen = acc.visits.copy()
-    with pytest.raises(ValueError, match="held block"):
-        acc.finalize()
-    record_visit(acc, 60.0 * E1, 4)
-    e1_idx = int(np.argmin(np.linalg.norm(acc.grid - E1, axis=1)))
-    assert acc.finalize().visits[e1_idx, 0] == seen[e1_idx, 0] + 3
 
 
 def test_no_in_without_escape():
@@ -1025,6 +1021,22 @@ def test_table_decision_read_while_splitting(monkeypatch, d):
                 assert np.array_equal(kept.sure_ptr, whole.sure_ptr)
 
 
+def test_rejected_table_decision_memory_is_bounded(monkeypatch):
+    # d = 6, M = 64, cap 1.9 is rejected on the first chunk of the split;
+    # chunks of 2**20 // (M d) cells keep its (d x pairs) temporaries near
+    # 8 MiB, where chunks of 2**20 // M cells peaked at 226 MiB
+    monkeypatch.setattr(directions, "_TABLES", {})
+    grid = direction_grid(6, 64, 0)
+    tracemalloc.start()
+    try:
+        table = directions._table_for(grid, 1.0 - 1.9 ** 2 / 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table is None
+    assert peak < 64 * 2**20
+
+
 WALKS = {
     "d2-two-pole": (coordinate_product([rademacher(), s_two_sided(0.5)]),
                     {"cap_radius": 0.1}),
@@ -1120,15 +1132,17 @@ def test_records_do_not_depend_on_block_cuts(name, tabled):
 
 
 class PieceByPiece(ObserverBase):
-    """Hands every piece of a walk to ``acc`` as a block of its own, and
-    counts the pieces that do not end their engine block."""
+    """Hands each checkpoint piece of every block to ``acc`` as a block of
+    its own, and counts the cuts inside blocks."""
 
     def __init__(self, acc: CapVisitAccumulator):
-        self.acc, self.held = acc, 0
+        self.acc, self.cuts = acc, 0
 
     def observe(self, block: WalkBlock) -> None:
-        self.held += not block.block_end
-        self.acc.observe(replace(block, block_end=True))
+        pieces = piece_blocks(block)
+        self.cuts += len(pieces) - 1
+        for piece in pieces:
+            self.acc.observe(piece)
 
 
 # (spec, estimator knobs): the benchmark's walks, a burn_in that ends inside
@@ -1145,9 +1159,9 @@ DEFERRED = {
 
 @pytest.mark.parametrize("name", sorted(DEFERRED))
 def test_held_pieces_give_the_records_of_each_piece(name):
-    # run_walk's pieces, held until the end of their engine block and decided
-    # in one pass, give every record of the same pieces taken one by one:
-    # graded windows per checkpoint piece, and groups cut where a piece ends
+    # an engine block with checkpoint rows, decided in one pass, gives every
+    # record of its pieces fed one by one as blocks of their own: graded
+    # windows per checkpoint piece, and groups cut where a piece ends
     spec, kw = DEFERRED[name]
     d = spec.dimension
     cfg = replace(EstimatorConfig.defaults_for(spec),
@@ -1158,7 +1172,7 @@ def test_held_pieces_give_the_records_of_each_piece(name):
     ref = one_by_one.acc
     assert_same_records(acc, ref)
     assert acc.repeated_rows == ref.repeated_rows and acc.n_steps_seen == ref.n_steps_seen
-    assert one_by_one.held >= 10 and acc.visits.sum() > 0 and acc.level_band_hits.sum() > 0
+    assert one_by_one.cuts >= 10 and acc.visits.sum() > 0 and acc.level_band_hits.sum() > 0
     w = acc.graded_windows
     assert np.any((w & (w - 1)) != 0)                   # two windows met somewhere
     assert (acc._table is None) == (name == "no-table")

@@ -108,7 +108,7 @@ def sketch_of(points, m=16):
     tr = HullTracker(m)
     tr.begin(coordinate_product([s_two_sided(1.5)] * d), n)
     tr.observe(WalkBlock(first_n=1, dirs=np.zeros((n, d)), log_norms=np.zeros(n),
-                         positions=points, at_checkpoint=True))
+                         positions=points, checkpoints=(n - 1,)))
     return tr.state
 
 
@@ -170,7 +170,7 @@ def test_argmax_rows_are_the_first_strict_maxima():
     for first_n, rows in ((1, [[2, 0, 0], [2, 3, 0]]), (3, [[2, 5, 0], [0, 0, -1]])):
         rows = np.array(rows)
         tr.observe(WalkBlock(first_n=first_n, dirs=np.zeros((2, 3)), log_norms=np.zeros(2),
-                             positions=rows, at_checkpoint=True))
+                             positions=rows, checkpoints=(1,)))
     assert tr.argmax_rows.tolist() == [[2, 0, 0], [2, 5, 0], [0, 0, 0], [0, 0, 0]]
     assert tr.columns(np.ones((1, 3))) is None
 

@@ -357,6 +357,9 @@ class FixedDots:
     def __init__(self, dots: np.ndarray):
         self.dots = dots
 
+    def __getitem__(self, rows) -> "FixedDots":
+        return FixedDots(self.dots[rows])
+
     @property
     def T(self) -> "FixedProduct":
         return FixedProduct(self.dots.T)
@@ -445,7 +448,7 @@ def test_log_scale_psi_matches_former_formula_bytewise():
     fresh_shares = set()
     for dots, log_norms in psi_blocks(np.random.default_rng(18), m):
         tr.observe(WalkBlock(first_n=n, dirs=FixedDots(dots), log_norms=log_norms,
-                             positions=None, at_checkpoint=True))
+                             positions=None, checkpoints=(len(log_norms) - 1,)))
         n += len(log_norms)
         ref = reference_psi(dots, log_norms)
         assert tr.stats.final.tobytes() == ref[-1].tobytes()
@@ -476,7 +479,8 @@ def test_ladder_is_complete_after_every_checkpoint():
         lo, hi = np.minimum(lo, vals.min(axis=1)), np.maximum(hi, vals.max(axis=1))
         at_checkpoint = k % 3 != 0
         tr.observe(WalkBlock(first_n=n, dirs=positions, log_norms=np.zeros(len(positions)),
-                             positions=positions, at_checkpoint=at_checkpoint))
+                             positions=positions,
+                             checkpoints=(len(positions) - 1,) if at_checkpoint else ()))
         n += len(positions)
         if at_checkpoint:
             mins.append(lo)
@@ -490,11 +494,17 @@ def test_ladder_is_complete_after_every_checkpoint():
 
 
 class PieceRecorder(ObserverBase):
+    """The (positions, dirs, log_norms) of each piece of every block seen,
+    and whether the piece ends on a checkpoint."""
+
     def __init__(self):
-        self.blocks = []
+        self.pieces = []
 
     def observe(self, block: WalkBlock) -> None:
-        self.blocks.append(block)
+        for k, (a, b) in enumerate(block.pieces()):
+            positions = None if block.positions is None else block.positions[a:b]
+            self.pieces.append((positions, block.dirs[a:b], block.log_norms[a:b],
+                                k < len(block.checkpoints)))
 
 
 LADDER_SPECS = {
@@ -510,8 +520,9 @@ LADDER_SPECS = {
 
 @pytest.mark.parametrize("name", LADDER_SPECS)
 def test_tracker_ladder_is_the_column_extremes(name):
-    # the tracker's (M x B) values, reduced along each block, give the column
-    # extremes of project_series over the same pieces, byte for byte.  Each
+    # the tracker's (M x B) values, reduced along each checkpoint piece of
+    # a block, give the column extremes of project_series over the same
+    # pieces, byte for byte.  Each
     # piece takes its own product: a 1-row product can differ in its last
     # bit from the same row inside a larger one, in either layout
     spec = LADDER_SPECS[name]
@@ -520,10 +531,10 @@ def test_tracker_ladder_is_the_column_extremes(name):
     run_walk(spec, 3 * BLOCK + 1000, seed=3, observers=[tr, rec])
     lo = hi = np.zeros(len(tr.directions))
     mins, maxes = [], []
-    for block in rec.blocks:
-        ref = project_series(block.positions, tr.directions, [len(block)])
+    for positions, _, _, at_checkpoint in rec.pieces:
+        ref = project_series(positions, tr.directions, [len(positions)])
         lo, hi = np.minimum(lo, ref.mins[0]), np.maximum(hi, ref.maxes[0])
-        if block.at_checkpoint:
+        if at_checkpoint:
             mins.append(lo)
             maxes.append(hi)
     assert len(mins) == len(tr.stats.checkpoints) > 10
@@ -539,15 +550,15 @@ def test_log_tail_walk_psi_matches_former_formula_bytewise():
     run_walk(TRACKER_SPECS[4], 2 * BLOCK, seed=0, observers=[tr, rec])
     lo = hi = np.zeros(len(tr.directions))
     mins, maxes, sparse = [], [], []
-    for block in rec.blocks:
-        dots = (tr.directions @ block.dirs.T).T
-        ref = reference_psi(dots, block.log_norms)
+    for _, dirs, log_norms, at_checkpoint in rec.pieces:
+        dots = (tr.directions @ dirs.T).T
+        ref = reference_psi(dots, log_norms)
         lo, hi = np.minimum(lo, ref.min(axis=0)), np.maximum(hi, ref.max(axis=0))
-        if block.at_checkpoint:
+        if at_checkpoint:
             mins.append(lo)
             maxes.append(hi)
-        if len(block) >= 4096:
-            sparse.append(fresh_rows(dots, block.log_norms).mean() < 0.01)
+        if len(log_norms) >= 4096:
+            sparse.append(fresh_rows(dots, log_norms).mean() < 0.01)
     assert len(mins) == len(tr.stats.checkpoints) > 10
     assert tr.stats.mins.tobytes() == np.array(mins).tobytes()
     assert tr.stats.maxes.tobytes() == np.array(maxes).tobytes()

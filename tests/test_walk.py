@@ -1,7 +1,7 @@
 """Walk engine: stepping, biggest-jump recursion, bound checks, records."""
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,12 +14,12 @@ from walkangles.samplers import (RADIAL_PRODUCT, IncrementSampler, SampleBlock,
                                  coordinate_product, constant, linear_combination,
                                  log_tail, radial_product, rademacher, s_one_sided,
                                  s_two_sided, stretched_exp)
-from walkangles.hull import HullTracker
+from walkangles.hull import HullTracker, SupportSketch
 from walkangles.projections import ProjectionTracker
 from walkangles.walk import (BLOCK, BOUND_TOL, INT_SAT_LIMIT, BoundCheckObserver,
-                             ObserverBase, TrajectoryRecord, UnsupportedSpecError, WalkState,
-                             biggest_jump_bound_check, csv_text, dyadic_checkpoints,
-                             run_walk)
+                             ObserverBase, TrajectoryRecord, UnsupportedSpecError, WalkBlock,
+                             WalkState, biggest_jump_bound_check, csv_text,
+                             dyadic_checkpoints, run_walk)
 
 # ---------------------------------------------------------------------------
 # scalar reference oracle: one step at a time, the differential tests below
@@ -550,19 +550,20 @@ def test_dyadic_checkpoints():
             run_walk(coordinate_product([rademacher(), rademacher()]), n, seed=0)
 
 
-class Pieces(ObserverBase):
-    """Records the last step, the checkpoint mark and the block-end mark of
-    every piece seen."""
+class Blocks(ObserverBase):
+    """Records the first step, length, checkpoint rows and pieces of every
+    block seen."""
 
     def __init__(self):
-        self.ends, self.marked, self.block_ends = [], [], []
+        self.seen = []
 
     def observe(self, block):
-        self.ends.append(block.last_n)
-        if block.at_checkpoint:
-            self.marked.append(block.last_n)
-        if block.block_end:
-            self.block_ends.append(block.last_n)
+        self.seen.append((block.first_n, len(block), block.checkpoints, block.pieces()))
+
+    @property
+    def marked(self) -> list[int]:
+        """The checkpoint steps, in order."""
+        return [first_n + row for first_n, _, rows, _ in self.seen for row in rows]
 
 
 @pytest.mark.parametrize("spec, n_steps, reached", [
@@ -571,39 +572,150 @@ class Pieces(ObserverBase):
     (coordinate_product([constant(2**59), rademacher()]), 64, [1, 2, 4, 8]),
 ], ids=["full", "halted"])
 def test_one_checkpoint_ladder(spec, n_steps, reached):
-    # the engine's marks, the record's rows, the projection ladder and the
-    # hull series all read the one ladder of run_walk
-    pieces, proj, hull = Pieces(), ProjectionTracker(grid_m=8), HullTracker()
-    rec = run_walk(spec, n_steps, seed=3, observers=[pieces, proj, hull])
+    # the engine's checkpoint rows, the record's rows, the projection ladder
+    # and the hull series all read the one ladder of run_walk
+    blocks, proj, hull = Blocks(), ProjectionTracker(grid_m=8), HullTracker()
+    rec = run_walk(spec, n_steps, seed=3, observers=[blocks, proj, hull])
     assert rec.overflowed == (reached != dyadic_checkpoints(n_steps))
-    assert pieces.marked == [row.n for row in rec.checkpoints] == proj.stats.checkpoints \
+    assert blocks.marked == [row.n for row in rec.checkpoints] == proj.stats.checkpoints \
         == [cp.n for cp in hull.series] == reached
     assert proj.stats.mins.shape == proj.stats.maxes.shape == (len(reached), 8)
     assert hull.confinements.shape == (len(reached), 16)
 
 
+def dyadic_pieces(k: int) -> list[tuple[int, int]]:
+    """The pieces of a block of 2^k steps from step 1: one per doubling."""
+    return [(0, 1)] + [(2**j, 2**(j + 1)) for j in range(k)]
+
+
 def test_cut_structure():
-    # artifact bytes depend on where run_walk cuts its blocks: at every
-    # checkpoint, and past BLOCK steps also at every multiple of BLOCK
+    # run_walk hands its observers whole engine blocks of BLOCK steps (a
+    # halted walk's last one ends at the halt), each with the rows of its
+    # checkpoints; pieces() cuts a block after each of them
     spec = coordinate_product([constant(1), rademacher()])
-    pieces = Pieces()
-    run_walk(spec, 2**10, seed=0, observers=[pieces])
-    assert pieces.ends == pieces.marked == [2**k for k in range(11)]
-    assert pieces.block_ends == [2**10]
-    pieces = Pieces()
-    run_walk(spec, 4 * BLOCK + 3, seed=0, observers=[pieces])
-    assert pieces.ends == [2**k for k in range(16)] + [3 * BLOCK, 4 * BLOCK, 4 * BLOCK + 3]
-    assert pieces.marked == [2**k for k in range(16)] + [4 * BLOCK, 4 * BLOCK + 3]
-    # only the last piece of each engine block is marked as its end
-    assert pieces.block_ends == [BLOCK, 2 * BLOCK, 3 * BLOCK, 4 * BLOCK, 4 * BLOCK + 3]
-    # a halted walk marks its last piece, in the first block and in a later one
-    for step, n_steps, ends, block_ends in [
-            (2**59, 64, [1, 2, 4, 8, 15], [15]),
-            (2**63 // 20000, 3 * BLOCK, [2**k for k in range(15)] + [20000], [BLOCK, 20000])]:
-        pieces = Pieces()
+    first = tuple(2**k - 1 for k in range(15))
+    blocks = Blocks()
+    run_walk(spec, 2**10, seed=0, observers=[blocks])
+    assert blocks.seen == [(1, 2**10, first[:11], dyadic_pieces(10))]
+    blocks = Blocks()
+    run_walk(spec, 4 * BLOCK + 3, seed=0, observers=[blocks])
+    assert blocks.seen == [(1, BLOCK, first, dyadic_pieces(14)),
+                           (BLOCK + 1, BLOCK, (BLOCK - 1,), [(0, BLOCK)]),
+                           (2 * BLOCK + 1, BLOCK, (), [(0, BLOCK)]),
+                           (3 * BLOCK + 1, BLOCK, (BLOCK - 1,), [(0, BLOCK)]),
+                           (4 * BLOCK + 1, 3, (2,), [(0, 3)])]
+    # a halted walk, in the first block and in a later one: the last piece
+    # ends at the halt, on no checkpoint
+    for step, n_steps, seen in [
+            (2**59, 64, [(1, 15, first[:4], dyadic_pieces(3) + [(8, 15)])]),
+            (2**63 // 20000, 3 * BLOCK, [(1, BLOCK, first, dyadic_pieces(14)),
+                                         (BLOCK + 1, 20000 - BLOCK, (), [(0, 20000 - BLOCK)])])]:
+        blocks = Blocks()
         assert run_walk(coordinate_product([constant(step), rademacher()]), n_steps, seed=0,
-                        observers=[pieces]).overflowed
-        assert pieces.ends == ends and pieces.block_ends == block_ends
+                        observers=[blocks]).overflowed
+        assert blocks.seen == seen
+    # a block built by hand: no checkpoint row makes one piece, and a last
+    # piece past the final checkpoint row ends on none
+    block = WalkBlock(first_n=5, dirs=np.zeros((7, 2)), log_norms=np.zeros(7), positions=None)
+    assert block.pieces() == [(0, 7)]
+    assert replace(block, checkpoints=(1, 4)).pieces() == [(0, 2), (2, 5), (5, 7)]
+    assert replace(block, checkpoints=(0, 6)).pieces() == [(0, 1), (1, 7)]
+
+
+def piece_blocks(block: WalkBlock) -> list[WalkBlock]:
+    """Each piece of ``block`` as a block of its own, with its last row as
+    its checkpoint where the piece ends on one."""
+    out = []
+    for k, (a, b) in enumerate(block.pieces()):
+        rows = {f.name: value[a:b] for f in fields(block)
+                if isinstance(value := getattr(block, f.name), np.ndarray)}
+        out.append(replace(block, first_n=block.first_n + a, **rows,
+                           checkpoints=(b - a - 1,) if k < len(block.checkpoints) else ()))
+    return out
+
+
+class PieceByPiece(ObserverBase):
+    """Hands each piece of every block to ``observers`` as a block of its
+    own, and keeps the record's rows: the last row of each piece that ends
+    on a checkpoint."""
+
+    def __init__(self, spec, observers):
+        self.spec, self.observers, self.rows = spec, observers, []
+
+    def begin(self, spec, n_steps):
+        for obs in self.observers:
+            obs.begin(spec, n_steps)
+
+    def observe(self, block):
+        for piece in piece_blocks(block):
+            for obs in self.observers:
+                obs.observe(piece)
+            if piece.checkpoints:
+                radial = self.spec.form == RADIAL_PRODUCT
+                self.rows.append(walk_module.CheckpointRow(
+                    n=piece.first_n + len(piece) - 1,
+                    position=None if piece.positions is None else piece.positions[-1],
+                    direction=piece.dirs[-1], log_norm=float(piece.log_norms[-1]),
+                    xi_max=float(piece.xi_max[-1]) if radial else None,
+                    xi_rest=float(piece.xi_rest[-1]) if radial else None,
+                    max_index=int(piece.max_index[-1]) if radial else None))
+
+
+def same_bytes(a, b) -> bool:
+    """Equal, with arrays (also inside dataclasses and lists) equal in dtype
+    and bytes."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes())
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(same_bytes, a, b))
+    if hasattr(a, "__dataclass_fields__") and type(a) is type(b):
+        return all(same_bytes(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return type(a) is type(b) and a == b
+
+
+# (spec, steps): a d = 2 lattice walk, a d = 3 walk (the hull's support
+# sketch), a d = 2 float radial walk, and a walk along (1, 0) that leaves
+# int64 range at step 20,000, in its second block
+CHECKPOINT_WALKS = {
+    "lattice-2": (coordinate_product([rademacher(), s_two_sided(0.5)]), 3 * BLOCK),
+    "sketch-3": (coordinate_product([s_two_sided(1.5), s_two_sided(1.5), rademacher()]),
+                 2 * BLOCK + 100),
+    "float-radial": (radial_product([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]], [0.5, 0.25, 0.25],
+                                    s_one_sided(0.7)), 2 * BLOCK),
+    "halted": (coordinate_product([constant(2**63 // 20000), rademacher()]), 3 * BLOCK),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKPOINT_WALKS))
+def test_checkpoint_rows_give_what_pieces_give(name):
+    # the observers that read checkpoints give the same bytes from whole
+    # engine blocks with checkpoint rows as from each piece fed as a block
+    # of its own, one checkpoint at its end
+    spec, n_steps = CHECKPOINT_WALKS[name]
+    d = spec.dimension
+    ladder = ProjectionTracker()
+    whole = [ladder, HullTracker(ladder=ladder), HullTracker(m=8)]
+    ladder = ProjectionTracker()
+    cut = PieceByPiece(spec, [ladder, HullTracker(ladder=ladder), HullTracker(m=8)])
+    rec = run_walk(spec, n_steps, seed=7, observers=[*whole, cut])
+    assert rec.overflowed == (name == "halted")
+    assert len(rec.checkpoints) >= 14 and same_bytes(rec.checkpoints, cut.rows)
+    verdicts = ["UNDECIDED"] * 64
+    for got, want in zip(whole, cut.observers):
+        if isinstance(got, ProjectionTracker):
+            assert same_bytes(got.stats, want.stats) and same_bytes(got.argmax_at, want.argmax_at)
+            assert got.to_csv(verdicts) == want.to_csv(verdicts)
+        else:
+            assert same_bytes(got.series, want.series) and got.to_csv() == want.to_csv()
+            if d > 2:
+                assert same_bytes(got.state, want.state)
+            else:
+                assert got.state.vertices == want.state.vertices
+    # one hull reads the shared ladder; the 8-direction one, given no
+    # ladder, drives its own from inside its observe
+    assert whole[1].ladder is whole[0] and whole[2].ladder is not whole[0]
+    assert isinstance(whole[1].state, SupportSketch) == (d > 2)
 
 
 def test_csv_header_and_rows():
